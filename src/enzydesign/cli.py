@@ -139,7 +139,10 @@ def cmd_train(args) -> int:
         params = init_parameters(model_cfg, vocab,
                                  np.random.default_rng(schedule.seed))
         if args.pretrain_mlm and schedule.mlm_pretrain_steps > 0:
-            mlm_pretrain(splits["train"], params, model_cfg, schedule, vocab)
+            if mlm_pretrain(splits["train"], params, model_cfg, schedule,
+                            vocab).aborted:
+                print("error: masked pretraining diverged", file=sys.stderr)
+                return 1
 
     checkpoint = output.get("checkpoint", "model.ckpt")
     loss_log = output.get("loss_log", "loss.log")
@@ -190,6 +193,8 @@ def cmd_generate(args) -> int:
     except VocabularyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for t in params.values():  # forward only: constants build no graph
+        t.requires_grad = False
 
     seq_indices = np.zeros(n, dtype=np.intp)
     mask = np.zeros(n, dtype=bool)

@@ -6,6 +6,15 @@ topological order. Everything downstream of this module (attention
 layers, equivariant updates, losses) is built from the primitives here,
 so each backward rule is validated against central finite differences in
 the test suite.
+
+Graph lifetime: a result records its parents and rule only when one of
+its inputs requires a gradient, so a forward pass over constants builds
+no graph. No rule refers to its own result, so a graph has no reference
+cycles and is freed as soon as its last handle is dropped.
+``Tensor.backward`` consumes the graph as it walks it: interior nodes
+drop their gradient, rule and parents once their rule has fired, and
+leaves keep ``grad``. A second ``backward`` on the same graph is not
+supported.
 """
 from __future__ import annotations
 
@@ -45,9 +54,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
-    Results of operations keep references to their parent tensors; leaves
-    created directly from data have no parents and, when
-    ``requires_grad`` is set, receive gradients during ``backward``.
+    Results of operations on inputs that require gradients keep
+    references to their parent tensors; results of constant inputs and
+    leaves created directly from data have none. Leaves with
+    ``requires_grad`` set receive gradients during ``backward``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -58,8 +68,11 @@ class Tensor:
             p.requires_grad for p in _parents
         )
         self.grad = None
-        self._parents = tuple(_parents)
-        self._backward_fn = _backward_fn
+        if self.requires_grad:
+            self._parents = tuple(_parents)
+            self._backward_fn = _backward_fn
+        else:
+            self._parents, self._backward_fn = (), None
         if not np.all(np.isfinite(self.data)):
             raise NumericsError("non-finite values in tensor")
 
@@ -89,6 +102,11 @@ class Tensor:
         (inputs before outputs) and walked in reverse, so every node's
         backward rule fires exactly once and fan-out accumulates
         additively.
+
+        The graph is consumed: once a node's rule has fired, the node
+        drops its ``grad``, its rule and its parents, so memory shrinks
+        as the walk proceeds. Leaves keep ``grad``. A second ``backward``
+        on the same graph is not supported.
         """
         if self.data.size != 1:
             raise DimensionError(
@@ -98,9 +116,13 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += np.ones_like(self.data)
-        for node in reversed(tape):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        while tape:
+            node = tape.pop()
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node.grad = node._backward_fn = None
+                node._parents = ()
 
     # ---- operator sugar ----
 
@@ -165,47 +187,35 @@ def _linearize(root: Tensor) -> list:
 # ---- binary elementwise (broadcasting) ----
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, _parents=(a, b))
-
     def bw(g):
         _accumulate(a, _unbroadcast(g, a.shape))
         _accumulate(b, _unbroadcast(g, b.shape))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(a.data + b.data, _parents=(a, b), _backward_fn=bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, _parents=(a, b))
-
     def bw(g):
         _accumulate(a, _unbroadcast(g, a.shape))
         _accumulate(b, _unbroadcast(-g, b.shape))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(a.data - b.data, _parents=(a, b), _backward_fn=bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
     def bw(g):
         _accumulate(a, _unbroadcast(g * b.data, a.shape))
         _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(a.data * b.data, _parents=(a, b), _backward_fn=bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data, _parents=(a, b))
-
     def bw(g):
         _accumulate(a, _unbroadcast(g / b.data, a.shape))
         _accumulate(b, _unbroadcast(-g * a.data / (b.data ** 2), b.shape))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(a.data / b.data, _parents=(a, b), _backward_fn=bw)
 
 
 # ---- matmul ----
@@ -219,7 +229,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}"
         )
-    out = Tensor(np.matmul(a.data, b.data), _parents=(a, b))
 
     def bw(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -227,83 +236,69 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(ga, a.shape))
         _accumulate(b, _unbroadcast(gb, b.shape))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward_fn=bw)
 
 
 # ---- unary elementwise ----
 
 def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data), _parents=(x,))
+    y = np.exp(x.data)
 
     def bw(g):
-        _accumulate(x, g * out.data)
+        _accumulate(x, g * y)
 
-    out._backward_fn = bw
-    return out
+    return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
 def ln(x: Tensor) -> Tensor:
     if np.any(x.data <= 0.0):
         raise DomainError("ln requires strictly positive input")
-    out = Tensor(np.log(x.data), _parents=(x,))
 
     def bw(g):
         _accumulate(x, g / x.data)
 
-    out._backward_fn = bw
-    return out
+    return Tensor(np.log(x.data), _parents=(x,), _backward_fn=bw)
 
 
 def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0.0):
         raise DomainError("sqrt requires nonnegative input")
-    out = Tensor(np.sqrt(x.data), _parents=(x,))
+    y = np.sqrt(x.data)
 
     def bw(g):
-        _accumulate(x, g * 0.5 / np.maximum(out.data, 1e-300))
+        _accumulate(x, g * 0.5 / np.maximum(y, 1e-300))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
-
     def bw(g):
         _accumulate(x, g * (x.data > 0.0))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _backward_fn=bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _expit(x.data)
-    out = Tensor(s, _parents=(x,))
 
     def bw(g):
         _accumulate(x, g * s * (1.0 - s))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(s, _parents=(x,), _backward_fn=bw)
 
 
 def silu(x: Tensor) -> Tensor:
     s = _expit(x.data)
-    out = Tensor(x.data * s, _parents=(x,))
 
     def bw(g):
         _accumulate(x, g * (s + x.data * s * (1.0 - s)))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(x.data * s, _parents=(x,), _backward_fn=bw)
 
 
 # ---- reductions and shape ----
 
 def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,))
-
     def bw(g):
         if axis is None:
             _accumulate(x, np.broadcast_to(g, x.shape).copy())
@@ -311,8 +306,8 @@ def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
             ge = g if keepdims else np.expand_dims(g, axis)
             _accumulate(x, np.broadcast_to(ge, x.shape).copy())
 
-    out._backward_fn = bw
-    return out
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,),
+                  _backward_fn=bw)
 
 
 def sum_pool(x: Tensor) -> Tensor:
@@ -324,54 +319,43 @@ def l2_norm(x: Tensor, axis=-1, keepdims=True) -> Tensor:
     """Euclidean norm along ``axis``; gradient is 0 at the origin."""
     n = np.sqrt((x.data ** 2).sum(axis=axis, keepdims=True))
     out_data = n if keepdims else np.squeeze(n, axis=axis)
-    out = Tensor(out_data, _parents=(x,))
 
     def bw(g):
         ge = g if keepdims else np.expand_dims(g, axis)
         safe = np.where(n == 0.0, 1.0, n)
         _accumulate(x, ge * np.where(n == 0.0, 0.0, x.data / safe))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(out_data, _parents=(x,), _backward_fn=bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape), _parents=(x,))
-
     def bw(g):
         _accumulate(x, g.reshape(x.shape))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(x.data.reshape(shape), _parents=(x,), _backward_fn=bw)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes), _parents=(x,))
-
     def bw(g):
         if axes is None:
             _accumulate(x, np.transpose(g))
         else:
             _accumulate(x, np.transpose(g, np.argsort(axes)))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(np.transpose(x.data, axes), _parents=(x,), _backward_fn=bw)
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
-    out = Tensor(np.broadcast_to(x.data, shape).copy(), _parents=(x,))
-
     def bw(g):
         _accumulate(x, _unbroadcast(g, x.shape))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(np.broadcast_to(x.data, shape).copy(), _parents=(x,),
+                  _backward_fn=bw)
 
 
 def concat(tensors, axis=-1) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 _parents=tuple(tensors))
+    data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -381,22 +365,19 @@ def concat(tensors, axis=-1) -> Tensor:
             idx[axis] = slice(lo, hi)
             _accumulate(t, g[tuple(idx)])
 
-    out._backward_fn = bw
-    return out
+    return Tensor(data, _parents=tuple(tensors), _backward_fn=bw)
 
 
 def take(x: Tensor, indices) -> Tensor:
     """Gather rows of ``x`` along axis 0 by an integer index array."""
     indices = np.asarray(indices, dtype=np.intp)
-    out = Tensor(x.data[indices], _parents=(x,))
 
     def bw(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, indices, g)
         _accumulate(x, gx)
 
-    out._backward_fn = bw
-    return out
+    return Tensor(x.data[indices], _parents=(x,), _backward_fn=bw)
 
 
 # ---- softmax / log-softmax / layer norm ----
@@ -407,14 +388,12 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(x,))
 
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accumulate(x, y * (g - dot))
 
-    out._backward_fn = bw
-    return out
+    return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
 def log_softmax(x: Tensor, axis=-1) -> Tensor:

@@ -178,7 +178,8 @@ def train(records, substrate_pool, params, config: ModelConfig,
     """Two-phase loop: sequence+coordinate losses first, binding joins later.
 
     Deterministic given the schedule seed. On numeric divergence the loop
-    stops and the last finite-loss checkpoint is kept.
+    stops holding the parameters at which the last finite loss was
+    computed, and those are what the checkpoint keeps.
     """
     schedule.validate()
     rng = np.random.default_rng(schedule.seed)
@@ -191,7 +192,7 @@ def train(records, substrate_pool, params, config: ModelConfig,
 
     pool_ids = sorted(substrate_pool) if substrate_pool else []
     log_lines = []
-    last_good = {k: t.data.copy() for k, t in params.items()}
+    last_good: dict = {}
     step = start_step
     batches: list = []
     epoch_pairings: dict = {}
@@ -231,11 +232,11 @@ def train(records, substrate_pool, params, config: ModelConfig,
             total.backward()
         except NumericsError:
             result.aborted = True
-            for k, t in params.items():
-                t.data = last_good[k]
+            for k, data in last_good.items():
+                params[k].data = data
             break
-        opt.step()
         last_good = {k: t.data.copy() for k, t in params.items()}
+        opt.step()
         result.history.append(agg)
         log_lines.append(agg.line(step))
         step += 1
@@ -269,7 +270,9 @@ def mlm_pretrain(records, params, config: ModelConfig,
 
     Each step masks a fresh random fraction of residues per record:
     masked residues see the mask embedding and a spherical coordinate
-    re-initialization, and only they contribute to the loss.
+    re-initialization, and only they contribute to the loss. On numeric
+    divergence it stops, sets ``aborted`` and holds the parameters at
+    which the last finite loss was computed.
     """
     schedule.validate()
     rng = np.random.default_rng(schedule.seed + 1)
@@ -279,38 +282,42 @@ def mlm_pretrain(records, params, config: ModelConfig,
     for rec in records:
         rec.tag_idx = vocab.encode(rec.tag)
     batches: list = []
+    last_good: dict = {}
     for _ in range(schedule.mlm_pretrain_steps):
         if not batches:
             batches = _pack_batches(records, schedule.batch_residues, rng)
         batch = batches.pop(0)
         zero_grads(params)
-        total = Tensor(0.0)
-        agg = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0)
-        for rec in batch:
-            n = len(rec.sequence)
-            masked = draw_mlm_mask(
-                n, schedule.mlm_mask_fraction, rng,
-                rec.site_mask if schedule.mlm_respect_motif else None)
-            known = ~masked
-            coords0 = geometry.init_coordinates(rec.coords[known],
-                                                np.where(known)[0], n, rng,
-                                                config.bond_length)
-            logits, coords_out, _ = forward_stack(rec.seq_indices, known,
-                                                  rec.tag_idx, coords0,
-                                                  params, config)
-            rec_total, bd = joint_loss(logits, rec.seq_indices, coords_out,
-                                       rec.coords, masked,
-                                       config.coord_loss_weight)
-            total = total + rec_total
-            agg.seq_nll += bd.seq_nll
-            agg.coord_l2 += bd.coord_l2
-            agg.free_residues += bd.free_residues
-        agg.total = agg.seq_nll + agg.coord_l2
         try:
+            total = Tensor(0.0)
+            agg = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0)
+            for rec in batch:
+                n = len(rec.sequence)
+                masked = draw_mlm_mask(
+                    n, schedule.mlm_mask_fraction, rng,
+                    rec.site_mask if schedule.mlm_respect_motif else None)
+                known = ~masked
+                coords0 = geometry.init_coordinates(rec.coords[known],
+                                                    np.where(known)[0], n, rng,
+                                                    config.bond_length)
+                logits, coords_out, _ = forward_stack(rec.seq_indices, known,
+                                                      rec.tag_idx, coords0,
+                                                      params, config)
+                rec_total, bd = joint_loss(logits, rec.seq_indices, coords_out,
+                                           rec.coords, masked,
+                                           config.coord_loss_weight)
+                total = total + rec_total
+                agg.seq_nll += bd.seq_nll
+                agg.coord_l2 += bd.coord_l2
+                agg.free_residues += bd.free_residues
+            agg.total = agg.seq_nll + agg.coord_l2
             total.backward()
         except NumericsError:
             result.aborted = True
+            for k, data in last_good.items():
+                params[k].data = data
             break
+        last_good = {k: t.data.copy() for k, t in params.items()}
         opt.step()
         result.history.append(agg)
     return result

@@ -154,6 +154,16 @@ class TestTrain:
             checkpoints.append(open(cfg["output"]["checkpoint"], "rb").read())
         assert checkpoints[0] == checkpoints[1]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_pretrain_exits_1(self, toy_tree, tmp_path, capsys):
+        root, _, _ = toy_tree
+        cfg_path, _ = toy_config(root, tmp_path, mlm_pretrain_steps=10,
+                                 learning_rate=1e18)
+        assert main(["train", "--config", str(cfg_path),
+                     "--pretrain-mlm"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_pretrain_mlm_changes_result(self, toy_tree, tmp_path):
         root, _, _ = toy_tree
         checkpoints = []

@@ -263,6 +263,19 @@ class TestForwardStack:
         lf, xf, _ = forward_stack(seq, known, tag_idx, coords, params, config_f)
         assert not np.allclose(xd.data, xf.data, atol=1e-9)
 
+    def test_constant_params_build_no_graph(self):
+        config, vocab, params = small_setup(zero_coord_scale=False)
+        rng = np.random.default_rng(12)
+        seq, known, tag_idx, coords = random_instance(9, config, vocab, rng)
+        taped = forward_stack(seq, known, tag_idx, coords, params, config)
+        assert all(t._parents for t in taped)
+        constants = {k: Tensor(t.data) for k, t in params.items()}
+        untaped = forward_stack(seq, known, tag_idx, coords, constants, config)
+        for a, b in zip(taped, untaped):
+            assert b._parents == () and b._backward_fn is None
+            assert not b.requires_grad
+            np.testing.assert_array_equal(b.data, a.data)
+
     def test_coords_shape_mismatch(self):
         config, vocab, params = small_setup()
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,3 +192,53 @@ class TestElementwiseSuite:
                    lambda t: nm.softmax(t), lambda t: nm.layer_norm(t)):
             out = op(x)
             assert np.all(np.isfinite(out.data))
+
+
+def every_primitive(x):
+    """A scalar loss of a positive (4, 3) tensor through every primitive."""
+    a = nm.sub(nm.add(nm.exp(x), nm.ln(x)), nm.sqrt(x))
+    b = nm.div(nm.mul(nm.relu(a), nm.silu(x)),
+               nm.add(nm.sigmoid(a), Tensor(1.0)))
+    c = nm.matmul(nm.transpose(b), nm.layer_norm(b))
+    d = nm.concat([nm.softmax(c), nm.log_softmax(c)], axis=-1)
+    e = nm.take(nm.reshape(d, (6, 3)), np.array([0, 2, 5, 2]))
+    f = nm.broadcast_to(nm.reshape(nm.sum_pool(e), (1, 3)), (2, 3))
+    return nm.tensor_sum(nm.l2_norm(f))
+
+
+X_POSITIVE = np.linspace(0.5, 2.0, 12).reshape(4, 3)
+
+
+class TestGraphLifetime:
+    def test_dropped_graphs_leave_no_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(X_POSITIVE.copy(), requires_grad=True)
+            every_primitive(x)
+            every_primitive(x).backward()
+            del x
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_backward_consumes_interior_nodes(self):
+        x = Tensor(X_POSITIVE.copy(), requires_grad=True)
+        loss = every_primitive(x)
+        interior = [t for t in nm._linearize(loss) if t._parents]
+        assert len(interior) > 20
+        loss.backward()
+        for t in interior:
+            assert t.grad is None and t._backward_fn is None
+            assert t._parents == ()
+        fd = finite_difference_gradient(
+            lambda arr: every_primitive(Tensor(arr)).item(), X_POSITIVE.copy())
+        rel = np.abs(x.grad - fd) / (np.abs(fd) + 1e-8)
+        assert rel.max() < 1e-6
+
+    def test_constant_inputs_record_nothing(self):
+        taped = every_primitive(Tensor(X_POSITIVE.copy(), requires_grad=True))
+        out = every_primitive(Tensor(X_POSITIVE.copy()))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+        assert out.item() == taped.item()

@@ -201,13 +201,18 @@ class TestTrainLoop:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_last_good_params(self):
-        records, pool, vocab, config, params = toy_setup()
-        sched = TrainSchedule(phase1_steps=10, phase2_steps=0,
-                              learning_rate=1e18, seed=0)
-        res = train(records, pool, params, config, sched, vocab)
-        assert res.aborted
-        for t in params.values():
-            assert np.isfinite(t.data).all()
+        for lr, finite_steps in ((1e12, 2), (1e18, 1)):
+            records, pool, vocab, config, params = toy_setup()
+            sched = TrainSchedule(phase1_steps=10, phase2_steps=0,
+                                  learning_rate=lr, seed=0)
+            res = train(records, pool, params, config, sched, vocab)
+            assert res.aborted and len(res.history) == finite_steps
+            # the last finite loss was computed after finite_steps - 1 updates
+            records, pool, vocab, config, last_good = toy_setup()
+            sched.phase1_steps = finite_steps - 1
+            train(records, pool, last_good, config, sched, vocab)
+            for k, t in params.items():
+                np.testing.assert_array_equal(t.data, last_good[k].data)
 
     def test_loss_log_append_on_resume(self, tmp_path):
         records, pool, vocab, config, params = toy_setup()
@@ -289,6 +294,20 @@ class TestMLM:
             assert len(res.history) == 3
             assert all(b.binding_ce == 0.0 for b in res.history)
         assert hist[0] == hist[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_aborts_with_last_good_params(self):
+        for lr, finite_steps in ((1e12, 2), (1e18, 1)):
+            records, pool, vocab, config, params = toy_setup()
+            sched = TrainSchedule(mlm_pretrain_steps=10, learning_rate=lr,
+                                  seed=0)
+            res = mlm_pretrain(records, params, config, sched, vocab)
+            assert res.aborted and len(res.history) == finite_steps
+            records, pool, vocab, config, last_good = toy_setup()
+            sched.mlm_pretrain_steps = finite_steps - 1
+            mlm_pretrain(records, last_good, config, sched, vocab)
+            for k, t in params.items():
+                np.testing.assert_array_equal(t.data, last_good[k].data)
 
     def test_zero_steps_is_noop(self):
         records, pool, vocab, config, params = toy_setup()
