@@ -1,8 +1,9 @@
 """Command-line surface for the enzyme design pipeline.
 
 Subcommands: mine-sites, train, generate, export-embeddings, verify.
-Exit codes: 0 success, 1 verification or assembly failure, 2 usage or
-configuration error.
+Exit codes: 0 success; 1 verification failure, divergence or bad input
+data; 2 usage or configuration error. ``main`` holds the one map from
+exception to exit code, and every error prints one ``error: ...`` line.
 """
 from __future__ import annotations
 
@@ -16,14 +17,14 @@ import numpy as np
 from . import geometry
 from .config import ConfigError, ModelConfig
 from .data import (DataError, assemble_dataset, ingest_directory,
-                   make_split_manifest, read_pairing_manifest, read_substrate)
+                   make_split_manifest, read_pairing_manifest, read_substrate,
+                   read_tags)
 from .enzyme_model import forward_stack, greedy_decode
-from .parameters import (TagVocabulary, VocabularyError, init_parameters,
-                         load_checkpoint, save_checkpoint)
-from .residues import AA_TO_INDEX, AMINO_ACIDS, UnknownResidueError
+from .parameters import TagVocabulary, init_parameters, load_checkpoint
+from .residues import AA_TO_INDEX, AMINO_ACIDS
 from .site_miner import (mine_sites, read_aligned_fasta, read_site_manifest,
                          write_site_manifest)
-from .training import TrainSchedule, mlm_pretrain, train
+from .training import TrainSchedule, train
 from .verify import (run_binding_invariance_suite, run_equivariance_suite,
                      run_gradient_suite)
 
@@ -62,24 +63,12 @@ def load_run_config(path):
     return model, schedule, data, output
 
 
-def _read_tags(path) -> dict:
-    tags = {}
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                rid, tag = line.rstrip("\n").split("\t")
-                tags[rid] = tag
-    return tags
-
-
 def cmd_mine_sites(args) -> int:
     if not 0.0 < args.tau <= 1.0:
-        print(f"error: --tau must lie in (0, 1], got {args.tau}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--tau must lie in (0, 1], got {args.tau}")
     directory = Path(args.alignments)
     if not directory.is_dir():
-        print(f"error: alignment directory not found: {directory}", file=sys.stderr)
-        return 2
+        raise UsageError(f"alignment directory not found: {directory}")
     annotations = []
     failures = 0
     files = sorted(p for p in directory.iterdir()
@@ -99,7 +88,7 @@ def _load_corpus(data_cfg):
     records = ingest_directory(data_cfg["records_dir"])
     if not records:
         raise DataError("no records ingested")
-    tags = _read_tags(data_cfg["tags"])
+    tags = read_tags(data_cfg["tags"])
     for rec in records:
         if rec.id not in tags:
             raise DataError(f"record {rec.id} has no EC tag")
@@ -117,19 +106,11 @@ def _load_corpus(data_cfg):
 
 
 def cmd_train(args) -> int:
-    try:
-        model_cfg, schedule, data_cfg, output = load_run_config(args.config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        records, sites, pool, pairings = _load_corpus(data_cfg)
-        manifest = make_split_manifest(records, data_cfg.get("split_seed", 0))
-        splits = assemble_dataset(records, sites, pool, pairings, manifest,
-                                  schedule.seed)
-    except (DataError, UnknownResidueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model_cfg, schedule, data_cfg, output = load_run_config(args.config)
+    records, sites, pool, pairings = _load_corpus(data_cfg)
+    manifest = make_split_manifest(records, data_cfg.get("split_seed", 0))
+    splits = assemble_dataset(records, sites, pool, pairings, manifest,
+                              schedule.seed)
 
     start_step = 0
     if args.resume:
@@ -138,11 +119,11 @@ def cmd_train(args) -> int:
         vocab = TagVocabulary.from_tags(sorted({r.tag for r in records}))
         params = init_parameters(model_cfg, vocab,
                                  np.random.default_rng(schedule.seed))
-        if args.pretrain_mlm and schedule.mlm_pretrain_steps > 0:
-            if mlm_pretrain(splits["train"], params, model_cfg, schedule,
-                            vocab).aborted:
-                print("error: masked pretraining diverged", file=sys.stderr)
-                return 1
+        if args.pretrain_mlm and train(splits["train"], pool, params,
+                                       model_cfg, schedule, vocab,
+                                       mlm=True).aborted:
+            print("error: masked pretraining diverged", file=sys.stderr)
+            return 1
 
     checkpoint = output.get("checkpoint", "model.ckpt")
     loss_log = output.get("loss_log", "loss.log")
@@ -175,24 +156,19 @@ def read_motif_file(path):
             idx, res, x, y, z = line.rstrip("\n").split("\t")
             indices.append(int(idx))
             if res not in AA_TO_INDEX:
-                raise UnknownResidueError(f"motif residue {res!r}")
+                raise UsageError(f"motif residue {res!r}")
+            if not 0 <= indices[-1] < n:
+                raise UsageError(f"motif index {idx} outside [0, {n})")
             residues.append(res)
             coords.append([float(x), float(y), float(z)])
     return n, tag, np.array(indices, dtype=np.intp), residues, np.array(coords)
 
 
 def cmd_generate(args) -> int:
-    try:
-        params, config, vocab, _ = load_checkpoint(args.checkpoint)
-        n, tag, indices, residues, motif_coords = read_motif_file(args.motif)
-        tag = args.tag or tag
-        tag_idx = vocab.encode(tag)
-    except (UsageError, UnknownResidueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VocabularyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params, config, vocab, _ = load_checkpoint(args.checkpoint)
+    n, tag, indices, residues, motif_coords = read_motif_file(args.motif)
+    tag = args.tag or tag
+    tag_idx = vocab.encode(tag)
     for t in params.values():  # forward only: constants build no graph
         t.requires_grad = False
 
@@ -302,7 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, KeyError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

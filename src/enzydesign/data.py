@@ -174,6 +174,21 @@ def read_substrate(path) -> SubstrateRecord:
     return SubstrateRecord(name, np.array(feats), np.array(coords))
 
 
+def read_tags(path) -> dict:
+    """record_id -> EC tag from a tab-separated file."""
+    tags = {}
+    with open(path) as f:
+        for line in f:
+            if not line.strip():
+                continue
+            if "\t" not in line:
+                raise DataError(f"{path}: tag line without a tab: "
+                                f"{line.strip()!r}")
+            rid, tag = line.rstrip("\n").split("\t")
+            tags[rid] = tag
+    return tags
+
+
 def read_pairing_manifest(path) -> dict:
     """enzyme_id -> (substrate_id, label) from a tab-separated manifest."""
     pairs = {}
@@ -290,33 +305,6 @@ def make_split_manifest(records, seed: int, threshold: float = 0.5,
         split[rec.id] = ("test" if cid in test_set
                          else "valid" if cid in valid_set else "train")
     return SplitManifest(assignment, split)
-
-
-# ---- EC tree ----
-
-class ECTree:
-    """Four-level EC vocabulary with parent/child structure."""
-
-    def __init__(self):
-        self.children: dict[str, set] = {}
-        self.tags: set = set()
-
-    def add(self, tag: str) -> None:
-        parts = tag.split(".")
-        if len(parts) != 4:
-            raise DataError(f"EC tag {tag!r} should have four levels")
-        self.tags.add(tag)
-        for k in range(1, 4):
-            parent = ".".join(parts[:k])
-            child = ".".join(parts[: k + 1])
-            self.children.setdefault(parent, set()).add(child)
-
-    @classmethod
-    def from_records(cls, records) -> "ECTree":
-        tree = cls()
-        for rec in records:
-            tree.add(rec.tag)
-        return tree
 
 
 # ---- assembly ----

@@ -87,12 +87,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # ---- autodiff ----
 
     def backward(self) -> None:
@@ -310,11 +304,6 @@ def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
                   _backward_fn=bw)
 
 
-def sum_pool(x: Tensor) -> Tensor:
-    """Sum over the first axis (pooling a set of row vectors)."""
-    return tensor_sum(x, axis=0)
-
-
 def l2_norm(x: Tensor, axis=-1, keepdims=True) -> Tensor:
     """Euclidean norm along ``axis``; gradient is 0 at the origin."""
     n = np.sqrt((x.data ** 2).sum(axis=axis, keepdims=True))
@@ -420,13 +409,20 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
 
 # ---- finite-difference harness ----
 
-def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of scalar-valued ``f`` at ``x``."""
+def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5,
+                               indices=None) -> np.ndarray:
+    """Central finite differences of scalar-valued ``f`` at ``x``.
+
+    ``x`` is perturbed in place one flat coordinate at a time and
+    restored, so ``f`` may read it through another handle. With
+    ``indices`` (flat positions) only those coordinates are differenced;
+    the rest of the result stays zero.
+    """
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
-    for i in range(flat.size):
+    for i in range(flat.size) if indices is None else indices:
         orig = flat[i]
         flat[i] = orig + h
         fp = f(x)

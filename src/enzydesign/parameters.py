@@ -161,23 +161,26 @@ def save_checkpoint(path, params: dict, config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, vocab, step)."""
+    """Returns (params, config, vocab, step); truncation raises ValueError."""
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            raw = f.read(n)
+            if len(raw) != n:
+                raise ValueError(f"{path} is truncated")
+            return raw
+
         if f.read(8) != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", read(4))
+        header = json.loads(read(hlen).decode("utf-8"))
         params: dict[str, Tensor] = {}
-        while True:
-            raw = f.read(2)
-            if not raw:
-                break
-            (nlen,) = struct.unpack("<H", raw)
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
+        while f.peek(1):
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
             params[name] = Tensor(data.copy(), requires_grad=True)
     config = ModelConfig.from_dict(header["config"])
     vocab = TagVocabulary(header["vocab_levels"])

@@ -56,8 +56,8 @@ def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:
 def binding_scores(enzyme_features: Tensor, substrate_features: Tensor,
                    params) -> Tensor:
     """Pre-softmax {no-bind, bind} scores from sum-pooled representations."""
-    pooled = nm.concat([nm.sum_pool(enzyme_features),
-                        nm.sum_pool(substrate_features)], axis=0)
+    pooled = nm.concat([nm.tensor_sum(enzyme_features, axis=0),
+                        nm.tensor_sum(substrate_features, axis=0)], axis=0)
     logits = nm.reshape(pooled, (1, pooled.shape[0])) @ params["binding/out/w"]
     return nm.reshape(logits, (2,))
 

@@ -1,10 +1,13 @@
-"""Joint objective, optimizer, and the two-phase training loop.
+"""Joint objective, optimizer, and the training loop.
 
 The objective is the sum of a sequence negative log-likelihood over free
-(non-motif) positions, a weighted squared coordinate residual over the
-same positions, and (in phase 2) a binding cross-entropy. An optional
-masked-modeling pretraining stage re-masks a fresh random fraction of
-residues each step and trains on those positions only.
+(not teacher-forced) positions, a weighted squared coordinate residual
+over the same positions, and (in phase 2) a binding cross-entropy.
+Training, masked-modeling pretraining and evaluation all go through one
+forward-and-loss path, ``record_loss``, and the first two through one
+loop, ``train``: pretraining differs only in its masking policy (a fresh
+random fraction of residues per record each step, not the motif) and in
+leaving the binding term off.
 """
 from __future__ import annotations
 
@@ -148,22 +151,40 @@ def _pack_batches(records, budget: int, rng) -> list[list]:
     return batches
 
 
+def draw_mlm_mask(n: int, fraction: float, rng, motif_mask=None) -> np.ndarray:
+    """Boolean mask of round(fraction*n) freshly masked positions."""
+    candidates = np.arange(n)
+    if motif_mask is not None:
+        candidates = candidates[~np.asarray(motif_mask, dtype=bool)]
+    count = min(int(round(fraction * n)), len(candidates))
+    masked = np.zeros(n, dtype=bool)
+    if count:
+        picks = rng.choice(candidates, size=count, replace=False)
+        masked[picks] = True
+    return masked
+
+
 def record_loss(rec, params, config: ModelConfig, rng,
-                substrate=None, y: int | None = None):
-    """Forward pass + joint loss for one record (teacher-forced motif)."""
-    mask = rec.site_mask
-    coords0 = geometry.init_coordinates(rec.coords[mask], np.where(mask)[0],
+                substrate=None, y: int | None = None, known=None):
+    """Forward pass + joint loss for one record.
+
+    ``known`` marks the teacher-forced residues (types and coordinates
+    given); the loss covers the rest. It defaults to the record's motif.
+    """
+    known = rec.site_mask if known is None else known
+    coords0 = geometry.init_coordinates(rec.coords[known], np.where(known)[0],
                                         len(rec.sequence), rng,
                                         config.bond_length)
-    logits, coords_out, feats = forward_stack(rec.seq_indices, mask, rec.tag_idx,
-                                              coords0, params, config)
+    logits, coords_out, feats = forward_stack(rec.seq_indices, known,
+                                              rec.tag_idx, coords0, params,
+                                              config)
     binding = None
     if substrate is not None:
         sub_feats = substrate_forward(substrate.features, substrate.coords,
                                       params, config)
         binding = binding_scores(feats, sub_feats, params)
     return joint_loss(logits, rec.seq_indices, coords_out, rec.coords,
-                      ~mask, config.coord_loss_weight, binding, y), logits
+                      ~known, config.coord_loss_weight, binding, y), logits
 
 
 class TrainResult:
@@ -174,23 +195,33 @@ class TrainResult:
 
 def train(records, substrate_pool, params, config: ModelConfig,
           schedule: TrainSchedule, vocab, checkpoint_path=None,
-          loss_log_path=None, start_step: int = 0) -> TrainResult:
-    """Two-phase loop: sequence+coordinate losses first, binding joins later.
+          loss_log_path=None, start_step: int = 0,
+          mlm: bool = False) -> TrainResult:
+    """One loop for both training stages; deterministic given the seed.
 
-    Deterministic given the schedule seed. On numeric divergence the loop
-    stops holding the parameters at which the last finite loss was
-    computed, and those are what the checkpoint keeps.
+    By default: the two-phase schedule, motif teacher-forced, binding
+    term from ``phase1_steps`` on. With ``mlm``: ``mlm_pretrain_steps``
+    of masked pretraining, each step hiding a fresh random fraction of
+    every record, binding term off, RNG seeded with ``seed + 1``.
+
+    On numeric divergence the loop stops holding the parameters at which
+    the last finite loss was computed; the checkpoint keeps them, with
+    the number of updates behind them as its step.
     """
     schedule.validate()
-    rng = np.random.default_rng(schedule.seed)
+    if mlm:
+        rng = np.random.default_rng(schedule.seed + 1)
+        total_steps, substrate_pool = schedule.mlm_pretrain_steps, None
+    else:
+        rng = np.random.default_rng(schedule.seed)
+        total_steps = schedule.phase1_steps + schedule.phase2_steps
     opt = Adam(params, schedule.learning_rate)
-    total_steps = schedule.phase1_steps + schedule.phase2_steps
     result = TrainResult()
     records = sorted(records, key=lambda r: r.id)
     for rec in records:
         rec.tag_idx = vocab.encode(rec.tag)
 
-    pool_ids = sorted(substrate_pool) if substrate_pool else []
+    pool_ids = sorted(substrate_pool or ())
     log_lines = []
     last_good: dict = {}
     step = start_step
@@ -199,16 +230,18 @@ def train(records, substrate_pool, params, config: ModelConfig,
     while step < total_steps:
         if not batches:
             batches = _pack_batches(records, schedule.batch_residues, rng)
-            # fresh negatives each epoch; experimental positives are kept
-            epoch_pairings = {}
-            for rec in records:
-                if rec.binding_label == 1 and rec.substrate_id:
-                    epoch_pairings[rec.id] = (rec.substrate_id, 1)
-                elif pool_ids:
-                    own = {rec.substrate_id} if rec.binding_label == 1 else set()
-                    candidates = [s for s in pool_ids if s not in own]
-                    pick = candidates[int(rng.integers(len(candidates)))]
-                    epoch_pairings[rec.id] = (pick, 0)
+            if pool_ids:
+                # fresh negatives each epoch; experimental positives are kept
+                epoch_pairings = {}
+                for rec in records:
+                    if rec.binding_label == 1 and rec.substrate_id:
+                        epoch_pairings[rec.id] = (rec.substrate_id, 1)
+                    else:
+                        own = ({rec.substrate_id} if rec.binding_label == 1
+                               else set())
+                        candidates = [s for s in pool_ids if s not in own]
+                        pick = candidates[int(rng.integers(len(candidates)))]
+                        epoch_pairings[rec.id] = (pick, 0)
         batch = batches.pop(0)
         phase2 = step >= schedule.phase1_steps
 
@@ -221,8 +254,14 @@ def train(records, substrate_pool, params, config: ModelConfig,
                 if phase2 and rec.id in epoch_pairings:
                     sid, y = epoch_pairings[rec.id]
                     substrate = substrate_pool[sid]
+                known = None
+                if mlm:
+                    masked = draw_mlm_mask(
+                        len(rec.sequence), schedule.mlm_mask_fraction, rng,
+                        rec.site_mask if schedule.mlm_respect_motif else None)
+                    known = ~masked
                 (rec_total, bd), _ = record_loss(rec, params, config, rng,
-                                                 substrate, y)
+                                                 substrate, y, known)
                 total = total + rec_total
                 agg.seq_nll += bd.seq_nll
                 agg.coord_l2 += bd.coord_l2
@@ -232,8 +271,10 @@ def train(records, substrate_pool, params, config: ModelConfig,
             total.backward()
         except NumericsError:
             result.aborted = True
-            for k, data in last_good.items():
-                params[k].data = data
+            if last_good:  # undo the update that led to the divergence
+                for k, data in last_good.items():
+                    params[k].data = data
+                step -= 1
             break
         last_good = {k: t.data.copy() for k, t in params.items()}
         opt.step()
@@ -251,99 +292,17 @@ def train(records, substrate_pool, params, config: ModelConfig,
     return result
 
 
-def draw_mlm_mask(n: int, fraction: float, rng, motif_mask=None) -> np.ndarray:
-    """Boolean mask of round(fraction*n) freshly masked positions."""
-    candidates = np.arange(n)
-    if motif_mask is not None:
-        candidates = candidates[~np.asarray(motif_mask, dtype=bool)]
-    count = min(int(round(fraction * n)), len(candidates))
-    masked = np.zeros(n, dtype=bool)
-    if count:
-        picks = rng.choice(candidates, size=count, replace=False)
-        masked[picks] = True
-    return masked
-
-
-def mlm_pretrain(records, params, config: ModelConfig,
-                 schedule: TrainSchedule, vocab) -> TrainResult:
-    """Masked sequence/coordinate pretraining over the corpus.
-
-    Each step masks a fresh random fraction of residues per record:
-    masked residues see the mask embedding and a spherical coordinate
-    re-initialization, and only they contribute to the loss. On numeric
-    divergence it stops, sets ``aborted`` and holds the parameters at
-    which the last finite loss was computed.
-    """
-    schedule.validate()
-    rng = np.random.default_rng(schedule.seed + 1)
-    opt = Adam(params, schedule.learning_rate)
-    result = TrainResult()
-    records = sorted(records, key=lambda r: r.id)
-    for rec in records:
-        rec.tag_idx = vocab.encode(rec.tag)
-    batches: list = []
-    last_good: dict = {}
-    for _ in range(schedule.mlm_pretrain_steps):
-        if not batches:
-            batches = _pack_batches(records, schedule.batch_residues, rng)
-        batch = batches.pop(0)
-        zero_grads(params)
-        try:
-            total = Tensor(0.0)
-            agg = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0)
-            for rec in batch:
-                n = len(rec.sequence)
-                masked = draw_mlm_mask(
-                    n, schedule.mlm_mask_fraction, rng,
-                    rec.site_mask if schedule.mlm_respect_motif else None)
-                known = ~masked
-                coords0 = geometry.init_coordinates(rec.coords[known],
-                                                    np.where(known)[0], n, rng,
-                                                    config.bond_length)
-                logits, coords_out, _ = forward_stack(rec.seq_indices, known,
-                                                      rec.tag_idx, coords0,
-                                                      params, config)
-                rec_total, bd = joint_loss(logits, rec.seq_indices, coords_out,
-                                           rec.coords, masked,
-                                           config.coord_loss_weight)
-                total = total + rec_total
-                agg.seq_nll += bd.seq_nll
-                agg.coord_l2 += bd.coord_l2
-                agg.free_residues += bd.free_residues
-            agg.total = agg.seq_nll + agg.coord_l2
-            total.backward()
-        except NumericsError:
-            result.aborted = True
-            for k, data in last_good.items():
-                params[k].data = data
-            break
-        last_good = {k: t.data.copy() for k, t in params.items()}
-        opt.step()
-        result.history.append(agg)
-    return result
-
-
 def evaluate_recovery(records, params, config: ModelConfig, vocab,
                       seed: int = 0):
     """(nats per free residue, free-residue recovery rate) on a record set."""
     rng = np.random.default_rng(seed)
-    nll_sum, free_sum, correct, free_total = 0.0, 0, 0, 0
+    nll_sum, free_sum, correct = 0.0, 0, 0
     for rec in sorted(records, key=lambda r: r.id):
         rec.tag_idx = vocab.encode(rec.tag)
-        mask = rec.site_mask
-        coords0 = geometry.init_coordinates(rec.coords[mask], np.where(mask)[0],
-                                            len(rec.sequence), rng,
-                                            config.bond_length)
-        logits, _, _ = forward_stack(rec.seq_indices, mask, rec.tag_idx,
-                                     coords0, params, config)
-        _, bd = joint_loss(logits, rec.seq_indices, Tensor(rec.coords),
-                           rec.coords, ~mask, config.coord_loss_weight)
+        (_, bd), logits = record_loss(rec, params, config, rng)
         nll_sum += bd.seq_nll
         free_sum += bd.free_residues
+        mask = rec.site_mask
         decoded = greedy_decode(logits, rec.seq_indices, mask)
-        free = ~mask
-        correct += int((decoded[free] == rec.seq_indices[free]).sum())
-        free_total += int(free.sum())
-    nats = nll_sum / max(free_sum, 1)
-    recovery = correct / max(free_total, 1)
-    return nats, recovery
+        correct += int((decoded[~mask] == rec.seq_indices[~mask]).sum())
+    return nll_sum / max(free_sum, 1), correct / max(free_sum, 1)

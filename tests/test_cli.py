@@ -336,3 +336,69 @@ class TestVerifyCommand:
             em.neighborhood_messages = original
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def _bad_input_files(root, tmp_path):
+    """A valid small checkpoint, two truncations of it, motifs, run configs."""
+    config = ModelConfig(d=8, num_heads=2, attention_sublayers=2,
+                         interleave_period=1, k_neighbors=3)
+    vocab = TagVocabulary.from_tags(["1.1.1.1"])
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, init_parameters(config, vocab,
+                                          np.random.default_rng(0)),
+                    config, vocab)
+    raw = ckpt.read_bytes()
+    (tmp_path / "header_cut.ckpt").write_bytes(raw[:10])
+    (tmp_path / "payload_cut.ckpt").write_bytes(raw[:len(raw) // 2])
+    for name, row in (("motif.tsv", "1\tA\t0\t0\t0"),
+                      ("far.tsv", "9\tA\t0\t0\t0"),
+                      ("residue.tsv", "1\tX\t0\t0\t0")):
+        (tmp_path / name).write_text(f"length 4, tag 1.1.1.1\n{row}\n")
+    toy_config(root, tmp_path)
+    bad = tmp_path / "badtags"
+    bad.mkdir()
+    _, cfg = toy_config(root, bad)
+    (bad / "tags.tsv").write_text("rec0 1.1.1.1\n")
+    cfg["data"]["tags"] = str(bad / "tags.tsv")
+    (bad / "run.json").write_text(json.dumps(cfg))
+
+
+BAD_INPUTS = {
+    "generate-missing-checkpoint": (1, "none.ckpt", [
+        "generate", "--checkpoint", "{d}/none.ckpt", "--motif",
+        "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "verify-missing-checkpoint": (1, "none.ckpt", [
+        "verify", "--checkpoint", "{d}/none.ckpt", "--suite", "gradients"]),
+    "train-resume-missing-checkpoint": (1, "none.ckpt", [
+        "train", "--config", "{d}/run.json", "--resume", "{d}/none.ckpt"]),
+    "generate-truncated-checkpoint": (1, "truncated", [
+        "generate", "--checkpoint", "{d}/payload_cut.ckpt", "--motif",
+        "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "export-truncated-checkpoint": (1, "truncated", [
+        "export-embeddings", "--checkpoint", "{d}/header_cut.ckpt",
+        "--out", "{d}/e.tsv"]),
+    "generate-missing-motif": (1, "none.tsv", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/none.tsv",
+        "--out", "{d}/o.txt"]),
+    "generate-motif-index-outside-length": (2, "index 9", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/far.tsv",
+        "--out", "{d}/o.txt"]),
+    "generate-motif-unknown-residue": (2, "'X'", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
+        "{d}/residue.tsv", "--out", "{d}/o.txt"]),
+    "train-tag-line-without-tab": (1, "without a tab", [
+        "train", "--config", "{d}/badtags/run.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
+                                             capsys):
+    root, _, _ = toy_tree
+    _bad_input_files(root, tmp_path)
+    code, fragment, argv = BAD_INPUTS[case]
+    capsys.readouterr()
+    assert main([a.format(d=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err

@@ -3,7 +3,7 @@ import pytest
 
 from enzydesign.data import (DataError, EnzymeRecord, SplitManifest,
                              SubstrateRecord, assemble_dataset,
-                             cluster_by_identity, ECTree,
+                             cluster_by_identity,
                              global_alignment_identity, ingest_directory,
                              make_split_manifest, parse_pdb,
                              read_pairing_manifest, read_substrate, read_tsv,
@@ -287,12 +287,3 @@ class TestAssembly:
         splits = assemble_dataset(records, sites, pool, pairings, manifest, 0)
         by_id = {r.id: r for split in splits.values() for r in split}
         assert by_id["rec0"].sites == [2, 5]
-
-
-class TestECTree:
-    def test_prefix_structure(self):
-        tree = ECTree()
-        tree.add("1.2.3.4")
-        tree.add("1.2.9.9")
-        assert "1.2.3.4" in tree.tags
-        assert {"1.2.3", "1.2.9"} <= tree.children["1.2"]

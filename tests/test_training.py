@@ -4,11 +4,13 @@ import pytest
 from enzydesign import geometry
 from enzydesign.config import ModelConfig
 from enzydesign.enzyme_model import forward_stack
-from enzydesign.numerics import Tensor
-from enzydesign.parameters import TagVocabulary, init_parameters
+from enzydesign.numerics import Tensor, finite_difference_gradient
+from enzydesign.parameters import (TagVocabulary, init_parameters,
+                                   load_checkpoint)
+from enzydesign.residues import AMINO_ACIDS
 from enzydesign.substrate_model import binding_scores, substrate_forward
 from enzydesign.training import (Adam, TrainSchedule, _pack_batches,
-                                 draw_mlm_mask, joint_loss, mlm_pretrain,
+                                 draw_mlm_mask, evaluate_recovery, joint_loss,
                                  record_loss, train)
 from fixtures import make_toy_corpus
 
@@ -214,6 +216,19 @@ class TestTrainLoop:
             for k, t in params.items():
                 np.testing.assert_array_equal(t.data, last_good[k].data)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_checkpoint_step_counts_updates(self, tmp_path):
+        """The saved step is the number of updates behind the saved θ."""
+        ckpt = tmp_path / "m.ckpt"
+        for lr, start_step, updates in ((1e12, 0, 1), (1e18, 3, 3)):
+            records, pool, vocab, config, params = toy_setup()
+            sched = TrainSchedule(phase1_steps=10, phase2_steps=0,
+                                  learning_rate=lr, seed=0)
+            res = train(records, pool, params, config, sched, vocab,
+                        checkpoint_path=ckpt, start_step=start_step)
+            assert res.aborted
+            assert load_checkpoint(ckpt)[3] == updates
+
     def test_loss_log_append_on_resume(self, tmp_path):
         records, pool, vocab, config, params = toy_setup()
         log = tmp_path / "loss.log"
@@ -227,7 +242,6 @@ class TestTrainLoop:
         assert steps == [0, 1, 2, 3]
 
     def test_record_loss_gradient_matches_finite_differences(self):
-        import enzydesign.numerics as nm
         records, pool, vocab, config, params = toy_setup()
         rec = records[0]
         rec.tag_idx = vocab.encode(rec.tag)
@@ -238,23 +252,52 @@ class TestTrainLoop:
                                         np.random.default_rng(11), sub, 1)
             return total
 
-        total = loss_fn()
-        total.backward()
+        loss_fn().backward()
         for name in ("emb/amino", "attn0/q/w", "neigh0/msg1/w",
                      "sub/input/w", "binding/out/w"):
             p = params[name]
-            flat = p.data.reshape(-1)
-            idx = np.linspace(0, flat.size - 1, 3, dtype=int)
-            for i in idx:
-                old = flat[i]
-                flat[i] = old + 1e-5
-                up = loss_fn().item()
-                flat[i] = old - 1e-5
-                down = loss_fn().item()
-                flat[i] = old
-                fd = (up - down) / 2e-5
-                g = p.grad.reshape(-1)[i]
-                assert abs(g - fd) / (max(abs(g), abs(fd)) + 1e-3) < 1e-5, name
+            idx = np.linspace(0, p.size - 1, 3, dtype=int)
+            fd = finite_difference_gradient(lambda _: loss_fn().item(), p.data,
+                                            indices=idx).reshape(-1)[idx]
+            g = p.grad.reshape(-1)[idx]
+            rel = np.abs(g - fd) / (np.maximum(np.abs(g), np.abs(fd)) + 1e-3)
+            assert rel.max() < 1e-5, name
+
+
+class TestEvaluateRecovery:
+    def test_matches_direct_computation(self):
+        """Nats and recovery recomputed from forward_stack logits."""
+        records, _, vocab, config, params = toy_setup()
+        records = records[:2]
+        rng = np.random.default_rng(5)
+        logits = {}
+        for rec in records:
+            rec.tag_idx = vocab.encode(rec.tag)
+            mask = rec.site_mask
+            coords0 = geometry.init_coordinates(rec.coords[mask],
+                                                np.where(mask)[0],
+                                                len(rec.sequence), rng,
+                                                config.bond_length)
+            logits[rec.id] = forward_stack(rec.seq_indices, mask, rec.tag_idx,
+                                           coords0, params, config)[0].data
+        # free residue types are not model inputs: make one prediction right
+        rec = records[0]
+        i = int(np.where(~rec.site_mask)[0][0])
+        aa = AMINO_ACIDS[int(logits[rec.id][i].argmax())]
+        rec.sequence = rec.sequence[:i] + aa + rec.sequence[i + 1:]
+
+        nll, hits, free_total = 0.0, 0, 0
+        for rec in records:
+            lg, seq, free = logits[rec.id], rec.seq_indices, ~rec.site_mask
+            lse = np.log(np.exp(lg).sum(axis=-1))
+            nll += (lse - lg[np.arange(len(seq)), seq])[free].sum()
+            hits += int((lg.argmax(axis=-1) == seq)[free].sum())
+            free_total += int(free.sum())
+        assert hits >= 1
+        nats, recovery = evaluate_recovery(records, params, config, vocab,
+                                           seed=5)
+        assert abs(nats - nll / free_total) < 1e-12
+        assert recovery == hits / free_total
 
 
 class TestMLM:
@@ -289,7 +332,7 @@ class TestMLM:
             records, pool, vocab, config, params = toy_setup()
             sched = TrainSchedule(phase1_steps=0, phase2_steps=0,
                                   mlm_pretrain_steps=3, seed=5)
-            res = mlm_pretrain(records, params, config, sched, vocab)
+            res = train(records, pool, params, config, sched, vocab, mlm=True)
             hist.append([b.total for b in res.history])
             assert len(res.history) == 3
             assert all(b.binding_ce == 0.0 for b in res.history)
@@ -301,11 +344,11 @@ class TestMLM:
             records, pool, vocab, config, params = toy_setup()
             sched = TrainSchedule(mlm_pretrain_steps=10, learning_rate=lr,
                                   seed=0)
-            res = mlm_pretrain(records, params, config, sched, vocab)
+            res = train(records, pool, params, config, sched, vocab, mlm=True)
             assert res.aborted and len(res.history) == finite_steps
             records, pool, vocab, config, last_good = toy_setup()
             sched.mlm_pretrain_steps = finite_steps - 1
-            mlm_pretrain(records, last_good, config, sched, vocab)
+            train(records, pool, last_good, config, sched, vocab, mlm=True)
             for k, t in params.items():
                 np.testing.assert_array_equal(t.data, last_good[k].data)
 
@@ -313,7 +356,7 @@ class TestMLM:
         records, pool, vocab, config, params = toy_setup()
         before = {k: t.data.copy() for k, t in params.items()}
         sched = TrainSchedule(mlm_pretrain_steps=0, seed=0)
-        res = mlm_pretrain(records, params, config, sched, vocab)
+        res = train(records, pool, params, config, sched, vocab, mlm=True)
         assert res.history == []
         for k, t in params.items():
             np.testing.assert_array_equal(t.data, before[k])
