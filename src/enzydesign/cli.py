@@ -150,17 +150,22 @@ def read_motif_file(path):
         except (ValueError, IndexError):
             raise UsageError(f"bad motif header {header!r}")
         indices, residues, coords = [], [], []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            idx, res, x, y, z = line.rstrip("\n").split("\t")
-            indices.append(int(idx))
+            try:
+                idx, res, x, y, z = line.rstrip("\n").split("\t")
+                indices.append(int(idx))
+                coords.append([float(x), float(y), float(z)])
+            except ValueError:
+                raise UsageError(f"{path} line {lineno}: bad motif row; want "
+                                 "an integer index, a residue and three "
+                                 "coordinates, tab-separated")
             if res not in AA_TO_INDEX:
                 raise UsageError(f"motif residue {res!r}")
             if not 0 <= indices[-1] < n:
                 raise UsageError(f"motif index {idx} outside [0, {n})")
             residues.append(res)
-            coords.append([float(x), float(y), float(z)])
     return n, tag, np.array(indices, dtype=np.intp), residues, np.array(coords)
 
 
@@ -284,7 +289,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -313,9 +313,9 @@ def assemble_dataset(records, sites, substrate_pool, pairings, manifest,
                      seed: int):
     """Attach sites and substrate pairings, grouped by manifest split.
 
-    Records without a positive substrate get a uniformly sampled
-    negative (label 0) from the pool, never their own positive. Test
-    records must arrive with a real substrate pairing.
+    Records without a substrate pairing get a uniformly sampled negative
+    (label 0) from the pool. Test records must arrive with a real
+    substrate pairing.
     """
     rng = np.random.default_rng(seed)
     pool_ids = sorted(substrate_pool)
@@ -334,9 +334,7 @@ def assemble_dataset(records, sites, substrate_pool, pairings, manifest,
         elif which == "test":
             raise DataError(f"test record {rec.id} lacks a substrate pairing")
         else:
-            own = {pairings[rec.id][0]} if rec.id in pairings else set()
-            candidates = [s for s in pool_ids if s not in own]
-            rec.substrate_id = candidates[int(rng.integers(len(candidates)))]
+            rec.substrate_id = pool_ids[int(rng.integers(len(pool_ids)))]
             rec.binding_label = 0
         out[which].append(rec)
     return out

@@ -34,9 +34,9 @@ def embed_inputs(seq_indices, known_mask, tag_indices, params,
         raise ConfigError(f"sequence length {n} exceeds max_len {config.max_len}")
 
     aa_rows = nm.take(params["emb/amino"], np.where(known, seq_indices, 0))
-    known_col = Tensor(known.astype(np.float64)[:, None])
-    mask_row = nm.reshape(params["emb/mask"], (1, config.d))
-    h = aa_rows * known_col + nm.broadcast_to(mask_row, (n, config.d)) * (1.0 - known_col)
+    known_col = known.astype(np.float64)[:, None]
+    h = (aa_rows * Tensor(known_col)
+         + params["emb/mask"] * Tensor(1.0 - known_col))
 
     tag_indices = np.asarray(tag_indices, dtype=np.intp)
     for k in range(4):
@@ -44,17 +44,13 @@ def embed_inputs(seq_indices, known_mask, tag_indices, params,
         if not 0 <= tag_indices[k] < table.shape[0]:
             raise KeyError(f"tag index {tag_indices[k]} out of vocabulary "
                            f"at level {k + 1}")
-        row = nm.reshape(nm.take(table, np.array([tag_indices[k]])), (1, config.d))
-        h = h + nm.broadcast_to(row, (n, config.d))
+        h = h + nm.take(table, tag_indices[k:k + 1])
     h = h + nm.take(params["emb/pos"], np.arange(n))
     return h
 
 
 def _linear(x, params, name):
-    y = x @ params[name + "/w"]
-    if name + "/b" in params:
-        y = y + params[name + "/b"]
-    return y
+    return x @ params[name + "/w"] + params[name + "/b"]
 
 
 def _ln_affine(x, params, name, eps):
@@ -91,22 +87,25 @@ def neighborhood_messages(h: Tensor, x: Tensor, neighbors: np.ndarray,
                           params, prefix: str):
     """Softmax-weighted edge messages m_ik over each node's neighbor list.
 
-    Returns (weighted messages (N,K,d), weights (N,K,1)). The only
-    coordinate dependence is through the pairwise distance, which keeps
-    the whole block rigid-motion invariant.
+    Returns (weighted messages (N,K,d), weights (N,K,1), radial vectors
+    x_i − x_k (N,K,3)). The only coordinate dependence is through the
+    pairwise distance, which keeps the whole block rigid-motion
+    invariant.
+
+    The first message layer is W·[h_i; h_k; d_ik] + b, computed as
+    (hW_i)_i + (hW_k)_k + d_ik·w_d + b with W split by its row layout,
+    so both products run over N rows and no (N,K,2d+1) input is built.
     """
-    n = h.shape[0]
-    kc = neighbors.shape[1]
-    hk = nm.take(h, neighbors)
-    hi = nm.broadcast_to(nm.reshape(h, (n, 1, h.shape[1])), hk.shape)
-    xk = nm.take(x, neighbors)
-    xi = nm.broadcast_to(nm.reshape(x, (n, 1, 3)), (n, kc, 3))
-    dist = nm.l2_norm(xi - xk, axis=-1, keepdims=True)
-    z = nm.concat([hi, hk, dist], axis=-1)
-    m = nm.silu(_linear(nm.silu(_linear(z, params, f"{prefix}/msg1")),
-                        params, f"{prefix}/msg2"))
+    n, d = h.shape
+    rel = nm.reshape(x, (n, 1, 3)) - nm.take(x, neighbors)
+    dist = nm.l2_norm(rel, axis=-1)
+    w1 = params[f"{prefix}/msg1/w"]
+    pre = (nm.reshape(h @ nm.take(w1, np.arange(d)), (n, 1, d))
+           + nm.take(h @ nm.take(w1, np.arange(d, 2 * d)), neighbors)
+           + dist * nm.take(w1, [2 * d]) + params[f"{prefix}/msg1/b"])
+    m = nm.silu(_linear(nm.silu(pre), params, f"{prefix}/msg2"))
     w = nm.softmax(_linear(m, params, f"{prefix}/attn"), axis=1)
-    return w * m, w
+    return w * m, w, rel
 
 
 def gated_node_update(h: Tensor, messages: Tensor, params, prefix: str) -> Tensor:
@@ -127,15 +126,11 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors: np.ndarray,
     ``freeze_motif_coords`` is set, motif rows keep their incoming
     coordinates.
     """
-    n = h.shape[0]
-    kc = neighbors.shape[1]
-    m, _ = neighborhood_messages(h, x, neighbors, params, prefix)
+    m, _, rel = neighborhood_messages(h, x, neighbors, params, prefix)
 
     scale = _linear(nm.silu(_linear(m, params, f"{prefix}/coord1")),
                     params, f"{prefix}/coord2")
-    xk = nm.take(x, neighbors)
-    xi = nm.broadcast_to(nm.reshape(x, (n, 1, 3)), (n, kc, 3))
-    x_new = x + nm.tensor_sum((xi - xk) * scale, axis=1)
+    x_new = x + nm.tensor_sum(rel * scale, axis=1)
     if config.freeze_motif_coords and motif_mask is not None:
         keep = Tensor(np.asarray(motif_mask, dtype=np.float64)[:, None])
         x_new = x * keep + x_new * (1.0 - keep)

@@ -7,6 +7,13 @@ layers, equivariant updates, losses) is built from the primitives here,
 so each backward rule is validated against central finite differences in
 the test suite.
 
+The primitives are the ones the model calls: ``add``, ``sub``, ``mul``
+and ``matmul``, which broadcast like numpy and sum their gradients back
+to each operand's shape; ``relu``, ``sigmoid`` and ``silu``;
+``tensor_sum``, ``l2_norm``, ``reshape``, ``transpose`` and ``take``;
+and ``softmax``, ``log_softmax`` and ``layer_norm``. Each is one graph
+node with a closed-form backward rule.
+
 Graph lifetime: a result records its parents and rule only when one of
 its inputs requires a gradient, so a forward pass over constants builds
 no graph. No rule refers to its own result, so a graph has no reference
@@ -28,10 +35,6 @@ class NumericsError(ValueError):
 
 class DimensionError(NumericsError):
     """Shapes incompatible with the requested operation."""
-
-
-class DomainError(NumericsError):
-    """Input outside the mathematical domain of the operation."""
 
 
 def _accumulate(t: "Tensor", g: np.ndarray) -> None:
@@ -138,12 +141,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __neg__(self):
         return mul(self, Tensor(-1.0))
 
@@ -204,14 +201,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data * b.data, _parents=(a, b), _backward_fn=bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data ** 2), b.shape))
-
-    return Tensor(a.data / b.data, _parents=(a, b), _backward_fn=bw)
-
-
 # ---- matmul ----
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -234,36 +223,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---- unary elementwise ----
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-
-    def bw(g):
-        _accumulate(x, g * y)
-
-    return Tensor(y, _parents=(x,), _backward_fn=bw)
-
-
-def ln(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0.0):
-        raise DomainError("ln requires strictly positive input")
-
-    def bw(g):
-        _accumulate(x, g / x.data)
-
-    return Tensor(np.log(x.data), _parents=(x,), _backward_fn=bw)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    if np.any(x.data < 0.0):
-        raise DomainError("sqrt requires nonnegative input")
-    y = np.sqrt(x.data)
-
-    def bw(g):
-        _accumulate(x, g * 0.5 / np.maximum(y, 1e-300))
-
-    return Tensor(y, _parents=(x,), _backward_fn=bw)
-
 
 def relu(x: Tensor) -> Tensor:
     def bw(g):
@@ -294,27 +253,22 @@ def silu(x: Tensor) -> Tensor:
 
 def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     def bw(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(ge, x.shape).copy())
+        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
+        _accumulate(x, np.broadcast_to(ge, x.shape))
 
     return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,),
                   _backward_fn=bw)
 
 
-def l2_norm(x: Tensor, axis=-1, keepdims=True) -> Tensor:
-    """Euclidean norm along ``axis``; gradient is 0 at the origin."""
+def l2_norm(x: Tensor, axis=-1) -> Tensor:
+    """Euclidean norm over ``axis``, kept as size 1; gradient 0 at 0."""
     n = np.sqrt((x.data ** 2).sum(axis=axis, keepdims=True))
-    out_data = n if keepdims else np.squeeze(n, axis=axis)
 
     def bw(g):
-        ge = g if keepdims else np.expand_dims(g, axis)
         safe = np.where(n == 0.0, 1.0, n)
-        _accumulate(x, ge * np.where(n == 0.0, 0.0, x.data / safe))
+        _accumulate(x, g * np.where(n == 0.0, 0.0, x.data / safe))
 
-    return Tensor(out_data, _parents=(x,), _backward_fn=bw)
+    return Tensor(n, _parents=(x,), _backward_fn=bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -332,29 +286,6 @@ def transpose(x: Tensor, axes=None) -> Tensor:
             _accumulate(x, np.transpose(g, np.argsort(axes)))
 
     return Tensor(np.transpose(x.data, axes), _parents=(x,), _backward_fn=bw)
-
-
-def broadcast_to(x: Tensor, shape) -> Tensor:
-    def bw(g):
-        _accumulate(x, _unbroadcast(g, x.shape))
-
-    return Tensor(np.broadcast_to(x.data, shape).copy(), _parents=(x,),
-                  _backward_fn=bw)
-
-
-def concat(tensors, axis=-1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
-
-    return Tensor(data, _parents=tuple(tensors), _backward_fn=bw)
 
 
 def take(x: Tensor, indices) -> Tensor:
@@ -386,25 +317,29 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis=-1) -> Tensor:
-    """Numerically stable log-softmax, composed from primitives.
+    """Log-softmax along ``axis``, shifted by the max for stability."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
-    The max shift is a detached constant, so gradients flow only through
-    the exp/sum path.
-    """
-    c = Tensor(x.data.max(axis=axis, keepdims=True))
-    shifted = sub(x, broadcast_to(c, x.shape))
-    lse = ln(tensor_sum(exp(shifted), axis=axis, keepdims=True))
-    return sub(shifted, broadcast_to(lse, x.shape))
+    def bw(g):
+        _accumulate(x, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+
+    return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (pre-affine)."""
     n = x.shape[-1]
-    mu = tensor_sum(x, axis=-1, keepdims=True) * (1.0 / n)
-    xc = sub(x, broadcast_to(mu, x.shape))
-    var = tensor_sum(mul(xc, xc), axis=-1, keepdims=True) * (1.0 / n)
-    denom = sqrt(add(var, Tensor(eps)))
-    return div(xc, broadcast_to(denom, x.shape))
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+    y = xc / std
+
+    def bw(g):
+        gy = (g * y).sum(axis=-1, keepdims=True) * (1.0 / n)
+        gm = g.sum(axis=-1, keepdims=True) * (1.0 / n)
+        _accumulate(x, (g - gm - y * gy) / std)
+
+    return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
 # ---- finite-difference harness ----

@@ -3,8 +3,8 @@
 Every learnable weight lives in a flat dict keyed by a stable name, so
 gradient audits can enumerate tensors and checkpoints round-trip
 byte-identically. Checkpoint layout: magic, JSON header (model config,
-tag vocabularies, step counter), then per-parameter records sorted by
-name with little-endian float64 payloads.
+tag vocabularies, step counter, parameter count), then per-parameter
+records sorted by name with little-endian float64 payloads.
 """
 from __future__ import annotations
 
@@ -75,7 +75,9 @@ def _init_linear(params, name, fan_in, fan_out, rng, scale=None, bias=True,
 
 
 def _init_neighborhood_block(params, prefix, d, rng, zero_coord_scale=True):
-    # message FFN: [h_i; h_k; dist] -> d, SiLU between the two layers
+    # message FFN: [h_i; h_k; dist] -> d, SiLU between the two layers.
+    # neighborhood_messages splits msg1/w by this row layout (rows [0, d)
+    # for h_i, [d, 2d) for h_k, row 2d for dist), so it must not change.
     _init_linear(params, f"{prefix}/msg1", 2 * d + 1, d, rng)
     _init_linear(params, f"{prefix}/msg2", d, d, rng)
     # scalar attention row over messages
@@ -143,6 +145,7 @@ def save_checkpoint(path, params: dict, config: ModelConfig,
         "config": config.to_dict(),
         "vocab_levels": vocab.levels,
         "step": step,
+        "param_count": len(params),
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
@@ -161,7 +164,11 @@ def save_checkpoint(path, params: dict, config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, vocab, step); truncation raises ValueError."""
+    """Returns (params, config, vocab, step); truncation raises ValueError.
+
+    A cut inside a record is caught by the short read; a cut at a record
+    boundary by the parameter count in the header, when it has one.
+    """
     with open(path, "rb") as f:
         def read(n: int) -> bytes:
             raw = f.read(n)
@@ -182,6 +189,8 @@ def load_checkpoint(path):
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
             params[name] = Tensor(data.copy(), requires_grad=True)
+    if len(params) < header.get("param_count", 0):
+        raise ValueError(f"{path} is truncated")
     config = ModelConfig.from_dict(header["config"])
     vocab = TagVocabulary(header["vocab_levels"])
     return params, config, vocab, header["step"]

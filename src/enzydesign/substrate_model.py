@@ -48,22 +48,29 @@ def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:
     for layer in range(config.substrate_layers):
         if neighbors is None:
             continue  # zero aggregate: the gated update is the identity
-        m, _ = neighborhood_messages(h, x, neighbors, params, f"sub{layer}")
+        m, _, _ = neighborhood_messages(h, x, neighbors, params, f"sub{layer}")
         h = gated_node_update(h, m, params, f"sub{layer}")
     return h
 
 
 def binding_scores(enzyme_features: Tensor, substrate_features: Tensor,
                    params) -> Tensor:
-    """Pre-softmax {no-bind, bind} scores from sum-pooled representations."""
-    pooled = nm.concat([nm.tensor_sum(enzyme_features, axis=0),
-                        nm.tensor_sum(substrate_features, axis=0)], axis=0)
-    logits = nm.reshape(pooled, (1, pooled.shape[0])) @ params["binding/out/w"]
+    """Pre-softmax {no-bind, bind} scores from sum-pooled representations.
+
+    ``binding/out/w`` maps [enzyme pool; substrate pool] to the scores;
+    each pool meets its own half of the rows, so nothing is concatenated.
+    """
+    w = params["binding/out/w"]
+    d = enzyme_features.shape[1]
+    logits = (nm.tensor_sum(enzyme_features, axis=0, keepdims=True)
+              @ nm.take(w, np.arange(d))
+              + nm.tensor_sum(substrate_features, axis=0, keepdims=True)
+              @ nm.take(w, np.arange(d, 2 * d)))
     return nm.reshape(logits, (2,))
 
 
 def binding_probabilities(enzyme_features: Tensor, substrate_features: Tensor,
                           params) -> Tensor:
     """Softmax over {no-bind, bind}."""
-    scores = binding_scores(enzyme_features, substrate_features, params)
-    return nm.reshape(nm.softmax(nm.reshape(scores, (1, 2)), axis=-1), (2,))
+    return nm.softmax(binding_scores(enzyme_features, substrate_features,
+                                     params))

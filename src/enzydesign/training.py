@@ -100,8 +100,7 @@ def joint_loss(logits: Tensor, target_seq, coords_out: Tensor, target_coords,
             raise ValueError(f"binding label must be 0 or 1, got {y!r}")
         pick = np.zeros(2)
         pick[y] = 1.0
-        lp_bind = nm.log_softmax(nm.reshape(binding, (1, 2)), axis=-1)
-        binding_ce = -nm.tensor_sum(lp_bind * Tensor(pick[None, :]))
+        binding_ce = -nm.tensor_sum(nm.log_softmax(binding) * Tensor(pick))
         total = total + binding_ce
 
     breakdown = LossBreakdown(seq_nll.item(), coord_l2.item(),
@@ -237,10 +236,7 @@ def train(records, substrate_pool, params, config: ModelConfig,
                     if rec.binding_label == 1 and rec.substrate_id:
                         epoch_pairings[rec.id] = (rec.substrate_id, 1)
                     else:
-                        own = ({rec.substrate_id} if rec.binding_label == 1
-                               else set())
-                        candidates = [s for s in pool_ids if s not in own]
-                        pick = candidates[int(rng.integers(len(candidates)))]
+                        pick = pool_ids[int(rng.integers(len(pool_ids)))]
                         epoch_pairings[rec.id] = (pick, 0)
         batch = batches.pop(0)
         phase2 = step >= schedule.phase1_steps

@@ -1,9 +1,13 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from enzydesign.cli import main, read_motif_file
+from enzydesign.cli import UsageError, main, read_motif_file
 from enzydesign.config import ModelConfig
 from enzydesign.parameters import (TagVocabulary, init_parameters,
                                    load_checkpoint, save_checkpoint)
@@ -319,14 +323,14 @@ class TestVerifyCommand:
         original = em.neighborhood_messages
 
         def leaky(h, x, neighbors, params, prefix):
-            m, w = original(h, x, neighbors, params, prefix)
+            m, w, rel = original(h, x, neighbors, params, prefix)
             from enzydesign.numerics import Tensor
             import enzydesign.numerics as nm
-            leak = nm.reshape(x * 1e-3, (x.shape[0], 1, 3))
-            pad = m.shape[-1] - 3
-            zeros = Tensor(np.zeros((x.shape[0], 1, pad)))
-            bias = nm.concat([leak, zeros], axis=-1)
-            return m + nm.broadcast_to(bias, m.shape), w
+            # x * 1e-3 into the first three channels of every message
+            pad = np.zeros((3, m.shape[-1]))
+            pad[:, :3] = 1e-3 * np.eye(3)
+            leak = nm.reshape(x, (x.shape[0], 1, 3)) @ Tensor(pad)
+            return m + leak, w, rel
 
         em.neighborhood_messages = leaky
         try:
@@ -338,8 +342,19 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+def _first_record_end(raw):
+    """Byte offset just past the first parameter record of a checkpoint."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    pos = 12 + hlen
+    (nlen,) = struct.unpack_from("<H", raw, pos)
+    pos += 2 + nlen
+    ndim = raw[pos]
+    shape = struct.unpack_from(f"<{ndim}I", raw, pos + 1)
+    return pos + 1 + 4 * ndim + 8 * int(np.prod(shape))
+
+
 def _bad_input_files(root, tmp_path):
-    """A valid small checkpoint, two truncations of it, motifs, run configs."""
+    """A valid checkpoint, three truncations of it, motifs, run configs."""
     config = ModelConfig(d=8, num_heads=2, attention_sublayers=2,
                          interleave_period=1, k_neighbors=3)
     vocab = TagVocabulary.from_tags(["1.1.1.1"])
@@ -350,9 +365,11 @@ def _bad_input_files(root, tmp_path):
     raw = ckpt.read_bytes()
     (tmp_path / "header_cut.ckpt").write_bytes(raw[:10])
     (tmp_path / "payload_cut.ckpt").write_bytes(raw[:len(raw) // 2])
+    (tmp_path / "record_cut.ckpt").write_bytes(raw[:_first_record_end(raw)])
     for name, row in (("motif.tsv", "1\tA\t0\t0\t0"),
                       ("far.tsv", "9\tA\t0\t0\t0"),
-                      ("residue.tsv", "1\tX\t0\t0\t0")):
+                      ("residue.tsv", "1\tX\t0\t0\t0"),
+                      ("short_row.tsv", "1\tA\t0\t0")):
         (tmp_path / name).write_text(f"length 4, tag 1.1.1.1\n{row}\n")
     toy_config(root, tmp_path)
     bad = tmp_path / "badtags"
@@ -377,6 +394,16 @@ BAD_INPUTS = {
     "export-truncated-checkpoint": (1, "truncated", [
         "export-embeddings", "--checkpoint", "{d}/header_cut.ckpt",
         "--out", "{d}/e.tsv"]),
+    "generate-checkpoint-cut-at-record": (1, "truncated", [
+        "generate", "--checkpoint", "{d}/record_cut.ckpt", "--motif",
+        "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "generate-motif-row-with-four-fields": (2, "short_row.tsv line 2", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
+        "{d}/short_row.tsv", "--out", "{d}/o.txt"]),
+    "generate-unknown-tag-component": (
+        1, "error: unknown EC tag component '1.2'\n", [
+            "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
+            "{d}/motif.tsv", "--tag", "1.2.1.1", "--out", "{d}/o.txt"]),
     "generate-missing-motif": (1, "none.tsv", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/none.tsv",
         "--out", "{d}/o.txt"]),
@@ -402,3 +429,33 @@ def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
+
+
+def _mostly(field):
+    """A well-formed field three times in four, else short free text."""
+    return st.one_of(field, field, field, st.text(max_size=3))
+
+
+# Rows near the format and free text.
+_COORD = _mostly(st.floats().map(str))
+_MOTIF_ROW = (st.tuples(_mostly(st.integers(-1, 4).map(str)),
+                        _mostly(st.sampled_from("ACWX")),
+                        _COORD, _COORD, _COORD).map("\t".join)
+              | st.lists(st.text(max_size=4), max_size=6).map("\t".join))
+_MOTIF_BODY = st.text() | st.lists(_MOTIF_ROW, max_size=4).map("\n".join)
+
+
+@given(_MOTIF_BODY)
+@settings(max_examples=200, deadline=None)
+def test_motif_parser_parses_or_raises_usage_error(body):
+    """Any text after a valid header parses or raises UsageError."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "motif.tsv"
+        path.write_text("length 4, tag 1.1.1.1\n" + body, encoding="utf-8")
+        try:
+            n, tag, indices, residues, coords = read_motif_file(path)
+        except UsageError:
+            return
+    assert n == 4 and tag == "1.1.1.1"
+    assert len(indices) == len(residues) == len(coords)
+    assert all(0 <= i < 4 for i in indices)

@@ -153,7 +153,7 @@ class TestNeighborhood:
         h = Tensor(rng.normal(size=(5, 8)))
         x = Tensor(rng.normal(size=(5, 3)))
         nbrs = geometry.knn(x.data, 3)
-        _, w = neighborhood_messages(h, x, nbrs, params, "neigh0")
+        _, w, _ = neighborhood_messages(h, x, nbrs, params, "neigh0")
         np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_single_neighbor_weight_is_one(self):
@@ -162,8 +162,37 @@ class TestNeighborhood:
         h = Tensor(rng.normal(size=(2, 8)))
         x = Tensor(rng.normal(size=(2, 3)))
         nbrs = np.array([[1], [0]])
-        _, w = neighborhood_messages(h, x, nbrs, params, "neigh0")
+        _, w, _ = neighborhood_messages(h, x, nbrs, params, "neigh0")
         np.testing.assert_allclose(w.data, 1.0, atol=1e-15)
+
+    def test_split_weight_matches_concat_form(self):
+        """Messages equal silu(silu([h_i; h_k; d_ik]·W1 + b1)·W2 + b2)."""
+        config, vocab, params = small_setup()
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(6, 8))
+        x = rng.normal(size=(6, 3)) * 3.0
+        nbrs = geometry.knn(x, 3)
+        m, w, rel = neighborhood_messages(Tensor(h), Tensor(x), nbrs, params,
+                                          "neigh0")
+
+        def p(name):
+            return params[f"neigh0/{name}"].data
+
+        def silu(v):
+            return v / (1.0 + np.exp(-v))
+
+        rel_ref = x[:, None, :] - x[nbrs]
+        z = np.concatenate([np.broadcast_to(h[:, None, :], (6, 3, 8)), h[nbrs],
+                            np.linalg.norm(rel_ref, axis=-1, keepdims=True)],
+                           axis=-1)
+        msg = silu(silu(z @ p("msg1/w") + p("msg1/b")) @ p("msg2/w")
+                   + p("msg2/b"))
+        score = msg @ p("attn/w") + p("attn/b")
+        e = np.exp(score - score.max(axis=1, keepdims=True))
+        w_ref = e / e.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(w.data, w_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.data, w_ref * msg, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rel.data, rel_ref)
 
     def test_zero_coord_scale_leaves_coordinates_unchanged(self):
         config, vocab, params = small_setup(zero_coord_scale=True)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -105,3 +108,20 @@ class TestCheckpoint:
         save_checkpoint(p1, params, config, vocab)
         save_checkpoint(p2, params, config, vocab)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_header_without_param_count_still_loads(self, tmp_path):
+        """Checkpoints written before the header carried the count."""
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(3))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, vocab, step=5)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + hlen])
+        assert header.pop("param_count") == len(params)
+        hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
+                         + raw[12 + hlen:])
+        back, _, _, step = load_checkpoint(path)
+        assert step == 5 and sorted(back) == sorted(params)
