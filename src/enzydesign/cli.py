@@ -18,7 +18,7 @@ from . import geometry
 from .config import ConfigError, ModelConfig
 from .data import (DataError, assemble_dataset, ingest_directory,
                    make_split_manifest, read_pairing_manifest, read_substrate,
-                   read_tags)
+                   read_table, read_tags)
 from .enzyme_model import forward_stack, greedy_decode
 from .parameters import TagVocabulary, init_parameters, load_checkpoint
 from .residues import AA_TO_INDEX, AMINO_ACIDS
@@ -141,32 +141,24 @@ def cmd_train(args) -> int:
 
 def read_motif_file(path):
     """Header 'length N, tag c1.c2.c3.c4', then index/residue/x/y/z lines."""
-    with open(path) as f:
-        header = f.readline().strip()
-        try:
-            length_part, tag_part = header.split(",")
-            n = int(length_part.split()[1])
-            tag = tag_part.split()[1]
-        except (ValueError, IndexError):
-            raise UsageError(f"bad motif header {header!r}")
-        indices, residues, coords = [], [], []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                idx, res, x, y, z = line.rstrip("\n").split("\t")
-                indices.append(int(idx))
-                coords.append([float(x), float(y), float(z)])
-            except ValueError:
-                raise UsageError(f"{path} line {lineno}: bad motif row; want "
-                                 "an integer index, a residue and three "
-                                 "coordinates, tab-separated")
-            if res not in AA_TO_INDEX:
-                raise UsageError(f"motif residue {res!r}")
-            if not 0 <= indices[-1] < n:
-                raise UsageError(f"motif index {idx} outside [0, {n})")
-            residues.append(res)
-    return n, tag, np.array(indices, dtype=np.intp), residues, np.array(coords)
+    try:
+        header, rows = read_table(path, 5, lambda idx, res, x, y, z: (
+            int(idx), res, [float(x), float(y), float(z)]), header=True)
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
+    try:
+        length_part, tag_part = header.split(",")
+        n = int(length_part.split()[1])
+        tag = tag_part.split()[1]
+    except (ValueError, IndexError):
+        raise UsageError(f"bad motif header {header.strip()!r}")
+    for idx, res, _ in rows:
+        if res not in AA_TO_INDEX:
+            raise UsageError(f"motif residue {res!r}")
+        if not 0 <= idx < n:
+            raise UsageError(f"motif index {idx} outside [0, {n})")
+    return (n, tag, np.array([r[0] for r in rows], dtype=np.intp),
+            [r[1] for r in rows], np.array([r[2] for r in rows]))
 
 
 def cmd_generate(args) -> int:

@@ -1,11 +1,12 @@
 """Corpus ingestion and dataset assembly.
 
 Enzyme records come from PDB text or a simplified TSV (one residue per
-line), substrates from a small per-atom text format. Records are grouped
-into identity clusters (global alignment, 50% threshold by default) so
-train and held-out splits never share a cluster, and every training
-record gets a substrate pairing: its experimental positive or a sampled
-negative.
+line), substrates from a small per-atom text format. ``read_table`` reads
+every tab-separated input and names the file and line of a bad row.
+Records are grouped into identity clusters (global alignment, 50%
+threshold by default) so train and held-out splits never share a
+cluster, and every training record gets a substrate pairing: its
+experimental positive or a sampled negative.
 """
 from __future__ import annotations
 
@@ -20,6 +21,36 @@ from .residues import AA_TO_INDEX, AMINO_ACIDS, THREE_TO_ONE, UnknownResidueErro
 
 class DataError(ValueError):
     pass
+
+
+def read_table(path, width: int, parse, header: bool = False):
+    """``parse(*fields)`` for each non-blank row of a tab-separated file.
+
+    A row without ``width`` fields, or whose ``parse`` raises ValueError,
+    raises DataError naming the file and 1-based line. With ``header``,
+    returns ``(first line, rows)``.
+    """
+    rows = []
+    with open(path) as f:
+        first = f.readline().rstrip("\n") if header else None
+        for lineno, line in enumerate(f, start=2 if header else 1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"want {width} tab-separated fields, "
+                                     f"got {len(fields)}")
+                rows.append(parse(*fields))
+            except ValueError as exc:
+                raise DataError(f"{path} line {lineno}: {exc}") from None
+    return (first, rows) if header else rows
+
+
+def _check_sites(rec) -> None:
+    for i in rec.sites:
+        if not 0 <= i < len(rec.sequence):
+            raise DataError(f"{rec.id}: site index {i} outside the sequence")
 
 
 @dataclass
@@ -40,8 +71,7 @@ class EnzymeRecord:
         bad = [c for c in self.sequence if c not in AA_TO_INDEX]
         if bad:
             raise UnknownResidueError(f"{self.id}: non-standard residues {bad}")
-        if any(not 0 <= i < len(self.sequence) for i in self.sites):
-            raise DataError(f"{self.id}: site index out of range")
+        _check_sites(self)
         if not np.all(np.isfinite(self.coords)):
             raise DataError(f"{self.id}: non-finite coordinates")
 
@@ -69,6 +99,9 @@ class SubstrateRecord:
             raise DataError(f"{self.id}: substrate features must be m x 5")
         if self.features.shape[0] != self.coords.shape[0] or self.features.shape[0] < 1:
             raise DataError(f"{self.id}: inconsistent atom counts")
+        if not (np.all(np.isfinite(self.features))
+                and np.all(np.isfinite(self.coords))):
+            raise DataError(f"{self.id}: non-finite features or coordinates")
 
 
 # ---- coordinate ingestion ----
@@ -84,30 +117,32 @@ def parse_pdb(path, record_id: str | None = None) -> EnzymeRecord:
     chain = None
     seen = set()
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if not line.startswith("ATOM"):
                 continue
             if line[12:16].strip() != "CA":
                 continue
-            altloc = line[16]
+            altloc = line[16:17]
             if altloc not in (" ", "A"):
                 continue
-            this_chain = line[21]
+            this_chain = line[21:22]
             if chain is None:
                 chain = this_chain
             elif this_chain != chain:
                 continue
             resname = line[17:20].strip()
-            reskey = (line[22:26], line[26])  # resSeq + insertion code
+            reskey = (line[22:26], line[26:27])  # resSeq + insertion code
             if reskey in seen:
                 continue
             seen.add(reskey)
             if resname not in THREE_TO_ONE:
                 raise UnknownResidueError(
                     f"{rid}: unknown residue code {resname!r}")
+            try:
+                coords.append([float(line[c:c + 8]) for c in (30, 38, 46)])
+            except ValueError:
+                raise DataError(f"{path} line {lineno}: bad coordinates") from None
             sequence.append(THREE_TO_ONE[resname])
-            coords.append([float(line[30:38]), float(line[38:46]),
-                           float(line[46:54])])
     if not coords:
         raise DataError(f"{rid}: no Cα atoms found")
     return EnzymeRecord(rid, "".join(sequence), np.array(coords))
@@ -120,18 +155,12 @@ def write_tsv(path, record: EnzymeRecord) -> None:
 
 
 def read_tsv(path) -> EnzymeRecord:
-    rid, sequence, coords = None, [], []
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            rid = parts[0]
-            sequence.append(parts[1])
-            coords.append([float(parts[2]), float(parts[3]), float(parts[4])])
-    if rid is None:
+    rows = read_table(path, 5, lambda rid, aa, x, y, z:
+                      (rid, aa, [float(x), float(y), float(z)]))
+    if not rows:
         raise DataError(f"{path}: empty record file")
-    return EnzymeRecord(rid, "".join(sequence), np.array(coords))
+    return EnzymeRecord(rows[-1][0], "".join(aa for _, aa, _ in rows),
+                        np.array([xyz for _, _, xyz in rows]))
 
 
 def ingest_directory(directory) -> list[EnzymeRecord]:
@@ -143,7 +172,7 @@ def ingest_directory(directory) -> list[EnzymeRecord]:
                 records.append(parse_pdb(path))
             elif path.suffix == ".tsv":
                 records.append(read_tsv(path))
-        except (UnknownResidueError, DataError) as exc:
+        except ValueError as exc:  # DataError, UnknownResidueError, undecodable text
             warnings.warn(f"skipping {path.name}: {exc}")
     return records
 
@@ -158,47 +187,33 @@ def write_substrate(path, sub: SubstrateRecord) -> None:
             f.write(f"{feat_field}\t{xyz[0]:.6f}\t{xyz[1]:.6f}\t{xyz[2]:.6f}\n")
 
 
+def _substrate_atom(feat_field, x, y, z):
+    feats = [float(v) for v in feat_field.split()]
+    if len(feats) != 5:
+        raise ValueError(f"want 5 features, got {len(feats)}")
+    return feats, [float(x), float(y), float(z)]
+
+
 def read_substrate(path) -> SubstrateRecord:
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split("\t")
-        name, count = header[0], int(header[1])
-        feats, coords = [], []
-        for line in f:
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            feats.append([float(v) for v in fields[0].split()])
-            coords.append([float(fields[1]), float(fields[2]), float(fields[3])])
-    if len(feats) != count:
-        raise DataError(f"{path}: header promises {count} atoms, found {len(feats)}")
-    return SubstrateRecord(name, np.array(feats), np.array(coords))
+    header, atoms = read_table(path, 4, _substrate_atom, header=True)
+    name, _, count = header.partition("\t")
+    if not count.isdecimal():
+        raise DataError(f"{path} line 1: want a name and an atom count")
+    if len(atoms) != int(count):
+        raise DataError(f"{path}: header promises {count} atoms, found {len(atoms)}")
+    return SubstrateRecord(name, np.array([f for f, _ in atoms]),
+                           np.array([xyz for _, xyz in atoms]))
 
 
 def read_tags(path) -> dict:
     """record_id -> EC tag from a tab-separated file."""
-    tags = {}
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}: tag line without a tab: "
-                                f"{line.strip()!r}")
-            rid, tag = line.rstrip("\n").split("\t")
-            tags[rid] = tag
-    return tags
+    return dict(read_table(path, 2, lambda rid, tag: (rid, tag)))
 
 
 def read_pairing_manifest(path) -> dict:
     """enzyme_id -> (substrate_id, label) from a tab-separated manifest."""
-    pairs = {}
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            eid, sid, label = line.rstrip("\n").split("\t")
-            pairs[eid] = (sid, int(label))
-    return pairs
+    return dict(read_table(path, 3, lambda eid, sid, label:
+                           (eid, (sid, int(label)))))
 
 
 # ---- sequence identity and clustering ----
@@ -274,15 +289,9 @@ class SplitManifest:
 
     @classmethod
     def read(cls, path) -> "SplitManifest":
-        assignment, split = {}, {}
-        with open(path) as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                rid, cid, which = line.rstrip("\n").split("\t")
-                assignment[rid] = int(cid)
-                split[rid] = which
-        return cls(assignment, split)
+        rows = read_table(path, 3, lambda rid, c, which: (rid, int(c), which))
+        return cls({rid: cid for rid, cid, _ in rows},
+                   {rid: which for rid, _, which in rows})
 
 
 def make_split_manifest(records, seed: int, threshold: float = 0.5,
@@ -326,6 +335,7 @@ def assemble_dataset(records, sites, substrate_pool, pairings, manifest,
         which = manifest.split[rec.id]
         if rec.id in sites:
             rec.sites = list(sites[rec.id].indices)
+            _check_sites(rec)
         if rec.id in pairings:
             sid, label = pairings[rec.id]
             if sid not in substrate_pool:

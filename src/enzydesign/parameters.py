@@ -65,9 +65,8 @@ class TagVocabulary:
         return [len(lv) for lv in self.levels]
 
 
-def _init_linear(params, name, fan_in, fan_out, rng, scale=None, bias=True,
-                 zero=False):
-    std = scale if scale is not None else 1.0 / np.sqrt(fan_in)
+def _init_linear(params, name, fan_in, fan_out, rng, bias=True, zero=False):
+    std = 1.0 / np.sqrt(fan_in)
     w = np.zeros((fan_in, fan_out)) if zero else rng.normal(0.0, std, (fan_in, fan_out))
     params[name + "/w"] = Tensor(w, requires_grad=True)
     if bias:

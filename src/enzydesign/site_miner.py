@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .data import read_table
+
 GAP_CHARS = {"-", "."}
 
 
@@ -111,13 +113,7 @@ def write_site_manifest(path, annotations) -> None:
 
 
 def read_site_manifest(path) -> dict:
-    sites = {}
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rid, idx_field, letter_field = line.rstrip("\n").split("\t")
-            indices = [int(i) for i in idx_field.split(",")] if idx_field else []
-            letters = list(letter_field.split(",")) if letter_field else []
-            sites[rid] = SiteAnnotation(rid, indices, letters)
-    return sites
+    rows = read_table(path, 3, lambda rid, idx, letters: SiteAnnotation(
+        rid, [int(i) for i in idx.split(",")] if idx else [],
+        letters.split(",") if letters else []))
+    return {ann.sequence_id: ann for ann in rows}

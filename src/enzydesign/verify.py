@@ -10,9 +10,10 @@ import numpy as np
 
 from . import geometry
 from .config import ModelConfig
+from .data import EnzymeRecord, SubstrateRecord
 from .enzyme_model import forward_stack
-from .numerics import Tensor, finite_difference_gradient
-from .parameters import TagVocabulary, init_parameters
+from .numerics import finite_difference_gradient
+from .parameters import TagVocabulary, init_parameters, zero_grads
 from .residues import NUM_AMINO_ACIDS
 from .substrate_model import binding_probabilities, substrate_forward
 from .training import record_loss
@@ -54,20 +55,23 @@ def run_equivariance_suite(params=None, config: ModelConfig | None = None,
                            trials: int = 200, seed: int = 0,
                            feature_tol: float = 1e-9,
                            coord_tol: float = 1e-9) -> dict:
-    """Random (model, input, transform) triples across d and N settings."""
+    """Random (input, transform) pairs against ``params``, N in {5, 50}.
+
+    Without ``params``, each trial draws a random model, d in {8, 64}.
+    """
     rng = np.random.default_rng(seed)
     vocab = TagVocabulary.from_tags(["1.1.1.1"])
     worst = {"features": 0.0, "logits": 0.0, "coords": 0.0}
     settings = [(8, 5), (8, 50), (64, 5), (64, 50)]
     for trial in range(trials):
-        d, n = settings[trial % len(settings)]
-        if params is None or config is None or config.d != d:
+        if params is None:
+            d, n = settings[trial % len(settings)]
             cfg = ModelConfig(d=d, num_heads=2 if d == 8 else 4,
                               attention_sublayers=2, interleave_period=1,
                               k_neighbors=6).validate()
             p = init_parameters(cfg, vocab, rng, zero_coord_scale=False)
         else:
-            cfg, p = config, params
+            cfg, p, n = config, params, (5, 50)[trial % 2]
         dev = equivariance_deviation(p, cfg, n, rng)
         for key in worst:
             worst[key] = max(worst[key], dev[key])
@@ -85,14 +89,12 @@ def run_gradient_suite(params, config: ModelConfig, vocab, seed: int = 0,
     Samples up to ``samples_per_tensor`` coordinates in each parameter
     tensor and compares the analytic gradient against (f(θ+h)-f(θ-h))/2h.
     """
-    from .data import EnzymeRecord, SubstrateRecord
-
     rng = np.random.default_rng(seed)
     n = 6
     seq = "".join("ACDEFGHIKLMNPQRSTVWY"[i]
                   for i in rng.integers(0, NUM_AMINO_ACIDS, n))
     rec = EnzymeRecord("grad-check", seq, rng.normal(0.0, 3.0, (n, 3)),
-                       sites=[0, 2], tag="1.1.1.1")
+                       sites=[0, 2], tag=vocab.levels[3][0])
     rec.tag_idx = vocab.encode(rec.tag)
     substrate = SubstrateRecord("sub", rng.normal(0.0, 1.0, (4, 5)),
                                 rng.normal(0.0, 2.0, (4, 3)))
@@ -104,7 +106,6 @@ def run_gradient_suite(params, config: ModelConfig, vocab, seed: int = 0,
                                     substrate, 1)
         return total.item()
 
-    from .parameters import zero_grads
     zero_grads(params)
     (total, _), _ = record_loss(rec, params, config,
                                 np.random.default_rng(init_seed), substrate, 1)

@@ -1,6 +1,7 @@
 import json
+import shutil
 import struct
-import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from enzydesign.parameters import (TagVocabulary, init_parameters,
                                    load_checkpoint, save_checkpoint)
 from enzydesign.site_miner import read_site_manifest
 from fixtures import TOY_LENGTH, free_positions, write_toy_tree
+from helpers import COORD, integer, mostly, read_text_as, table
 
 
 @pytest.fixture
@@ -98,12 +100,12 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 0
         params, model_cfg, vocab, step = load_checkpoint(cfg["output"]["checkpoint"])
         assert step == 4
-        lines = open(cfg["output"]["loss_log"]).read().splitlines()
+        lines = Path(cfg["output"]["loss_log"]).read_text().splitlines()
         assert [int(l.split("\t")[0]) for l in lines] == [0, 1, 2, 3]
         for line in lines:
             s, nll, cl2, bce, total = line.split("\t")
             assert float(total) == float(nll) + float(cl2) + float(bce)
-        splits = open(cfg["output"]["split_manifest"]).read().splitlines()
+        splits = Path(cfg["output"]["split_manifest"]).read_text().splitlines()
         assert len(splits) == len(records)
 
     def test_unknown_config_key_exits_2(self, toy_tree, tmp_path, capsys):
@@ -139,7 +141,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path2), "--resume",
                      cfg["output"]["checkpoint"]]) == 0
         steps = [int(l.split("\t")[0]) for l in
-                 open(cfg["output"]["loss_log"]).read().splitlines()]
+                 Path(cfg["output"]["loss_log"]).read_text().splitlines()]
         assert steps == [0, 1, 2, 3]
         _, _, _, step = load_checkpoint(cfg["output"]["checkpoint"])
         assert step == 4
@@ -155,7 +157,7 @@ class TestTrain:
             if flag:
                 argv.append("--pretrain-mlm")
             assert main(argv) == 0
-            checkpoints.append(open(cfg["output"]["checkpoint"], "rb").read())
+            checkpoints.append(Path(cfg["output"]["checkpoint"]).read_bytes())
         assert checkpoints[0] == checkpoints[1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -177,7 +179,7 @@ class TestTrain:
             cfg_path, cfg = toy_config(root, sub, mlm_pretrain_steps=steps)
             assert main(["train", "--config", str(cfg_path),
                          "--pretrain-mlm"]) == 0
-            checkpoints.append(open(cfg["output"]["checkpoint"], "rb").read())
+            checkpoints.append(Path(cfg["output"]["checkpoint"]).read_bytes())
         assert checkpoints[0] != checkpoints[1]
 
 
@@ -294,17 +296,20 @@ class TestExportEmbeddings:
                                       params["emb/tag_l4"].data[idx])
 
 
+def _verify_ckpt(path, d=8, tags=("1.1.1.1",)):
+    config = ModelConfig(d=d, num_heads=2, attention_sublayers=2,
+                         interleave_period=1, k_neighbors=3)
+    vocab = TagVocabulary.from_tags(list(tags))
+    params = init_parameters(config, vocab, np.random.default_rng(0),
+                             zero_coord_scale=False)
+    save_checkpoint(path, params, config, vocab)
+    return path
+
+
 class TestVerifyCommand:
     @pytest.fixture
     def small_ckpt(self, tmp_path):
-        config = ModelConfig(d=8, num_heads=2, attention_sublayers=2,
-                             interleave_period=1, k_neighbors=3)
-        vocab = TagVocabulary.from_tags(["1.1.1.1"])
-        params = init_parameters(config, vocab, np.random.default_rng(0),
-                                 zero_coord_scale=False)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params, config, vocab)
-        return path
+        return _verify_ckpt(tmp_path / "m.ckpt")
 
     def test_equivariance_suite_passes(self, small_ckpt, capsys):
         assert main(["verify", "--checkpoint", str(small_ckpt),
@@ -313,6 +318,31 @@ class TestVerifyCommand:
 
     def test_gradient_suite_passes(self, small_ckpt, capsys):
         assert main(["verify", "--checkpoint", str(small_ckpt),
+                     "--suite", "gradients"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_equivariance_suite_runs_the_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        """Every trial runs the checkpoint's own d=16 weights."""
+        import enzydesign.verify as verify
+        ckpt = _verify_ckpt(tmp_path / "d16.ckpt", d=16)
+        saved = load_checkpoint(ckpt)[0]["emb/amino"].data
+        calls = []
+        original = verify.equivariance_deviation
+
+        def spy(params, config, n, rng):
+            same = np.array_equal(params["emb/amino"].data, saved)
+            calls.append((config.d, n, same))
+            return original(params, config, n, rng)
+
+        monkeypatch.setattr(verify, "equivariance_deviation", spy)
+        assert main(["verify", "--checkpoint", str(ckpt),
+                     "--suite", "equivariance", "--trials", "4"]) == 0
+        assert calls == [(16, 5, True), (16, 50, True)] * 2
+
+    def test_gradient_suite_takes_tag_from_checkpoint(self, tmp_path, capsys):
+        ckpt = _verify_ckpt(tmp_path / "m.ckpt", tags=("2.7.1.1",))
+        assert main(["verify", "--checkpoint", str(ckpt),
                      "--suite", "gradients"]) == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -372,12 +402,37 @@ def _bad_input_files(root, tmp_path):
                       ("short_row.tsv", "1\tA\t0\t0")):
         (tmp_path / name).write_text(f"length 4, tag 1.1.1.1\n{row}\n")
     toy_config(root, tmp_path)
-    bad = tmp_path / "badtags"
-    bad.mkdir()
-    _, cfg = toy_config(root, bad)
-    (bad / "tags.tsv").write_text("rec0 1.1.1.1\n")
-    cfg["data"]["tags"] = str(bad / "tags.tsv")
-    (bad / "run.json").write_text(json.dumps(cfg))
+    for name, key, edits in _CORPUS_EDITS:
+        _corpus_variant(root, tmp_path / name, key, edits)
+
+
+def _corpus_variant(root, sub, key, edits):
+    """sub/run.json over the toy corpus, with data[key] copied into sub and
+    ``edits`` (path inside the copy -> text) written over the copy."""
+    sub.mkdir()
+    _, cfg = toy_config(root, sub)
+    src = Path(cfg["data"][key])
+    dst = sub / src.name
+    (shutil.copytree if src.is_dir() else shutil.copy)(src, dst)
+    for rel, text in edits.items():
+        (dst / rel).write_text(text)
+    cfg["data"][key] = str(dst)
+    (sub / "run.json").write_text(json.dumps(cfg))
+
+
+_PDB_BAD_X = ("ATOM      1  CA  GLY A   1      xx.000   0.000   0.000"
+              "  1.00  0.00           C\n")
+# (directory, data key, edits): one bad value in a copy of the toy corpus
+_CORPUS_EDITS = [
+    ("badtags", "tags", {"": "rec0 1.1.1.1\n"}),
+    ("badrecords", "records_dir", {"bad.tsv": "bad\tA\t0\t0\n",
+                                   "bad.pdb": _PDB_BAD_X}),
+    ("shortsub", "substrates_dir", {"sub0.tsv": "sub0\t1\n0 0 0 0 0\t0\t0\n"}),
+    ("nansub", "substrates_dir", {"sub0.tsv": "sub0\t1\nnan 0 0 0 0\t0\t0\t0\n"}),
+    ("badlabel", "pairings", {"": "rec0\tsub0\tyes\n"}),
+    ("sitelow", "sites_manifest", {"": "rec0\t-1\tA\n"}),
+    ("sitehigh", "sites_manifest", {"": "rec0\t99\tA\n"}),
+]
 
 
 BAD_INPUTS = {
@@ -413,49 +468,60 @@ BAD_INPUTS = {
     "generate-motif-unknown-residue": (2, "'X'", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/residue.tsv", "--out", "{d}/o.txt"]),
-    "train-tag-line-without-tab": (1, "without a tab", [
+    "train-tag-line-without-tab": (1, "tags.tsv line 1", [
         "train", "--config", "{d}/badtags/run.json"]),
+    "train-malformed-record-files": (0, "bad.tsv bad.pdb", [
+        "train", "--config", "{d}/badrecords/run.json"]),
+    "train-substrate-row-with-three-fields": (1, "sub0.tsv line 2", [
+        "train", "--config", "{d}/shortsub/run.json"]),
+    "train-nan-substrate": (1, "sub0: non-finite", [
+        "train", "--config", "{d}/nansub/run.json"]),
+    "train-pairing-label-not-integer": (1, "pairings.tsv line 1", [
+        "train", "--config", "{d}/badlabel/run.json"]),
+    "train-site-index-negative": (1, "rec0: site index -1", [
+        "train", "--config", "{d}/sitelow/run.json"]),
+    "train-site-index-past-end": (1, "rec0: site index 99", [
+        "train", "--config", "{d}/sitehigh/run.json"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
                                              capsys):
+    """Exit 1 or 2 with one error line, or 0 with a warning per skipped
+    file (the fragment lists the file names)."""
     root, _, _ = toy_tree
     _bad_input_files(root, tmp_path)
     code, fragment, argv = BAD_INPUTS[case]
     capsys.readouterr()
-    assert main([a.format(d=tmp_path) for a in argv]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        assert main([a.format(d=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err
+    if code == 0:
+        warned = [str(w.message) for w in caught
+                  if issubclass(w.category, UserWarning)]
+        assert err == "" and len(warned) == len(fragment.split()), warned
+        for name in fragment.split():
+            assert any(name in msg and "line 1" in msg for msg in warned)
+        return
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
 
 
-def _mostly(field):
-    """A well-formed field three times in four, else short free text."""
-    return st.one_of(field, field, field, st.text(max_size=3))
+_MOTIF = table(integer(-1, 4), mostly(st.sampled_from("ACWX")),
+               COORD, COORD, COORD)
 
 
-# Rows near the format and free text.
-_COORD = _mostly(st.floats().map(str))
-_MOTIF_ROW = (st.tuples(_mostly(st.integers(-1, 4).map(str)),
-                        _mostly(st.sampled_from("ACWX")),
-                        _COORD, _COORD, _COORD).map("\t".join)
-              | st.lists(st.text(max_size=4), max_size=6).map("\t".join))
-_MOTIF_BODY = st.text() | st.lists(_MOTIF_ROW, max_size=4).map("\n".join)
-
-
-@given(_MOTIF_BODY)
+@given(_MOTIF)
 @settings(max_examples=200, deadline=None)
 def test_motif_parser_parses_or_raises_usage_error(body):
     """Any text after a valid header parses or raises UsageError."""
-    with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "motif.tsv"
-        path.write_text("length 4, tag 1.1.1.1\n" + body, encoding="utf-8")
-        try:
-            n, tag, indices, residues, coords = read_motif_file(path)
-        except UsageError:
-            return
+    motif = read_text_as(read_motif_file, "length 4, tag 1.1.1.1\n" + body,
+                         UsageError)
+    if motif is None:
+        return
+    n, tag, indices, residues, coords = motif
     assert n == 4 and tag == "1.1.1.1"
     assert len(indices) == len(residues) == len(coords)
     assert all(0 <= i < 4 for i in indices)

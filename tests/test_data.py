@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enzydesign.data import (DataError, EnzymeRecord, SplitManifest,
                              SubstrateRecord, assemble_dataset,
                              cluster_by_identity,
                              global_alignment_identity, ingest_directory,
                              make_split_manifest, parse_pdb,
-                             read_pairing_manifest, read_substrate, read_tsv,
-                             write_substrate, write_tsv)
+                             read_pairing_manifest, read_substrate, read_tags,
+                             read_tsv, write_substrate, write_tsv)
 from enzydesign.residues import UnknownResidueError
 from fixtures import make_toy_corpus
+from helpers import COORD, NAME, integer, mostly, read_text_as, table
 
 
 def pdb_line(serial, resname, chain, resseq, x, y, z, altloc=" ", icode=" ",
@@ -287,3 +289,68 @@ class TestAssembly:
         splits = assemble_dataset(records, sites, pool, pairings, manifest, 0)
         by_id = {r.id: r for split in splits.values() for r in split}
         assert by_id["rec0"].sites == [2, 5]
+
+
+_FEATURES = mostly(st.lists(st.floats().map(str), min_size=5, max_size=5)
+                   .map(" ".join))
+_SUBSTRATE_HEADER = mostly(st.integers(0, 4).map(lambda k: f"s\t{k}"))
+_RESIDUE = mostly(st.sampled_from("ACWX"))
+
+
+def _spliced(line, at, text, cut):
+    """``text`` written over ``line`` from column ``at``; with ``cut``, the
+    rest of the line dropped."""
+    return line[:at] + text + ("\n" if cut else line[at + len(text):])
+
+
+# A well-formed Cα line with free text written over some of its columns.
+_PDB_LINE = st.builds(_spliced,
+                      st.builds(pdb_line, st.integers(1, 9),
+                                st.sampled_from(["ALA", "GLY", "XYZ"]),
+                                st.sampled_from("AB"), st.integers(1, 3),
+                                st.floats(-999, 999), st.floats(-999, 999),
+                                st.floats(-999, 999), st.sampled_from(" AB")),
+                      st.integers(0, 80), st.text(max_size=8), st.booleans())
+
+
+class TestReadersOnNearMissText:
+    """Any text either parses or raises DataError (read_tsv and parse_pdb
+    may also reject a residue code)."""
+
+    @given(table(NAME, _RESIDUE, COORD, COORD, COORD))
+    @settings(max_examples=200, deadline=None)
+    def test_tsv(self, text):
+        rec = read_text_as(read_tsv, text, DataError, UnknownResidueError)
+        assert rec is None or len(rec.sequence) == len(rec.coords) > 0
+
+    @given(st.lists(_PDB_LINE | st.text(), max_size=4).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_pdb(self, text):
+        rec = read_text_as(parse_pdb, text, DataError, UnknownResidueError)
+        assert rec is None or len(rec.sequence) == len(rec.coords) > 0
+
+    @given(_SUBSTRATE_HEADER, table(_FEATURES, COORD, COORD, COORD))
+    @settings(max_examples=200, deadline=None)
+    def test_substrate(self, header, body):
+        sub = read_text_as(read_substrate, header + "\n" + body, DataError)
+        assert sub is None or sub.features.shape == (len(sub.coords), 5)
+
+    @given(table(NAME, mostly(st.sampled_from(["1.1.1.1", "2.7.1.1"]))))
+    @settings(max_examples=200, deadline=None)
+    def test_tags(self, text):
+        tags = read_text_as(read_tags, text, DataError)
+        assert tags is None or all(isinstance(t, str) for t in tags.values())
+
+    @given(table(NAME, NAME, integer(0, 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_pairing_manifest(self, text):
+        pairs = read_text_as(read_pairing_manifest, text, DataError)
+        assert pairs is None or all(isinstance(label, int)
+                                    for _, label in pairs.values())
+
+    @given(table(NAME, integer(0, 3),
+                 mostly(st.sampled_from(["train", "valid", "test"]))))
+    @settings(max_examples=200, deadline=None)
+    def test_split_manifest(self, text):
+        manifest = read_text_as(SplitManifest.read, text, DataError)
+        assert manifest is None or set(manifest.split) == set(manifest.assignment)

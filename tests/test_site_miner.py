@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enzydesign.data import DataError
 from enzydesign.site_miner import (AlignedFamily, AlignmentError,
                                    SiteAnnotation, conserved_columns,
                                    map_column_to_residue_index, mine_sites,
                                    read_aligned_fasta, read_site_manifest,
                                    write_site_manifest)
+from helpers import NAME, mostly, read_text_as, table
 
 
 def egm_family():
@@ -141,3 +143,18 @@ class TestIO:
         family = AlignedFamily("x", [("a", "ae.g"), ("b", "AE-G")])
         cols = conserved_columns(family, 0.9)
         assert cols == {0: "A", 1: "E", 3: "G"}
+
+
+_INDEX_LIST = mostly(st.lists(st.integers(-1, 20).map(str), max_size=3)
+                     .map(",".join))
+_LETTER_LIST = mostly(st.lists(st.sampled_from("AEG"), max_size=3)
+                      .map(",".join))
+
+
+@given(table(NAME, _INDEX_LIST, _LETTER_LIST))
+@settings(max_examples=200, deadline=None)
+def test_site_manifest_parses_or_raises_data_error(text):
+    sites = read_text_as(read_site_manifest, text, DataError)
+    for rid, ann in (sites or {}).items():
+        assert ann.sequence_id == rid
+        assert all(isinstance(i, int) for i in ann.indices)
