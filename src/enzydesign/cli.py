@@ -139,11 +139,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _motif_row(idx, res, x, y, z):
+    xyz = [float(x), float(y), float(z)]
+    if not np.all(np.isfinite(xyz)):
+        raise ValueError("non-finite coordinate")
+    return int(idx), res, xyz
+
+
 def read_motif_file(path):
     """Header 'length N, tag c1.c2.c3.c4', then index/residue/x/y/z lines."""
     try:
-        header, rows = read_table(path, 5, lambda idx, res, x, y, z: (
-            int(idx), res, [float(x), float(y), float(z)]), header=True)
+        header, rows = read_table(path, 5, _motif_row, header=True)
     except DataError as exc:
         raise UsageError(str(exc)) from None
     try:

@@ -5,12 +5,14 @@ line), substrates from a small per-atom text format. ``read_table`` reads
 every tab-separated input and names the file and line of a bad row.
 Records are grouped into identity clusters (global alignment, 50%
 threshold by default) so train and held-out splits never share a
-cluster, and every training record gets a substrate pairing: its
-experimental positive or a sampled negative.
+cluster. The Needleman-Wunsch fill runs a row at a time as numpy ops,
+and a pair whose length ratio is below the threshold is never aligned,
+since its identity cannot reach it. Every training record gets a
+substrate pairing: its experimental positive or a sampled negative.
 """
 from __future__ import annotations
 
-import warnings
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -155,16 +157,26 @@ def write_tsv(path, record: EnzymeRecord) -> None:
 
 
 def read_tsv(path) -> EnzymeRecord:
-    rows = read_table(path, 5, lambda rid, aa, x, y, z:
-                      (rid, aa, [float(x), float(y), float(z)]))
+    """One record per file: every row carries the first row's id."""
+    ids = []
+
+    def residue(rid, aa, x, y, z):
+        if not ids:
+            ids.append(rid)
+        elif rid != ids[0]:
+            raise ValueError(f"record id {rid!r} differs from {ids[0]!r}")
+        return aa, [float(x), float(y), float(z)]
+
+    rows = read_table(path, 5, residue)
     if not rows:
         raise DataError(f"{path}: empty record file")
-    return EnzymeRecord(rows[-1][0], "".join(aa for _, aa, _ in rows),
-                        np.array([xyz for _, _, xyz in rows]))
+    return EnzymeRecord(ids[0], "".join(aa for aa, _ in rows),
+                        np.array([xyz for _, xyz in rows]))
 
 
 def ingest_directory(directory) -> list[EnzymeRecord]:
-    """Parse every .pdb/.tsv file, skipping unparseable records with a warning."""
+    """Parse every .pdb/.tsv file; an unparseable record is skipped with a
+    one-line warning on stderr."""
     records = []
     for path in sorted(Path(directory).iterdir()):
         try:
@@ -173,7 +185,7 @@ def ingest_directory(directory) -> list[EnzymeRecord]:
             elif path.suffix == ".tsv":
                 records.append(read_tsv(path))
         except ValueError as exc:  # DataError, UnknownResidueError, undecodable text
-            warnings.warn(f"skipping {path.name}: {exc}")
+            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
     return records
 
 
@@ -221,24 +233,33 @@ def read_pairing_manifest(path) -> dict:
 def global_alignment_identity(a: str, b: str) -> float:
     """Identity = matches / alignment length under match=1, mismatch=0, gap=-1.
 
-    Needleman-Wunsch with a deterministic traceback preference
-    (diagonal, then up, then left).
+    Needleman-Wunsch filled a row at a time: with t = max(diag, up), the
+    left chain is a prefix max, row[j] = max_k<=j (t[k] + k) - j. Scores
+    are integer-valued, so comparing the finished row with its diag and
+    up candidates recovers the deterministic traceback preference
+    (diagonal, then up, then left) exactly.
     """
     la, lb = len(a), len(b)
-    score = np.zeros((la + 1, lb + 1))
-    move = np.zeros((la + 1, lb + 1), dtype=np.int8)  # 0 diag, 1 up, 2 left
-    score[:, 0] = -np.arange(la + 1)
-    score[0, :] = -np.arange(lb + 1)
+    codes_a = np.fromiter(map(ord, a), dtype=np.int64, count=la)
+    codes_b = np.fromiter(map(ord, b), dtype=np.int64, count=lb)
+    match = (codes_a[:, None] == codes_b[None, :]).astype(np.float64)
+    cols = np.arange(lb + 1, dtype=np.float64)
+    score = np.empty((la + 1, lb + 1))
+    score[0] = -cols
+    t = np.empty(lb + 1)
+    for i in range(1, la + 1):
+        prev = score[i - 1]
+        np.maximum(prev[:-1] + match[i - 1], prev[1:] - 1.0, out=t[1:])
+        t[0] = -i
+        t += cols
+        np.maximum.accumulate(t, out=score[i])
+        score[i] -= cols
+    best = score[1:, 1:]
+    move = np.empty((la + 1, lb + 1), dtype=np.int8)  # 0 diag, 1 up, 2 left
     move[1:, 0] = 1
     move[0, 1:] = 2
-    for i in range(1, la + 1):
-        for j in range(1, lb + 1):
-            diag = score[i - 1, j - 1] + (1.0 if a[i - 1] == b[j - 1] else 0.0)
-            up = score[i - 1, j] - 1.0
-            left = score[i, j - 1] - 1.0
-            best = max(diag, up, left)
-            score[i, j] = best
-            move[i, j] = 0 if best == diag else (1 if best == up else 2)
+    move[1:, 1:] = np.where(best == score[:-1, :-1] + match, 0,
+                            np.where(best == score[:-1, 1:] - 1.0, 1, 2))
     matches, length = 0, 0
     i, j = la, lb
     while i > 0 or j > 0:
@@ -254,16 +275,28 @@ def global_alignment_identity(a: str, b: str) -> float:
     return matches / length if length else 0.0
 
 
+def _may_reach(a: str, b: str, threshold: float) -> bool:
+    """False when identity(a, b) < threshold follows from the lengths alone:
+    matches <= the shorter length and alignment length >= the longer."""
+    short, long = sorted((len(a), len(b)))
+    return long == 0 or short / long >= threshold
+
+
 def cluster_by_identity(records, threshold: float = 0.5) -> dict:
-    """record id -> cluster id, greedy single linkage in id order."""
+    """record id -> cluster id, greedy single linkage in id order.
+
+    A pair whose length ratio is below the threshold is never aligned
+    (the exact length rule of CD-HIT).
+    """
     ordered = sorted(records, key=lambda r: r.id)
     clusters: list[list[EnzymeRecord]] = []
     assignment = {}
     for rec in ordered:
         placed = False
         for cid, members in enumerate(clusters):
-            if any(global_alignment_identity(rec.sequence, m.sequence) >= threshold
-                   for m in members):
+            if any(_may_reach(rec.sequence, m.sequence, threshold)
+                   and global_alignment_identity(rec.sequence, m.sequence)
+                   >= threshold for m in members):
                 members.append(rec)
                 assignment[rec.id] = cid
                 placed = True

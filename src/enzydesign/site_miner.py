@@ -42,13 +42,6 @@ class SiteAnnotation:
     letters: list = field(default_factory=list)   # conserved letter per index
 
 
-def map_column_to_residue_index(gapped_row: str, column: int):
-    """Ungapped index of an alignment column, or None when the row gaps there."""
-    if gapped_row[column] in GAP_CHARS:
-        return None
-    return sum(1 for ch in gapped_row[:column] if ch not in GAP_CHARS)
-
-
 def conserved_columns(family: AlignedFamily, tau: float) -> dict:
     """Map column -> majority letter for columns above the tau threshold."""
     if not 0.0 < tau <= 1.0:
@@ -67,18 +60,22 @@ def conserved_columns(family: AlignedFamily, tau: float) -> dict:
 
 
 def mine_sites(family: AlignedFamily, tau: float) -> list[SiteAnnotation]:
-    """Per-member important-site annotations for one aligned family."""
+    """Per-member important-site annotations for one aligned family.
+
+    Each row is walked once with a running ungapped index.
+    """
     columns = conserved_columns(family, tau)
     annotations = []
     for rid, seq in family.rows:
         ann = SiteAnnotation(rid)
-        for col in sorted(columns):
-            if seq[col] != columns[col]:
+        index = 0
+        for col, ch in enumerate(seq):
+            if ch in GAP_CHARS:
                 continue
-            idx = map_column_to_residue_index(seq, col)
-            if idx is not None:
-                ann.indices.append(idx)
-                ann.letters.append(columns[col])
+            if columns.get(col) == ch:
+                ann.indices.append(index)
+                ann.letters.append(ch)
+            index += 1
         annotations.append(ann)
     return annotations
 

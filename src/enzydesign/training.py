@@ -115,8 +115,10 @@ class Adam:
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        # moments start at zero and are stored from a tensor's first update,
+        # so a run that takes no step allocates none
+        self.m: dict = {}
+        self.v: dict = {}
         self.t = 0
 
     def step(self) -> None:
@@ -127,8 +129,10 @@ class Adam:
             p = self.params[name]
             if p.grad is None:
                 continue
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * p.grad
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * p.grad ** 2
+            self.m[name] = (self.beta1 * self.m.get(name, 0.0)
+                            + (1 - self.beta1) * p.grad)
+            self.v[name] = (self.beta2 * self.v.get(name, 0.0)
+                            + (1 - self.beta2) * p.grad ** 2)
             mhat = self.m[name] / b1c
             vhat = self.v[name] / b2c
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import enzydesign.numerics as nm
 from enzydesign.numerics import Tensor, finite_difference_gradient
+from enzydesign.site_miner import GAP_CHARS
 
 
 def check_gradient(op, x, h=1e-5, tol=1e-6):
@@ -68,3 +69,45 @@ def read_text_as(reader, text, *errors):
             return reader(path)
         except errors:
             return None
+
+
+# ---- scalar oracles for the vectorized data and site_miner paths ----
+
+def scalar_alignment_identity(a: str, b: str) -> float:
+    """Needleman-Wunsch identity filled cell by cell (match=1, mismatch=0,
+    gap=-1; traceback prefers diagonal, then up, then left)."""
+    la, lb = len(a), len(b)
+    score = np.zeros((la + 1, lb + 1))
+    move = np.zeros((la + 1, lb + 1), dtype=np.int8)  # 0 diag, 1 up, 2 left
+    score[:, 0] = -np.arange(la + 1)
+    score[0, :] = -np.arange(lb + 1)
+    move[1:, 0] = 1
+    move[0, 1:] = 2
+    for i in range(1, la + 1):
+        for j in range(1, lb + 1):
+            diag = score[i - 1, j - 1] + (1.0 if a[i - 1] == b[j - 1] else 0.0)
+            up = score[i - 1, j] - 1.0
+            left = score[i, j - 1] - 1.0
+            best = max(diag, up, left)
+            score[i, j] = best
+            move[i, j] = 0 if best == diag else (1 if best == up else 2)
+    matches, length = 0, 0
+    i, j = la, lb
+    while i > 0 or j > 0:
+        length += 1
+        m = move[i, j]
+        if m == 0:
+            matches += a[i - 1] == b[j - 1]
+            i, j = i - 1, j - 1
+        elif m == 1:
+            i -= 1
+        else:
+            j -= 1
+    return matches / length if length else 0.0
+
+
+def map_column_to_residue_index(gapped_row: str, column: int):
+    """Ungapped index of an alignment column, or None when the row gaps there."""
+    if gapped_row[column] in GAP_CHARS:
+        return None
+    return sum(1 for ch in gapped_row[:column] if ch not in GAP_CHARS)

@@ -1,7 +1,6 @@
 import json
 import shutil
 import struct
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,7 +398,9 @@ def _bad_input_files(root, tmp_path):
     for name, row in (("motif.tsv", "1\tA\t0\t0\t0"),
                       ("far.tsv", "9\tA\t0\t0\t0"),
                       ("residue.tsv", "1\tX\t0\t0\t0"),
-                      ("short_row.tsv", "1\tA\t0\t0")):
+                      ("short_row.tsv", "1\tA\t0\t0"),
+                      ("nan.tsv", "1\tA\tnan\t0\t0"),
+                      ("inf.tsv", "1\tA\t0\t-inf\t0")):
         (tmp_path / name).write_text(f"length 4, tag 1.1.1.1\n{row}\n")
     toy_config(root, tmp_path)
     for name, key, edits in _CORPUS_EDITS:
@@ -426,7 +427,9 @@ _PDB_BAD_X = ("ATOM      1  CA  GLY A   1      xx.000   0.000   0.000"
 _CORPUS_EDITS = [
     ("badtags", "tags", {"": "rec0 1.1.1.1\n"}),
     ("badrecords", "records_dir", {"bad.tsv": "bad\tA\t0\t0\n",
-                                   "bad.pdb": _PDB_BAD_X}),
+                                   "bad.pdb": _PDB_BAD_X,
+                                   "mixed.tsv": "m\tA\t0\t0\t0\n"
+                                                "n\tC\t0\t0\t0\n"}),
     ("shortsub", "substrates_dir", {"sub0.tsv": "sub0\t1\n0 0 0 0 0\t0\t0\n"}),
     ("nansub", "substrates_dir", {"sub0.tsv": "sub0\t1\nnan 0 0 0 0\t0\t0\t0\n"}),
     ("badlabel", "pairings", {"": "rec0\tsub0\tyes\n"}),
@@ -465,12 +468,19 @@ BAD_INPUTS = {
     "generate-motif-index-outside-length": (2, "index 9", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/far.tsv",
         "--out", "{d}/o.txt"]),
+    "generate-motif-nan-coordinate": (2, "nan.tsv line 2", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/nan.tsv",
+        "--out", "{d}/o.txt"]),
+    "generate-motif-inf-coordinate": (2, "inf.tsv line 2", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/inf.tsv",
+        "--out", "{d}/o.txt"]),
     "generate-motif-unknown-residue": (2, "'X'", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/residue.tsv", "--out", "{d}/o.txt"]),
     "train-tag-line-without-tab": (1, "tags.tsv line 1", [
         "train", "--config", "{d}/badtags/run.json"]),
-    "train-malformed-record-files": (0, "bad.tsv bad.pdb", [
+    "train-malformed-record-files": (
+        0, "bad.pdb line 1, bad.tsv line 1, mixed.tsv line 2", [
         "train", "--config", "{d}/badrecords/run.json"]),
     "train-substrate-row-with-three-fields": (1, "sub0.tsv line 2", [
         "train", "--config", "{d}/shortsub/run.json"]),
@@ -488,22 +498,21 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
                                              capsys):
-    """Exit 1 or 2 with one error line, or 0 with a warning per skipped
-    file (the fragment lists the file names)."""
+    """Exit 1 or 2 with one error line, or 0 with one warning line per
+    skipped file (the fragment lists each file and line, comma-separated)."""
     root, _, _ = toy_tree
     _bad_input_files(root, tmp_path)
     code, fragment, argv = BAD_INPUTS[case]
     capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        assert main([a.format(d=tmp_path) for a in argv]) == code
+    assert main([a.format(d=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err
     if code == 0:
-        warned = [str(w.message) for w in caught
-                  if issubclass(w.category, UserWarning)]
-        assert err == "" and len(warned) == len(fragment.split()), warned
-        for name in fragment.split():
-            assert any(name in msg and "line 1" in msg for msg in warned)
+        lines = err.splitlines()
+        wanted = fragment.split(", ")
+        assert len(lines) == len(wanted) and all(
+            line.startswith("warning: skipping ") for line in lines), err
+        for where in wanted:
+            assert any(where in line for line in lines), (where, err)
         return
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
@@ -522,6 +531,6 @@ def test_motif_parser_parses_or_raises_usage_error(body):
     if motif is None:
         return
     n, tag, indices, residues, coords = motif
-    assert n == 4 and tag == "1.1.1.1"
+    assert n == 4 and tag == "1.1.1.1" and np.all(np.isfinite(coords))
     assert len(indices) == len(residues) == len(coords)
     assert all(0 <= i < 4 for i in indices)

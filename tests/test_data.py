@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import enzydesign.data as data
 from enzydesign.data import (DataError, EnzymeRecord, SplitManifest,
                              SubstrateRecord, assemble_dataset,
                              cluster_by_identity,
@@ -9,9 +10,10 @@ from enzydesign.data import (DataError, EnzymeRecord, SplitManifest,
                              make_split_manifest, parse_pdb,
                              read_pairing_manifest, read_substrate, read_tags,
                              read_tsv, write_substrate, write_tsv)
-from enzydesign.residues import UnknownResidueError
+from enzydesign.residues import AMINO_ACIDS, UnknownResidueError
 from fixtures import make_toy_corpus
-from helpers import COORD, NAME, integer, mostly, read_text_as, table
+from helpers import (COORD, NAME, integer, mostly, read_text_as,
+                     scalar_alignment_identity, table)
 
 
 def pdb_line(serial, resname, chain, resseq, x, y, z, altloc=" ", icode=" ",
@@ -119,14 +121,22 @@ class TestRoundTrips:
         with pytest.raises(DataError):
             read_substrate(path)
 
-    def test_ingest_skips_bad_files(self, tmp_path):
+    def test_ingest_skips_bad_files(self, tmp_path, capsys):
         write_tsv(tmp_path / "good.tsv",
                   EnzymeRecord("good", "ACD", np.zeros((3, 3))))
         (tmp_path / "bad.pdb").write_text(pdb_line(1, "XYZ", "A", 1, 0, 0, 0))
         (tmp_path / "ignored.txt").write_text("not a record\n")
-        with pytest.warns(UserWarning, match="bad.pdb"):
-            records = ingest_directory(tmp_path)
+        records = ingest_directory(tmp_path)
         assert [r.id for r in records] == ["good"]
+        err = capsys.readouterr().err
+        assert err.startswith("warning: skipping bad.pdb: ") \
+            and err.count("\n") == 1, err
+
+    def test_record_rows_share_one_id(self, tmp_path):
+        path = tmp_path / "mixed.tsv"
+        path.write_text("a\tA\t0\t0\t0\na\tC\t0\t0\t0\nb\tD\t0\t0\t0\n")
+        with pytest.raises(DataError, match=r"mixed.tsv line 3: .*'b'"):
+            read_tsv(path)
 
     def test_pairing_manifest(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -154,6 +164,65 @@ class TestIdentityAndClustering:
             b = "".join(rng.choice(list(AMINO_ACIDS), size=int(rng.integers(3, 12))))
             assert abs(global_alignment_identity(a, b)
                        - global_alignment_identity(b, a)) < 1e-12
+
+    def test_any_unicode_text(self):
+        for a, b in (("é日本", "日é"), ("\U0001F600ab", "a\U0001F600"),
+                     ("\ud800x", "x")):
+            assert global_alignment_identity(a, b) \
+                == scalar_alignment_identity(a, b)
+
+    def test_empty_strings(self):
+        assert global_alignment_identity("", "") == 0.0
+        assert global_alignment_identity("", "AC") == 0.0
+
+    @given(st.sampled_from(["A", "AC", "Aé日\U0001F600", AMINO_ACIDS])
+           .flatmap(lambda alphabet: st.tuples(
+               st.text(alphabet, max_size=40), st.text(alphabet, max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_scalar_oracle(self, pair):
+        """Exact equality with the cell-by-cell fill, ties included."""
+        assert global_alignment_identity(*pair) \
+            == scalar_alignment_identity(*pair)
+
+    def test_length_prefilter_skips_unreachable_pairs(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return scalar_alignment_identity(a, b)
+
+        monkeypatch.setattr(data, "global_alignment_identity", counted)
+        records = [EnzymeRecord(k, s, np.zeros((len(s), 3)))
+                   for k, s in (("a", "ACDEFGHIKL"), ("b", "ACDE"),
+                                ("c", ""), ("d", ""))]
+        assert cluster_by_identity(records, 0.5) == \
+            {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert calls == [("", "")]  # 4/10 and 0/n never reach 0.5
+        calls.clear()
+        assert set(cluster_by_identity(records, 0.0).values()) == {0}
+        assert calls == [("ACDE", "ACDEFGHIKL"), ("", "ACDEFGHIKL"),
+                         ("", "ACDEFGHIKL")]  # none skipped at threshold 0
+
+    @given(st.sampled_from(["A", "AC", "ACDE", AMINO_ACIDS])
+           .flatmap(lambda alphabet: st.lists(st.text(alphabet, max_size=16),
+                                              max_size=7)),
+           st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_clusters_equal_unfiltered_greedy(self, seqs, threshold):
+        records = [EnzymeRecord(f"r{k}", s, np.zeros((len(s), 3)))
+                   for k, s in enumerate(seqs)]
+        clusters, want = [], {}
+        for rec in sorted(records, key=lambda r: r.id):
+            for cid, members in enumerate(clusters):
+                if any(scalar_alignment_identity(rec.sequence, m.sequence)
+                       >= threshold for m in members):
+                    members.append(rec)
+                    want[rec.id] = cid
+                    break
+            else:
+                want[rec.id] = len(clusters)
+                clusters.append([rec])
+        assert cluster_by_identity(records, threshold) == want
 
     def test_clusters_match_connected_components(self):
         """Greedy single linkage equals the exact transitive closure here."""

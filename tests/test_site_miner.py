@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from enzydesign.data import DataError
 from enzydesign.site_miner import (AlignedFamily, AlignmentError,
                                    SiteAnnotation, conserved_columns,
-                                   map_column_to_residue_index, mine_sites,
-                                   read_aligned_fasta, read_site_manifest,
-                                   write_site_manifest)
-from helpers import NAME, mostly, read_text_as, table
+                                   mine_sites, read_aligned_fasta,
+                                   read_site_manifest, write_site_manifest)
+from helpers import (NAME, map_column_to_residue_index, mostly, read_text_as,
+                     table)
 
 
 def egm_family():
@@ -112,6 +112,20 @@ class TestColumnMapping:
         else:
             stripped_prefix = gapped[:col].replace("-", "")
             assert got == len(stripped_prefix)
+
+    @given(st.integers(1, 30).flatmap(lambda width: st.lists(
+        st.text("ACac-.", min_size=width, max_size=width),
+        min_size=2, max_size=6)), st.sampled_from([0.2, 0.3, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_mine_sites_equals_per_column_oracle(self, rows, tau):
+        family = AlignedFamily("x", [(f"s{k}", r) for k, r in enumerate(rows)])
+        columns = conserved_columns(family, tau)
+        for (rid, seq), ann in zip(family.rows, mine_sites(family, tau)):
+            want = [(map_column_to_residue_index(seq, col), letter)
+                    for col, letter in sorted(columns.items())
+                    if seq[col] == letter]
+            assert ann.sequence_id == rid
+            assert list(zip(ann.indices, ann.letters)) == want
 
 
 class TestIO:
