@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .config import ConfigError, ModelConfig
+from .config import ConfigError, read_run_config
 from .data import (DataError, assemble_dataset, ingest_directory,
                    make_split_manifest, read_pairing_manifest, read_substrate,
                    read_table, read_tags)
@@ -24,15 +24,9 @@ from .parameters import TagVocabulary, init_parameters, load_checkpoint
 from .residues import AA_TO_INDEX, AMINO_ACIDS
 from .site_miner import (mine_sites, read_aligned_fasta, read_site_manifest,
                          write_site_manifest)
-from .training import TrainSchedule, train
+from .training import train
 from .verify import (run_binding_invariance_suite, run_equivariance_suite,
                      run_gradient_suite)
-
-_RUN_CONFIG_SECTIONS = {"model", "schedule", "data", "output"}
-_DATA_KEYS = {"records_dir", "tags", "sites_manifest", "substrates_dir",
-              "pairings", "split_seed"}
-_OUTPUT_KEYS = {"checkpoint", "loss_log", "split_manifest"}
-
 
 class UsageError(Exception):
     pass
@@ -43,23 +37,12 @@ def load_run_config(path):
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
-    unknown = set(raw) - _RUN_CONFIG_SECTIONS
-    if unknown:
-        raise UsageError(f"unknown config sections: {sorted(unknown)}")
     try:
-        model = ModelConfig.from_dict(raw.get("model", {}))
-        schedule = TrainSchedule.from_dict(raw.get("schedule", {}))
-    except (ConfigError, ValueError, TypeError) as exc:
-        raise UsageError(str(exc))
-    data = raw.get("data", {})
-    output = raw.get("output", {})
-    for section, keys, name in ((data, _DATA_KEYS, "data"),
-                                (output, _OUTPUT_KEYS, "output")):
-        bad = set(section) - keys
-        if bad:
-            raise UsageError(f"unknown {name} config keys: {sorted(bad)}")
-    if "records_dir" in data and not Path(data["records_dir"]).is_dir():
-        raise UsageError(f"records_dir not found: {data['records_dir']}")
+        model, schedule, data, output = read_run_config(raw)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
+    if not Path(data["records_dir"]).is_dir():
+        raise UsageError(f"records_dir not found: {data['records_dir']!r}")
     return model, schedule, data, output
 
 

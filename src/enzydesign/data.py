@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SUBSTRATE_FEATURES
 from .residues import AA_TO_INDEX, AMINO_ACIDS, THREE_TO_ONE, UnknownResidueError
 
 
@@ -91,14 +92,15 @@ class EnzymeRecord:
 @dataclass
 class SubstrateRecord:
     id: str
-    features: np.ndarray             # m x 5 chemical features
+    features: np.ndarray             # m x SUBSTRATE_FEATURES chemical features
     coords: np.ndarray               # m x 3
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 3)
-        if self.features.ndim != 2 or self.features.shape[1] != 5:
-            raise DataError(f"{self.id}: substrate features must be m x 5")
+        if self.features.ndim != 2 or self.features.shape[1] != SUBSTRATE_FEATURES:
+            raise DataError(f"{self.id}: substrate features must be m x "
+                            f"{SUBSTRATE_FEATURES}")
         if self.features.shape[0] != self.coords.shape[0] or self.features.shape[0] < 1:
             raise DataError(f"{self.id}: inconsistent atom counts")
         if not (np.all(np.isfinite(self.features))
@@ -201,8 +203,8 @@ def write_substrate(path, sub: SubstrateRecord) -> None:
 
 def _substrate_atom(feat_field, x, y, z):
     feats = [float(v) for v in feat_field.split()]
-    if len(feats) != 5:
-        raise ValueError(f"want 5 features, got {len(feats)}")
+    if len(feats) != SUBSTRATE_FEATURES:
+        raise ValueError(f"want {SUBSTRATE_FEATURES} features, got {len(feats)}")
     return feats, [float(x), float(y), float(z)]
 
 

@@ -53,8 +53,8 @@ def _linear(x, params, name):
     return x @ params[name + "/w"] + params[name + "/b"]
 
 
-def _ln_affine(x, params, name, eps):
-    return nm.layer_norm(x, eps) * params[name + "/g"] + params[name + "/b"]
+def _ln_affine(x, params, name):
+    return nm.layer_norm(x) * params[name + "/g"] + params[name + "/b"]
 
 
 def global_attention_sublayer(h: Tensor, params, prefix: str,
@@ -77,10 +77,10 @@ def global_attention_sublayer(h: Tensor, params, prefix: str,
     ctx = nm.reshape(nm.transpose(attn @ v, (1, 0, 2)), (n, d))
     ctx = _linear(ctx, params, f"{prefix}/o")
 
-    h_tilde = _ln_affine(ctx + h, params, f"{prefix}/ln1", config.layer_norm_eps)
+    h_tilde = _ln_affine(ctx + h, params, f"{prefix}/ln1")
     ffn = _linear(nm.relu(_linear(h_tilde, params, f"{prefix}/ffn1")),
                   params, f"{prefix}/ffn2")
-    return _ln_affine(ffn + h_tilde, params, f"{prefix}/ln2", config.layer_norm_eps)
+    return _ln_affine(ffn + h_tilde, params, f"{prefix}/ln2")
 
 
 def neighborhood_messages(h: Tensor, x: Tensor, neighbors: np.ndarray,
@@ -145,8 +145,9 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
 
     ``coords`` is the complete N×3 coordinate input (motif values plus
     spherical initialization for free residues, see
-    ``geometry.init_coordinates``). Returns (logits N×20, output
-    coordinates N×3, final features N×d), all Tensors.
+    ``geometry.init_coordinates``). Each neighborhood sub-layer builds
+    its kNN graph from the coordinates it updates. Returns (logits N×20,
+    output coordinates N×3, final features N×d), all Tensors.
     """
     config.validate()
     h = embed_inputs(seq_indices, known_mask, tag_indices, params, config)
@@ -155,17 +156,12 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
         raise ConfigError(f"coords shape {x.shape} does not match sequence "
                           f"length {h.shape[0]}")
 
-    frozen_graph = None
-    if config.knn_mode == "frozen":
-        frozen_graph = geometry.knn(x.data, config.k_neighbors)
-
     neigh_used = 0
     for i in range(config.attention_sublayers):
         h = global_attention_sublayer(h, params, f"attn{i}", config)
         due = (i + 1) % config.interleave_period == 0
         if due and neigh_used < config.neighborhood_sublayers:
-            graph = (frozen_graph if frozen_graph is not None
-                     else geometry.knn(x.data, config.k_neighbors))
+            graph = geometry.knn(x.data, config.k_neighbors)
             h, x = neighborhood_sublayer(h, x, graph, params,
                                          f"neigh{neigh_used}", config,
                                          motif_mask=known_mask)

@@ -48,7 +48,7 @@ def random_rigid(rng) -> tuple[np.ndarray, np.ndarray]:
     ``rng`` is a seed or a numpy Generator. The rotation comes from a
     normalized Gaussian quaternion, which is uniform on SO(3).
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     w, x, y, z = q
@@ -75,7 +75,7 @@ def init_coordinates(given: np.ndarray, motif: np.ndarray, n: int, rng,
     in (0, π) and azimuth uniform in (0, 2π). Deterministic given the
     generator state.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     motif = np.asarray(motif, dtype=np.intp)
     given = np.asarray(given, dtype=np.float64).reshape(len(motif), 3)
     if motif.size and (motif.min() < 0 or motif.max() >= n):

@@ -13,11 +13,14 @@ import struct
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import SUBSTRATE_FEATURES, ModelConfig
 from .numerics import Tensor
 from .residues import NUM_AMINO_ACIDS
 
 _MAGIC = b"ENZD0001"
+# Retired model keys that older headers carry, with the value each must hold
+_RETIRED_KEYS = {"knn_mode": "dynamic", "layer_norm_eps": 1e-5,
+                 "ffn_multiplier": 4, "substrate_feature_dim": 5}
 
 
 class VocabularyError(KeyError):
@@ -98,7 +101,7 @@ def init_parameters(config: ModelConfig, vocab: TagVocabulary, rng,
     instead of starting it at rest; property suites use this so the
     coordinate path is exercised with generic weights.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     d = config.d
     params: dict[str, Tensor] = {}
 
@@ -115,8 +118,8 @@ def init_parameters(config: ModelConfig, vocab: TagVocabulary, rng,
         p = f"attn{i}"
         for proj in ("q", "k", "v", "o"):
             _init_linear(params, f"{p}/{proj}", d, d, rng)
-        _init_linear(params, f"{p}/ffn1", d, config.ffn_multiplier * d, rng)
-        _init_linear(params, f"{p}/ffn2", config.ffn_multiplier * d, d, rng)
+        _init_linear(params, f"{p}/ffn1", d, 4 * d, rng)
+        _init_linear(params, f"{p}/ffn2", 4 * d, d, rng)
         for ln in ("ln1", "ln2"):
             params[f"{p}/{ln}/g"] = Tensor(np.ones(d), requires_grad=True)
             params[f"{p}/{ln}/b"] = Tensor(np.zeros(d), requires_grad=True)
@@ -125,8 +128,7 @@ def init_parameters(config: ModelConfig, vocab: TagVocabulary, rng,
         _init_neighborhood_block(params, f"neigh{j}", d, rng,
                                  zero_coord_scale=zero_coord_scale)
 
-    _init_linear(params, "sub/input", config.substrate_feature_dim, d, rng,
-                 bias=False)
+    _init_linear(params, "sub/input", SUBSTRATE_FEATURES, d, rng, bias=False)
     for j in range(config.substrate_layers):
         _init_neighborhood_block(params, f"sub{j}", d, rng)
     _init_linear(params, "binding/out", 2 * d, 2, rng, bias=False)
@@ -190,6 +192,11 @@ def load_checkpoint(path):
             params[name] = Tensor(data.copy(), requires_grad=True)
     if len(params) < header.get("param_count", 0):
         raise ValueError(f"{path} is truncated")
-    config = ModelConfig.from_dict(header["config"])
+    fields = dict(header["config"])
+    for key, value in _RETIRED_KEYS.items():
+        if fields.pop(key, value) != value:
+            raise ValueError(f"{path}: model key {key} is no longer "
+                             f"settable and must be {value!r}")
+    config = ModelConfig.from_dict(fields)
     vocab = TagVocabulary(header["vocab_levels"])
     return params, config, vocab, header["step"]

@@ -7,12 +7,14 @@ for the members that actually carry the conserved letter.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .data import read_table
 
 GAP_CHARS = {"-", "."}
+_GAP_CODES = [ord(c) for c in GAP_CHARS]
 
 
 class AlignmentError(ValueError):
@@ -28,11 +30,12 @@ class AlignedFamily:
     def __post_init__(self):
         if len(self.rows) < 2:
             raise AlignmentError("an aligned family needs at least 2 rows")
+        # upper-case first: a letter like 'ß' upper-cases to two
+        self.rows = [(rid, seq.upper()) for rid, seq in self.rows]
         widths = {len(seq) for _, seq in self.rows}
         if len(widths) != 1:
             raise AlignmentError(f"ragged alignment: row widths {sorted(widths)}")
         self.column_count = widths.pop()
-        self.rows = [(rid, seq.upper()) for rid, seq in self.rows]
 
 
 @dataclass
@@ -43,20 +46,24 @@ class SiteAnnotation:
 
 
 def conserved_columns(family: AlignedFamily, tau: float) -> dict:
-    """Map column -> majority letter for columns above the tau threshold."""
+    """Map column -> majority letter for columns above the tau threshold.
+
+    Letters are counted per column over a (rows, columns) array of code
+    points, sorted, so argmax breaks a tie toward the lowest letter."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    threshold = tau * len(family.rows)
-    out = {}
-    for col in range(family.column_count):
-        counts = Counter(seq[col] for _, seq in family.rows
-                         if seq[col] not in GAP_CHARS)
-        if not counts:
-            continue
-        letter, count = max(counts.items(), key=lambda kv: (kv[1], -ord(kv[0])))
-        if count > threshold:
-            out[col] = letter
-    return out
+    width = family.column_count
+    if not width:
+        return {}
+    codes = np.array([np.frombuffer(seq.encode("utf-32-le"), dtype="<u4")
+                      for _, seq in family.rows])
+    letters, index = np.unique(codes, return_inverse=True)
+    cells = index.reshape(codes.shape) * width + np.arange(width)
+    counts = np.bincount(cells[~np.isin(codes, _GAP_CODES)],
+                         minlength=len(letters) * width).reshape(-1, width)
+    best = counts.argmax(axis=0)
+    return {int(col): chr(letters[best[col]]) for col in
+            np.flatnonzero(counts.max(axis=0) > tau * len(family.rows))}
 
 
 def mine_sites(family: AlignedFamily, tau: float) -> list[SiteAnnotation]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import geometry
 from . import numerics as nm
-from .config import ModelConfig
+from .config import SUBSTRATE_FEATURES, ModelConfig
 from .enzyme_model import gated_node_update, neighborhood_messages
 from .numerics import Tensor
 
@@ -35,9 +35,9 @@ def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:
     """Per-atom representations after the substrate message-passing stack."""
     feats = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != config.substrate_feature_dim:
+    if feats.ndim != 2 or feats.shape[1] != SUBSTRATE_FEATURES:
         raise ValueError(f"substrate features must be m x "
-                         f"{config.substrate_feature_dim}, got {feats.shape}")
+                         f"{SUBSTRATE_FEATURES}, got {feats.shape}")
     if coords.shape != (feats.shape[0], 3):
         raise ValueError(f"substrate coords shape {coords.shape} inconsistent "
                          f"with {feats.shape[0]} atoms")

@@ -11,18 +11,20 @@ leaving the binding term off.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from . import numerics as nm
-from .config import ModelConfig
+from .config import ModelConfig, TrainSchedule
 from .enzyme_model import forward_stack, greedy_decode
 from .numerics import NumericsError, Tensor
 from .parameters import save_checkpoint, zero_grads
 from .residues import NUM_AMINO_ACIDS
 from .substrate_model import binding_scores, substrate_forward
+
+MLM_MASK_FRACTION = 0.20  # share of each record hidden per pretraining step
 
 
 @dataclass
@@ -36,36 +38,6 @@ class LossBreakdown:
     def line(self, step: int) -> str:
         return (f"{step}\t{self.seq_nll:.17g}\t{self.coord_l2:.17g}\t"
                 f"{self.binding_ce:.17g}\t{self.total:.17g}")
-
-
-@dataclass
-class TrainSchedule:
-    phase1_steps: int = 100
-    phase2_steps: int = 400
-    learning_rate: float = 3e-4
-    batch_residues: int = 8192
-    seed: int = 0
-    mlm_pretrain_steps: int = 0
-    mlm_mask_fraction: float = 0.20
-    mlm_respect_motif: bool = False
-
-    def validate(self) -> "TrainSchedule":
-        if not 0.0 <= self.mlm_mask_fraction < 1.0:
-            raise ValueError("mlm_mask_fraction must lie in [0, 1)")
-        if self.phase1_steps < 0 or self.phase2_steps < 0:
-            raise ValueError("step counts must be nonnegative")
-        return self
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainSchedule":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown schedule keys: {sorted(unknown)}")
-        return cls(**d).validate()
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def joint_loss(logits: Tensor, target_seq, coords_out: Tensor, target_coords,
@@ -154,16 +126,12 @@ def _pack_batches(records, budget: int, rng) -> list[list]:
     return batches
 
 
-def draw_mlm_mask(n: int, fraction: float, rng, motif_mask=None) -> np.ndarray:
+def draw_mlm_mask(n: int, fraction: float, rng) -> np.ndarray:
     """Boolean mask of round(fraction*n) freshly masked positions."""
-    candidates = np.arange(n)
-    if motif_mask is not None:
-        candidates = candidates[~np.asarray(motif_mask, dtype=bool)]
-    count = min(int(round(fraction * n)), len(candidates))
+    count = int(round(fraction * n))
     masked = np.zeros(n, dtype=bool)
     if count:
-        picks = rng.choice(candidates, size=count, replace=False)
-        masked[picks] = True
+        masked[rng.choice(n, size=count, replace=False)] = True
     return masked
 
 
@@ -204,8 +172,8 @@ def train(records, substrate_pool, params, config: ModelConfig,
 
     By default: the two-phase schedule, motif teacher-forced, binding
     term from ``phase1_steps`` on. With ``mlm``: ``mlm_pretrain_steps``
-    of masked pretraining, each step hiding a fresh random fraction of
-    every record, binding term off, RNG seeded with ``seed + 1``.
+    of masked pretraining, each step hiding a fresh ``MLM_MASK_FRACTION``
+    of every record, binding term off, RNG seeded with ``seed + 1``.
 
     On numeric divergence the loop stops holding the parameters at which
     the last finite loss was computed; the checkpoint keeps them, with
@@ -256,10 +224,8 @@ def train(records, substrate_pool, params, config: ModelConfig,
                     substrate = substrate_pool[sid]
                 known = None
                 if mlm:
-                    masked = draw_mlm_mask(
-                        len(rec.sequence), schedule.mlm_mask_fraction, rng,
-                        rec.site_mask if schedule.mlm_respect_motif else None)
-                    known = ~masked
+                    known = ~draw_mlm_mask(len(rec.sequence),
+                                           MLM_MASK_FRACTION, rng)
                 (rec_total, bd), _ = record_loss(rec, params, config, rng,
                                                  substrate, y, known)
                 total = total + rec_total

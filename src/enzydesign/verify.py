@@ -2,24 +2,30 @@
 
 Both suites run against any parameter store (the equivariance property
 is architectural, so random weights suffice) and report the worst
-observed deviation per property.
+observed deviation per property. The forward-only suites run on
+constant views of the parameters, so they build no autodiff graph.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import geometry
-from .config import ModelConfig
+from .config import SUBSTRATE_FEATURES, ModelConfig
 from .data import EnzymeRecord, SubstrateRecord
 from .enzyme_model import forward_stack
-from .numerics import finite_difference_gradient
+from .numerics import Tensor, finite_difference_gradient
 from .parameters import TagVocabulary, init_parameters, zero_grads
 from .residues import NUM_AMINO_ACIDS
 from .substrate_model import binding_probabilities, substrate_forward
 from .training import record_loss
 
 
-def random_instance(config: ModelConfig, n: int, rng):
+def constant_views(params: dict) -> dict:
+    """The same arrays as tensors without gradients: a forward builds no graph."""
+    return {name: Tensor(t.data) for name, t in params.items()}
+
+
+def random_instance(n: int, rng):
     """Random sequence, motif mask, tag indices, and coordinates."""
     seq = rng.integers(0, NUM_AMINO_ACIDS, size=n)
     mask = rng.random(n) < 0.4
@@ -36,7 +42,7 @@ def equivariance_deviation(params, config: ModelConfig, n: int, rng) -> dict:
     Feature/logit deviations are absolute; the coordinate deviation is
     relative to the coordinate scale.
     """
-    seq, mask, tag_idx, coords = random_instance(config, n, rng)
+    seq, mask, tag_idx, coords = random_instance(n, rng)
     rot, t = geometry.random_rigid(rng)
     logits_a, x_a, h_a = forward_stack(seq, mask, tag_idx, coords, params, config)
     logits_b, x_b, h_b = forward_stack(seq, mask, tag_idx,
@@ -61,6 +67,8 @@ def run_equivariance_suite(params=None, config: ModelConfig | None = None,
     """
     rng = np.random.default_rng(seed)
     vocab = TagVocabulary.from_tags(["1.1.1.1"])
+    if params is not None:
+        params = constant_views(params)
     worst = {"features": 0.0, "logits": 0.0, "coords": 0.0}
     settings = [(8, 5), (8, 50), (64, 5), (64, 50)]
     for trial in range(trials):
@@ -69,7 +77,8 @@ def run_equivariance_suite(params=None, config: ModelConfig | None = None,
             cfg = ModelConfig(d=d, num_heads=2 if d == 8 else 4,
                               attention_sublayers=2, interleave_period=1,
                               k_neighbors=6).validate()
-            p = init_parameters(cfg, vocab, rng, zero_coord_scale=False)
+            p = constant_views(init_parameters(cfg, vocab, rng,
+                                               zero_coord_scale=False))
         else:
             cfg, p, n = config, params, (5, 50)[trial % 2]
         dev = equivariance_deviation(p, cfg, n, rng)
@@ -96,7 +105,7 @@ def run_gradient_suite(params, config: ModelConfig, vocab, seed: int = 0,
     rec = EnzymeRecord("grad-check", seq, rng.normal(0.0, 3.0, (n, 3)),
                        sites=[0, 2], tag=vocab.levels[3][0])
     rec.tag_idx = vocab.encode(rec.tag)
-    substrate = SubstrateRecord("sub", rng.normal(0.0, 1.0, (4, 5)),
+    substrate = SubstrateRecord("sub", rng.normal(0.0, 1.0, (4, SUBSTRATE_FEATURES)),
                                 rng.normal(0.0, 2.0, (4, 3)))
     init_seed = int(rng.integers(2 ** 31))
 
@@ -136,12 +145,13 @@ def run_binding_invariance_suite(params, config: ModelConfig, trials: int = 100,
                                  rigid_tol: float = 1e-9) -> dict:
     """Binding probabilities under atom permutation and rigid transforms."""
     rng = np.random.default_rng(seed)
+    params = constant_views(params)
     worst_perm, worst_rigid = 0.0, 0.0
     for _ in range(trials):
         m = int(rng.integers(2, 8))
         n = int(rng.integers(4, 12))
-        seq, mask, tag_idx, coords = random_instance(config, n, rng)
-        feats = rng.normal(0.0, 1.0, (m, config.substrate_feature_dim))
+        seq, mask, tag_idx, coords = random_instance(n, rng)
+        feats = rng.normal(0.0, 1.0, (m, SUBSTRATE_FEATURES))
         sub_coords = rng.normal(0.0, 2.0, (m, 3))
 
         _, _, h_e = forward_stack(seq, mask, tag_idx, coords, params, config)

@@ -1,5 +1,8 @@
 """Shared test utilities."""
+import json
+import struct
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +74,17 @@ def read_text_as(reader, text, *errors):
             return None
 
 
+def edit_checkpoint_header(path, header=None):
+    """The checkpoint's JSON header; with ``header``, write it in place."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    if header is None:
+        return json.loads(raw[12:12 + hlen])
+    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
+                     + raw[12 + hlen:])
+
+
 # ---- scalar oracles for the vectorized data and site_miner paths ----
 
 def scalar_alignment_identity(a: str, b: str) -> float:
@@ -104,6 +118,22 @@ def scalar_alignment_identity(a: str, b: str) -> float:
         else:
             j -= 1
     return matches / length if length else 0.0
+
+
+def counter_conserved_columns(family, tau: float) -> dict:
+    """Column -> majority letter above tau * rows, one Counter per column;
+    ties go to the highest count, then the lowest letter."""
+    threshold = tau * len(family.rows)
+    out = {}
+    for col in range(family.column_count):
+        counts = Counter(seq[col] for _, seq in family.rows
+                         if seq[col] not in GAP_CHARS)
+        if not counts:
+            continue
+        letter, count = max(counts.items(), key=lambda kv: (kv[1], -ord(kv[0])))
+        if count > threshold:
+            out[col] = letter
+    return out
 
 
 def map_column_to_residue_index(gapped_row: str, column: int):

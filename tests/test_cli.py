@@ -12,8 +12,11 @@ from enzydesign.config import ModelConfig
 from enzydesign.parameters import (TagVocabulary, init_parameters,
                                    load_checkpoint, save_checkpoint)
 from enzydesign.site_miner import read_site_manifest
+from enzydesign.verify import (run_binding_invariance_suite,
+                               run_equivariance_suite)
 from fixtures import TOY_LENGTH, free_positions, write_toy_tree
-from helpers import COORD, integer, mostly, read_text_as, table
+from helpers import (COORD, edit_checkpoint_header, integer, mostly,
+                     read_text_as, table)
 
 
 @pytest.fixture
@@ -339,6 +342,26 @@ class TestVerifyCommand:
                      "--suite", "equivariance", "--trials", "4"]) == 0
         assert calls == [(16, 5, True), (16, 50, True)] * 2
 
+    def test_forward_only_suites_build_no_graph(self, small_ckpt,
+                                                monkeypatch):
+        """Neither forward-only suite, in either equivariance branch,
+        creates a Tensor with parents; the caller's tensors keep theirs."""
+        import enzydesign.numerics as nm
+        params, config, _, _ = load_checkpoint(small_ckpt)
+        taped = []
+        init = nm.Tensor.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            taped.extend(self._parents[:1])
+
+        monkeypatch.setattr(nm.Tensor, "__init__", spy)
+        run_equivariance_suite(params, config, trials=2)
+        run_equivariance_suite(trials=4)
+        run_binding_invariance_suite(params, config, trials=2)
+        assert taped == []
+        assert all(t.requires_grad for t in params.values())
+
     def test_gradient_suite_takes_tag_from_checkpoint(self, tmp_path, capsys):
         ckpt = _verify_ckpt(tmp_path / "m.ckpt", tags=("2.7.1.1",))
         assert main(["verify", "--checkpoint", str(ckpt),
@@ -395,6 +418,10 @@ def _bad_input_files(root, tmp_path):
     (tmp_path / "header_cut.ckpt").write_bytes(raw[:10])
     (tmp_path / "payload_cut.ckpt").write_bytes(raw[:len(raw) // 2])
     (tmp_path / "record_cut.ckpt").write_bytes(raw[:_first_record_end(raw)])
+    (tmp_path / "frozen.ckpt").write_bytes(raw)
+    header = edit_checkpoint_header(tmp_path / "frozen.ckpt")
+    header["config"]["knn_mode"] = "frozen"  # a retired key, not at its value
+    edit_checkpoint_header(tmp_path / "frozen.ckpt", header)
     for name, row in (("motif.tsv", "1\tA\t0\t0\t0"),
                       ("far.tsv", "9\tA\t0\t0\t0"),
                       ("residue.tsv", "1\tX\t0\t0\t0"),
@@ -402,9 +429,18 @@ def _bad_input_files(root, tmp_path):
                       ("nan.tsv", "1\tA\tnan\t0\t0"),
                       ("inf.tsv", "1\tA\t0\t-inf\t0")):
         (tmp_path / name).write_text(f"length 4, tag 1.1.1.1\n{row}\n")
-    toy_config(root, tmp_path)
+    _, cfg = toy_config(root, tmp_path)
     for name, key, edits in _CORPUS_EDITS:
         _corpus_variant(root, tmp_path / name, key, edits)
+    for name, (section, key, value) in _CONFIG_EDITS.items():
+        edited = json.loads(json.dumps(cfg))
+        if value is None:
+            del edited[section][key]
+        else:
+            edited[section][key] = value
+        (tmp_path / name).write_text(json.dumps(edited))
+    (tmp_path / "top-array.json").write_text("[]")
+    (tmp_path / "data-number.json").write_text(json.dumps({**cfg, "data": 3}))
 
 
 def _corpus_variant(root, sub, key, edits):
@@ -421,6 +457,19 @@ def _corpus_variant(root, sub, key, edits):
     (sub / "run.json").write_text(json.dumps(cfg))
 
 
+# run config file -> (section, key, value): one bad value in the toy
+# config; a value of None drops the key
+_CONFIG_EDITS = {
+    "lr-string.json": ("schedule", "learning_rate", "0.1"),
+    "phase1-fraction.json": ("schedule", "phase1_steps", 1.5),
+    "k-fraction.json": ("model", "k_neighbors", 2.5),
+    "bond-string.json": ("model", "bond_length", "x"),
+    "freeze-string.json": ("model", "freeze_motif_coords", "no"),
+    "seed-string.json": ("data", "split_seed", "x"),
+    "retired-key.json": ("model", "knn_mode", "dynamic"),
+    "no-records-dir.json": ("data", "records_dir", None),
+    "no-tags.json": ("data", "tags", None),
+}
 _PDB_BAD_X = ("ATOM      1  CA  GLY A   1      xx.000   0.000   0.000"
               "  1.00  0.00           C\n")
 # (directory, data key, edits): one bad value in a copy of the toy corpus
@@ -454,6 +503,9 @@ BAD_INPUTS = {
         "--out", "{d}/e.tsv"]),
     "generate-checkpoint-cut-at-record": (1, "truncated", [
         "generate", "--checkpoint", "{d}/record_cut.ckpt", "--motif",
+        "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "generate-checkpoint-frozen-knn-mode": (1, "frozen.ckpt: model key knn_mode", [
+        "generate", "--checkpoint", "{d}/frozen.ckpt", "--motif",
         "{d}/motif.tsv", "--out", "{d}/o.txt"]),
     "generate-motif-row-with-four-fields": (2, "short_row.tsv line 2", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
@@ -492,6 +544,29 @@ BAD_INPUTS = {
         "train", "--config", "{d}/sitelow/run.json"]),
     "train-site-index-past-end": (1, "rec0: site index 99", [
         "train", "--config", "{d}/sitehigh/run.json"]),
+    "train-config-top-level-array": (2, "run config must be a JSON object", [
+        "train", "--config", "{d}/top-array.json"]),
+    "train-config-data-section-number": (2, "run.data", [
+        "train", "--config", "{d}/data-number.json"]),
+    "train-config-learning-rate-string": (2, "schedule.learning_rate", [
+        "train", "--config", "{d}/lr-string.json"]),
+    "train-config-phase1-steps-fraction": (2, "schedule.phase1_steps", [
+        "train", "--config", "{d}/phase1-fraction.json"]),
+    "train-config-k-neighbors-fraction": (2, "model.k_neighbors", [
+        "train", "--config", "{d}/k-fraction.json"]),
+    "train-config-bond-length-string": (2, "model.bond_length", [
+        "train", "--config", "{d}/bond-string.json"]),
+    "train-config-freeze-motif-string": (2, "model.freeze_motif_coords", [
+        "train", "--config", "{d}/freeze-string.json"]),
+    "train-config-split-seed-string": (2, "data.split_seed", [
+        "train", "--config", "{d}/seed-string.json"]),
+    "train-config-retired-key": (2, "unknown model config key 'knn_mode'", [
+        "train", "--config", "{d}/retired-key.json"]),
+    "train-config-without-records-dir": (
+        2, "error: data config needs records_dir\n", [
+            "train", "--config", "{d}/no-records-dir.json"]),
+    "train-config-without-tags": (2, "error: data config needs tags\n", [
+        "train", "--config", "{d}/no-tags.json"]),
 }
 
 

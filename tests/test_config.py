@@ -1,6 +1,19 @@
-import pytest
+import json
+import sys
+from dataclasses import fields
+from pathlib import Path
 
-from enzydesign.config import ConfigError, ModelConfig
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from enzydesign.cli import UsageError, load_run_config
+from enzydesign.config import (DATA_SPEC, OUTPUT_SPEC, SECTIONS, ConfigError,
+                               ModelConfig, TrainSchedule)
+from helpers import read_text_as
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import seeded_inputs  # noqa: E402
 
 
 def test_defaults_are_valid():
@@ -21,11 +34,6 @@ def test_interleave_bounds():
         ModelConfig(attention_sublayers=2, interleave_period=3).validate()
 
 
-def test_knn_mode_enum():
-    with pytest.raises(ConfigError):
-        ModelConfig(knn_mode="static").validate()
-
-
 def test_negative_coord_weight():
     with pytest.raises(ConfigError):
         ModelConfig(coord_loss_weight=-1.0).validate()
@@ -37,5 +45,82 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_round_trip():
-    cfg = ModelConfig(d=8, num_heads=2, knn_mode="frozen")
+    cfg = ModelConfig(d=8, num_heads=2, freeze_motif_coords=True)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_ints_stand_for_floats_and_bools_for_nothing_else():
+    assert ModelConfig.from_dict({"bond_length": 4}).bond_length == 4
+    for bad in ({"d": True}, {"coord_loss_weight": False},
+                {"freeze_motif_coords": 1}, {"d": 64.0}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            ModelConfig.from_dict(bad)
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
+    """configs/toy.json and every run config the benchmark writes load,
+    so retiring a key they set fails here first."""
+    monkeypatch.chdir(ROOT)
+    load_run_config(ROOT / "configs" / "toy.json")
+    for workload in sorted(seeded_inputs.GENERATORS):
+        root = tmp_path / workload
+        seeded_inputs.write_inputs(workload, root, 7)
+        monkeypatch.chdir(root)
+        configs = sorted(root.glob("*.json"))
+        assert configs
+        for path in configs:
+            load_run_config(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_KEYS = {"model": [f.name for f in fields(ModelConfig)],
+         "schedule": [f.name for f in fields(TrainSchedule)],
+         "data": list(DATA_SPEC), "output": list(OUTPUT_SPEC)}
+
+
+@st.composite
+def _run_config(draw):
+    """A run config naming the toy records and tags, with one section
+    replaced by any JSON value or by an object whose keys are mostly the
+    section's own; sometimes that value alone is the whole config."""
+    raw = {"data": {"records_dir": str(ROOT / "data" / "toy" / "records"),
+                    "tags": str(ROOT / "data" / "toy" / "tags.tsv")}}
+    section = draw(st.sampled_from(SECTIONS + ("extras",)))
+    keys = st.sampled_from(_KEYS.get(section, ["bogus"]) + ["bogus"])
+    raw[section] = draw(_JSON | st.dictionaries(keys, _JSON, max_size=4))
+    return draw(st.sampled_from([raw, raw[section]]))
+
+
+def _typed(value, want) -> bool:
+    if isinstance(value, bool):
+        return want is bool
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _load(path):
+    try:
+        return load_run_config(path), None
+    except UsageError as exc:
+        return None, str(exc)
+
+
+@given(_run_config())
+@example({"data": {"records_dir": "a\nb", "tags": "t"}})
+@settings(max_examples=300, deadline=None)
+def test_any_json_loads_or_raises_usage_error(raw):
+    """A run config loads with values of the declared types, or raises a
+    one-line UsageError."""
+    loaded, error = read_text_as(_load, json.dumps(raw))
+    if loaded is None:
+        assert error and "\n" not in error
+        return
+    model, schedule, data, output = loaded
+    for obj in (model, schedule):
+        assert all(_typed(getattr(obj, f.name), f.type) for f in fields(obj))
+    for section, spec in ((data, DATA_SPEC), (output, OUTPUT_SPEC)):
+        assert all(_typed(v, spec[k]) for k, v in section.items())

@@ -96,7 +96,7 @@ class TestGlobalAttention:
         def ln(x, name):
             mu = x.mean(axis=-1, keepdims=True)
             var = x.var(axis=-1, keepdims=True)
-            z = (x - mu) / np.sqrt(var + config.layer_norm_eps)
+            z = (x - mu) / np.sqrt(var + 1e-5)
             return z * params[name + "/g"].data + params[name + "/b"].data
 
         ht = ln(ctx + h, "attn0/ln1")
@@ -130,7 +130,7 @@ class TestGlobalAttention:
 
         def ln(x, name):
             mu, var = x.mean(-1, keepdims=True), x.var(-1, keepdims=True)
-            z = (x - mu) / np.sqrt(var + config.layer_norm_eps)
+            z = (x - mu) / np.sqrt(var + 1e-5)
             return z * params[name + "/g"].data + params[name + "/b"].data
 
         ht = ln(ctx + h, "attn0/ln1")
@@ -279,18 +279,6 @@ class TestForwardStack:
                                    feats.data @ params["emb/amino"].data.T,
                                    atol=1e-12)
         assert logits.shape == (5, 20)
-
-    def test_frozen_vs_dynamic_graph_differ_after_movement(self):
-        """Frozen mode reuses the input-geometry graph in later layers."""
-        cfg_kw = dict(d=8, heads=2, sublayers=4, period=1, seed=0,
-                      zero_coord_scale=False)
-        config_d, vocab, params = small_setup(**cfg_kw, knn_mode="dynamic")
-        config_f, _, _ = small_setup(**cfg_kw, knn_mode="frozen")
-        rng = np.random.default_rng(11)
-        seq, known, tag_idx, coords = random_instance(10, config_d, vocab, rng)
-        ld, xd, _ = forward_stack(seq, known, tag_idx, coords, params, config_d)
-        lf, xf, _ = forward_stack(seq, known, tag_idx, coords, params, config_f)
-        assert not np.allclose(xd.data, xf.data, atol=1e-9)
 
     def test_constant_params_build_no_graph(self):
         config, vocab, params = small_setup(zero_coord_scale=False)

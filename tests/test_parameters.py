@@ -1,13 +1,11 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 
-from enzydesign.config import ModelConfig
+from enzydesign.config import ConfigError, ModelConfig
 from enzydesign.parameters import (TagVocabulary, VocabularyError,
                                    init_parameters, load_checkpoint,
                                    save_checkpoint, zero_grads)
+from helpers import edit_checkpoint_header
 
 
 def small_config():
@@ -116,12 +114,48 @@ class TestCheckpoint:
         params = init_parameters(config, vocab, np.random.default_rng(3))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params, config, vocab, step=5)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack_from("<I", raw, 8)
-        header = json.loads(raw[12:12 + hlen])
+        header = edit_checkpoint_header(path)
         assert header.pop("param_count") == len(params)
-        hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
-                         + raw[12 + hlen:])
+        edit_checkpoint_header(path, header)
         back, _, _, step = load_checkpoint(path)
         assert step == 5 and sorted(back) == sorted(params)
+
+    def test_header_with_retired_keys_still_loads(self, tmp_path):
+        """Checkpoints written while four model constants were settable
+        carry them; at the values now hardwired they load unchanged."""
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(4))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, vocab, step=3)
+        header = edit_checkpoint_header(path)
+        header["config"].update(RETIRED)
+        edit_checkpoint_header(path, header)
+        back, cfg, _, step = load_checkpoint(path)
+        assert cfg == config and step == 3
+        for k in params:
+            np.testing.assert_array_equal(back[k].data, params[k].data)
+
+    @pytest.mark.parametrize("key,value", [
+        ("knn_mode", "frozen"), ("layer_norm_eps", 1e-6),
+        ("ffn_multiplier", 2), ("substrate_feature_dim", 7)])
+    def test_retired_key_with_other_value_rejected(self, tmp_path, key,
+                                                   value):
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, init_parameters(config, vocab, 0), config,
+                        vocab)
+        header = edit_checkpoint_header(path)
+        header["config"].update(RETIRED, **{key: value})
+        edit_checkpoint_header(path, header)
+        with pytest.raises(ValueError, match=f"old.ckpt.*{key}") as info:
+            load_checkpoint(path)
+        assert not isinstance(info.value, ConfigError)  # exit 1, not 2
+
+
+# retired model keys at the values that headers written before their
+# retirement hold
+RETIRED = {"knn_mode": "dynamic", "layer_norm_eps": 1e-5,
+           "ffn_multiplier": 4, "substrate_feature_dim": 5}
+

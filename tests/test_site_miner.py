@@ -7,8 +7,8 @@ from enzydesign.site_miner import (AlignedFamily, AlignmentError,
                                    SiteAnnotation, conserved_columns,
                                    mine_sites, read_aligned_fasta,
                                    read_site_manifest, write_site_manifest)
-from helpers import (NAME, map_column_to_residue_index, mostly, read_text_as,
-                     table)
+from helpers import (NAME, counter_conserved_columns,
+                     map_column_to_residue_index, mostly, read_text_as, table)
 
 
 def egm_family():
@@ -60,6 +60,19 @@ class TestMineSites:
                         counts[ch] = counts.get(ch, 0) + 1
                 best = max(counts.values()) if counts else 0
                 assert (col in cols) == (best > 0.3 * 6)
+
+    @given(st.sampled_from(["AB-", "ACac-.", "-.", "é𝔸Жa-"]).flatmap(
+        lambda letters: st.integers(0, 12).flatmap(lambda width: st.lists(
+            st.text(letters, min_size=width, max_size=width),
+            min_size=2, max_size=7))),
+        st.sampled_from([0.01, 0.2, 0.3, 0.5, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_equal_counter_oracle(self, rows, tau):
+        """Exact equality with one Counter per column, ties included, over
+        all-gap columns, zero-width families and non-ASCII letters."""
+        family = AlignedFamily("x", [(f"s{k}", r) for k, r in enumerate(rows)])
+        assert conserved_columns(family, tau) == counter_conserved_columns(
+            family, tau)
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
@@ -132,6 +145,11 @@ class TestIO:
     def test_ragged_alignment_rejected(self):
         with pytest.raises(AlignmentError):
             AlignedFamily("x", [("a", "ABC"), ("b", "AB")])
+
+    def test_row_ragged_after_upper_case_rejected(self):
+        """'ß' upper-cases to 'SS', so its row no longer fits the columns."""
+        with pytest.raises(AlignmentError):
+            AlignedFamily("x", [("a", "ßA"), ("b", "CA")])
 
     def test_single_row_rejected(self):
         with pytest.raises(AlignmentError):
