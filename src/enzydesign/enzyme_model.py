@@ -50,7 +50,7 @@ def embed_inputs(seq_indices, known_mask, tag_indices, params,
 
 
 def _linear(x, params, name):
-    return x @ params[name + "/w"] + params[name + "/b"]
+    return nm.linear(x, params[name + "/w"], params[name + "/b"])
 
 
 def _ln_affine(x, params, name):

@@ -16,18 +16,27 @@ class GeometryError(ValueError):
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Full N×N Euclidean distance matrix."""
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+    """Full N×N Euclidean distance matrix.
+
+    Squared differences are summed one axis at a time, x + y then + z,
+    so no (N, N, 3) temporary is built.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    sq = np.zeros((points.shape[0],) * 2)
+    for col in points.T:
+        diff = np.subtract.outer(col, col)
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
 def knn(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbors of each point, self excluded.
 
     Returns an (N, min(k, N-1)) int array. Neighbors are ordered by
-    increasing distance; ties broken by lower index (stable sort), so the
-    graph is deterministic and invariant under rigid motion for generic
-    point sets.
+    increasing distance; ties broken by lower index (the order of a
+    stable sort of each row), so the graph is deterministic and invariant
+    under rigid motion for generic point sets.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -38,8 +47,16 @@ def knn(points: np.ndarray, k: int) -> np.ndarray:
     k = min(k, n - 1)
     d = pairwise_distances(points)
     np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
-    return order[:, :k].astype(np.intp)
+    # the k smallest of each row, ordered by (distance, index)
+    near = np.argpartition(d, k - 1, axis=1)[:, :k]
+    near_d = np.take_along_axis(d, near, axis=1)
+    order = np.take_along_axis(near, np.lexsort((near, near_d), axis=1), axis=1)
+    # a row whose k-th distance recurs past the cut may have kept the
+    # wrong one of the tied indices: those rows take the stable sort
+    tied = (d <= near_d.max(axis=1, keepdims=True)).sum(axis=1) > k
+    if tied.any():
+        order[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+    return order.astype(np.intp)
 
 
 def random_rigid(rng) -> tuple[np.ndarray, np.ndarray]:

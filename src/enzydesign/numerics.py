@@ -9,10 +9,11 @@ the test suite.
 
 The primitives are the ones the model calls: ``add``, ``sub``, ``mul``
 and ``matmul``, which broadcast like numpy and sum their gradients back
-to each operand's shape; ``relu``, ``sigmoid`` and ``silu``;
-``tensor_sum``, ``l2_norm``, ``reshape``, ``transpose`` and ``take``;
-and ``softmax``, ``log_softmax`` and ``layer_norm``. Each is one graph
-node with a closed-form backward rule.
+to each operand's shape; ``linear`` (``x @ w + b`` over the last axis);
+``relu``, ``sigmoid`` and ``silu``; ``tensor_sum``, ``l2_norm``,
+``reshape``, ``transpose`` and ``take``; and ``softmax``,
+``log_softmax`` and ``layer_norm``. Each is one graph node with a
+closed-form backward rule.
 
 Graph lifetime: a result records its parents and rule only when one of
 its inputs requires a gradient, so a forward pass over constants builds
@@ -26,7 +27,6 @@ supported.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit as _expit
 
 
 class NumericsError(ValueError):
@@ -40,8 +40,12 @@ class DimensionError(NumericsError):
 def _accumulate(t: "Tensor", g: np.ndarray) -> None:
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            # a copy in the memory layout of t.data, so that reductions of
+            # this gradient sum in the same order whatever g's strides
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
+        else:
+            t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -222,6 +226,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward_fn=bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``: one GEMM over the
+    flattened leading axes, with the bias added in place."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear shapes disagree: x {x.shape}, "
+                             f"w {w.shape}, b {b.shape}")
+    x2 = x.data.reshape(-1, w.shape[0])
+    y = x2 @ w.data
+    y += b.data
+
+    def bw(g):
+        g2 = g.reshape(-1, w.shape[1])
+        _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
+        _accumulate(w, x2.T @ g2)
+        _accumulate(b, g2.sum(axis=0))
+
+    return Tensor(y.reshape(x.shape[:-1] + w.shape[1:]), _parents=(x, w, b),
+                  _backward_fn=bw)
+
+
 # ---- unary elementwise ----
 
 def relu(x: Tensor) -> Tensor:
@@ -231,8 +255,16 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _backward_fn=bw)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) on numpy's vectorized exp. Below x = -709 the exp
+    overflows to inf and the quotient is the exact 0.0, so that overflow
+    is not an error."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    s = _expit(x.data)
+    s = _logistic(x.data)
 
     def bw(g):
         _accumulate(x, g * s * (1.0 - s))
@@ -241,7 +273,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _expit(x.data)
+    s = _logistic(x.data)
 
     def bw(g):
         _accumulate(x, g * (s + x.data * s * (1.0 - s)))
@@ -289,13 +321,21 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def take(x: Tensor, indices) -> Tensor:
-    """Gather rows of ``x`` along axis 0 by an integer index array."""
+    """Gather rows of ``x`` along axis 0 by a non-negative integer index
+    array.
+
+    The backward scatter is one ``bincount`` over flat positions
+    ``row * width + column``; it sums each position's terms in index
+    order, as ``np.add.at`` does, so the two agree bit for bit.
+    """
     indices = np.asarray(indices, dtype=np.intp)
 
     def bw(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, indices, g)
-        _accumulate(x, gx)
+        width = x.size // x.shape[0]
+        flat = indices.reshape(-1, 1) * width + np.arange(width)
+        gx = np.bincount(flat.reshape(-1), weights=g.reshape(-1),
+                         minlength=x.size)
+        _accumulate(x, gx.reshape(x.shape))
 
     return Tensor(x.data[indices], _parents=(x,), _backward_fn=bw)
 

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .config import SUBSTRATE_FEATURES, ModelConfig
+from .config import SUBSTRATE_FEATURES, ConfigError, ModelConfig
 from .numerics import Tensor
 from .residues import NUM_AMINO_ACIDS
 
@@ -165,7 +165,8 @@ def save_checkpoint(path, params: dict, config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, vocab, step); truncation raises ValueError.
+    """Returns (params, config, vocab, step). A truncated file or a bad
+    header raises ValueError naming the file.
 
     A cut inside a record is caught by the short read; a cut at a record
     boundary by the parameter count in the header, when it has one.
@@ -180,7 +181,16 @@ def load_checkpoint(path):
         if f.read(8) != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
         (hlen,) = struct.unpack("<I", read(4))
-        header = json.loads(read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: header is not JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header must be a JSON object, "
+                             f"got {type(header).__name__}")
+        if not isinstance(header.get("config"), dict):
+            raise ValueError(f"{path}: header config must be a JSON object, "
+                             f"got {type(header.get('config')).__name__}")
         params: dict[str, Tensor] = {}
         while f.peek(1):
             (nlen,) = struct.unpack("<H", read(2))
@@ -197,6 +207,9 @@ def load_checkpoint(path):
         if fields.pop(key, value) != value:
             raise ValueError(f"{path}: model key {key} is no longer "
                              f"settable and must be {value!r}")
-    config = ModelConfig.from_dict(fields)
+    try:
+        config = ModelConfig.from_dict(fields)
+    except ConfigError as exc:  # a corrupt file, not a usage error
+        raise ValueError(f"{path}: {exc}") from None
     vocab = TagVocabulary(header["vocab_levels"])
     return params, config, vocab, header["step"]

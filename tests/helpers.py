@@ -85,6 +85,15 @@ def edit_checkpoint_header(path, header=None):
                      + raw[12 + hlen:])
 
 
+def argsort_knn(points, k):
+    """k nearest neighbors by a stable argsort of each row of distances
+    summed over an (N, N, 3) difference array."""
+    diff = points[:, None, :] - points[None, :, :]
+    d = np.sqrt((diff ** 2).sum(axis=-1))
+    np.fill_diagonal(d, np.inf)
+    return np.argsort(d, axis=1, kind="stable")[:, :min(k, len(points) - 1)]
+
+
 # ---- scalar oracles for the vectorized data and site_miner paths ----
 
 def scalar_alignment_identity(a: str, b: str) -> float:

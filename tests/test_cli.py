@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import enzydesign
 from enzydesign.cli import UsageError, main, read_motif_file
 from enzydesign.config import ModelConfig
 from enzydesign.parameters import (TagVocabulary, init_parameters,
@@ -298,6 +302,18 @@ class TestExportEmbeddings:
                                       params["emb/tag_l4"].data[idx])
 
 
+def test_import_loads_no_scipy():
+    """numpy is the one runtime dependency: the CLI's imports pull in no
+    scipy module."""
+    src = str(Path(enzydesign.__file__).parents[1])
+    probe = ("import sys; import enzydesign.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "[]\n", done.stdout
+
+
 def _verify_ckpt(path, d=8, tags=("1.1.1.1",)):
     config = ModelConfig(d=d, num_heads=2, attention_sublayers=2,
                          interleave_period=1, k_neighbors=3)
@@ -422,6 +438,13 @@ def _bad_input_files(root, tmp_path):
     header = edit_checkpoint_header(tmp_path / "frozen.ckpt")
     header["config"]["knn_mode"] = "frozen"  # a retired key, not at its value
     edit_checkpoint_header(tmp_path / "frozen.ckpt", header)
+    for name, edit in _HEADER_EDITS.items():
+        (tmp_path / name).write_bytes(raw)
+        edit_checkpoint_header(tmp_path / name,
+                               edit(edit_checkpoint_header(ckpt)))
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    (tmp_path / "header-text.ckpt").write_bytes(
+        raw[:8] + struct.pack("<I", hlen) + b"{" * hlen + raw[12 + hlen:])
     for name, row in (("motif.tsv", "1\tA\t0\t0\t0"),
                       ("far.tsv", "9\tA\t0\t0\t0"),
                       ("residue.tsv", "1\tX\t0\t0\t0"),
@@ -457,6 +480,14 @@ def _corpus_variant(root, sub, key, edits):
     (sub / "run.json").write_text(json.dumps(cfg))
 
 
+# checkpoint file -> its header, edited from the valid one
+_HEADER_EDITS = {
+    "header-array.ckpt": lambda h: [h],
+    "config-number.ckpt": lambda h: {**h, "config": 3},
+    "config-d-string.ckpt": lambda h: {**h, "config": {**h["config"], "d": "x"}},
+    "config-unknown-key.ckpt": lambda h: {**h, "config": {**h["config"],
+                                                          "depth": 2}},
+}
 # run config file -> (section, key, value): one bad value in the toy
 # config; a value of None drops the key
 _CONFIG_EDITS = {
@@ -507,6 +538,26 @@ BAD_INPUTS = {
     "generate-checkpoint-frozen-knn-mode": (1, "frozen.ckpt: model key knn_mode", [
         "generate", "--checkpoint", "{d}/frozen.ckpt", "--motif",
         "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "export-checkpoint-header-array": (
+        1, "header-array.ckpt: header must be a JSON object, got list", [
+            "export-embeddings", "--checkpoint", "{d}/header-array.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "export-checkpoint-header-not-json": (
+        1, "header-text.ckpt: header is not JSON", [
+            "export-embeddings", "--checkpoint", "{d}/header-text.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "export-checkpoint-config-number": (
+        1, "config-number.ckpt: header config must be a JSON object", [
+            "export-embeddings", "--checkpoint", "{d}/config-number.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "export-checkpoint-config-bad-type": (
+        1, "config-d-string.ckpt: model.d must be int, got str", [
+            "export-embeddings", "--checkpoint", "{d}/config-d-string.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "export-checkpoint-config-unknown-key": (
+        1, "config-unknown-key.ckpt: unknown model config key 'depth'", [
+            "export-embeddings", "--checkpoint",
+            "{d}/config-unknown-key.ckpt", "--out", "{d}/e.tsv"]),
     "generate-motif-row-with-four-fields": (2, "short_row.tsv line 2", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/short_row.tsv", "--out", "{d}/o.txt"]),

@@ -6,6 +6,8 @@ from enzydesign import geometry
 from enzydesign.geometry import (GeometryError, apply_rigid, init_coordinates,
                                  knn, pairwise_distances, random_rigid)
 
+from helpers import argsort_knn
+
 
 def brute_force_knn(points, k):
     n = len(points)
@@ -39,6 +41,24 @@ class TestKnn:
             knn(np.zeros((1, 3)), 1)
         with pytest.raises(GeometryError):
             knn(np.zeros((3, 3)), 0)
+
+    @pytest.mark.parametrize("k", [1, 6, 18, 30])
+    def test_lattice_ties_match_stable_argsort(self, k):
+        axis = np.arange(6.0)
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        np.testing.assert_array_equal(knn(pts, k), argsort_knn(pts, k))
+
+    def test_random_walk_matches_stable_argsort(self):
+        pts = np.cumsum(np.random.default_rng(6).normal(size=(512, 3)), axis=0)
+        np.testing.assert_array_equal(knn(pts, 30), argsort_knn(pts, 30))
+        np.testing.assert_array_equal(knn(pts[:40], 50), argsort_knn(pts[:40], 50))
+
+    def test_distances_equal_three_axis_reduction(self):
+        pts = np.random.default_rng(7).normal(scale=10.0, size=(300, 3))
+        diff = pts[:, None, :] - pts[None, :, :]
+        assert np.array_equal(pairwise_distances(pts),
+                              np.sqrt((diff ** 2).sum(axis=-1)))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,96 @@ class TestMatmul:
         check_gradient(lambda t: t @ Tensor(b), rng.normal(size=(2, 4, 5)))
         a = rng.normal(size=(2, 4, 5))
         check_gradient(lambda t: Tensor(a) @ t, rng.normal(size=(5, 3)))
+
+
+class TestLinear:
+    def test_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(10)
+        x, w, b = (rng.normal(size=s) for s in ((6, 5, 4), (4, 3), (3,)))
+        out = nm.linear(Tensor(x), Tensor(w), Tensor(b))
+        assert out.shape == (6, 5, 3)
+        np.testing.assert_allclose(out.data, x @ w + b, rtol=1e-14)
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (6, 3, 4)],
+                             ids=["rows", "edges"])
+    def test_finite_difference_agreement(self, x_shape):
+        rng = np.random.default_rng(11)
+        x, w, b = (rng.normal(size=s) for s in (x_shape, (4, 3), (3,)))
+        check_gradient(lambda t: nm.linear(t, Tensor(w), Tensor(b)), x)
+        check_gradient(lambda t: nm.linear(Tensor(x), t, Tensor(b)), w)
+        check_gradient(lambda t: nm.linear(Tensor(x), Tensor(w), t), b)
+
+    def test_builds_one_tensor(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((6, 5, 4), (4, 3), (3,)))
+        built = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        out = nm.linear(x, w, b)
+        assert built == [out]
+        assert out._parents == (x, w, b)
+
+    @pytest.mark.parametrize("shapes", [((5, 4), (3, 3), (3,)),
+                                        ((5, 4), (4, 3), (4,)),
+                                        ((5, 4), (4,), (4,))])
+    def test_shape_mismatch_rejected(self, shapes):
+        x, w, b = (Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(DimensionError, match="linear shapes disagree"):
+            nm.linear(x, w, b)
+
+
+class TestTakeScatter:
+    """take's backward equals the np.add.at scatter bit for bit."""
+
+    @pytest.mark.parametrize("x_shape,indices", [
+        ((6, 4), [5, 0, 5, 5, 2]),
+        ((6,), [1, 1, 4, 0, 1]),
+        ((7, 3), [[0, 6, 0], [6, 6, 2]]),
+        ((512, 64), np.random.default_rng(13).integers(0, 400, (512, 30))),
+    ], ids=["rows", "vector", "2d-indices", "edges"])
+    def test_equals_add_at(self, x_shape, indices):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        out = nm.take(x, indices)
+        g = rng.normal(size=out.shape)
+        nm.tensor_sum(out * Tensor(g)).backward()
+        expect = np.zeros(x_shape)
+        np.add.at(expect, np.asarray(indices), g)
+        assert np.array_equal(x.grad, expect)
+        absent = np.setdiff1d(np.arange(x_shape[0]), indices)
+        assert absent.size and not x.grad[absent].any()
+
+
+class TestLogistic:
+    def test_within_two_ulp_of_longdouble(self):
+        if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+            pytest.skip("longdouble is no wider than float64 here")
+        x = np.concatenate([np.linspace(-699.9, 699.9, 20001),
+                            np.random.default_rng(15).normal(0, 10, 20000)])
+        xl = x.astype(np.longdouble)
+        ref = 1 / (1 + np.exp(-xl))
+        s = nm.sigmoid(Tensor(x)).data
+        ulp = np.abs(s - ref) / np.spacing(ref.astype(np.float64))
+        assert ulp.max() <= 2.0
+
+    def test_equals_expit_at_edges(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.array([0.0, 709.0, -709.0, 745.0, -745.0, 1e308, -1e308])
+        assert np.array_equal(nm.sigmoid(Tensor(x)).data, special.expit(x))
+
+    def test_exact_at_extremes_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = nm.sigmoid(Tensor([-1e308, 0.0, 1e308])).data
+            silu = nm.silu(Tensor([-1e308, -800.0, 0.0])).data
+        assert s.tolist() == [0.0, 0.5, 1.0]
+        assert silu.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestSoftmax:
@@ -220,7 +311,8 @@ def every_primitive(x):
     """A scalar loss of a positive (4, 3) tensor through every primitive."""
     a = nm.sub(nm.add(nm.relu(x), nm.silu(x)), nm.sigmoid(x))
     b = nm.mul(nm.relu(a), nm.add(nm.sigmoid(a), Tensor(1.0)))
-    c = nm.matmul(nm.transpose(b), nm.layer_norm(b))
+    c = nm.linear(nm.matmul(nm.transpose(b), nm.layer_norm(b)),
+                  Tensor(np.eye(3)[::-1] + 0.5), Tensor([0.1, -0.2, 0.3]))
     d = nm.mul(nm.softmax(c), nm.log_softmax(c))
     e = nm.take(nm.reshape(d, (9, 1)), np.array([0, 2, 5, 2]))
     # (1,) times (4, 3): the gradient is summed back over the broadcast
