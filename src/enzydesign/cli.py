@@ -192,30 +192,26 @@ def cmd_export_embeddings(args) -> int:
 
 def cmd_verify(args) -> int:
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
+    suites = {
+        "equivariance": (lambda: run_equivariance_suite(
+            params, config, trials=args.trials or 50), "SE(3) equivariance"),
+        "gradients": (lambda: run_gradient_suite(params, config, vocab),
+                      "gradient audit"),
+        "binding": (lambda: run_binding_invariance_suite(params, config,
+                                                         trials=25),
+                    "binding invariance"),
+    }
     ok = True
-    if args.suite in ("equivariance", "all"):
-        trials = args.trials or 50
-        res = run_equivariance_suite(params, config, trials=trials)
-        print(f"equivariance: features={res['features']:.3e} "
-              f"logits={res['logits']:.3e} coords={res['coords']:.3e} "
-              f"{'PASS' if res['passed'] else 'FAIL'}")
-        if not res["passed"]:
-            print("failing property: SE(3) equivariance", file=sys.stderr)
-            ok = False
-    if args.suite in ("gradients", "all"):
-        res = run_gradient_suite(params, config, vocab)
-        print(f"gradients: max_relative_error={res['max_relative_error']:.3e} "
-              f"worst={res['worst_tensor']} "
-              f"{'PASS' if res['passed'] else 'FAIL'}")
-        if not res["passed"]:
-            print("failing property: gradient audit", file=sys.stderr)
-            ok = False
-    if args.suite == "all":
-        res = run_binding_invariance_suite(params, config, trials=25)
-        print(f"binding: permutation={res['permutation']:.3e} "
-              f"rigid={res['rigid']:.3e} {'PASS' if res['passed'] else 'FAIL'}")
-        if not res["passed"]:
-            print("failing property: binding invariance", file=sys.stderr)
+    for name, (suite, prop) in suites.items():
+        if args.suite not in (name, "all"):
+            continue
+        res = suite()
+        passed = res.pop("passed")
+        values = " ".join(f"{key}={value:.3e}" if isinstance(value, float)
+                          else f"{key}={value}" for key, value in res.items())
+        print(f"{name}: {values} {'PASS' if passed else 'FAIL'}")
+        if not passed:
+            print(f"failing property: {prop}", file=sys.stderr)
             ok = False
     return 0 if ok else 1
 

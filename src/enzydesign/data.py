@@ -3,8 +3,8 @@
 Enzyme records come from PDB text or a simplified TSV (one residue per
 line), substrates from a small per-atom text format. ``read_table`` reads
 every tab-separated input and names the file and line of a bad row.
-Records are grouped into identity clusters (global alignment, 50%
-threshold by default) so train and held-out splits never share a
+Records are grouped into identity clusters (global alignment,
+``SPLIT_IDENTITY`` = 50%) so train and held-out splits never share a
 cluster. The Needleman-Wunsch fill runs a row at a time as numpy ops,
 and a pair whose length ratio is below the threshold is never aligned,
 since its identity cannot reach it. Every training record gets a
@@ -20,6 +20,9 @@ import numpy as np
 
 from .config import SUBSTRATE_FEATURES
 from .residues import AA_TO_INDEX, AMINO_ACIDS, THREE_TO_ONE, UnknownResidueError
+
+SPLIT_IDENTITY = 0.5      # clusters never straddle a split
+HELD_OUT_FRACTION = 0.1   # of clusters, for test and for valid each
 
 
 class DataError(ValueError):
@@ -110,13 +113,13 @@ class SubstrateRecord:
 
 # ---- coordinate ingestion ----
 
-def parse_pdb(path, record_id: str | None = None) -> EnzymeRecord:
+def parse_pdb(path) -> EnzymeRecord:
     """First-chain Cα trace from PDB-format text.
 
     Keeps altLoc blank or 'A' only. Non-standard residue codes abort the
     record (never remapped to a lookalike type).
     """
-    rid = record_id or Path(path).stem
+    rid = Path(path).stem
     sequence, coords = [], []
     chain = None
     seen = set()
@@ -329,20 +332,16 @@ class SplitManifest:
                    {rid: which for rid, _, which in rows})
 
 
-def make_split_manifest(records, seed: int, threshold: float = 0.5,
-                        valid_fraction: float = 0.1,
-                        test_fraction: float = 0.1) -> SplitManifest:
+def make_split_manifest(records, seed: int) -> SplitManifest:
     """Cluster-level split: whole clusters go to one side, never both."""
-    assignment = cluster_by_identity(records, threshold)
+    assignment = cluster_by_identity(records, SPLIT_IDENTITY)
     cluster_ids = sorted(set(assignment.values()))
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(cluster_ids))
-    n_test = max(1, int(round(test_fraction * len(cluster_ids)))) \
+    n_held = max(1, int(round(HELD_OUT_FRACTION * len(cluster_ids)))) \
         if len(cluster_ids) > 2 else 0
-    n_valid = max(1, int(round(valid_fraction * len(cluster_ids)))) \
-        if len(cluster_ids) > 2 else 0
-    test_set = {cluster_ids[i] for i in order[:n_test]}
-    valid_set = {cluster_ids[i] for i in order[n_test:n_test + n_valid]}
+    test_set = {cluster_ids[i] for i in order[:n_held]}
+    valid_set = {cluster_ids[i] for i in order[n_held:2 * n_held]}
     split = {}
     for rec in records:
         cid = assignment[rec.id]

@@ -156,16 +156,14 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
         raise ConfigError(f"coords shape {x.shape} does not match sequence "
                           f"length {h.shape[0]}")
 
-    neigh_used = 0
+    period = config.interleave_period
     for i in range(config.attention_sublayers):
         h = global_attention_sublayer(h, params, f"attn{i}", config)
-        due = (i + 1) % config.interleave_period == 0
-        if due and neigh_used < config.neighborhood_sublayers:
+        if (i + 1) % period == 0:
             graph = geometry.knn(x.data, config.k_neighbors)
             h, x = neighborhood_sublayer(h, x, graph, params,
-                                         f"neigh{neigh_used}", config,
-                                         motif_mask=known_mask)
-            neigh_used += 1
+                                         f"neigh{(i + 1) // period - 1}",
+                                         config, motif_mask=known_mask)
 
     logits = h @ nm.transpose(params["emb/amino"])
     return logits, x, h

@@ -367,11 +367,16 @@ def log_softmax(x: Tensor, axis=-1) -> Tensor:
     return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (pre-affine)."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (pre-affine),
+    with ``LAYER_NORM_EPS`` = 1e-5 added to the variance."""
     n = x.shape[-1]
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
-    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n)
+                  + LAYER_NORM_EPS)
     y = xc / std
 
     def bw(g):

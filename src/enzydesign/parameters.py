@@ -13,13 +13,15 @@ import struct
 
 import numpy as np
 
-from .config import SUBSTRATE_FEATURES, ConfigError, ModelConfig
-from .numerics import Tensor
+from .config import SUBSTRATE_FEATURES, ConfigError, ModelConfig, check_section
+from .numerics import LAYER_NORM_EPS, Tensor
 from .residues import NUM_AMINO_ACIDS
 
 _MAGIC = b"ENZD0001"
+_HEADER_SPEC = {"config": dict, "vocab_levels": list, "step": int,
+                "param_count": int}
 # Retired model keys that older headers carry, with the value each must hold
-_RETIRED_KEYS = {"knn_mode": "dynamic", "layer_norm_eps": 1e-5,
+_RETIRED_KEYS = {"knn_mode": "dynamic", "layer_norm_eps": LAYER_NORM_EPS,
                  "ffn_multiplier": 4, "substrate_feature_dim": 5}
 
 
@@ -27,41 +29,40 @@ class VocabularyError(KeyError):
     pass
 
 
+def _prefixes(tag: str) -> list[str]:
+    """The four level prefixes of an EC tag: '1.2.3.4' -> '1', '1.2', ..."""
+    parts = tag.split(".")
+    if len(parts) != 4:
+        raise VocabularyError(f"EC tag {tag!r} does not have four levels")
+    return [".".join(parts[: k + 1]) for k in range(4)]
+
+
 class TagVocabulary:
     """Four-level EC tag vocabulary: one string table per level."""
 
     def __init__(self, levels: list[list[str]]):
-        if len(levels) != 4:
-            raise VocabularyError("tag vocabulary needs exactly 4 levels")
+        if not (isinstance(levels, list) and len(levels) == 4 and all(
+                isinstance(lv, list) and all(isinstance(t, str) for t in lv)
+                for lv in levels)):
+            raise VocabularyError("tag vocabulary needs 4 lists of strings")
         self.levels = [list(lv) for lv in levels]
         self._index = [{t: i for i, t in enumerate(lv)} for lv in self.levels]
 
     @classmethod
     def from_tags(cls, tags) -> "TagVocabulary":
         """Build from full four-level tag strings like '1.1.1.1'."""
-        levels = [[] for _ in range(4)]
-        seen = [set() for _ in range(4)]
+        levels = [{} for _ in range(4)]  # insertion-ordered sets
         for tag in tags:
-            parts = tag.split(".")
-            if len(parts) != 4:
-                raise VocabularyError(f"EC tag {tag!r} does not have four levels")
-            for k in range(4):
-                prefix = ".".join(parts[: k + 1])
-                if prefix not in seen[k]:
-                    seen[k].add(prefix)
-                    levels[k].append(prefix)
-        return cls(levels)
+            for level, prefix in zip(levels, _prefixes(tag)):
+                level[prefix] = None
+        return cls([list(level) for level in levels])
 
     def encode(self, tag: str) -> np.ndarray:
-        parts = tag.split(".")
-        if len(parts) != 4:
-            raise VocabularyError(f"EC tag {tag!r} does not have four levels")
         idx = []
-        for k in range(4):
-            prefix = ".".join(parts[: k + 1])
-            if prefix not in self._index[k]:
+        for index, prefix in zip(self._index, _prefixes(tag)):
+            if prefix not in index:
                 raise VocabularyError(f"unknown EC tag component {prefix!r}")
-            idx.append(self._index[k][prefix])
+            idx.append(index[prefix])
         return np.array(idx, dtype=np.intp)
 
     def sizes(self) -> list[int]:
@@ -185,12 +186,6 @@ def load_checkpoint(path):
             header = json.loads(read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: header is not JSON: {exc}") from None
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: header must be a JSON object, "
-                             f"got {type(header).__name__}")
-        if not isinstance(header.get("config"), dict):
-            raise ValueError(f"{path}: header config must be a JSON object, "
-                             f"got {type(header.get('config')).__name__}")
         params: dict[str, Tensor] = {}
         while f.peek(1):
             (nlen,) = struct.unpack("<H", read(2))
@@ -200,16 +195,18 @@ def load_checkpoint(path):
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
             params[name] = Tensor(data.copy(), requires_grad=True)
+    try:  # a corrupt file, not a usage error: ValueError, exit 1
+        check_section("header", header, _HEADER_SPEC,
+                      ("config", "vocab_levels", "step"))
+        fields = dict(header["config"])
+        for key, value in _RETIRED_KEYS.items():
+            if fields.pop(key, value) != value:
+                raise ConfigError(f"model key {key} is no longer settable "
+                                  f"and must be {value!r}")
+        config = ModelConfig.from_dict(fields)
+        vocab = TagVocabulary(header["vocab_levels"])
+    except (ConfigError, VocabularyError) as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from None
     if len(params) < header.get("param_count", 0):
         raise ValueError(f"{path} is truncated")
-    fields = dict(header["config"])
-    for key, value in _RETIRED_KEYS.items():
-        if fields.pop(key, value) != value:
-            raise ValueError(f"{path}: model key {key} is no longer "
-                             f"settable and must be {value!r}")
-    try:
-        config = ModelConfig.from_dict(fields)
-    except ConfigError as exc:  # a corrupt file, not a usage error
-        raise ValueError(f"{path}: {exc}") from None
-    vocab = TagVocabulary(header["vocab_levels"])
     return params, config, vocab, header["step"]

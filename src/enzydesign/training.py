@@ -83,10 +83,10 @@ def joint_loss(logits: Tensor, target_seq, coords_out: Tensor, target_coords,
 class Adam:
     """Adam with constant learning rate over a named parameter dict."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float):
+        self.params, self.lr = params, lr
         # moments start at zero and are stored from a tensor's first update,
         # so a run that takes no step allocates none
         self.m: dict = {}
@@ -95,19 +95,19 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
         for name in sorted(self.params):
             p = self.params[name]
             if p.grad is None:
                 continue
-            self.m[name] = (self.beta1 * self.m.get(name, 0.0)
-                            + (1 - self.beta1) * p.grad)
-            self.v[name] = (self.beta2 * self.v.get(name, 0.0)
-                            + (1 - self.beta2) * p.grad ** 2)
+            self.m[name] = (self.BETA1 * self.m.get(name, 0.0)
+                            + (1 - self.BETA1) * p.grad)
+            self.v[name] = (self.BETA2 * self.v.get(name, 0.0)
+                            + (1 - self.BETA2) * p.grad ** 2)
             mhat = self.m[name] / b1c
             vhat = self.v[name] / b2c
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def _pack_batches(records, budget: int, rng) -> list[list]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -378,6 +379,50 @@ class TestVerifyCommand:
         assert taped == []
         assert all(t.requires_grad for t in params.values())
 
+    def test_all_suites_print_one_line_each(self, small_ckpt, capsys):
+        num = r"\d\.\d{3}e[+-]\d\d"
+        assert main(["verify", "--checkpoint", str(small_ckpt),
+                     "--suite", "all"]) == 0
+        out, err = capsys.readouterr()
+        want = [rf"equivariance: features={num} logits={num} coords={num} PASS",
+                rf"gradients: max_relative_error={num} worst=\S+ PASS",
+                rf"binding: permutation={num} rigid={num} PASS"]
+        lines = out.splitlines()
+        assert len(lines) == 3 and err == "", (out, err)
+        for pattern, line in zip(want, lines):
+            assert re.fullmatch(pattern, line), line
+
+    @pytest.mark.parametrize("failing,prop", [
+        ("equivariance", "SE(3) equivariance"),
+        ("gradients", "gradient audit"), ("binding", "binding invariance")])
+    def test_failing_suite_names_its_property(self, small_ckpt, capsys,
+                                              monkeypatch, failing, prop):
+        import enzydesign.cli as cli
+        results = {
+            "equivariance": {"features": 1e-10, "logits": 2e-10,
+                             "coords": 3e-10},
+            "gradients": {"max_relative_error": 4e-6, "worst": "emb/mask"},
+            "binding": {"permutation": 0.0, "rigid": 0.5},
+        }
+        for name, fn in (("equivariance", "run_equivariance_suite"),
+                         ("gradients", "run_gradient_suite"),
+                         ("binding", "run_binding_invariance_suite")):
+            res = {**results[name], "passed": name != failing}
+            monkeypatch.setattr(cli, fn, lambda *a, res=res, **k: dict(res))
+        assert main(["verify", "--checkpoint", str(small_ckpt),
+                     "--suite", "all"]) == 1
+        out, err = capsys.readouterr()
+        verdict = {name: "FAIL" if name == failing else "PASS"
+                   for name in results}
+        assert out == (
+            "equivariance: features=1.000e-10 logits=2.000e-10 "
+            f"coords=3.000e-10 {verdict['equivariance']}\n"
+            "gradients: max_relative_error=4.000e-06 worst=emb/mask "
+            f"{verdict['gradients']}\n"
+            "binding: permutation=0.000e+00 rigid=5.000e-01 "
+            f"{verdict['binding']}\n")
+        assert err == f"failing property: {prop}\n"
+
     def test_gradient_suite_takes_tag_from_checkpoint(self, tmp_path, capsys):
         ckpt = _verify_ckpt(tmp_path / "m.ckpt", tags=("2.7.1.1",))
         assert main(["verify", "--checkpoint", str(ckpt),
@@ -487,6 +532,13 @@ _HEADER_EDITS = {
     "config-d-string.ckpt": lambda h: {**h, "config": {**h["config"], "d": "x"}},
     "config-unknown-key.ckpt": lambda h: {**h, "config": {**h["config"],
                                                           "depth": 2}},
+    "vocab-missing.ckpt": lambda h: {k: v for k, v in h.items()
+                                     if k != "vocab_levels"},
+    "vocab-number.ckpt": lambda h: {**h, "vocab_levels": 3},
+    "vocab-level-number.ckpt": lambda h: {
+        **h, "vocab_levels": [["1"], ["1.1"], [1], ["1.1.1.1"]]},
+    "step-string.ckpt": lambda h: {**h, "step": "7"},
+    "header-unknown-key.ckpt": lambda h: {**h, "epoch": 1},
 }
 # run config file -> (section, key, value): one bad value in the toy
 # config; a value of None drops the key
@@ -539,7 +591,7 @@ BAD_INPUTS = {
         "generate", "--checkpoint", "{d}/frozen.ckpt", "--motif",
         "{d}/motif.tsv", "--out", "{d}/o.txt"]),
     "export-checkpoint-header-array": (
-        1, "header-array.ckpt: header must be a JSON object, got list", [
+        1, "header-array.ckpt: header config must be a JSON object, got list", [
             "export-embeddings", "--checkpoint", "{d}/header-array.ckpt",
             "--out", "{d}/e.tsv"]),
     "export-checkpoint-header-not-json": (
@@ -547,9 +599,29 @@ BAD_INPUTS = {
             "export-embeddings", "--checkpoint", "{d}/header-text.ckpt",
             "--out", "{d}/e.tsv"]),
     "export-checkpoint-config-number": (
-        1, "config-number.ckpt: header config must be a JSON object", [
+        1, "config-number.ckpt: header.config must be dict, got int", [
             "export-embeddings", "--checkpoint", "{d}/config-number.ckpt",
             "--out", "{d}/e.tsv"]),
+    "export-checkpoint-without-vocab-levels": (
+        1, "vocab-missing.ckpt: header config needs vocab_levels", [
+            "export-embeddings", "--checkpoint", "{d}/vocab-missing.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "export-checkpoint-vocab-levels-number": (
+        1, "vocab-number.ckpt: header.vocab_levels must be list, got int", [
+            "export-embeddings", "--checkpoint", "{d}/vocab-number.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "export-checkpoint-vocab-level-holds-number": (
+        1, "vocab-level-number.ckpt: tag vocabulary needs 4 lists of strings", [
+            "export-embeddings", "--checkpoint",
+            "{d}/vocab-level-number.ckpt", "--out", "{d}/e.tsv"]),
+    "export-checkpoint-step-string": (
+        1, "step-string.ckpt: header.step must be int, got str", [
+            "export-embeddings", "--checkpoint", "{d}/step-string.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "export-checkpoint-header-unknown-key": (
+        1, "header-unknown-key.ckpt: unknown header config key 'epoch'", [
+            "export-embeddings", "--checkpoint",
+            "{d}/header-unknown-key.ckpt", "--out", "{d}/e.tsv"]),
     "export-checkpoint-config-bad-type": (
         1, "config-d-string.ckpt: model.d must be int, got str", [
             "export-embeddings", "--checkpoint", "{d}/config-d-string.ckpt",
