@@ -38,14 +38,13 @@ class DimensionError(NumericsError):
 
 
 def _accumulate(t: "Tensor", g: np.ndarray) -> None:
-    if t.requires_grad:
-        if t.grad is None:
-            # a copy in the memory layout of t.data, so that reductions of
-            # this gradient sum in the same order whatever g's strides
-            t.grad = np.empty_like(t.data)
-            t.grad[...] = g
-        else:
-            t.grad += g
+    if t.grad is None:
+        # a copy in the memory layout of t.data, so that reductions of
+        # this gradient sum in the same order whatever g's strides
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -114,14 +113,15 @@ class Tensor:
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
         tape = _linearize(self)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += np.ones_like(self.data)
+        _accumulate(self, np.ones_like(self.data))
         while tape:
             node = tape.pop()
             if node._backward_fn is not None:
                 if node.grad is not None:
-                    node._backward_fn(node.grad)
+                    grads = node._backward_fn(node.grad)
+                    for p, g in zip(node._parents, grads):
+                        if p.requires_grad:
+                            _accumulate(p, _unbroadcast(g, p.shape))
                 node.grad = node._backward_fn = None
                 node._parents = ()
 
@@ -183,24 +183,21 @@ def _linearize(root: Tensor) -> list:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        return g, g
 
     return Tensor(a.data + b.data, _parents=(a, b), _backward_fn=bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        return g, -g
 
     return Tensor(a.data - b.data, _parents=(a, b), _backward_fn=bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        return g * b.data, g * a.data
 
     return Tensor(a.data * b.data, _parents=(a, b), _backward_fn=bw)
 
@@ -218,10 +215,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        return (np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward_fn=bw)
 
@@ -238,9 +233,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(-1, w.shape[1])
-        _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
-        _accumulate(w, x2.T @ g2)
-        _accumulate(b, g2.sum(axis=0))
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
     return Tensor(y.reshape(x.shape[:-1] + w.shape[1:]), _parents=(x, w, b),
                   _backward_fn=bw)
@@ -250,7 +243,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     def bw(g):
-        _accumulate(x, g * (x.data > 0.0))
+        return (g * (x.data > 0.0),)
 
     return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _backward_fn=bw)
 
@@ -267,7 +260,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s = _logistic(x.data)
 
     def bw(g):
-        _accumulate(x, g * s * (1.0 - s))
+        return (g * s * (1.0 - s),)
 
     return Tensor(s, _parents=(x,), _backward_fn=bw)
 
@@ -276,7 +269,7 @@ def silu(x: Tensor) -> Tensor:
     s = _logistic(x.data)
 
     def bw(g):
-        _accumulate(x, g * (s + x.data * s * (1.0 - s)))
+        return (g * (s + x.data * s * (1.0 - s)),)
 
     return Tensor(x.data * s, _parents=(x,), _backward_fn=bw)
 
@@ -286,7 +279,7 @@ def silu(x: Tensor) -> Tensor:
 def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     def bw(g):
         ge = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(ge, x.shape))
+        return (np.broadcast_to(ge, x.shape),)
 
     return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,),
                   _backward_fn=bw)
@@ -298,24 +291,21 @@ def l2_norm(x: Tensor, axis=-1) -> Tensor:
 
     def bw(g):
         safe = np.where(n == 0.0, 1.0, n)
-        _accumulate(x, g * np.where(n == 0.0, 0.0, x.data / safe))
+        return (g * np.where(n == 0.0, 0.0, x.data / safe),)
 
     return Tensor(n, _parents=(x,), _backward_fn=bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     def bw(g):
-        _accumulate(x, g.reshape(x.shape))
+        return (g.reshape(x.shape),)
 
     return Tensor(x.data.reshape(shape), _parents=(x,), _backward_fn=bw)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     def bw(g):
-        if axes is None:
-            _accumulate(x, np.transpose(g))
-        else:
-            _accumulate(x, np.transpose(g, np.argsort(axes)))
+        return (np.transpose(g, None if axes is None else np.argsort(axes)),)
 
     return Tensor(np.transpose(x.data, axes), _parents=(x,), _backward_fn=bw)
 
@@ -335,7 +325,7 @@ def take(x: Tensor, indices) -> Tensor:
         flat = indices.reshape(-1, 1) * width + np.arange(width)
         gx = np.bincount(flat.reshape(-1), weights=g.reshape(-1),
                          minlength=x.size)
-        _accumulate(x, gx.reshape(x.shape))
+        return (gx.reshape(x.shape),)
 
     return Tensor(x.data[indices], _parents=(x,), _backward_fn=bw)
 
@@ -351,7 +341,7 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot))
+        return (y * (g - dot),)
 
     return Tensor(y, _parents=(x,), _backward_fn=bw)
 
@@ -362,7 +352,7 @@ def log_softmax(x: Tensor, axis=-1) -> Tensor:
     y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
     def bw(g):
-        _accumulate(x, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
     return Tensor(y, _parents=(x,), _backward_fn=bw)
 
@@ -382,7 +372,7 @@ def layer_norm(x: Tensor) -> Tensor:
     def bw(g):
         gy = (g * y).sum(axis=-1, keepdims=True) * (1.0 / n)
         gm = g.sum(axis=-1, keepdims=True) * (1.0 / n)
-        _accumulate(x, (g - gm - y * gy) / std)
+        return ((g - gm - y * gy) / std,)
 
     return Tensor(y, _parents=(x,), _backward_fn=bw)
 
