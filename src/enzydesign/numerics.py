@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Define-by-run: each operation records its parents and a local backward
-rule; ``Tensor.backward`` replays the implicit tape in reverse
-topological order. Everything downstream of this module (attention
-layers, equivariant updates, losses) is built from the primitives here,
-so each backward rule is validated against central finite differences in
-the test suite.
+Define-by-run: each operation records its parents, a backward rule and
+a creation number. A rule is a pure function of the result's gradient
+that returns one gradient per parent, in order; ``Tensor.backward`` is
+the one place that sums each back to its input's shape and accumulates
+it, and it fires the rules newest first. Everything downstream of this
+module (attention layers, equivariant updates, losses) is built from the
+primitives here, so each backward rule is validated against central
+finite differences in the test suite.
 
 The primitives are the ones the model calls: ``add``, ``sub``, ``mul``
 and ``matmul``, which broadcast like numpy and sum their gradients back
@@ -26,7 +28,12 @@ supported.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
+
 import numpy as np
+
+_creation = itertools.count()  # orders the tensors that require a gradient
 
 
 class NumericsError(ValueError):
@@ -66,7 +73,8 @@ class Tensor:
     ``requires_grad`` set receive gradients during ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
+                 "_order")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -77,6 +85,7 @@ class Tensor:
         if self.requires_grad:
             self._parents = tuple(_parents)
             self._backward_fn = _backward_fn
+            self._order = next(_creation)
         else:
             self._parents, self._backward_fn = (), None
         if not np.all(np.isfinite(self.data)):
@@ -98,10 +107,13 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every reachable ``requires_grad`` tensor.
 
-        The loss must be scalar. The implicit tape is linearized once
-        (inputs before outputs) and walked in reverse, so every node's
-        backward rule fires exactly once and fan-out accumulates
-        additively.
+        The loss must be scalar. Rules fire from a heap keyed on the
+        creation number, newest first; an input that has a rule is
+        pushed when it receives its first gradient. A result is always
+        newer than its inputs, so when a node is popped every consumer
+        of it has fired and its gradient is complete: each rule fires
+        exactly once and fan-out accumulates additively. Inputs that
+        require no gradient are skipped.
 
         The graph is consumed: once a node's rule has fired, the node
         drops its ``grad``, its rule and its parents, so memory shrinks
@@ -112,18 +124,17 @@ class Tensor:
             raise DimensionError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
-        tape = _linearize(self)
         _accumulate(self, np.ones_like(self.data))
-        while tape:
-            node = tape.pop()
-            if node._backward_fn is not None:
-                if node.grad is not None:
-                    grads = node._backward_fn(node.grad)
-                    for p, g in zip(node._parents, grads):
-                        if p.requires_grad:
-                            _accumulate(p, _unbroadcast(g, p.shape))
-                node.grad = node._backward_fn = None
-                node._parents = ()
+        heap = [] if self._backward_fn is None else [(-self._order, self)]
+        while heap:
+            node = heapq.heappop(heap)[1]
+            for p, g in zip(node._parents, node._backward_fn(node.grad)):
+                if p.requires_grad:
+                    if p.grad is None and p._backward_fn is not None:
+                        heapq.heappush(heap, (-p._order, p))
+                    _accumulate(p, _unbroadcast(g, p.shape))
+            node.grad = node._backward_fn = None
+            node._parents = ()
 
     # ---- operator sugar ----
 
@@ -157,26 +168,6 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _linearize(root: Tensor) -> list:
-    """Topological order of the graph below ``root`` (inputs first)."""
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
-                stack.append((p, False))
-    return order
 
 
 # ---- binary elementwise (broadcasting) ----

@@ -40,6 +40,19 @@ def check_gradient(op, x, h=1e-5, tol=1e-6):
     assert rel.max() < tol, f"max relative error {rel.max():.3e}"
 
 
+def interior_nodes(root):
+    """Every tensor below ``root`` that records parents, each once."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t._parents:
+                found.append(t)
+                stack.extend(t._parents)
+    return found
+
+
 def mostly(field):
     """A well-formed field three times in four, else short free text."""
     return st.one_of(field, field, field, st.text(max_size=3))

@@ -9,7 +9,7 @@ import enzydesign.numerics as nm
 from enzydesign.numerics import (DimensionError, NumericsError, Tensor,
                                  finite_difference_gradient)
 
-from helpers import check_gradient
+from helpers import check_gradient, interior_nodes
 
 
 class TestMatmul:
@@ -322,6 +322,80 @@ def every_primitive(x):
 
 X_POSITIVE = np.linspace(0.5, 2.0, 12).reshape(4, 3)
 
+# Smooth ops on a (3, 4) node: shape-keeping ones, and ones whose (3, 1),
+# (1, 4) or (4,) result broadcasts against a (3, 4) operand later.
+_W = np.random.default_rng(16).normal(0.0, 0.5, (4, 4))
+_KEEP = (nm.sigmoid, nm.silu, nm.softmax, nm.log_softmax, nm.layer_norm,
+         lambda t: t @ Tensor(_W),
+         lambda t: nm.linear(t, Tensor(_W), Tensor([0.1, 0.0, -0.2, 0.3])),
+         lambda t: nm.transpose(nm.transpose(t)),
+         lambda t: nm.reshape(nm.reshape(t, (12,)), (3, 4)),
+         lambda t: nm.take(t, np.array([2, 0, 0])))
+_REDUCE = (lambda t: nm.tensor_sum(t, axis=1, keepdims=True),
+           lambda t: nm.tensor_sum(t, axis=0, keepdims=True),
+           lambda t: nm.tensor_sum(t, axis=0),
+           lambda t: nm.l2_norm(t))
+_CONSTANT_SHAPES = ((3, 4), (4,), (3, 1), ())
+_ANCHOR = np.random.default_rng(17).uniform(1.0, 2.0, (3, 4))
+
+
+def random_dag(seed):
+    """A scalar loss of a (3, 4) tensor through a random DAG of smooth
+    primitives, fixed by ``seed``: every node is consumed one to three
+    times and constants and broadcasting operands are mixed in. The loss
+    sums the nodes nothing else consumed plus an anchor term ``x * A``,
+    which keeps every gradient entry away from the exact zeros that a
+    path like ``(c - x) + x`` leaves and central differences cannot
+    resolve."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    uses = [1]  # the anchor term consumes x once
+    full = [0]  # indices of (3, 4) nodes
+    for i in range(1, int(rng.integers(4, 12))):
+        free = [j for j in full if uses[j] < 3]
+        if not free:
+            break
+        a = int(rng.choice(free))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            steps.append(("keep", a, int(rng.integers(len(_KEEP)))))
+            full.append(i)
+        elif kind == 1:
+            steps.append(("reduce", a, int(rng.integers(len(_REDUCE)))))
+        else:
+            op = (nm.add, nm.sub, nm.mul)[int(rng.integers(3))]
+            others = [j for j in range(i) if uses[j] < 3 - (j == a)]
+            if others and rng.random() < 0.7:
+                b = int(rng.choice(others))
+                uses[b] += 1
+            else:
+                shape = _CONSTANT_SHAPES[int(rng.integers(4))]
+                b = Tensor(rng.uniform(0.5, 1.5, shape))
+            steps.append(("binary", a, (op, b, bool(rng.integers(2)))))
+            full.append(i)
+        uses[a] += 1
+        uses.append(0)
+
+    def forward(x):
+        nodes = [x]
+        for kind, a, how in steps:
+            if kind == "keep":
+                nodes.append(_KEEP[how](nodes[a]))
+            elif kind == "reduce":
+                nodes.append(_REDUCE[how](nodes[a]))
+            else:
+                op, b, swap = how
+                b = nodes[b] if isinstance(b, int) else b
+                pair = (b, nodes[a]) if swap else (nodes[a], b)
+                nodes.append(op(*pair))
+        total = x * Tensor(_ANCHOR)
+        for t, n in zip(nodes, uses):
+            if n == 0:
+                total = total + t
+        return nm.tensor_sum(total)
+
+    return forward
+
 
 class TestGraphLifetime:
     def test_dropped_graphs_leave_no_cycles(self):
@@ -339,7 +413,7 @@ class TestGraphLifetime:
     def test_backward_consumes_interior_nodes(self):
         x = Tensor(X_POSITIVE.copy(), requires_grad=True)
         loss = every_primitive(x)
-        interior = [t for t in nm._linearize(loss) if t._parents]
+        interior = interior_nodes(loss)
         assert len(interior) > 20
         loss.backward()
         for t in interior:
@@ -349,6 +423,28 @@ class TestGraphLifetime:
             lambda arr: every_primitive(Tensor(arr)).item(), X_POSITIVE.copy())
         rel = np.abs(x.grad - fd) / (np.abs(fd) + 1e-8)
         assert rel.max() < 1e-6
+
+    # fixed examples: central differences at h = 1e-5 miss the 1e-6 bound
+    # on about one random DAG in 3000, where an entry nearly cancels
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_fan_out_graphs(self, seed):
+        """Backward through a random DAG under check_gradient's scalar sum
+        gives the central-difference gradient and consumes every interior
+        node."""
+        forward = random_dag(seed)
+        built = []
+
+        def recorded(t):
+            out = forward(t)
+            if t.requires_grad:
+                built.extend(interior_nodes(out))
+            return out
+
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 4))
+        check_gradient(recorded, x)
+        assert built and all(t.grad is None and t._backward_fn is None
+                             and t._parents == () for t in built)
 
     def test_constant_inputs_record_nothing(self):
         taped = every_primitive(Tensor(X_POSITIVE.copy(), requires_grad=True))
