@@ -190,22 +190,24 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
+# name -> (suite(params, config, vocab, trials), the property it checks)
+SUITES = {
+    "equivariance": (lambda p, c, v, trials: run_equivariance_suite(
+        p, c, trials=trials or 50), "SE(3) equivariance"),
+    "gradients": (lambda p, c, v, trials: run_gradient_suite(p, c, v),
+                  "gradient audit"),
+    "binding": (lambda p, c, v, trials: run_binding_invariance_suite(
+        p, c, trials=25), "binding invariance"),
+}
+
+
 def cmd_verify(args) -> int:
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
-    suites = {
-        "equivariance": (lambda: run_equivariance_suite(
-            params, config, trials=args.trials or 50), "SE(3) equivariance"),
-        "gradients": (lambda: run_gradient_suite(params, config, vocab),
-                      "gradient audit"),
-        "binding": (lambda: run_binding_invariance_suite(params, config,
-                                                         trials=25),
-                    "binding invariance"),
-    }
     ok = True
-    for name, (suite, prop) in suites.items():
+    for name, (suite, prop) in SUITES.items():
         if args.suite not in (name, "all"):
             continue
-        res = suite()
+        res = suite(params, config, vocab, args.trials)
         passed = res.pop("passed")
         values = " ".join(f"{key}={value:.3e}" if isinstance(value, float)
                           else f"{key}={value}" for key, value in res.items())
@@ -251,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites on a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--suite", choices=("equivariance", "gradients", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -40,11 +40,7 @@ def embed_inputs(seq_indices, known_mask, tag_indices, params,
 
     tag_indices = np.asarray(tag_indices, dtype=np.intp)
     for k in range(4):
-        table = params[f"emb/tag_l{k + 1}"]
-        if not 0 <= tag_indices[k] < table.shape[0]:
-            raise KeyError(f"tag index {tag_indices[k]} out of vocabulary "
-                           f"at level {k + 1}")
-        h = h + nm.take(table, tag_indices[k:k + 1])
+        h = h + nm.take(params[f"emb/tag_l{k + 1}"], tag_indices[k:k + 1])
     h = h + nm.take(params["emb/pos"], np.arange(n))
     return h
 

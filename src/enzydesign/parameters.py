@@ -69,70 +69,80 @@ class TagVocabulary:
         return [len(lv) for lv in self.levels]
 
 
-def _init_linear(params, name, fan_in, fan_out, rng, bias=True, zero=False):
-    std = 1.0 / np.sqrt(fan_in)
-    w = np.zeros((fan_in, fan_out)) if zero else rng.normal(0.0, std, (fan_in, fan_out))
-    params[name + "/w"] = Tensor(w, requires_grad=True)
-    if bias:
-        params[name + "/b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+_EMBEDDING = ("normal", 0.02)
+_ZERO = ("constant", 0.0)
 
 
-def _init_neighborhood_block(params, prefix, d, rng, zero_coord_scale=True):
-    # message FFN: [h_i; h_k; dist] -> d, SiLU between the two layers.
-    # neighborhood_messages splits msg1/w by this row layout (rows [0, d)
-    # for h_i, [d, 2d) for h_k, row 2d for dist), so it must not change.
-    _init_linear(params, f"{prefix}/msg1", 2 * d + 1, d, rng)
-    _init_linear(params, f"{prefix}/msg2", d, d, rng)
-    # scalar attention row over messages
-    _init_linear(params, f"{prefix}/attn", d, 1, rng)
-    # per-edge coordinate scale; last layer zero-initialized so coordinate
-    # updates start at rest and grow during training
-    _init_linear(params, f"{prefix}/coord1", d, d, rng)
-    _init_linear(params, f"{prefix}/coord2", d, 1, rng, zero=zero_coord_scale)
-    # gated node update
-    _init_linear(params, f"{prefix}/gate1", d, d, rng)
-    _init_linear(params, f"{prefix}/gate2", d, d, rng)
+def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
+                     zero_coord_scale: bool = True) -> dict:
+    """``{name: (shape, init)}`` of the full model (enzyme + substrate) in
+    draw order. ``init`` is ``("normal", std)``, drawn from the shared
+    generator, or ``("constant", value)``, which draws nothing."""
+    d = config.d
+    layout = {"emb/amino": ((NUM_AMINO_ACIDS, d), _EMBEDDING),
+              "emb/mask": ((d,), _EMBEDDING),
+              "emb/pos": ((config.max_len, d), _EMBEDDING)}
+    for k, size in enumerate(vocab.sizes(), start=1):
+        layout[f"emb/tag_l{k}"] = ((size, d), _EMBEDDING)
+
+    def linear(name, fan_in, fan_out, bias=True, zero=False):
+        layout[name + "/w"] = ((fan_in, fan_out), _ZERO if zero
+                               else ("normal", 1.0 / np.sqrt(fan_in)))
+        if bias:
+            layout[name + "/b"] = ((fan_out,), _ZERO)
+
+    def neighborhood_block(prefix, zero_coord):
+        # message FFN: [h_i; h_k; dist] -> d, SiLU between the two layers.
+        # neighborhood_messages splits msg1/w by this row layout (rows
+        # [0, d) for h_i, [d, 2d) for h_k, row 2d for dist), so it must
+        # not change.
+        linear(f"{prefix}/msg1", 2 * d + 1, d)
+        linear(f"{prefix}/msg2", d, d)
+        # scalar attention row over messages
+        linear(f"{prefix}/attn", d, 1)
+        # per-edge coordinate scale; last layer zero-initialized so
+        # coordinate updates start at rest and grow during training
+        linear(f"{prefix}/coord1", d, d)
+        linear(f"{prefix}/coord2", d, 1, zero=zero_coord)
+        # gated node update
+        linear(f"{prefix}/gate1", d, d)
+        linear(f"{prefix}/gate2", d, d)
+
+    for i in range(config.attention_sublayers):
+        p = f"attn{i}"
+        for proj in ("q", "k", "v", "o"):
+            linear(f"{p}/{proj}", d, d)
+        linear(f"{p}/ffn1", d, 4 * d)
+        linear(f"{p}/ffn2", 4 * d, d)
+        for ln in ("ln1", "ln2"):
+            layout[f"{p}/{ln}/g"] = ((d,), ("constant", 1.0))
+            layout[f"{p}/{ln}/b"] = ((d,), _ZERO)
+    for j in range(config.neighborhood_sublayers):
+        neighborhood_block(f"neigh{j}", zero_coord_scale)
+    linear("sub/input", SUBSTRATE_FEATURES, d, bias=False)
+    # substrate coordinates stay fixed, so substrate_forward never reads
+    # sub{j}/coord1 and coord2; they stay here to keep the draw order
+    for j in range(config.substrate_layers):
+        neighborhood_block(f"sub{j}", True)
+    linear("binding/out", 2 * d, 2, bias=False)
+    return layout
 
 
 def init_parameters(config: ModelConfig, vocab: TagVocabulary, rng,
                     zero_coord_scale: bool = True) -> dict:
-    """Fresh parameter store for the full model (enzyme + substrate).
+    """Fresh parameter store drawn in ``parameter_layout`` order.
 
     ``zero_coord_scale=False`` randomizes the per-edge coordinate scale
     instead of starting it at rest; property suites use this so the
     coordinate path is exercised with generic weights.
     """
     rng = np.random.default_rng(rng)
-    d = config.d
     params: dict[str, Tensor] = {}
-
-    params["emb/amino"] = Tensor(rng.normal(0.0, 0.02, (NUM_AMINO_ACIDS, d)),
-                                 requires_grad=True)
-    params["emb/mask"] = Tensor(rng.normal(0.0, 0.02, d), requires_grad=True)
-    params["emb/pos"] = Tensor(rng.normal(0.0, 0.02, (config.max_len, d)),
-                               requires_grad=True)
-    for k, size in enumerate(vocab.sizes(), start=1):
-        params[f"emb/tag_l{k}"] = Tensor(rng.normal(0.0, 0.02, (size, d)),
-                                         requires_grad=True)
-
-    for i in range(config.attention_sublayers):
-        p = f"attn{i}"
-        for proj in ("q", "k", "v", "o"):
-            _init_linear(params, f"{p}/{proj}", d, d, rng)
-        _init_linear(params, f"{p}/ffn1", d, 4 * d, rng)
-        _init_linear(params, f"{p}/ffn2", 4 * d, d, rng)
-        for ln in ("ln1", "ln2"):
-            params[f"{p}/{ln}/g"] = Tensor(np.ones(d), requires_grad=True)
-            params[f"{p}/{ln}/b"] = Tensor(np.zeros(d), requires_grad=True)
-
-    for j in range(config.neighborhood_sublayers):
-        _init_neighborhood_block(params, f"neigh{j}", d, rng,
-                                 zero_coord_scale=zero_coord_scale)
-
-    _init_linear(params, "sub/input", SUBSTRATE_FEATURES, d, rng, bias=False)
-    for j in range(config.substrate_layers):
-        _init_neighborhood_block(params, f"sub{j}", d, rng)
-    _init_linear(params, "binding/out", 2 * d, 2, rng, bias=False)
+    for name, (shape, (kind, value)) in parameter_layout(
+            config, vocab, zero_coord_scale).items():
+        data = (rng.normal(0.0, value, shape) if kind == "normal"
+                else np.full(shape, value))
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -166,8 +176,10 @@ def save_checkpoint(path, params: dict, config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, vocab, step). A truncated file or a bad
-    header raises ValueError naming the file.
+    """Returns (params, config, vocab, step). A truncated file, a bad
+    header, or a payload whose parameter names or shapes differ from
+    ``parameter_layout`` of the header's model and vocabulary raises
+    ValueError naming the file.
 
     A cut inside a record is caught by the short read; a cut at a record
     boundary by the parameter count in the header, when it has one.
@@ -209,4 +221,11 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: {exc.args[0]}") from None
     if len(params) < header.get("param_count", 0):
         raise ValueError(f"{path} is truncated")
+    layout = parameter_layout(config, vocab)
+    for name in sorted(layout.keys() | params.keys()):
+        have = str(params[name].shape) if name in params else "no entry"
+        need = str(layout[name][0]) if name in layout else "no entry"
+        if have != need:
+            raise ValueError(f"{path}: parameter {name}: payload has {have}, "
+                             f"header's model needs {need}")
     return params, config, vocab, header["step"]

@@ -18,17 +18,12 @@ from .numerics import Tensor
 
 
 def substrate_neighbors(coords: np.ndarray, k: int) -> np.ndarray | None:
-    """Fully connected when the molecule is small, kNN otherwise.
+    """kNN over the atoms; a molecule of at most k + 1 atoms is fully
+    connected, since ``geometry.knn`` clips k to m - 1.
 
     Returns None for a single-atom substrate (no edges).
     """
-    m = coords.shape[0]
-    if m == 1:
-        return None
-    if m - 1 <= k:
-        return np.array([[j for j in range(m) if j != i] for i in range(m)],
-                        dtype=np.intp)
-    return geometry.knn(coords, k)
+    return None if coords.shape[0] == 1 else geometry.knn(coords, k)
 
 
 def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:

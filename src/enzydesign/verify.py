@@ -18,7 +18,7 @@ from .data import EnzymeRecord, SubstrateRecord
 from .enzyme_model import forward_stack
 from .numerics import Tensor, finite_difference_gradient
 from .parameters import TagVocabulary, init_parameters, zero_grads
-from .residues import NUM_AMINO_ACIDS
+from .residues import AMINO_ACIDS, NUM_AMINO_ACIDS
 from .substrate_model import binding_probabilities, substrate_forward
 from .training import record_loss
 
@@ -105,7 +105,7 @@ def run_gradient_suite(params, config: ModelConfig, vocab) -> dict:
     """
     rng = np.random.default_rng(SEED)
     n = 6
-    seq = "".join("ACDEFGHIKLMNPQRSTVWY"[i]
+    seq = "".join(AMINO_ACIDS[i]
                   for i in rng.integers(0, NUM_AMINO_ACIDS, n))
     rec = EnzymeRecord("grad-check", seq, rng.normal(0.0, 3.0, (n, 3)),
                        sites=[0, 2], tag=vocab.levels[3][0])

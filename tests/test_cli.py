@@ -392,6 +392,14 @@ class TestVerifyCommand:
         for pattern, line in zip(want, lines):
             assert re.fullmatch(pattern, line), line
 
+    def test_binding_suite_runs_alone(self, small_ckpt, capsys):
+        num = r"\d\.\d{3}e[+-]\d\d"
+        assert main(["verify", "--checkpoint", str(small_ckpt),
+                     "--suite", "binding"]) == 0
+        out, err = capsys.readouterr()
+        assert re.fullmatch(rf"binding: permutation={num} rigid={num} PASS\n",
+                            out) and err == "", (out, err)
+
     @pytest.mark.parametrize("failing,prop", [
         ("equivariance", "SE(3) equivariance"),
         ("gradients", "gradient audit"), ("binding", "binding invariance")])
@@ -539,6 +547,9 @@ _HEADER_EDITS = {
         **h, "vocab_levels": [["1"], ["1.1"], [1], ["1.1.1.1"]]},
     "step-string.ckpt": lambda h: {**h, "step": "7"},
     "header-unknown-key.ckpt": lambda h: {**h, "epoch": 1},
+    "vocab-longer.ckpt": lambda h: {**h, "vocab_levels": [
+        *h["vocab_levels"][:3], h["vocab_levels"][3] + ["1.1.1.2"]]},
+    "config-d-16.ckpt": lambda h: {**h, "config": {**h["config"], "d": 16}},
 }
 # run config file -> (section, key, value): one bad value in the toy
 # config; a value of None drops the key
@@ -630,6 +641,16 @@ BAD_INPUTS = {
         1, "config-unknown-key.ckpt: unknown model config key 'depth'", [
             "export-embeddings", "--checkpoint",
             "{d}/config-unknown-key.ckpt", "--out", "{d}/e.tsv"]),
+    "export-checkpoint-vocab-longer-than-table": (
+        1, "vocab-longer.ckpt: parameter emb/tag_l4: payload has (1, 8), "
+        "header's model needs (2, 8)", [
+            "export-embeddings", "--checkpoint", "{d}/vocab-longer.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "generate-checkpoint-d-over-smaller-tensors": (
+        1, "config-d-16.ckpt: parameter attn0/ffn1/b: payload has (32,), "
+        "header's model needs (64,)", [
+            "generate", "--checkpoint", "{d}/config-d-16.ckpt", "--motif",
+            "{d}/motif.tsv", "--out", "{d}/o.txt"]),
     "generate-motif-row-with-four-fields": (2, "short_row.tsv line 2", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/short_row.tsv", "--out", "{d}/o.txt"]),
