@@ -141,16 +141,23 @@ def read_motif_file(path):
         tag = tag_part.split()[1]
     except (ValueError, IndexError):
         raise UsageError(f"bad motif header {header.strip()!r}")
+    if n < 2:
+        raise UsageError(f"{path}: design length {n} is below 2")
+    indices = [r[0] for r in rows]
     for idx, res, _ in rows:
         if res not in AA_TO_INDEX:
             raise UsageError(f"motif residue {res!r}")
         if not 0 <= idx < n:
             raise UsageError(f"motif index {idx} outside [0, {n})")
-    return (n, tag, np.array([r[0] for r in rows], dtype=np.intp),
+        if indices.count(idx) > 1:
+            raise UsageError(f"{path}: motif index {idx} given twice")
+    return (n, tag, np.array(indices, dtype=np.intp),
             [r[1] for r in rows], np.array([r[2] for r in rows]))
 
 
 def cmd_generate(args) -> int:
+    if args.num_candidates < 1:
+        raise UsageError("--num-candidates must be at least 1")
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
     n, tag, indices, residues, motif_coords = read_motif_file(args.motif)
     tag = args.tag or tag
@@ -197,11 +204,13 @@ SUITES = {
     "gradients": (lambda p, c, v, trials: run_gradient_suite(p, c, v),
                   "gradient audit"),
     "binding": (lambda p, c, v, trials: run_binding_invariance_suite(
-        p, c, trials=25), "binding invariance"),
+        p, c, trials=trials or 25), "binding invariance"),
 }
 
 
 def cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
     ok = True
     for name, (suite, prop) in SUITES.items():

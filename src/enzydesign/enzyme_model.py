@@ -49,34 +49,21 @@ def _linear(x, params, name):
     return nm.linear(x, params[name + "/w"], params[name + "/b"])
 
 
-def _ln_affine(x, params, name):
-    return nm.layer_norm(x) * params[name + "/g"] + params[name + "/b"]
-
-
 def global_attention_sublayer(h: Tensor, params, prefix: str,
                               config: ModelConfig) -> Tensor:
     """Pre-softmax scaled dot-product MHA + FFN, post-norm residuals."""
-    n, d = h.shape
-    heads = config.num_heads
+    d, heads = h.shape[1], config.num_heads
     if d % heads != 0:
         raise ConfigError(f"d={d} not divisible by {heads} heads")
-    dh = d // heads
+    qkv = (_linear(h, params, f"{prefix}/{w}") for w in "qkv")
+    ctx = _linear(nm.attention(*qkv, heads), params, f"{prefix}/o")
 
-    def split(t):  # (N, d) -> (heads, N, dh)
-        return nm.transpose(nm.reshape(t, (n, heads, dh)), (1, 0, 2))
-
-    q = split(_linear(h, params, f"{prefix}/q"))
-    k = split(_linear(h, params, f"{prefix}/k"))
-    v = split(_linear(h, params, f"{prefix}/v"))
-    scores = (q @ nm.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dh))
-    attn = nm.softmax(scores, axis=-1)
-    ctx = nm.reshape(nm.transpose(attn @ v, (1, 0, 2)), (n, d))
-    ctx = _linear(ctx, params, f"{prefix}/o")
-
-    h_tilde = _ln_affine(ctx + h, params, f"{prefix}/ln1")
+    h_tilde = nm.layer_norm(ctx + h, params[f"{prefix}/ln1/g"],
+                            params[f"{prefix}/ln1/b"])
     ffn = _linear(nm.relu(_linear(h_tilde, params, f"{prefix}/ffn1")),
                   params, f"{prefix}/ffn2")
-    return _ln_affine(ffn + h_tilde, params, f"{prefix}/ln2")
+    return nm.layer_norm(ffn + h_tilde, params[f"{prefix}/ln2/g"],
+                         params[f"{prefix}/ln2/b"])
 
 
 def neighborhood_messages(h: Tensor, x: Tensor, neighbors: np.ndarray,

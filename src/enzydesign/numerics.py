@@ -12,10 +12,10 @@ finite differences in the test suite.
 The primitives are the ones the model calls: ``add``, ``sub``, ``mul``
 and ``matmul``, which broadcast like numpy and sum their gradients back
 to each operand's shape; ``linear`` (``x @ w + b`` over the last axis);
-``relu``, ``sigmoid`` and ``silu``; ``tensor_sum``, ``l2_norm``,
-``reshape``, ``transpose`` and ``take``; and ``softmax``,
-``log_softmax`` and ``layer_norm``. Each is one graph node with a
-closed-form backward rule.
+``relu``, ``sigmoid``, ``silu``, ``tensor_sum``, ``l2_norm``, ``reshape``,
+``take`` and a matrix's ``transpose``; ``softmax``, ``log_softmax``,
+multi-head ``attention`` and the affine ``layer_norm(x, g, b)``. Each is
+one graph node with a closed-form backward rule.
 
 Graph lifetime: a result records its parents and rule only when one of
 its inputs requires a gradient, so a forward pass over constants builds
@@ -294,11 +294,11 @@ def reshape(x: Tensor, shape) -> Tensor:
     return Tensor(x.data.reshape(shape), _parents=(x,), _backward_fn=bw)
 
 
-def transpose(x: Tensor, axes=None) -> Tensor:
+def transpose(x: Tensor) -> Tensor:
     def bw(g):
-        return (np.transpose(g, None if axes is None else np.argsort(axes)),)
+        return (g.T,)
 
-    return Tensor(np.transpose(x.data, axes), _parents=(x,), _backward_fn=bw)
+    return Tensor(x.data.T, _parents=(x,), _backward_fn=bw)
 
 
 def take(x: Tensor, indices) -> Tensor:
@@ -321,20 +321,48 @@ def take(x: Tensor, indices) -> Tensor:
     return Tensor(x.data[indices], _parents=(x,), _backward_fn=bw)
 
 
-# ---- softmax / log-softmax / layer norm ----
+# ---- softmax / attention / log-softmax / layer norm ----
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
     if x.data.ndim == 0 or x.data.shape[axis] == 0:
         raise DimensionError(f"softmax over empty axis of shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
 
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
     return Tensor(y, _parents=(x,), _backward_fn=bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """softmax(q kᵀ / √dh) v on each of ``heads`` column slices of width dh
+    of (N, d) inputs, merged back to (N, d), with a closed-form backward."""
+    n, d = q.shape
+    scale = 1.0 / np.sqrt(d // heads)
+
+    def split(t):  # (N, d) -> (heads, N, dh), a view
+        return t.reshape(n, heads, d // heads).transpose(1, 0, 2)
+
+    def merge(t):  # (heads, N, dh) -> (N, d)
+        return t.transpose(1, 0, 2).reshape(n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = _softmax((qh @ kh.transpose(0, 2, 1)) * scale, -1)
+
+    def bw(g):
+        gh = split(g)
+        dp = gh @ vh.transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
+                merge(p.transpose(0, 2, 1) @ gh))
+
+    return Tensor(merge(p @ vh), _parents=(q, k, v), _backward_fn=bw)
 
 
 def log_softmax(x: Tensor, axis=-1) -> Tensor:
@@ -351,21 +379,22 @@ def log_softmax(x: Tensor, axis=-1) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (pre-affine),
-    with ``LAYER_NORM_EPS`` = 1e-5 added to the variance."""
+def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
+    """``y * g + b`` with y the last axis of ``x`` normalized to zero mean
+    and unit variance, ``LAYER_NORM_EPS`` = 1e-5 added to the variance."""
     n = x.shape[-1]
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
     std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n)
                   + LAYER_NORM_EPS)
     y = xc / std
 
-    def bw(g):
-        gy = (g * y).sum(axis=-1, keepdims=True) * (1.0 / n)
-        gm = g.sum(axis=-1, keepdims=True) * (1.0 / n)
-        return ((g - gm - y * gy) / std,)
+    def bw(go):
+        gn = go * g.data
+        gy = (gn * y).sum(axis=-1, keepdims=True) * (1.0 / n)
+        gm = gn.sum(axis=-1, keepdims=True) * (1.0 / n)
+        return (gn - gm - y * gy) / std, go * y, go
 
-    return Tensor(y, _parents=(x,), _backward_fn=bw)
+    return Tensor(y * g.data + b.data, _parents=(x, g, b), _backward_fn=bw)
 
 
 # ---- finite-difference harness ----

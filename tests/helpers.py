@@ -40,6 +40,25 @@ def check_gradient(op, x, h=1e-5, tol=1e-6):
     assert rel.max() < tol, f"max relative error {rel.max():.3e}"
 
 
+def composite_attention(q, k, v, heads):
+    """Multi-head attention as the model built it from separate primitives
+    before ``numerics.attention``, op for op on numpy arrays: split the
+    heads with reshape and transpose views, ``q @ kᵀ``, times a 0-d
+    1/√dh, softmax over the keys, ``@ v``, then merge the heads."""
+    n, d = q.shape
+    dh = d // heads
+
+    def split(t):
+        return np.transpose(t.reshape(n, heads, dh), (1, 0, 2))
+
+    q, k, v = split(q), split(k), split(v)
+    scores = np.matmul(q, np.transpose(k, (0, 2, 1))) * np.asarray(
+        1.0 / np.sqrt(dh))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return np.transpose(np.matmul(attn, v), (1, 0, 2)).reshape(n, d)
+
+
 def interior_nodes(root):
     """Every tensor below ``root`` that records parents, each once."""
     seen, stack, found = set(), [root], []

@@ -400,6 +400,25 @@ class TestVerifyCommand:
         assert re.fullmatch(rf"binding: permutation={num} rigid={num} PASS\n",
                             out) and err == "", (out, err)
 
+    @pytest.mark.parametrize("suite,argv,trials", [
+        ("equivariance", [], 50), ("equivariance", ["--trials", "3"], 3),
+        ("binding", [], 25), ("binding", ["--trials", "3"], 3)])
+    def test_trials_reach_the_sampled_suites(self, small_ckpt, monkeypatch,
+                                             suite, argv, trials):
+        import enzydesign.cli as cli
+        seen = []
+
+        def spy(params, config, trials):
+            seen.append(trials)
+            return {"passed": True}
+
+        fn = {"equivariance": "run_equivariance_suite",
+              "binding": "run_binding_invariance_suite"}[suite]
+        monkeypatch.setattr(cli, fn, spy)
+        assert main(["verify", "--checkpoint", str(small_ckpt),
+                     "--suite", suite, *argv]) == 0
+        assert seen == [trials]
+
     @pytest.mark.parametrize("failing,prop", [
         ("equivariance", "SE(3) equivariance"),
         ("gradients", "gradient audit"), ("binding", "binding invariance")])
@@ -503,8 +522,10 @@ def _bad_input_files(root, tmp_path):
                       ("residue.tsv", "1\tX\t0\t0\t0"),
                       ("short_row.tsv", "1\tA\t0\t0"),
                       ("nan.tsv", "1\tA\tnan\t0\t0"),
-                      ("inf.tsv", "1\tA\t0\t-inf\t0")):
+                      ("inf.tsv", "1\tA\t0\t-inf\t0"),
+                      ("dup.tsv", "0\tW\t0\t0\t0\n0\tP\t1\t0\t0")):
         (tmp_path / name).write_text(f"length 4, tag 1.1.1.1\n{row}\n")
+    (tmp_path / "one.tsv").write_text("length 1, tag 1.1.1.1\n0\tA\t0\t0\t0\n")
     _, cfg = toy_config(root, tmp_path)
     for name, key, edits in _CORPUS_EDITS:
         _corpus_variant(root, tmp_path / name, key, edits)
@@ -670,6 +691,22 @@ BAD_INPUTS = {
     "generate-motif-inf-coordinate": (2, "inf.tsv line 2", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/inf.tsv",
         "--out", "{d}/o.txt"]),
+    "generate-motif-repeated-index": (2, "dup.tsv: motif index 0 given twice", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/dup.tsv",
+        "--out", "{d}/o.txt"]),
+    "generate-motif-length-one": (2, "one.tsv: design length 1 is below 2", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/one.tsv",
+        "--out", "{d}/o.txt"]),
+    "generate-zero-candidates": (
+        2, "error: --num-candidates must be at least 1\n", [
+            "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
+            "{d}/motif.tsv", "--num-candidates", "0", "--out", "{d}/o.txt"]),
+    "verify-zero-trials": (2, "error: --trials must be at least 1\n", [
+        "verify", "--checkpoint", "{d}/m.ckpt", "--suite", "equivariance",
+        "--trials", "0"]),
+    "verify-negative-trials": (2, "error: --trials must be at least 1\n", [
+        "verify", "--checkpoint", "{d}/m.ckpt", "--suite", "equivariance",
+        "--trials", "-2"]),
     "generate-motif-unknown-residue": (2, "'X'", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/residue.tsv", "--out", "{d}/o.txt"]),
@@ -753,3 +790,4 @@ def test_motif_parser_parses_or_raises_usage_error(body):
     assert n == 4 and tag == "1.1.1.1" and np.all(np.isfinite(coords))
     assert len(indices) == len(residues) == len(coords)
     assert all(0 <= i < 4 for i in indices)
+    assert len(set(indices.tolist())) == len(indices)

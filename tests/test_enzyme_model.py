@@ -138,6 +138,22 @@ class TestGlobalAttention:
         np.testing.assert_allclose(out.data, ln(ffn + ht, "attn0/ln2"),
                                    rtol=1e-12, atol=1e-12)
 
+    def test_builds_twelve_tensors(self, monkeypatch):
+        """q, k, v, attention, o, residual, layer norm, ffn1, relu, ffn2,
+        residual, layer norm: one node each, and no head-split glue."""
+        config, vocab, params = small_setup(d=8, heads=2, sublayers=1)
+        h = Tensor(np.random.default_rng(6).normal(size=(5, 8)))
+        built = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        global_attention_sublayer(h, params, "attn0", config)
+        assert len(built) == 12
+
     def test_head_count_must_divide_d(self):
         config, vocab, params = small_setup(d=8, heads=2, sublayers=1)
         config.num_heads = 3

@@ -9,7 +9,7 @@ import enzydesign.numerics as nm
 from enzydesign.numerics import (DimensionError, NumericsError, Tensor,
                                  finite_difference_gradient)
 
-from helpers import check_gradient, interior_nodes
+from helpers import check_gradient, composite_attention, interior_nodes
 
 
 class TestMatmul:
@@ -228,19 +228,78 @@ class TestFiniteDifference:
         np.testing.assert_array_equal(x, before)
 
 
+# a small scale keeps every_primitive's softmax unsaturated, so none of
+# its gradient entries is small enough for FD roundoff to dominate
+_GAMMA = np.array([0.5, 0.25, -0.2])
+_BETA = np.array([0.2, 0.0, -0.1])
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (6, 3, 4)],
+                             ids=["rows", "edges"])
+    def test_finite_difference_agreement(self, x_shape):
+        rng = np.random.default_rng(18)
+        x, g, b = (rng.normal(size=s) for s in (x_shape, (4,), (4,)))
+        check_gradient(lambda t: nm.layer_norm(t, Tensor(g), Tensor(b)), x)
+        check_gradient(lambda t: nm.layer_norm(Tensor(x), t, Tensor(b)), g)
+        check_gradient(lambda t: nm.layer_norm(Tensor(x), Tensor(g), t), b)
+
+    def test_equals_normalize_then_scale_and_shift(self):
+        rng = np.random.default_rng(19)
+        x, g, b = (rng.normal(size=s) for s in ((5, 4), (4,), (4,)))
+        mu, var = x.mean(-1, keepdims=True), x.var(-1, keepdims=True)
+        expect = (x - mu) / np.sqrt(var + nm.LAYER_NORM_EPS) * g + b
+        out = nm.layer_norm(Tensor(x), Tensor(g), Tensor(b))
+        np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-14)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("n,d,heads", [(1, 4, 1), (6, 8, 2), (12, 8, 8),
+                                           (40, 12, 3), (128, 16, 4)])
+    def test_equals_composite_bit_for_bit(self, n, d, heads):
+        rng = np.random.default_rng(20 + n)
+        q, k, v = (rng.normal(0.0, 2.0, (n, d)) for _ in range(3))
+        out = nm.attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        assert np.array_equal(out.data, composite_attention(q, k, v, heads))
+
+    @pytest.mark.parametrize("n,d,heads", [(5, 4, 1), (5, 6, 2), (3, 6, 3)])
+    def test_finite_difference_agreement(self, n, d, heads):
+        rng = np.random.default_rng(21)
+        qkv = [rng.normal(size=(n, d)) for _ in range(3)]
+        for i in range(3):
+            def op(t, i=i):
+                args = [Tensor(a) for a in qkv]
+                args[i] = t
+                return nm.attention(*args, heads)
+
+            check_gradient(op, qkv[i])
+
+    def test_self_attention_accumulates_all_three_inputs(self):
+        """One tensor as q, k and v gets the sum of the three gradients."""
+        x = np.random.default_rng(22).normal(size=(4, 6))
+        check_gradient(lambda t: nm.attention(t, t, t, 2), x)
+
+
 class TestElementwiseSuite:
     def test_silu_at_zero(self):
         assert nm.silu(Tensor(0.0)).item() == 0.0
 
     def test_layer_norm_constant_vector(self):
-        out = nm.layer_norm(Tensor([3.0, 3.0, 3.0, 3.0]))
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+        """A constant row normalizes to zeros, leaving only the shift b."""
+        b = [0.1, 0.2, -0.3, 0.4]
+        out = nm.layer_norm(Tensor([3.0, 3.0, 3.0, 3.0]),
+                            Tensor([0.5, -2.0, 1.5, 3.0]), Tensor(b))
+        np.testing.assert_allclose(out.data, b, atol=1e-12)
 
-    @pytest.mark.parametrize("op", [nm.layer_norm, nm.log_softmax],
-                             ids=["layer_norm", "log_softmax"])
-    def test_fused_op_builds_one_tensor(self, op, monkeypatch):
-        x = Tensor(np.random.default_rng(8).normal(size=(4, 5)),
-                   requires_grad=True)
+    @pytest.mark.parametrize("op,shapes", [
+        (nm.layer_norm, [(4, 5), (5,), (5,)]),
+        (nm.log_softmax, [(4, 5)]),
+        (lambda q, k, v: nm.attention(q, k, v, 2), [(4, 6)] * 3),
+    ], ids=["layer_norm", "log_softmax", "attention"])
+    def test_fused_op_builds_one_tensor(self, op, shapes, monkeypatch):
+        rng = np.random.default_rng(8)
+        inputs = tuple(Tensor(rng.normal(size=s), requires_grad=True)
+                       for s in shapes)
         built = []
         init = Tensor.__init__
 
@@ -249,9 +308,9 @@ class TestElementwiseSuite:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", counting)
-        out = op(x)
+        out = op(*inputs)
         assert built == [out]
-        assert out._parents == (x,)
+        assert out._parents == inputs
 
     def test_nan_rejected(self):
         with pytest.raises(NumericsError):
@@ -259,13 +318,13 @@ class TestElementwiseSuite:
 
     @pytest.mark.parametrize("op", [
         nm.silu, nm.relu, nm.sigmoid,
-        lambda t: nm.layer_norm(t),
+        lambda t: nm.layer_norm(t, Tensor(_GAMMA), Tensor(_BETA)),
         lambda t: nm.softmax(t, axis=-1),
         lambda t: nm.log_softmax(t, axis=-1),
         lambda t: nm.l2_norm(t, axis=-1),
         lambda t: nm.tensor_sum(t, axis=0),
         lambda t: nm.reshape(t, (3, 10)),
-        lambda t: nm.transpose(t, (1, 0, 2)),
+        lambda t: nm.transpose(nm.reshape(t, (10, 3))),
         lambda t: nm.take(t, np.array([[0, 2], [4, 0]])),
     ], ids=["silu", "relu", "sigmoid", "layer_norm", "softmax", "log_softmax",
             "l2_norm", "sum_axis", "reshape", "transpose", "take"])
@@ -302,7 +361,9 @@ class TestElementwiseSuite:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-50, 50, size=6))
         for op in (nm.silu, nm.relu, nm.sigmoid, lambda t: nm.softmax(t),
-                   lambda t: nm.log_softmax(t), lambda t: nm.layer_norm(t)):
+                   lambda t: nm.log_softmax(t),
+                   lambda t: nm.layer_norm(t, Tensor(np.linspace(-2, 2, 6)),
+                                           Tensor(np.arange(6.0)))):
             out = op(x)
             assert np.all(np.isfinite(out.data))
 
@@ -311,7 +372,9 @@ def every_primitive(x):
     """A scalar loss of a positive (4, 3) tensor through every primitive."""
     a = nm.sub(nm.add(nm.relu(x), nm.silu(x)), nm.sigmoid(x))
     b = nm.mul(nm.relu(a), nm.add(nm.sigmoid(a), Tensor(1.0)))
-    c = nm.linear(nm.matmul(nm.transpose(b), nm.layer_norm(b)),
+    ln = nm.layer_norm(nm.attention(b, a, x, 3), Tensor(_GAMMA),
+                       Tensor(_BETA))
+    c = nm.linear(nm.matmul(nm.transpose(b), ln),
                   Tensor(np.eye(3)[::-1] + 0.5), Tensor([0.1, -0.2, 0.3]))
     d = nm.mul(nm.softmax(c), nm.log_softmax(c))
     e = nm.take(nm.reshape(d, (9, 1)), np.array([0, 2, 5, 2]))
@@ -325,7 +388,11 @@ X_POSITIVE = np.linspace(0.5, 2.0, 12).reshape(4, 3)
 # Smooth ops on a (3, 4) node: shape-keeping ones, and ones whose (3, 1),
 # (1, 4) or (4,) result broadcasts against a (3, 4) operand later.
 _W = np.random.default_rng(16).normal(0.0, 0.5, (4, 4))
-_KEEP = (nm.sigmoid, nm.silu, nm.softmax, nm.log_softmax, nm.layer_norm,
+_GAMMA_4 = np.array([0.5, -1.5, 2.0, 1.0])
+_BETA_4 = np.array([0.3, 0.0, -0.4, 0.7])
+_KEEP = (nm.sigmoid, nm.silu, nm.softmax, nm.log_softmax,
+         lambda t: nm.layer_norm(t, Tensor(_GAMMA_4), Tensor(_BETA_4)),
+         lambda t: nm.attention(t, t @ Tensor(_W), t, 2),
          lambda t: t @ Tensor(_W),
          lambda t: nm.linear(t, Tensor(_W), Tensor([0.1, 0.0, -0.2, 0.3])),
          lambda t: nm.transpose(nm.transpose(t)),
