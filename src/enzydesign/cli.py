@@ -140,15 +140,15 @@ def read_motif_file(path):
         n = int(length_part.split()[1])
         tag = tag_part.split()[1]
     except (ValueError, IndexError):
-        raise UsageError(f"bad motif header {header.strip()!r}")
+        raise UsageError(f"{path}: bad motif header {header.strip()!r}")
     if n < 2:
         raise UsageError(f"{path}: design length {n} is below 2")
     indices = [r[0] for r in rows]
     for idx, res, _ in rows:
         if res not in AA_TO_INDEX:
-            raise UsageError(f"motif residue {res!r}")
+            raise UsageError(f"{path}: motif residue {res!r}")
         if not 0 <= idx < n:
-            raise UsageError(f"motif index {idx} outside [0, {n})")
+            raise UsageError(f"{path}: motif index {idx} outside [0, {n})")
         if indices.count(idx) > 1:
             raise UsageError(f"{path}: motif index {idx} given twice")
     return (n, tag, np.array(indices, dtype=np.intp),
@@ -160,6 +160,9 @@ def cmd_generate(args) -> int:
         raise UsageError("--num-candidates must be at least 1")
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
     n, tag, indices, residues, motif_coords = read_motif_file(args.motif)
+    if n > config.max_len:  # before --out is created
+        raise UsageError(f"{args.motif}: design length {n} exceeds max_len "
+                         f"{config.max_len}")
     tag = args.tag or tag
     tag_idx = vocab.encode(tag)
     for t in params.values():  # forward only: constants build no graph

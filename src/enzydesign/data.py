@@ -155,12 +155,6 @@ def parse_pdb(path) -> EnzymeRecord:
     return EnzymeRecord(rid, "".join(sequence), np.array(coords))
 
 
-def write_tsv(path, record: EnzymeRecord) -> None:
-    with open(path, "w") as f:
-        for i, (aa, xyz) in enumerate(zip(record.sequence, record.coords)):
-            f.write(f"{record.id}\t{aa}\t{xyz[0]:.6f}\t{xyz[1]:.6f}\t{xyz[2]:.6f}\n")
-
-
 def read_tsv(path) -> EnzymeRecord:
     """One record per file: every row carries the first row's id."""
     ids = []
@@ -195,14 +189,6 @@ def ingest_directory(directory) -> list[EnzymeRecord]:
 
 
 # ---- substrate files ----
-
-def write_substrate(path, sub: SubstrateRecord) -> None:
-    with open(path, "w") as f:
-        f.write(f"{sub.id}\t{sub.features.shape[0]}\n")
-        for feats, xyz in zip(sub.features, sub.coords):
-            feat_field = " ".join(f"{v:.6f}" for v in feats)
-            f.write(f"{feat_field}\t{xyz[0]:.6f}\t{xyz[1]:.6f}\t{xyz[2]:.6f}\n")
-
 
 def _substrate_atom(feat_field, x, y, z):
     feats = [float(v) for v in feat_field.split()]
@@ -317,19 +303,10 @@ class SplitManifest:
     assignment: dict                 # record id -> cluster id
     split: dict                      # record id -> 'train' | 'valid' | 'test'
 
-    def ids(self, which: str) -> list:
-        return sorted(r for r, s in self.split.items() if s == which)
-
     def write(self, path) -> None:
         with open(path, "w") as f:
             for rid in sorted(self.split):
                 f.write(f"{rid}\t{self.assignment[rid]}\t{self.split[rid]}\n")
-
-    @classmethod
-    def read(cls, path) -> "SplitManifest":
-        rows = read_table(path, 3, lambda rid, c, which: (rid, int(c), which))
-        return cls({rid: cid for rid, cid, _ in rows},
-                   {rid: which for rid, _, which in rows})
 
 
 def make_split_manifest(records, seed: int) -> SplitManifest:

@@ -66,34 +66,41 @@ def global_attention_sublayer(h: Tensor, params, prefix: str,
                          params[f"{prefix}/ln2/b"])
 
 
-def neighborhood_messages(h: Tensor, x: Tensor, neighbors: np.ndarray,
-                          params, prefix: str):
-    """Softmax-weighted edge messages m_ik over each node's neighbor list.
+def edge_projections(h: Tensor, params, prefix: str):
+    """(h W_i, h W_k) over all N rows, with W_i and W_k rows [0, d) and
+    [d, 2d) of the first message layer's W (row 2d is w_d)."""
+    w1, d = params[f"{prefix}/msg1/w"], h.shape[1]
+    return h @ nm.take(w1, np.arange(d)), h @ nm.take(w1, np.arange(d, 2 * d))
 
-    Returns (weighted messages (N,K,d), weights (N,K,1), radial vectors
-    x_i − x_k (N,K,3)). The only coordinate dependence is through the
+
+def neighborhood_messages(proj, x: Tensor, neighbors: np.ndarray, params,
+                          prefix: str, rows=None):
+    """Softmax-weighted edge messages m_ik of the centers ``rows`` (all
+    when None), whose neighbor lists are ``neighbors``.
+
+    Returns (weighted messages (R,K,d), weights (R,K,1), radial vectors
+    x_i − x_k (R,K,3)). The only coordinate dependence is through the
     pairwise distance, which keeps the whole block rigid-motion
-    invariant.
-
-    The first message layer is W·[h_i; h_k; d_ik] + b, computed as
-    (hW_i)_i + (hW_k)_k + d_ik·w_d + b with W split by its row layout,
-    so both products run over N rows and no (N,K,2d+1) input is built.
+    invariant. The first message layer W·[h_i; h_k; d_ik] + b is
+    (hW_i)_i + (hW_k)_k + d_ik·w_d + b, from ``edge_projections``'s
+    ``proj``, so no (R,K,2d+1) input is built.
     """
-    n, d = h.shape
-    rel = nm.reshape(x, (n, 1, 3)) - nm.take(x, neighbors)
+    (hw_i, hw_k), x_i = proj, x
+    if rows is not None:
+        hw_i, x_i = nm.take(hw_i, rows), nm.take(x, rows)
+    r, d = hw_i.shape
+    rel = nm.reshape(x_i, (r, 1, 3)) - nm.take(x, neighbors)
     dist = nm.l2_norm(rel, axis=-1)
-    w1 = params[f"{prefix}/msg1/w"]
-    pre = (nm.reshape(h @ nm.take(w1, np.arange(d)), (n, 1, d))
-           + nm.take(h @ nm.take(w1, np.arange(d, 2 * d)), neighbors)
-           + dist * nm.take(w1, [2 * d]) + params[f"{prefix}/msg1/b"])
+    pre = (nm.reshape(hw_i, (r, 1, d)) + nm.take(hw_k, neighbors)
+           + dist * nm.take(params[f"{prefix}/msg1/w"], [2 * d])
+           + params[f"{prefix}/msg1/b"])
     m = nm.silu(_linear(nm.silu(pre), params, f"{prefix}/msg2"))
     w = nm.softmax(_linear(m, params, f"{prefix}/attn"), axis=1)
     return w * m, w, rel
 
 
-def gated_node_update(h: Tensor, messages: Tensor, params, prefix: str) -> Tensor:
+def gated_node_update(h: Tensor, g: Tensor, params, prefix: str) -> Tensor:
     """h_i ← h_i + σ(FFN(g_i)) ⊙ g_i with g_i the aggregated message."""
-    g = nm.tensor_sum(messages, axis=1)
     gate = nm.sigmoid(_linear(nm.relu(_linear(g, params, f"{prefix}/gate1")),
                               params, f"{prefix}/gate2"))
     return h + gate * g
@@ -107,18 +114,26 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors: np.ndarray,
     Coordinates move along the radial directions x_i − x_k scaled by a
     per-edge scalar, which preserves SE(3) equivariance. When
     ``freeze_motif_coords`` is set, motif rows keep their incoming
-    coordinates.
+    coordinates. The edge block runs ``numerics.ROW_TILE`` centers at a
+    time.
     """
-    m, _, rel = neighborhood_messages(h, x, neighbors, params, prefix)
-
-    scale = _linear(nm.silu(_linear(m, params, f"{prefix}/coord1")),
-                    params, f"{prefix}/coord2")
-    x_new = x + nm.tensor_sum(rel * scale, axis=1)
+    n, tile = h.shape[0], nm.ROW_TILE
+    proj = edge_projections(h, params, prefix)
+    deltas, aggregates = [], []
+    for lo in range(0, n, tile):
+        rows = None if n <= tile else np.arange(lo, min(lo + tile, n))
+        m, _, rel = neighborhood_messages(proj, x, neighbors[lo:lo + tile],
+                                          params, prefix, rows)
+        scale = _linear(nm.silu(_linear(m, params, f"{prefix}/coord1")),
+                        params, f"{prefix}/coord2")
+        deltas.append(nm.tensor_sum(rel * scale, axis=1))
+        aggregates.append(nm.tensor_sum(m, axis=1))
+    x_new = x + nm.concat(deltas)
     if config.freeze_motif_coords and motif_mask is not None:
         keep = Tensor(np.asarray(motif_mask, dtype=np.float64)[:, None])
         x_new = x * keep + x_new * (1.0 - keep)
 
-    h_new = gated_node_update(h, m, params, prefix)
+    h_new = gated_node_update(h, nm.concat(aggregates), params, prefix)
     return h_new, x_new
 
 

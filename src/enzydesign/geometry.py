@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import numerics as nm
+
 CA_BOND_LENGTH = 3.75  # Ångström, consecutive Cα-Cα distance
 
 
@@ -15,16 +17,18 @@ class GeometryError(ValueError):
     pass
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Full N×N Euclidean distance matrix.
+def pairwise_distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each row of ``points`` to each row of
+    ``others``.
 
     Squared differences are summed one axis at a time, x + y then + z,
-    so no (N, N, 3) temporary is built.
+    so no (N, M, 3) temporary is built.
     """
     points = np.asarray(points, dtype=np.float64)
-    sq = np.zeros((points.shape[0],) * 2)
-    for col in points.T:
-        diff = np.subtract.outer(col, col)
+    others = np.asarray(others, dtype=np.float64)
+    sq = np.zeros((points.shape[0], others.shape[0]))
+    for a, b in zip(points.T, others.T):
+        diff = np.subtract.outer(a, b)
         diff *= diff
         sq += diff
     return np.sqrt(sq, out=sq)
@@ -36,7 +40,8 @@ def knn(points: np.ndarray, k: int) -> np.ndarray:
     Returns an (N, min(k, N-1)) int array. Neighbors are ordered by
     increasing distance; ties broken by lower index (the order of a
     stable sort of each row), so the graph is deterministic and invariant
-    under rigid motion for generic point sets.
+    under rigid motion for generic point sets. Rows are ranked
+    ``numerics.ROW_TILE`` at a time.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -45,18 +50,25 @@ def knn(points: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise GeometryError(f"knn needs k >= 1, got {k}")
     k = min(k, n - 1)
-    d = pairwise_distances(points)
-    np.fill_diagonal(d, np.inf)
-    # the k smallest of each row, ordered by (distance, index)
-    near = np.argpartition(d, k - 1, axis=1)[:, :k]
-    near_d = np.take_along_axis(d, near, axis=1)
-    order = np.take_along_axis(near, np.lexsort((near, near_d), axis=1), axis=1)
-    # a row whose k-th distance recurs past the cut may have kept the
-    # wrong one of the tied indices: those rows take the stable sort
-    tied = (d <= near_d.max(axis=1, keepdims=True)).sum(axis=1) > k
-    if tied.any():
-        order[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
-    return order.astype(np.intp)
+    tiles = []
+    for lo in range(0, n, nm.ROW_TILE):
+        d = pairwise_distances(points[lo:lo + nm.ROW_TILE], points)
+        np.fill_diagonal(d[:, lo:], np.inf)
+        if 2 * k >= n:  # most of each row is kept: one stable sort is cheaper
+            tiles.append(np.argsort(d, axis=1, kind="stable")[:, :k])
+            continue
+        # the k smallest of each row, ordered by (distance, index)
+        near = np.argpartition(d, k - 1, axis=1)[:, :k]
+        near_d = np.take_along_axis(d, near, axis=1)
+        order = np.take_along_axis(near, np.lexsort((near, near_d), axis=1),
+                                   axis=1)
+        # a row whose k-th distance recurs past the cut may have kept the
+        # wrong one of the tied indices: those rows take the stable sort
+        tied = (d <= near_d.max(axis=1, keepdims=True)).sum(axis=1) > k
+        if tied.any():
+            order[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+        tiles.append(order)
+    return np.concatenate(tiles)
 
 
 def random_rigid(rng) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,10 @@ The primitives are the ones the model calls: ``add``, ``sub``, ``mul``
 and ``matmul``, which broadcast like numpy and sum their gradients back
 to each operand's shape; ``linear`` (``x @ w + b`` over the last axis);
 ``relu``, ``sigmoid``, ``silu``, ``tensor_sum``, ``l2_norm``, ``reshape``,
-``take`` and a matrix's ``transpose``; ``softmax``, ``log_softmax``,
-multi-head ``attention`` and the affine ``layer_norm(x, g, b)``. Each is
-one graph node with a closed-form backward rule.
+``take``, ``concat`` along axis 0 and a matrix's ``transpose``;
+``softmax``, ``log_softmax``, multi-head ``attention`` and the affine
+``layer_norm(x, g, b)``. Each is one graph node with a closed-form
+backward rule.
 
 Graph lifetime: a result records its parents and rule only when one of
 its inputs requires a gradient, so a forward pass over constants builds
@@ -34,6 +35,10 @@ import itertools
 import numpy as np
 
 _creation = itertools.count()  # orders the tensors that require a gradient
+
+# Rows per block of the forward work that grows with N² or N·K (attention
+# queries, neighborhood edges, kNN distances), read at call time.
+ROW_TILE = 128
 
 
 class NumericsError(ValueError):
@@ -321,6 +326,19 @@ def take(x: Tensor, indices) -> Tensor:
     return Tensor(x.data[indices], _parents=(x,), _backward_fn=bw)
 
 
+def concat(parts) -> Tensor:
+    """Join tensors along axis 0; a single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    ends = np.cumsum([t.shape[0] for t in parts])[:-1]
+
+    def bw(g):
+        return np.split(g, ends)
+
+    return Tensor(np.concatenate([t.data for t in parts]), _parents=tuple(parts),
+                  _backward_fn=bw)
+
+
 # ---- softmax / attention / log-softmax / layer norm ----
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -342,18 +360,27 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """softmax(q kᵀ / √dh) v on each of ``heads`` column slices of width dh
-    of (N, d) inputs, merged back to (N, d), with a closed-form backward."""
+    of (N, d) inputs, merged back to (N, d), with a closed-form backward.
+    The forward runs ``ROW_TILE`` query rows at a time; the (heads, N, N)
+    weights are kept only for the backward."""
     n, d = q.shape
     scale = 1.0 / np.sqrt(d // heads)
 
-    def split(t):  # (N, d) -> (heads, N, dh), a view
-        return t.reshape(n, heads, d // heads).transpose(1, 0, 2)
+    def split(t):  # (rows, d) -> (heads, rows, dh), a view
+        return t.reshape(-1, heads, d // heads).transpose(1, 0, 2)
 
-    def merge(t):  # (heads, N, dh) -> (N, d)
-        return t.transpose(1, 0, 2).reshape(n, d)
+    def merge(t):  # (heads, rows, dh) -> (rows, d)
+        return t.transpose(1, 0, 2).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = _softmax((qh @ kh.transpose(0, 2, 1)) * scale, -1)
+    grad = q.requires_grad or k.requires_grad or v.requires_grad
+    out, p = np.empty((n, d)), np.empty((heads, n, n)) if grad else None
+    for lo in range(0, n, ROW_TILE):
+        rows = slice(lo, lo + ROW_TILE)
+        pt = _softmax((qh[:, rows] @ kh.transpose(0, 2, 1)) * scale, -1)
+        out[rows] = merge(pt @ vh)
+        if p is not None:
+            p[:, rows] = pt
 
     def bw(g):
         gh = split(g)
@@ -362,7 +389,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
                 merge(p.transpose(0, 2, 1) @ gh))
 
-    return Tensor(merge(p @ vh), _parents=(q, k, v), _backward_fn=bw)
+    return Tensor(out, _parents=(q, k, v), _backward_fn=bw)
 
 
 def log_softmax(x: Tensor, axis=-1) -> Tensor:

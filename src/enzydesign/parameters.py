@@ -93,9 +93,9 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
 
     def neighborhood_block(prefix, zero_coord):
         # message FFN: [h_i; h_k; dist] -> d, SiLU between the two layers.
-        # neighborhood_messages splits msg1/w by this row layout (rows
-        # [0, d) for h_i, [d, 2d) for h_k, row 2d for dist), so it must
-        # not change.
+        # edge_projections and neighborhood_messages split msg1/w by this
+        # row layout (rows [0, d) for h_i, [d, 2d) for h_k, row 2d for
+        # dist), so it must not change.
         linear(f"{prefix}/msg1", 2 * d + 1, d)
         linear(f"{prefix}/msg2", d, d)
         # scalar attention row over messages

@@ -13,7 +13,8 @@ import numpy as np
 from . import geometry
 from . import numerics as nm
 from .config import SUBSTRATE_FEATURES, ModelConfig
-from .enzyme_model import gated_node_update, neighborhood_messages
+from .enzyme_model import (edge_projections, gated_node_update,
+                           neighborhood_messages)
 from .numerics import Tensor
 
 
@@ -43,8 +44,10 @@ def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:
     for layer in range(config.substrate_layers):
         if neighbors is None:
             continue  # zero aggregate: the gated update is the identity
-        m, _, _ = neighborhood_messages(h, x, neighbors, params, f"sub{layer}")
-        h = gated_node_update(h, m, params, f"sub{layer}")
+        prefix = f"sub{layer}"
+        m, _, _ = neighborhood_messages(edge_projections(h, params, prefix), x,
+                                        neighbors, params, prefix)
+        h = gated_node_update(h, nm.tensor_sum(m, axis=1), params, prefix)
     return h
 
 

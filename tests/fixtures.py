@@ -8,14 +8,31 @@ memorized within a 500-step budget.
 """
 import numpy as np
 
-from enzydesign.data import (EnzymeRecord, SubstrateRecord, write_substrate,
-                             write_tsv)
+from enzydesign.data import EnzymeRecord, SubstrateRecord
 from enzydesign.residues import AMINO_ACIDS
 from enzydesign.site_miner import SiteAnnotation, write_site_manifest
 
 TOY_LENGTH = 12
 TOY_RECORDS = 8
 TOY_SUBSTRATES = 3
+
+
+def write_tsv(path, record: EnzymeRecord) -> None:
+    """A record in the TSV layout ``data.read_tsv`` reads."""
+    with open(path, "w") as f:
+        for aa, xyz in zip(record.sequence, record.coords):
+            f.write(f"{record.id}\t{aa}\t{xyz[0]:.6f}\t{xyz[1]:.6f}\t"
+                    f"{xyz[2]:.6f}\n")
+
+
+def write_substrate(path, sub: SubstrateRecord) -> None:
+    """A substrate in the layout ``data.read_substrate`` reads."""
+    with open(path, "w") as f:
+        f.write(f"{sub.id}\t{sub.features.shape[0]}\n")
+        for feats, xyz in zip(sub.features, sub.coords):
+            feat_field = " ".join(f"{v:.6f}" for v in feats)
+            f.write(f"{feat_field}\t{xyz[0]:.6f}\t{xyz[1]:.6f}\t"
+                    f"{xyz[2]:.6f}\n")
 
 
 def free_positions(length: int) -> list[int]:

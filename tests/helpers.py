@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import enzydesign.numerics as nm
+from enzydesign.data import SplitManifest, read_table
 from enzydesign.numerics import Tensor, finite_difference_gradient
 from enzydesign.site_miner import GAP_CHARS
 
@@ -115,6 +116,13 @@ def edit_checkpoint_header(path, header=None):
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
                      + raw[12 + hlen:])
+
+
+def read_split_manifest(path) -> SplitManifest:
+    """The manifest ``SplitManifest.write`` wrote to ``path``."""
+    rows = read_table(path, 3, lambda rid, c, which: (rid, int(c), which))
+    return SplitManifest({rid: cid for rid, cid, _ in rows},
+                         {rid: which for rid, _, which in rows})
 
 
 def argsort_knn(points, k):

@@ -462,8 +462,8 @@ class TestVerifyCommand:
         import enzydesign.enzyme_model as em
         original = em.neighborhood_messages
 
-        def leaky(h, x, neighbors, params, prefix):
-            m, w, rel = original(h, x, neighbors, params, prefix)
+        def leaky(proj, x, neighbors, params, prefix, rows=None):
+            m, w, rel = original(proj, x, neighbors, params, prefix, rows)
             from enzydesign.numerics import Tensor
             import enzydesign.numerics as nm
             # x * 1e-3 into the first three channels of every message
@@ -526,6 +526,9 @@ def _bad_input_files(root, tmp_path):
                       ("dup.tsv", "0\tW\t0\t0\t0\n0\tP\t1\t0\t0")):
         (tmp_path / name).write_text(f"length 4, tag 1.1.1.1\n{row}\n")
     (tmp_path / "one.tsv").write_text("length 1, tag 1.1.1.1\n0\tA\t0\t0\t0\n")
+    (tmp_path / "long.tsv").write_text("length 5000, tag 1.1.1.1\n"
+                                       "0\tA\t0\t0\t0\n")
+    (tmp_path / "header.tsv").write_text("length 4 tag 1.1.1.1\n0\tA\t0\t0\t0\n")
     _, cfg = toy_config(root, tmp_path)
     for name, key, edits in _CORPUS_EDITS:
         _corpus_variant(root, tmp_path / name, key, edits)
@@ -682,7 +685,8 @@ BAD_INPUTS = {
     "generate-missing-motif": (1, "none.tsv", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/none.tsv",
         "--out", "{d}/o.txt"]),
-    "generate-motif-index-outside-length": (2, "index 9", [
+    "generate-motif-index-outside-length": (
+        2, "far.tsv: motif index 9 outside [0, 4)", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/far.tsv",
         "--out", "{d}/o.txt"]),
     "generate-motif-nan-coordinate": (2, "nan.tsv line 2", [
@@ -697,6 +701,13 @@ BAD_INPUTS = {
     "generate-motif-length-one": (2, "one.tsv: design length 1 is below 2", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/one.tsv",
         "--out", "{d}/o.txt"]),
+    "generate-motif-longer-than-max-len": (
+        2, "long.tsv: design length 5000 exceeds max_len 512", [
+            "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
+            "{d}/long.tsv", "--out", "{d}/o.txt"]),
+    "generate-motif-bad-header": (2, "header.tsv: bad motif header", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
+        "{d}/header.tsv", "--out", "{d}/o.txt"]),
     "generate-zero-candidates": (
         2, "error: --num-candidates must be at least 1\n", [
             "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
@@ -707,7 +718,7 @@ BAD_INPUTS = {
     "verify-negative-trials": (2, "error: --trials must be at least 1\n", [
         "verify", "--checkpoint", "{d}/m.ckpt", "--suite", "equivariance",
         "--trials", "-2"]),
-    "generate-motif-unknown-residue": (2, "'X'", [
+    "generate-motif-unknown-residue": (2, "residue.tsv: motif residue 'X'", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/residue.tsv", "--out", "{d}/o.txt"]),
     "train-tag-line-without-tab": (1, "tags.tsv line 1", [
@@ -772,6 +783,7 @@ def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
         return
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
+    assert not (tmp_path / "o.txt").exists()  # no designs file on failure
 
 
 _MOTIF = table(integer(-1, 4), mostly(st.sampled_from("ACWX")),

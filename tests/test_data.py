@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import enzydesign.data as data
-from enzydesign.data import (DataError, EnzymeRecord, SplitManifest,
-                             SubstrateRecord, assemble_dataset,
-                             cluster_by_identity,
+from enzydesign.data import (DataError, EnzymeRecord, SubstrateRecord,
+                             assemble_dataset, cluster_by_identity,
                              global_alignment_identity, ingest_directory,
                              make_split_manifest, parse_pdb,
                              read_pairing_manifest, read_substrate, read_tags,
-                             read_tsv, write_substrate, write_tsv)
+                             read_tsv)
 from enzydesign.residues import AMINO_ACIDS, UnknownResidueError
-from fixtures import make_toy_corpus
-from helpers import (COORD, NAME, integer, mostly, read_text_as,
-                     scalar_alignment_identity, table)
+from fixtures import make_toy_corpus, write_substrate, write_tsv
+from helpers import (COORD, NAME, integer, mostly, read_split_manifest,
+                     read_text_as, scalar_alignment_identity, table)
 
 
 def pdb_line(serial, resname, chain, resseq, x, y, z, altloc=" ", icode=" ",
@@ -294,7 +293,7 @@ class TestSplits:
         manifest = make_split_manifest(records, seed=1)
         path = tmp_path / "splits.tsv"
         manifest.write(path)
-        back = SplitManifest.read(path)
+        back = read_split_manifest(path)
         assert back.split == manifest.split
         assert back.assignment == manifest.assignment
 
@@ -324,7 +323,7 @@ class TestAssembly:
     def test_negative_never_own_positive(self):
         records, pool, pairings, manifest = self.setup_corpus()
         # drop explicit pairings for train records: they get sampled negatives
-        test_ids = set(manifest.ids("test"))
+        test_ids = {r for r, s in manifest.split.items() if s == "test"}
         partial = {k: v for k, v in pairings.items() if k in test_ids}
         for seed in range(20):
             for rec in records:
@@ -338,7 +337,7 @@ class TestAssembly:
 
     def test_test_record_without_pairing_rejected(self):
         records, pool, pairings, manifest = self.setup_corpus()
-        test_ids = manifest.ids("test")
+        test_ids = sorted(r for r, s in manifest.split.items() if s == "test")
         assert test_ids
         del pairings[test_ids[0]]
         with pytest.raises(DataError):
@@ -421,5 +420,5 @@ class TestReadersOnNearMissText:
                  mostly(st.sampled_from(["train", "valid", "test"]))))
     @settings(max_examples=200, deadline=None)
     def test_split_manifest(self, text):
-        manifest = read_text_as(SplitManifest.read, text, DataError)
+        manifest = read_text_as(read_split_manifest, text, DataError)
         assert manifest is None or set(manifest.split) == set(manifest.assignment)

@@ -4,8 +4,8 @@ import pytest
 import enzydesign.numerics as nm
 from enzydesign import geometry
 from enzydesign.config import ConfigError, ModelConfig
-from enzydesign.enzyme_model import (embed_inputs, forward_stack,
-                                     gated_node_update,
+from enzydesign.enzyme_model import (edge_projections, embed_inputs,
+                                     forward_stack, gated_node_update,
                                      global_attention_sublayer, greedy_decode,
                                      neighborhood_messages,
                                      neighborhood_sublayer)
@@ -169,7 +169,8 @@ class TestNeighborhood:
         h = Tensor(rng.normal(size=(5, 8)))
         x = Tensor(rng.normal(size=(5, 3)))
         nbrs = geometry.knn(x.data, 3)
-        _, w, _ = neighborhood_messages(h, x, nbrs, params, "neigh0")
+        _, w, _ = neighborhood_messages(edge_projections(h, params, "neigh0"),
+                                        x, nbrs, params, "neigh0")
         np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_single_neighbor_weight_is_one(self):
@@ -178,7 +179,8 @@ class TestNeighborhood:
         h = Tensor(rng.normal(size=(2, 8)))
         x = Tensor(rng.normal(size=(2, 3)))
         nbrs = np.array([[1], [0]])
-        _, w, _ = neighborhood_messages(h, x, nbrs, params, "neigh0")
+        _, w, _ = neighborhood_messages(edge_projections(h, params, "neigh0"),
+                                        x, nbrs, params, "neigh0")
         np.testing.assert_allclose(w.data, 1.0, atol=1e-15)
 
     def test_split_weight_matches_concat_form(self):
@@ -188,8 +190,9 @@ class TestNeighborhood:
         h = rng.normal(size=(6, 8))
         x = rng.normal(size=(6, 3)) * 3.0
         nbrs = geometry.knn(x, 3)
-        m, w, rel = neighborhood_messages(Tensor(h), Tensor(x), nbrs, params,
-                                          "neigh0")
+        m, w, rel = neighborhood_messages(
+            edge_projections(Tensor(h), params, "neigh0"), Tensor(x), nbrs,
+            params, "neigh0")
 
         def p(name):
             return params[f"neigh0/{name}"].data
@@ -251,7 +254,7 @@ class TestNeighborhood:
     def test_gated_update_with_zero_messages_is_identity(self):
         config, vocab, params = small_setup()
         h = Tensor(np.random.default_rng(0).normal(size=(4, 8)))
-        zero = Tensor(np.zeros((4, 3, 8)))
+        zero = Tensor(np.zeros((4, 8)))
         out = gated_node_update(h, zero, params, "neigh0")
         np.testing.assert_array_equal(out.data, h.data)
 
@@ -338,3 +341,98 @@ class TestGreedyDecode:
         logits = np.zeros((1, 20))
         out = greedy_decode(Tensor(logits), np.array([0]), np.array([False]))
         assert out[0] == 0
+
+
+def _with_tile(monkeypatch, tile, fn):
+    monkeypatch.setattr(nm, "ROW_TILE", tile)
+    return fn()
+
+
+def _loss_grads(params, config, seq, known, tag_idx, coords):
+    """Every parameter's gradient of a fixed projection of logits and
+    coordinates."""
+    for t in params.values():
+        t.grad = None
+    logits, x, _ = forward_stack(seq, known, tag_idx, coords, params, config)
+    r = np.random.default_rng(0)
+    loss = (nm.tensor_sum(logits * Tensor(r.normal(size=logits.shape)))
+            + nm.tensor_sum(x * Tensor(r.normal(size=x.shape))))
+    loss.backward()
+    return {k: t.grad for k, t in params.items() if t.grad is not None}
+
+
+class TestRowTiles:
+    """The blocks that grow with N run ``numerics.ROW_TILE`` rows at a time;
+    each is checked against one tile (``ROW_TILE`` patched to N or more)."""
+
+    def test_neighborhood_sublayer_bit_identical_at_300(self, monkeypatch):
+        config, vocab, params = small_setup(d=64, heads=4,
+                                            zero_coord_scale=False)
+        rng = np.random.default_rng(30)
+        h = Tensor(rng.normal(size=(300, 64)))
+        x = Tensor(np.cumsum(rng.normal(size=(300, 3)) * 2.0, axis=0))
+        nbrs = geometry.knn(x.data, 30)
+
+        def run():
+            return neighborhood_sublayer(h, x, nbrs, params, "neigh0", config)
+
+        tiled = _with_tile(monkeypatch, 128, run)
+        whole = _with_tile(monkeypatch, 300, run)
+        for a, b in zip(tiled, whole):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_forward_stack_against_one_tile(self, monkeypatch):
+        """Bit-identical at N = 512, four full tiles. At N = 300 the
+        partial tile's attention products may take another OpenBLAS kernel
+        than the 300-row ones, which moves the last bit."""
+        config = ModelConfig()
+        vocab = TagVocabulary.from_tags(["1.2.3.4"])
+        params = {k: Tensor(t.data) for k, t in init_parameters(
+            config, vocab, np.random.default_rng(31),
+            zero_coord_scale=False).items()}
+        for n in (512, 300):
+            inputs = random_instance(n, config, vocab,
+                                     np.random.default_rng(n))
+
+            def run():
+                return forward_stack(*inputs, params, config)
+
+            tiled = _with_tile(monkeypatch, 128, run)
+            whole = _with_tile(monkeypatch, n, run)
+            for a, b in zip(tiled, whole):
+                if n == 512:
+                    np.testing.assert_array_equal(a.data, b.data)
+                np.testing.assert_allclose(a.data, b.data, rtol=0,
+                                           atol=1e-14 * np.abs(b.data).max())
+
+    def test_multi_tile_gradients_match_one_tile(self, monkeypatch):
+        config, vocab, params = small_setup(d=16, heads=2,
+                                            zero_coord_scale=False)
+        inputs = random_instance(150, config, vocab,
+                                 np.random.default_rng(32))
+        tiled = _with_tile(monkeypatch, 7,
+                           lambda: _loss_grads(params, config, *inputs))
+        whole = _with_tile(monkeypatch, 150,
+                           lambda: _loss_grads(params, config, *inputs))
+        assert tiled.keys() == whole.keys()
+        scale = max(np.abs(g).max() for g in whole.values())
+        for name, g in whole.items():
+            np.testing.assert_allclose(tiled[name], g, rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
+
+    def test_multi_tile_se3_equivariance(self, monkeypatch):
+        monkeypatch.setattr(nm, "ROW_TILE", 7)
+        config, vocab, params = small_setup(zero_coord_scale=False)
+        rng = np.random.default_rng(33)
+        seq, known, tag_idx, coords = random_instance(40, config, vocab, rng)
+        rot, t = geometry.random_rigid(rng)
+        lo1, xo1, fo1 = forward_stack(seq, known, tag_idx, coords, params,
+                                      config)
+        lo2, xo2, fo2 = forward_stack(seq, known, tag_idx,
+                                      geometry.apply_rigid(rot, t, coords),
+                                      params, config)
+        np.testing.assert_allclose(lo2.data, lo1.data, atol=1e-9)
+        np.testing.assert_allclose(fo2.data, fo1.data, atol=1e-9)
+        np.testing.assert_allclose(xo2.data,
+                                   geometry.apply_rigid(rot, t, xo1.data),
+                                   atol=1e-9)

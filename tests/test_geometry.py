@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import enzydesign.numerics as nm
 from enzydesign import geometry
 from enzydesign.geometry import (GeometryError, apply_rigid, init_coordinates,
                                  knn, pairwise_distances, random_rigid)
@@ -54,10 +55,34 @@ class TestKnn:
         np.testing.assert_array_equal(knn(pts, 30), argsort_knn(pts, 30))
         np.testing.assert_array_equal(knn(pts[:40], 50), argsort_knn(pts[:40], 50))
 
+    @pytest.mark.parametrize("k", [6, 30])
+    def test_row_tiles_match_stable_argsort(self, k):
+        """N = 300 is two full 128-row tiles and a partial one. On the
+        10 x 10 x 3 lattice, rows 127 and 128 are neighbors, so their tied
+        neighbor lists cross the tile edge."""
+        pts = np.cumsum(np.random.default_rng(8).normal(size=(300, 3)), axis=0)
+        np.testing.assert_array_equal(knn(pts, k), argsort_knn(pts, k))
+        lattice = np.stack(np.meshgrid(np.arange(10.0), np.arange(10.0),
+                                       np.arange(3.0), indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+        np.testing.assert_array_equal(knn(lattice, k), argsort_knn(lattice, k))
+
+    @pytest.mark.parametrize("n,k", [(12, 6), (12, 30), (27, 13), (40, 7)])
+    def test_small_tiles_match_stable_argsort(self, n, k, monkeypatch):
+        """Seven-row tiles, on either side of the k >= N/2 switch to a
+        stable sort of whole rows."""
+        monkeypatch.setattr(nm, "ROW_TILE", 7)
+        axis = np.arange(3.0)
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+        walk = np.cumsum(np.random.default_rng(n).normal(size=(n, 3)), axis=0)
+        for pts in (lattice[:n], walk):
+            np.testing.assert_array_equal(knn(pts, k), argsort_knn(pts, k))
+
     def test_distances_equal_three_axis_reduction(self):
         pts = np.random.default_rng(7).normal(scale=10.0, size=(300, 3))
         diff = pts[:, None, :] - pts[None, :, :]
-        assert np.array_equal(pairwise_distances(pts),
+        assert np.array_equal(pairwise_distances(pts, pts),
                               np.sqrt((diff ** 2).sum(axis=-1)))
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -96,8 +121,9 @@ class TestRandomRigid:
         rng = np.random.default_rng(3)
         pts = rng.normal(scale=8.0, size=(15, 3))
         rot, t = random_rigid(rng)
-        d0 = pairwise_distances(pts)
-        d1 = pairwise_distances(apply_rigid(rot, t, pts))
+        d0 = pairwise_distances(pts, pts)
+        moved = apply_rigid(rot, t, pts)
+        d1 = pairwise_distances(moved, moved)
         assert np.abs(d0 - d1).max() < 1e-9
 
 

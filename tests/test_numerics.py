@@ -280,6 +280,50 @@ class TestAttention:
         check_gradient(lambda t: nm.attention(t, t, t, 2), x)
 
 
+class TestConcat:
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_finite_difference_agreement(self, part):
+        rng = np.random.default_rng(23)
+        parts = [rng.normal(size=(r, 3)) for r in (2, 4, 1)]
+
+        def op(t):
+            return nm.concat([t if i == part else Tensor(p)
+                              for i, p in enumerate(parts)])
+
+        check_gradient(op, parts[part], h=1e-5)
+
+    def test_values_and_single_part(self):
+        rng = np.random.default_rng(24)
+        a, b = rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+        out = nm.concat([Tensor(a), Tensor(b)])
+        np.testing.assert_array_equal(out.data, np.concatenate([a, b]))
+        t = Tensor(a, requires_grad=True)
+        assert nm.concat([t]) is t
+
+
+class TestAttentionRowTiles:
+    def test_full_tiles_bit_identical_to_one_tile(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        q, k, v = (Tensor(rng.normal(0.0, 2.0, (512, 64))) for _ in range(3))
+        tiled = nm.attention(q, k, v, 4).data
+        monkeypatch.setattr(nm, "ROW_TILE", 512)
+        assert np.array_equal(tiled, nm.attention(q, k, v, 4).data)
+
+    def test_small_tiles_values_and_gradients(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        qkv = [rng.normal(size=(40, 6)) for _ in range(3)]
+
+        def run(tile):
+            monkeypatch.setattr(nm, "ROW_TILE", tile)
+            ts = [Tensor(a, requires_grad=True) for a in qkv]
+            out = nm.attention(*ts, 2)
+            nm.tensor_sum(out * Tensor(np.cos(out.data))).backward()
+            return [out.data] + [t.grad for t in ts]
+
+        for a, b in zip(run(7), run(40)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+
 class TestElementwiseSuite:
     def test_silu_at_zero(self):
         assert nm.silu(Tensor(0.0)).item() == 0.0
@@ -377,7 +421,8 @@ def every_primitive(x):
     c = nm.linear(nm.matmul(nm.transpose(b), ln),
                   Tensor(np.eye(3)[::-1] + 0.5), Tensor([0.1, -0.2, 0.3]))
     d = nm.mul(nm.softmax(c), nm.log_softmax(c))
-    e = nm.take(nm.reshape(d, (9, 1)), np.array([0, 2, 5, 2]))
+    e = nm.take(nm.reshape(nm.concat([d, ln]), (21, 1)),
+                np.array([0, 2, 5, 2, 16]))
     # (1,) times (4, 3): the gradient is summed back over the broadcast
     f = nm.mul(nm.tensor_sum(e, axis=0), nm.silu(b))
     return nm.tensor_sum(nm.l2_norm(f))
