@@ -17,32 +17,36 @@ from .numerics import Tensor
 
 
 def embed_inputs(seq_indices, known_mask, tag_indices, params,
-                 config: ModelConfig) -> Tensor:
+                 config: ModelConfig, lengths=None) -> Tensor:
     """Initial residue embeddings h⁰.
 
     Known (motif) positions look up their amino-acid row; all other
     positions get the mask embedding. Every position then receives the
     sum of the four EC-level tag embeddings plus its positional
-    embedding.
+    embedding. With ``lengths``, the rows are consecutive records:
+    ``tag_indices`` holds one row of four per record, and positions
+    restart at 0 in each record.
     """
     seq_indices = np.asarray(seq_indices, dtype=np.intp)
     known = np.asarray(known_mask, dtype=bool)
-    n = len(seq_indices)
-    if n == 0:
+    lengths = [len(seq_indices)] if lengths is None else list(lengths)
+    if min(lengths, default=0) == 0:
         raise ConfigError("empty sequence")
-    if n > config.max_len:
-        raise ConfigError(f"sequence length {n} exceeds max_len {config.max_len}")
+    if max(lengths) > config.max_len:
+        raise ConfigError(f"sequence length {max(lengths)} exceeds max_len "
+                          f"{config.max_len}")
 
     aa_rows = nm.take(params["emb/amino"], np.where(known, seq_indices, 0))
     known_col = known.astype(np.float64)[:, None]
     h = (aa_rows * Tensor(known_col)
          + params["emb/mask"] * Tensor(1.0 - known_col))
 
-    tag_indices = np.asarray(tag_indices, dtype=np.intp)
+    tags = np.repeat(np.asarray(tag_indices, dtype=np.intp).reshape(-1, 4),
+                     lengths, axis=0)
     for k in range(4):
-        h = h + nm.take(params[f"emb/tag_l{k + 1}"], tag_indices[k:k + 1])
-    h = h + nm.take(params["emb/pos"], np.arange(n))
-    return h
+        h = h + nm.take(params[f"emb/tag_l{k + 1}"], tags[:, k])
+    return h + nm.take(params["emb/pos"],
+                       np.concatenate([np.arange(n) for n in lengths]))
 
 
 def _linear(x, params, name):
@@ -50,13 +54,14 @@ def _linear(x, params, name):
 
 
 def global_attention_sublayer(h: Tensor, params, prefix: str,
-                              config: ModelConfig) -> Tensor:
-    """Pre-softmax scaled dot-product MHA + FFN, post-norm residuals."""
+                              config: ModelConfig, lengths=None) -> Tensor:
+    """Pre-softmax scaled dot-product MHA + FFN, post-norm residuals; with
+    ``lengths``, each record attends only to itself."""
     d, heads = h.shape[1], config.num_heads
     if d % heads != 0:
         raise ConfigError(f"d={d} not divisible by {heads} heads")
     qkv = (_linear(h, params, f"{prefix}/{w}") for w in "qkv")
-    ctx = _linear(nm.attention(*qkv, heads), params, f"{prefix}/o")
+    ctx = _linear(nm.attention(*qkv, heads, lengths), params, f"{prefix}/o")
 
     h_tilde = nm.layer_norm(ctx + h, params[f"{prefix}/ln1/g"],
                             params[f"{prefix}/ln1/b"])
@@ -106,24 +111,43 @@ def gated_node_update(h: Tensor, g: Tensor, params, prefix: str) -> Tensor:
     return h + gate * g
 
 
-def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors: np.ndarray,
-                          params, prefix: str, config: ModelConfig,
+def _edge_tiles(neighbors, tile: int):
+    """(first row, neighbor lists) of each edge tile: consecutive records
+    with the same K share tiles of at most ``tile`` rows."""
+    runs = []
+    for block in neighbors:
+        if runs and runs[-1][-1].shape[1] == block.shape[1]:
+            runs[-1].append(block)
+        else:
+            runs.append([block])
+    lo = 0
+    for run in runs:
+        lists = np.concatenate(run)
+        for i in range(0, len(lists), tile):
+            yield lo + i, lists[i:i + tile]
+        lo += len(lists)
+
+
+def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors, params,
+                          prefix: str, config: ModelConfig,
                           motif_mask=None):
     """One equivariant sub-layer: messages, coordinate update, node update.
 
     Coordinates move along the radial directions x_i − x_k scaled by a
     per-edge scalar, which preserves SE(3) equivariance. When
     ``freeze_motif_coords`` is set, motif rows keep their incoming
-    coordinates. The edge block runs ``numerics.ROW_TILE`` centers at a
+    coordinates. ``neighbors`` is one (N, K) array of row indices, or a
+    list of such blocks, one per packed record, each with its own K. The
+    edge block runs at most ``numerics.ROW_TILE`` centers of one K at a
     time.
     """
-    n, tile = h.shape[0], nm.ROW_TILE
+    n = h.shape[0]
+    blocks = [neighbors] if isinstance(neighbors, np.ndarray) else neighbors
     proj = edge_projections(h, params, prefix)
     deltas, aggregates = [], []
-    for lo in range(0, n, tile):
-        rows = None if n <= tile else np.arange(lo, min(lo + tile, n))
-        m, _, rel = neighborhood_messages(proj, x, neighbors[lo:lo + tile],
-                                          params, prefix, rows)
+    for lo, lists in _edge_tiles(blocks, nm.ROW_TILE):
+        rows = None if len(lists) == n else np.arange(lo, lo + len(lists))
+        m, _, rel = neighborhood_messages(proj, x, lists, params, prefix, rows)
         scale = _linear(nm.silu(_linear(m, params, f"{prefix}/coord1")),
                         params, f"{prefix}/coord2")
         deltas.append(nm.tensor_sum(rel * scale, axis=1))
@@ -138,7 +162,7 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors: np.ndarray,
 
 
 def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
-                  config: ModelConfig):
+                  config: ModelConfig, lengths=None):
     """Full enzyme forward pass.
 
     ``coords`` is the complete N×3 coordinate input (motif values plus
@@ -146,24 +170,40 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
     ``geometry.init_coordinates``). Each neighborhood sub-layer builds
     its kNN graph from the coordinates it updates. Returns (logits N×20,
     output coordinates N×3, final features N×d), all Tensors.
+
+    With ``lengths``, the N rows are several records packed end to end
+    (``tag_indices`` then holds one row of four per record). They share
+    one graph but never interact: attention is block-diagonal and each
+    record gets its own kNN graph, so each record's rows equal its own
+    forward's. Raises ``NumericsError`` when the logits or coordinates
+    are not finite.
     """
     config.validate()
-    h = embed_inputs(seq_indices, known_mask, tag_indices, params, config)
+    n = len(seq_indices)
+    lengths = [n] if lengths is None else list(lengths)
+    if sum(lengths) != n:
+        raise ConfigError(f"record lengths {lengths} do not sum to {n}")
+    h = embed_inputs(seq_indices, known_mask, tag_indices, params, config,
+                     lengths)
     x = coords if isinstance(coords, Tensor) else Tensor(np.asarray(coords, dtype=np.float64))
-    if x.shape != (h.shape[0], 3):
+    if x.shape != (n, 3):
         raise ConfigError(f"coords shape {x.shape} does not match sequence "
-                          f"length {h.shape[0]}")
+                          f"length {n}")
 
+    records = nm.segments(lengths)
     period = config.interleave_period
     for i in range(config.attention_sublayers):
-        h = global_attention_sublayer(h, params, f"attn{i}", config)
+        h = global_attention_sublayer(h, params, f"attn{i}", config, lengths)
         if (i + 1) % period == 0:
-            graph = geometry.knn(x.data, config.k_neighbors)
+            graph = [geometry.knn(x.data[r], config.k_neighbors) + r.start
+                     for r in records]
             h, x = neighborhood_sublayer(h, x, graph, params,
                                          f"neigh{(i + 1) // period - 1}",
                                          config, motif_mask=known_mask)
 
     logits = h @ nm.transpose(params["emb/amino"])
+    if not (np.isfinite(logits.data).all() and np.isfinite(x.data).all()):
+        raise nm.NumericsError("non-finite logits or coordinates")
     return logits, x, h
 
 

@@ -14,9 +14,14 @@ and ``matmul``, which broadcast like numpy and sum their gradients back
 to each operand's shape; ``linear`` (``x @ w + b`` over the last axis);
 ``relu``, ``sigmoid``, ``silu``, ``tensor_sum``, ``l2_norm``, ``reshape``,
 ``take``, ``concat`` along axis 0 and a matrix's ``transpose``;
-``softmax``, ``log_softmax``, multi-head ``attention`` and the affine
-``layer_norm(x, g, b)``. Each is one graph node with a closed-form
-backward rule.
+``softmax``, ``log_softmax``, multi-head ``attention`` (block-diagonal
+over packed records) and the affine ``layer_norm(x, g, b)``. Each is one
+graph node with a closed-form backward rule.
+
+Finiteness is checked at the boundaries: a tensor built from data (a
+leaf, an input, a checkpoint payload) is scanned when it is made, an op
+result is not. Callers check what leaves the graph: ``forward_stack``
+its logits and coordinates, ``train`` its loss.
 
 Graph lifetime: a result records its parents and rule only when one of
 its inputs requires a gradient, so a forward pass over constants builds
@@ -93,7 +98,8 @@ class Tensor:
             self._order = next(_creation)
         else:
             self._parents, self._backward_fn = (), None
-        if not np.all(np.isfinite(self.data)):
+        # op results are checked where they leave the graph (see above)
+        if _backward_fn is None and not np.all(np.isfinite(self.data)):
             raise NumericsError("non-finite values in tensor")
 
     @property
@@ -341,6 +347,12 @@ def concat(parts) -> Tensor:
 
 # ---- softmax / attention / log-softmax / layer norm ----
 
+def segments(lengths) -> list[slice]:
+    """Row slices of consecutive records of the given lengths."""
+    ends = np.cumsum(lengths, dtype=np.intp)
+    return [slice(int(e) - int(m), int(e)) for m, e in zip(lengths, ends)]
+
+
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
@@ -358,10 +370,15 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              lengths=None) -> Tensor:
     """softmax(q kᵀ / √dh) v on each of ``heads`` column slices of width dh
     of (N, d) inputs, merged back to (N, d), with a closed-form backward.
-    The forward runs ``ROW_TILE`` query rows at a time; the (heads, N, N)
+
+    ``lengths`` splits the rows into consecutive records (one record of N
+    rows when None); each row attends only to the rows of its own record,
+    so the weights are block-diagonal. Within a record the forward runs
+    ``ROW_TILE`` query rows at a time; each record's (heads, n, n)
     weights are kept only for the backward."""
     n, d = q.shape
     scale = 1.0 / np.sqrt(d // heads)
@@ -374,20 +391,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     grad = q.requires_grad or k.requires_grad or v.requires_grad
-    out, p = np.empty((n, d)), np.empty((heads, n, n)) if grad else None
-    for lo in range(0, n, ROW_TILE):
-        rows = slice(lo, lo + ROW_TILE)
-        pt = _softmax((qh[:, rows] @ kh.transpose(0, 2, 1)) * scale, -1)
-        out[rows] = merge(pt @ vh)
-        if p is not None:
-            p[:, rows] = pt
+    records = segments([n] if lengths is None else lengths)
+    out, weights = np.empty((n, d)), []
+    for r in records:
+        kt, vr, size = kh[:, r].transpose(0, 2, 1), vh[:, r], r.stop - r.start
+        p = np.empty((heads, size, size)) if grad else None
+        for lo in range(r.start, r.stop, ROW_TILE):
+            rows = slice(lo, min(lo + ROW_TILE, r.stop))
+            pt = _softmax((qh[:, rows] @ kt) * scale, -1)
+            out[rows] = merge(pt @ vr)
+            if p is not None:
+                p[:, lo - r.start:rows.stop - r.start] = pt
+        weights.append(p)
 
     def bw(g):
         gh = split(g)
-        dp = gh @ vh.transpose(0, 2, 1)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-        return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
-                merge(p.transpose(0, 2, 1) @ gh))
+        gq, gk, gv = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+        for r, p in zip(records, weights):
+            gr = gh[:, r]
+            dp = gr @ vh[:, r].transpose(0, 2, 1)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+            gq[r] = merge(ds @ kh[:, r])
+            gk[r] = merge(ds.transpose(0, 2, 1) @ qh[:, r])
+            gv[r] = merge(p.transpose(0, 2, 1) @ gr)
+        return gq, gk, gv
 
     return Tensor(out, _parents=(q, k, v), _backward_fn=bw)
 

@@ -146,6 +146,11 @@ def init_parameters(config: ModelConfig, vocab: TagVocabulary, rng,
     return params
 
 
+def constant_views(params: dict) -> dict:
+    """The same arrays as tensors without gradients: a forward builds no graph."""
+    return {name: Tensor(t.data) for name, t in params.items()}
+
+
 def zero_grads(params: dict) -> None:
     for t in params.values():
         t.grad = None
@@ -177,9 +182,9 @@ def save_checkpoint(path, params: dict, config: ModelConfig,
 
 def load_checkpoint(path):
     """Returns (params, config, vocab, step). A truncated file, a bad
-    header, or a payload whose parameter names or shapes differ from
-    ``parameter_layout`` of the header's model and vocabulary raises
-    ValueError naming the file.
+    header, a non-finite payload value, or a payload whose parameter
+    names or shapes differ from ``parameter_layout`` of the header's
+    model and vocabulary raises ValueError naming the file.
 
     A cut inside a record is caught by the short read; a cut at a record
     boundary by the parameter count in the header, when it has one.
@@ -206,6 +211,8 @@ def load_checkpoint(path):
             shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: parameter {name} is not finite")
             params[name] = Tensor(data.copy(), requires_grad=True)
     try:  # a corrupt file, not a usage error: ValueError, exit 1
         check_section("header", header, _HEADER_SPEC,

@@ -4,10 +4,11 @@ The objective is the sum of a sequence negative log-likelihood over free
 (not teacher-forced) positions, a weighted squared coordinate residual
 over the same positions, and (in phase 2) a binding cross-entropy.
 Training, masked-modeling pretraining and evaluation all go through one
-forward-and-loss path, ``record_loss``, and the first two through one
-loop, ``train``: pretraining differs only in its masking policy (a fresh
-random fraction of residues per record each step, not the motif) and in
-leaving the binding term off.
+forward-and-loss path, ``batch_loss``, which packs a batch of records
+into one forward (``record_loss`` is its one-record case), and the first
+two through one loop, ``train``: pretraining differs only in its masking
+policy (a fresh random fraction of residues per record each step, not
+the motif) and in leaving the binding term off.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from . import numerics as nm
 from .config import ModelConfig, TrainSchedule
 from .enzyme_model import forward_stack, greedy_decode
 from .numerics import NumericsError, Tensor
-from .parameters import save_checkpoint, zero_grads
+from .parameters import constant_views, save_checkpoint, zero_grads
 from .residues import NUM_AMINO_ACIDS
 from .substrate_model import binding_scores, substrate_forward
 
@@ -41,11 +42,14 @@ class LossBreakdown:
 
 
 def joint_loss(logits: Tensor, target_seq, coords_out: Tensor, target_coords,
-               free_mask, coord_weight: float, binding=None, y: int | None = None):
-    """The joint objective for one enzyme.
+               free_mask, coord_weight: float, binding=None, y=None):
+    """The joint objective for one enzyme, or for records packed end to
+    end, whose terms are summed.
 
-    ``binding`` is the pre-softmax 2-vector of binding scores (phase 2)
-    or None (phase 1). Returns (total Tensor, LossBreakdown).
+    ``binding`` holds the pre-softmax binding scores (phase 2): a
+    2-vector with an int label ``y``, or one row per record with one
+    label each. It is None in phase 1. Returns (total Tensor,
+    LossBreakdown).
     """
     free = np.asarray(free_mask, dtype=bool)
     n_free = int(free.sum())
@@ -68,11 +72,11 @@ def joint_loss(logits: Tensor, target_seq, coords_out: Tensor, target_coords,
     total = seq_nll + coord_l2
     binding_ce = Tensor(0.0)
     if binding is not None:
-        if y not in (0, 1):
+        if not all(v in (0, 1) for v in np.ravel(y)):
             raise ValueError(f"binding label must be 0 or 1, got {y!r}")
-        pick = np.zeros(2)
-        pick[y] = 1.0
-        binding_ce = -nm.tensor_sum(nm.log_softmax(binding) * Tensor(pick))
+        pick = np.eye(2)[np.asarray(y, dtype=np.intp)]
+        binding_ce = -nm.tensor_sum(nm.log_softmax(binding, axis=-1)
+                                    * Tensor(pick))
         total = total + binding_ce
 
     breakdown = LossBreakdown(seq_nll.item(), coord_l2.item(),
@@ -135,27 +139,56 @@ def draw_mlm_mask(n: int, fraction: float, rng) -> np.ndarray:
     return masked
 
 
-def record_loss(rec, params, config: ModelConfig, rng,
-                substrate=None, y: int | None = None, known=None):
-    """Forward pass + joint loss for one record.
+def batch_loss(batch, params, config: ModelConfig, rng, pairs=None,
+               mlm: bool = False):
+    """One packed forward pass + the joint loss of a batch of records.
 
-    ``known`` marks the teacher-forced residues (types and coordinates
-    given); the loss covers the rest. It defaults to the record's motif.
+    For each record in turn, ``mlm`` draws its masked positions and then
+    its free-residue coordinates are drawn; the known (teacher-forced)
+    residues are its motif, or with ``mlm`` the unmasked ones, and the
+    loss covers the rest. ``pairs`` gives each record's (substrate,
+    label) for the binding term, or is None (no binding term). Each
+    distinct substrate's stack runs once, shared by its records.
+    Returns ((total, LossBreakdown), packed logits).
     """
-    known = rec.site_mask if known is None else known
-    coords0 = geometry.init_coordinates(rec.coords[known], np.where(known)[0],
-                                        len(rec.sequence), rng,
-                                        config.bond_length)
-    logits, coords_out, feats = forward_stack(rec.seq_indices, known,
-                                              rec.tag_idx, coords0, params,
-                                              config)
-    binding = None
-    if substrate is not None:
-        sub_feats = substrate_forward(substrate.features, substrate.coords,
-                                      params, config)
-        binding = binding_scores(feats, sub_feats, params)
-    return joint_loss(logits, rec.seq_indices, coords_out, rec.coords,
-                      ~known, config.coord_loss_weight, binding, y), logits
+    knowns, coords0 = [], []
+    for rec in batch:
+        n = len(rec.sequence)
+        known = (~draw_mlm_mask(n, MLM_MASK_FRACTION, rng) if mlm
+                 else rec.site_mask)
+        knowns.append(known)
+        coords0.append(geometry.init_coordinates(
+            rec.coords[known], np.where(known)[0], n, rng, config.bond_length))
+    known = np.concatenate(knowns)
+    seq = np.concatenate([rec.seq_indices for rec in batch])
+    lengths = [len(rec.sequence) for rec in batch]
+    logits, coords_out, feats = forward_stack(
+        seq, known, np.stack([rec.tag_idx for rec in batch]),
+        np.concatenate(coords0), params, config, lengths)
+    binding = labels = None
+    if pairs is not None:
+        shared = {}
+        for sub, _ in pairs:
+            if id(sub) not in shared:
+                shared[id(sub)] = substrate_forward(sub.features, sub.coords,
+                                                    params, config)
+        rows = [nm.take(feats, np.arange(r.start, r.stop))
+                for r in nm.segments(lengths)]
+        binding = nm.concat([
+            nm.reshape(binding_scores(h, shared[id(sub)], params), (1, 2))
+            for h, (sub, _) in zip(rows, pairs)])
+        labels = [y for _, y in pairs]
+    return joint_loss(logits, seq, coords_out,
+                      np.concatenate([rec.coords for rec in batch]), ~known,
+                      config.coord_loss_weight, binding, labels), logits
+
+
+def record_loss(rec, params, config: ModelConfig, rng, substrate=None,
+                y: int | None = None):
+    """``batch_loss`` of the one record ``rec``: its motif teacher-forced,
+    and the binding term with ``substrate`` and label ``y`` when given."""
+    return batch_loss([rec], params, config, rng,
+                      None if substrate is None else [(substrate, y)])
 
 
 class TrainResult:
@@ -211,29 +244,17 @@ def train(records, substrate_pool, params, config: ModelConfig,
                         pick = pool_ids[int(rng.integers(len(pool_ids)))]
                         epoch_pairings[rec.id] = (pick, 0)
         batch = batches.pop(0)
-        phase2 = step >= schedule.phase1_steps
+        pairs = None
+        if step >= schedule.phase1_steps and epoch_pairings:
+            pairs = [(substrate_pool[sid], y) for sid, y in
+                     (epoch_pairings[rec.id] for rec in batch)]
 
         zero_grads(params)
         try:
-            total = Tensor(0.0)
-            agg = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0)
-            for rec in batch:
-                substrate, y = None, None
-                if phase2 and rec.id in epoch_pairings:
-                    sid, y = epoch_pairings[rec.id]
-                    substrate = substrate_pool[sid]
-                known = None
-                if mlm:
-                    known = ~draw_mlm_mask(len(rec.sequence),
-                                           MLM_MASK_FRACTION, rng)
-                (rec_total, bd), _ = record_loss(rec, params, config, rng,
-                                                 substrate, y, known)
-                total = total + rec_total
-                agg.seq_nll += bd.seq_nll
-                agg.coord_l2 += bd.coord_l2
-                agg.binding_ce += bd.binding_ce
-                agg.free_residues += bd.free_residues
-            agg.total = agg.seq_nll + agg.coord_l2 + agg.binding_ce
+            (total, agg), _ = batch_loss(batch, params, config, rng, pairs,
+                                         mlm)
+            if not np.isfinite(total.item()):
+                raise NumericsError("non-finite loss")
             total.backward()
         except NumericsError:
             result.aborted = True
@@ -260,8 +281,10 @@ def train(records, substrate_pool, params, config: ModelConfig,
 
 def evaluate_recovery(records, params, config: ModelConfig, vocab,
                       seed: int = 0):
-    """(nats per free residue, free-residue recovery rate) on a record set."""
+    """(nats per free residue, free-residue recovery rate) on a record set.
+    Runs on constant views of ``params``, so it builds no graph."""
     rng = np.random.default_rng(seed)
+    params = constant_views(params)
     nll_sum, free_sum, correct = 0.0, 0, 0
     for rec in sorted(records, key=lambda r: r.id):
         rec.tag_idx = vocab.encode(rec.tag)

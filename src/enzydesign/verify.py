@@ -16,8 +16,9 @@ from . import geometry
 from .config import SUBSTRATE_FEATURES, ModelConfig
 from .data import EnzymeRecord, SubstrateRecord
 from .enzyme_model import forward_stack
-from .numerics import Tensor, finite_difference_gradient
-from .parameters import TagVocabulary, init_parameters, zero_grads
+from .numerics import finite_difference_gradient
+from .parameters import (TagVocabulary, constant_views, init_parameters,
+                         zero_grads)
 from .residues import AMINO_ACIDS, NUM_AMINO_ACIDS
 from .substrate_model import binding_probabilities, substrate_forward
 from .training import record_loss
@@ -29,11 +30,6 @@ FD_STEP = 1e-5
 FD_SAMPLES = 5            # coordinates differenced per parameter tensor
 PERMUTATION_TOL = 1e-12
 RIGID_TOL = 1e-9
-
-
-def constant_views(params: dict) -> dict:
-    """The same arrays as tensors without gradients: a forward builds no graph."""
-    return {name: Tensor(t.data) for name, t in params.items()}
 
 
 def random_instance(n: int, rng):

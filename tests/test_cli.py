@@ -234,6 +234,27 @@ class TestGenerate:
         coords = [b.splitlines()[2:] for b in blocks]
         assert coords[0] != coords[1]   # different init seeds move free residues
 
+    def test_nan_mid_graph_exits_1_with_one_line(self, trained, tmp_path,
+                                                 capsys, monkeypatch):
+        """A NaN planted in a primitive's result is caught where the
+        forward's outputs leave the graph."""
+        import enzydesign.numerics as nm
+        root, ckpt = trained
+        silu = nm.silu
+
+        def planted(x):
+            out = silu(x)
+            out.data.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(nm, "silu", planted)
+        capsys.readouterr()
+        assert main(["generate", "--checkpoint", ckpt, "--motif",
+                     str(root / "motif.tsv"), "--out",
+                     str(tmp_path / "o.txt")]) == 1
+        assert capsys.readouterr().err == \
+            "error: non-finite logits or coordinates\n"
+
     def test_unknown_tag_exits_1(self, trained, tmp_path):
         root, ckpt = trained
         assert main(["generate", "--checkpoint", ckpt,
@@ -499,9 +520,10 @@ def _bad_input_files(root, tmp_path):
                          interleave_period=1, k_neighbors=3)
     vocab = TagVocabulary.from_tags(["1.1.1.1"])
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, init_parameters(config, vocab,
-                                          np.random.default_rng(0)),
-                    config, vocab)
+    params = init_parameters(config, vocab, np.random.default_rng(0))
+    save_checkpoint(ckpt, params, config, vocab)
+    params["attn0/q/w"].data[0, 0] = np.nan
+    save_checkpoint(tmp_path / "nan-payload.ckpt", params, config, vocab)
     raw = ckpt.read_bytes()
     (tmp_path / "header_cut.ckpt").write_bytes(raw[:10])
     (tmp_path / "payload_cut.ckpt").write_bytes(raw[:len(raw) // 2])
@@ -675,6 +697,13 @@ BAD_INPUTS = {
         "header's model needs (64,)", [
             "generate", "--checkpoint", "{d}/config-d-16.ckpt", "--motif",
             "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "generate-checkpoint-nan-payload": (
+        1, "nan-payload.ckpt: parameter attn0/q/w is not finite", [
+            "generate", "--checkpoint", "{d}/nan-payload.ckpt", "--motif",
+            "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "verify-checkpoint-nan-payload": (
+        1, "nan-payload.ckpt: parameter attn0/q/w is not finite", [
+            "verify", "--checkpoint", "{d}/nan-payload.ckpt"]),
     "generate-motif-row-with-four-fields": (2, "short_row.tsv line 2", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/short_row.tsv", "--out", "{d}/o.txt"]),

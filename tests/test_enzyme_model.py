@@ -436,3 +436,81 @@ class TestRowTiles:
         np.testing.assert_allclose(xo2.data,
                                    geometry.apply_rigid(rot, t, xo1.data),
                                    atol=1e-9)
+
+
+def _pack(instances):
+    """forward_stack's packed inputs and lengths from one-record inputs."""
+    seq, known, tags, coords = zip(*instances)
+    return ((np.concatenate(seq), np.concatenate(known), np.stack(tags),
+             np.concatenate(coords)), [len(s) for s in seq])
+
+
+class TestPacking:
+    """Records packed end to end share one forward but never interact."""
+
+    # k = 3: K is 3 except for the two-residue record (K = 1), so the edge
+    # tiles both merge records and split them
+    LENGTHS = (12, 2, 20, 12, 5)
+
+    def instances(self, config, vocab, rng):
+        """One random instance per length, the tags taking turns."""
+        tags = ("1.1.1.1", "1.2.3.4", "2.1.1.1")
+        out = []
+        for i, n in enumerate(self.LENGTHS):
+            seq, known, _, coords = random_instance(n, config, vocab, rng)
+            out.append((seq, known, vocab.encode(tags[i % 3]), coords))
+        return out
+
+    @pytest.mark.parametrize("tile", [128, 4])
+    def test_each_record_equals_its_own_forward(self, monkeypatch, tile):
+        monkeypatch.setattr(nm, "ROW_TILE", tile)
+        config, vocab, params = small_setup(zero_coord_scale=False)
+        rng = np.random.default_rng(40)
+        instances = self.instances(config, vocab, rng)
+        packed, lengths = _pack(instances)
+        outs = forward_stack(*packed, params, config, lengths)
+        for r, inst in zip(nm.segments(lengths), instances):
+            for a, b in zip(outs, forward_stack(*inst, params, config)):
+                np.testing.assert_allclose(a.data[r], b.data, rtol=0,
+                                           atol=1e-12 * np.abs(b.data).max())
+
+    def test_se3_equivariance_per_record(self, monkeypatch):
+        """A different rigid motion on each record moves only its rows."""
+        monkeypatch.setattr(nm, "ROW_TILE", 4)
+        config, vocab, params = small_setup(zero_coord_scale=False)
+        rng = np.random.default_rng(41)
+        instances = self.instances(config, vocab, rng)
+        packed, lengths = _pack(instances)
+        motions = [geometry.random_rigid(rng) for _ in lengths]
+        moved = [(s, k, t, geometry.apply_rigid(rot, tr, c))
+                 for (s, k, t, c), (rot, tr) in zip(instances, motions)]
+        lo1, xo1, fo1 = forward_stack(*packed, params, config, lengths)
+        lo2, xo2, fo2 = forward_stack(*_pack(moved)[0], params, config,
+                                      lengths)
+        np.testing.assert_allclose(lo2.data, lo1.data, atol=1e-9)
+        np.testing.assert_allclose(fo2.data, fo1.data, atol=1e-9)
+        for r, (rot, tr) in zip(nm.segments(lengths), motions):
+            np.testing.assert_allclose(
+                xo2.data[r], geometry.apply_rigid(rot, tr, xo1.data[r]),
+                atol=1e-9)
+
+    def test_lengths_must_cover_the_rows(self):
+        config, vocab, params = small_setup()
+        inst = random_instance(6, config, vocab, np.random.default_rng(42))
+        with pytest.raises(ConfigError):
+            forward_stack(*inst, params, config, [2, 3])
+
+    def test_non_finite_output_raises(self, monkeypatch):
+        """A NaN planted mid-graph surfaces at forward_stack's outputs."""
+        config, vocab, params = small_setup()
+        inst = random_instance(6, config, vocab, np.random.default_rng(43))
+        relu = nm.relu
+
+        def planted(x):
+            out = relu(x)
+            out.data[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(nm, "relu", planted)
+        with pytest.raises(nm.NumericsError, match="non-finite"):
+            forward_stack(*inst, params, config)

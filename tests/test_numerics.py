@@ -280,6 +280,33 @@ class TestAttention:
         check_gradient(lambda t: nm.attention(t, t, t, 2), x)
 
 
+class TestBlockDiagonalAttention:
+    """With ``lengths``, packed records attend only to their own rows."""
+
+    def test_equals_each_record_alone(self):
+        rng = np.random.default_rng(25)
+        lengths = [3, 1, 6]
+        q, k, v = (rng.normal(size=(10, 8)) for _ in range(3))
+        out = nm.attention(Tensor(q), Tensor(k), Tensor(v), 2, lengths)
+        for r in nm.segments(lengths):
+            alone = nm.attention(Tensor(q[r]), Tensor(k[r]), Tensor(v[r]), 2)
+            np.testing.assert_allclose(out.data[r], alone.data, rtol=0,
+                                       atol=1e-15)
+
+    def test_finite_difference_agreement_with_small_tiles(self, monkeypatch):
+        """Tiles of two rows inside records of 3, 1 and 5 rows."""
+        monkeypatch.setattr(nm, "ROW_TILE", 2)
+        rng = np.random.default_rng(26)
+        qkv = [rng.normal(size=(9, 6)) for _ in range(3)]
+        for i in range(3):
+            def op(t, i=i):
+                args = [Tensor(a) for a in qkv]
+                args[i] = t
+                return nm.attention(*args, 2, [3, 1, 5])
+
+            check_gradient(op, qkv[i])
+
+
 class TestConcat:
     @pytest.mark.parametrize("part", [0, 1, 2])
     def test_finite_difference_agreement(self, part):
@@ -359,6 +386,13 @@ class TestElementwiseSuite:
     def test_nan_rejected(self):
         with pytest.raises(NumericsError):
             Tensor([1.0, np.nan])
+
+    def test_op_results_are_not_scanned(self):
+        """Only tensors built from data are checked; a non-finite op result
+        is left for the caller's boundary check."""
+        with np.errstate(over="ignore"):
+            out = nm.add(Tensor([1e308]), Tensor([1e308]))
+        assert np.isinf(out.data).all()
 
     @pytest.mark.parametrize("op", [
         nm.silu, nm.relu, nm.sigmoid,

@@ -1,18 +1,26 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import enzydesign.numerics as nm
+import enzydesign.training as training
 from enzydesign import geometry
-from enzydesign.config import ModelConfig
+from enzydesign.config import ModelConfig, read_run_config
+from enzydesign.data import EnzymeRecord
 from enzydesign.enzyme_model import forward_stack
 from enzydesign.numerics import Tensor, finite_difference_gradient
 from enzydesign.parameters import (TagVocabulary, init_parameters,
-                                   load_checkpoint)
+                                   load_checkpoint, zero_grads)
 from enzydesign.residues import AMINO_ACIDS
 from enzydesign.substrate_model import binding_scores, substrate_forward
 from enzydesign.training import (Adam, TrainSchedule, _pack_batches,
-                                 draw_mlm_mask, evaluate_recovery, joint_loss,
-                                 record_loss, train)
+                                 batch_loss, draw_mlm_mask, evaluate_recovery,
+                                 joint_loss, record_loss, train)
 from fixtures import make_toy_corpus
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def small_config(**kw):
@@ -95,6 +103,19 @@ class TestJointLoss:
                                Tensor(rng.normal(size=(3, 3))),
                                rng.normal(size=(3, 3)), np.zeros(3, bool), 1.0)
         assert total.item() == 0.0
+
+    def test_binding_rows_sum_per_record_terms(self):
+        """One row of scores per record, one label each: the sum of the
+        per-record cross-entropies."""
+        rng = np.random.default_rng(5)
+        scores, labels = rng.normal(size=(3, 2)), [1, 0, 1]
+        args = (Tensor(np.zeros((1, 20))), np.array([0]),
+                Tensor(np.zeros((1, 3))), np.zeros((1, 3)),
+                np.array([False]), 1.0)
+        _, bd = joint_loss(*args, Tensor(scores), labels)
+        each = [joint_loss(*args, Tensor(row), y)[1].binding_ce
+                for row, y in zip(scores, labels)]
+        assert abs(bd.binding_ce - sum(each)) < 1e-12
 
     def test_bad_binding_label(self):
         with pytest.raises(ValueError):
@@ -264,6 +285,153 @@ class TestTrainLoop:
             assert rel.max() < 1e-5, name
 
 
+def mixed_batch():
+    """Three toy records around a 20-residue one, each paired with a
+    substrate (sub0 twice). With k = 12 the toy records have K = 11 and
+    the long one K = 12, so the neighborhood tiles have two widths."""
+    records, pool, vocab, _, _ = toy_setup()
+    rng = np.random.default_rng(12)
+    n = 20
+    long = EnzymeRecord("long", "".join(rng.choice(list(AMINO_ACIDS), n)),
+                        np.cumsum(rng.normal(size=(n, 3)) * 2.0, axis=0),
+                        sites=[0, 4, 9, 13, 17], tag=records[0].tag)
+    batch = [records[0], long, records[1], records[2]]
+    for rec in batch:
+        rec.tag_idx = vocab.encode(rec.tag)
+    pairs = [(pool["sub0"], 1), (pool["sub1"], 0), (pool["sub0"], 0),
+             (pool["sub2"], 1)]
+    config = small_config(k_neighbors=12)
+    params = init_parameters(config, vocab, np.random.default_rng(0),
+                             zero_coord_scale=False)
+    return batch, pairs, params, config
+
+
+class TestPackedBatch:
+    """``batch_loss`` packs a batch into one forward; ``record_loss`` is its
+    one-record case."""
+
+    @pytest.mark.parametrize("tile", [128, 5])
+    def test_matches_one_record_path(self, monkeypatch, tile):
+        """Per-record logits, the loss terms and every parameter gradient
+        agree with one record at a time to 1e-12 relative."""
+        monkeypatch.setattr(nm, "ROW_TILE", tile)
+        batch, pairs, params, config = mixed_batch()
+        rng = np.random.default_rng(8)
+        singles, logits, grads = [], [], {}
+        for rec, (sub, y) in zip(batch, pairs):
+            zero_grads(params)
+            (total, bd), lg = record_loss(rec, params, config, rng, sub, y)
+            total.backward()
+            singles.append(bd)
+            logits.append(lg.data)
+            for k, t in params.items():
+                if t.grad is not None:
+                    grads[k] = grads.get(k, 0.0) + t.grad
+        zero_grads(params)
+        (total, bd), packed = batch_loss(batch, params, config,
+                                         np.random.default_rng(8), pairs)
+        total.backward()
+
+        np.testing.assert_allclose(packed.data, np.concatenate(logits),
+                                   rtol=1e-12, atol=0)
+        for term in ("seq_nll", "coord_l2", "binding_ce", "total"):
+            want = sum(getattr(b, term) for b in singles)
+            assert abs(getattr(bd, term) - want) <= 1e-12 * abs(want), term
+        assert bd.free_residues == sum(b.free_residues for b in singles)
+        assert grads.keys() == {k for k, t in params.items()
+                                if t.grad is not None}
+        # relative to the largest gradient: some (attn*/k/b) are zero
+        # up to roundoff
+        scale = max(np.abs(g).max() for g in grads.values())
+        for k, g in grads.items():
+            np.testing.assert_allclose(params[k].grad, g, rtol=0,
+                                       atol=1e-12 * scale, err_msg=k)
+
+    def test_phase2_step_is_one_forward_and_one_stack_per_substrate(
+            self, monkeypatch):
+        """Eight records over three substrates: one enzyme forward and
+        three substrate stacks."""
+        records, pool, vocab, config, params = toy_setup()
+        forwards, stacks = [], []
+
+        def spy(fn, log):
+            def wrapped(*args, **kwargs):
+                log.append(args[0])
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(training, "forward_stack",
+                            spy(training.forward_stack, forwards))
+        monkeypatch.setattr(training, "substrate_forward",
+                            spy(training.substrate_forward, stacks))
+        sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
+        train(records, pool, params, config, sched, vocab)
+        assert len(forwards) == 1 and len(forwards[0]) == 8 * 12
+        by_features = {id(sub.features): name for name, sub in pool.items()}
+        assert sorted(by_features[id(f)] for f in stacks) == \
+            ["sub0", "sub1", "sub2"]
+
+    def test_toy_config_step_tensor_count(self, monkeypatch):
+        """One phase-2 step of the toy config's model over the toy corpus
+        (eight length-12 records, three substrates) builds 558 tensors,
+        interior nodes and constants alike; one forward and one substrate
+        stack per record built 2497."""
+        model_cfg = read_run_config(json.loads(
+            (REPO / "configs/toy.json").read_text()))[0]
+        records, pool, vocab, _, _ = toy_setup()
+        params = init_parameters(model_cfg, vocab, np.random.default_rng(0))
+        built = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
+        train(records, pool, params, model_cfg, sched, vocab)
+        assert len(built) == 558
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("primitive", ["silu", "log_softmax"])
+    def test_nan_planted_mid_graph_keeps_last_good_params(
+            self, monkeypatch, tmp_path, primitive):
+        """A primitive that returns a NaN from the third step on: the loop
+        stops holding the parameters of the second step's finite loss, one
+        update in, and the checkpoint says so. ``forward_stack``'s output
+        check catches ``silu`` (message layers), the loss check
+        ``log_softmax`` (the loss itself)."""
+        records, pool, vocab, config, params = toy_setup()
+        armed = []
+        step, original = Adam.step, getattr(nm, primitive)
+
+        def counted(opt):
+            step(opt)
+            if opt.t == 2:
+                armed.append(True)
+
+        def planted(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if armed:
+                out.data.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(Adam, "step", counted)
+        monkeypatch.setattr(nm, primitive, planted)
+        sched = TrainSchedule(phase1_steps=2, phase2_steps=3, seed=0)
+        ckpt = tmp_path / "m.ckpt"
+        res = train(records, pool, params, config, sched, vocab,
+                    checkpoint_path=ckpt)
+        assert res.aborted and len(res.history) == 2
+        assert load_checkpoint(ckpt)[3] == 1
+        monkeypatch.undo()
+        records, pool, vocab, config, last_good = toy_setup()
+        sched.phase1_steps, sched.phase2_steps = 1, 0
+        train(records, pool, last_good, config, sched, vocab)
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.data, last_good[k].data)
+
+
 class TestEvaluateRecovery:
     def test_matches_direct_computation(self):
         """Nats and recovery recomputed from forward_stack logits."""
@@ -298,6 +466,24 @@ class TestEvaluateRecovery:
                                            seed=5)
         assert abs(nats - nll / free_total) < 1e-12
         assert recovery == hits / free_total
+
+
+    def test_builds_no_graph(self, monkeypatch):
+        """No evaluation tensor has parents, and the caller's parameters
+        keep their gradient flag and get no gradient."""
+        records, _, vocab, config, params = toy_setup()
+        taped = []
+        init = Tensor.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            taped.extend(self._parents[:1])
+
+        monkeypatch.setattr(Tensor, "__init__", spy)
+        evaluate_recovery(records[:2], params, config, vocab)
+        assert taped == []
+        assert all(t.requires_grad and t.grad is None
+                   for t in params.values())
 
 
 class TestMLM:
