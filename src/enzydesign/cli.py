@@ -92,8 +92,7 @@ def cmd_train(args) -> int:
     model_cfg, schedule, data_cfg, output = load_run_config(args.config)
     records, sites, pool, pairings = _load_corpus(data_cfg)
     manifest = make_split_manifest(records, data_cfg.get("split_seed", 0))
-    splits = assemble_dataset(records, sites, pool, pairings, manifest,
-                              schedule.seed)
+    splits = assemble_dataset(records, sites, pool, pairings, manifest)
 
     start_step = 0
     if args.resume:
@@ -174,17 +173,20 @@ def cmd_generate(args) -> int:
         seq_indices[i] = AA_TO_INDEX[res]
         mask[i] = True
 
+    designs = []  # every candidate decodes before --out is created
+    for k in range(args.num_candidates):
+        rng = np.random.default_rng(args.seed + k)
+        coords0 = geometry.init_coordinates(motif_coords, indices, n, rng,
+                                            config.bond_length)
+        logits, coords_out, _ = forward_stack(seq_indices, mask, tag_idx,
+                                              coords0, params, config)
+        decoded = greedy_decode(logits, seq_indices, mask)
+        designs.append(("".join(AMINO_ACIDS[i] for i in decoded),
+                        coords_out.data))
     with open(args.out, "w") as f:
-        for k in range(args.num_candidates):
-            rng = np.random.default_rng(args.seed + k)
-            coords0 = geometry.init_coordinates(motif_coords, indices, n, rng,
-                                                config.bond_length)
-            logits, coords_out, _ = forward_stack(seq_indices, mask, tag_idx,
-                                                  coords0, params, config)
-            decoded = greedy_decode(logits, seq_indices, mask)
-            seq = "".join(AMINO_ACIDS[i] for i in decoded)
+        for k, (seq, coords) in enumerate(designs):
             f.write(f">candidate_{k} tag={tag} length={n}\n{seq}\n")
-            for i, xyz in enumerate(coords_out.data):
+            for i, xyz in enumerate(coords):
                 f.write(f"{i}\t{seq[i]}\t{xyz[0]:.6f}\t{xyz[1]:.6f}\t{xyz[2]:.6f}\n")
     return 0
 

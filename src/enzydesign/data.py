@@ -7,8 +7,8 @@ Records are grouped into identity clusters (global alignment,
 ``SPLIT_IDENTITY`` = 50%) so train and held-out splits never share a
 cluster. The Needleman-Wunsch fill runs a row at a time as numpy ops,
 and a pair whose length ratio is below the threshold is never aligned,
-since its identity cannot reach it. Every training record gets a
-substrate pairing: its experimental positive or a sampled negative.
+since its identity cannot reach it. A record keeps the substrate
+pairing its manifest gives; training draws the negatives.
 """
 from __future__ import annotations
 
@@ -213,10 +213,17 @@ def read_tags(path) -> dict:
     return dict(read_table(path, 2, lambda rid, tag: (rid, tag)))
 
 
+def _pairing(eid, sid, label):
+    y = int(label)
+    if y not in (0, 1):
+        raise ValueError(f"binding label must be 0 or 1, got {y}")
+    return eid, (sid, y)
+
+
 def read_pairing_manifest(path) -> dict:
-    """enzyme_id -> (substrate_id, label) from a tab-separated manifest."""
-    return dict(read_table(path, 3, lambda eid, sid, label:
-                           (eid, (sid, int(label)))))
+    """enzyme_id -> (substrate_id, label 0 or 1) from a tab-separated
+    manifest."""
+    return dict(read_table(path, 3, _pairing))
 
 
 # ---- sequence identity and clustering ----
@@ -329,17 +336,14 @@ def make_split_manifest(records, seed: int) -> SplitManifest:
 
 # ---- assembly ----
 
-def assemble_dataset(records, sites, substrate_pool, pairings, manifest,
-                     seed: int):
+def assemble_dataset(records, sites, substrate_pool, pairings, manifest):
     """Attach sites and substrate pairings, grouped by manifest split.
 
-    Records without a substrate pairing get a uniformly sampled negative
-    (label 0) from the pool. Test records must arrive with a real
-    substrate pairing.
+    A record without a pairing keeps ``substrate_id = binding_label =
+    None``; ``training.train`` draws its negatives. Test records must
+    arrive with a real substrate pairing.
     """
-    rng = np.random.default_rng(seed)
-    pool_ids = sorted(substrate_pool)
-    if not pool_ids:
+    if not substrate_pool:
         raise DataError("empty substrate pool")
     out = {"train": [], "valid": [], "test": []}
     for rec in sorted(records, key=lambda r: r.id):
@@ -354,8 +358,5 @@ def assemble_dataset(records, sites, substrate_pool, pairings, manifest,
             rec.substrate_id, rec.binding_label = sid, label
         elif which == "test":
             raise DataError(f"test record {rec.id} lacks a substrate pairing")
-        else:
-            rec.substrate_id = pool_ids[int(rng.integers(len(pool_ids)))]
-            rec.binding_label = 0
         out[which].append(rec)
     return out

@@ -57,11 +57,9 @@ def global_attention_sublayer(h: Tensor, params, prefix: str,
                               config: ModelConfig, lengths=None) -> Tensor:
     """Pre-softmax scaled dot-product MHA + FFN, post-norm residuals; with
     ``lengths``, each record attends only to itself."""
-    d, heads = h.shape[1], config.num_heads
-    if d % heads != 0:
-        raise ConfigError(f"d={d} not divisible by {heads} heads")
     qkv = (_linear(h, params, f"{prefix}/{w}") for w in "qkv")
-    ctx = _linear(nm.attention(*qkv, heads, lengths), params, f"{prefix}/o")
+    ctx = _linear(nm.attention(*qkv, config.num_heads, lengths), params,
+                  f"{prefix}/o")
 
     h_tilde = nm.layer_norm(ctx + h, params[f"{prefix}/ln1/g"],
                             params[f"{prefix}/ln1/b"])
@@ -165,7 +163,7 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
                   config: ModelConfig, lengths=None):
     """Full enzyme forward pass.
 
-    ``coords`` is the complete N×3 coordinate input (motif values plus
+    ``coords`` is the complete N×3 coordinate array (motif values plus
     spherical initialization for free residues, see
     ``geometry.init_coordinates``). Each neighborhood sub-layer builds
     its kNN graph from the coordinates it updates. Returns (logits N×20,
@@ -185,7 +183,7 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
         raise ConfigError(f"record lengths {lengths} do not sum to {n}")
     h = embed_inputs(seq_indices, known_mask, tag_indices, params, config,
                      lengths)
-    x = coords if isinstance(coords, Tensor) else Tensor(np.asarray(coords, dtype=np.float64))
+    x = Tensor(np.asarray(coords, dtype=np.float64))
     if x.shape != (n, 3):
         raise ConfigError(f"coords shape {x.shape} does not match sequence "
                           f"length {n}")
@@ -208,12 +206,12 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
 
 
 def greedy_decode(logits, seq_indices, known_mask) -> np.ndarray:
-    """Per-position argmax at free positions, motif residues copied verbatim.
+    """Per-position argmax of the ``logits`` Tensor at free positions, motif
+    residues copied verbatim.
 
     Ties resolve to the lowest amino-acid index (np.argmax convention).
     """
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     seq_indices = np.asarray(seq_indices, dtype=np.intp)
     known = np.asarray(known_mask, dtype=bool)
-    picks = arr.argmax(axis=-1)
+    picks = logits.data.argmax(axis=-1)
     return np.where(known, seq_indices, picks)

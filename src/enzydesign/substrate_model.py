@@ -18,15 +18,6 @@ from .enzyme_model import (edge_projections, gated_node_update,
 from .numerics import Tensor
 
 
-def substrate_neighbors(coords: np.ndarray, k: int) -> np.ndarray | None:
-    """kNN over the atoms; a molecule of at most k + 1 atoms is fully
-    connected, since ``geometry.knn`` clips k to m - 1.
-
-    Returns None for a single-atom substrate (no edges).
-    """
-    return None if coords.shape[0] == 1 else geometry.knn(coords, k)
-
-
 def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:
     """Per-atom representations after the substrate message-passing stack."""
     feats = np.asarray(features, dtype=np.float64)
@@ -39,11 +30,12 @@ def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:
                          f"with {feats.shape[0]} atoms")
 
     h = Tensor(feats) @ params["sub/input/w"]
+    if feats.shape[0] == 1:
+        return h  # no edges, so every gated update is the identity
     x = Tensor(coords)
-    neighbors = substrate_neighbors(coords, config.k_neighbors)
+    # at most k + 1 atoms are fully connected: knn clips k to m - 1
+    neighbors = geometry.knn(coords, config.k_neighbors)
     for layer in range(config.substrate_layers):
-        if neighbors is None:
-            continue  # zero aggregate: the gated update is the identity
         prefix = f"sub{layer}"
         m, _, _ = neighborhood_messages(edge_projections(h, params, prefix), x,
                                         neighbors, params, prefix)
@@ -66,9 +58,3 @@ def binding_scores(enzyme_features: Tensor, substrate_features: Tensor,
               @ nm.take(w, np.arange(d, 2 * d)))
     return nm.reshape(logits, (2,))
 
-
-def binding_probabilities(enzyme_features: Tensor, substrate_features: Tensor,
-                          params) -> Tensor:
-    """Softmax over {no-bind, bind}."""
-    return nm.softmax(binding_scores(enzyme_features, substrate_features,
-                                     params))

@@ -226,7 +226,6 @@ def train(records, substrate_pool, params, config: ModelConfig,
         rec.tag_idx = vocab.encode(rec.tag)
 
     pool_ids = sorted(substrate_pool or ())
-    log_lines = []
     last_good: dict = {}
     step = start_step
     batches: list = []
@@ -235,10 +234,11 @@ def train(records, substrate_pool, params, config: ModelConfig,
         if not batches:
             batches = _pack_batches(records, schedule.batch_residues, rng)
             if pool_ids:
-                # fresh negatives each epoch; experimental positives are kept
+                # the one place negatives are drawn: a fresh one each epoch
+                # for every record without a label-1 pairing
                 epoch_pairings = {}
                 for rec in records:
-                    if rec.binding_label == 1 and rec.substrate_id:
+                    if rec.binding_label == 1:
                         epoch_pairings[rec.id] = (rec.substrate_id, 1)
                     else:
                         pick = pool_ids[int(rng.integers(len(pool_ids)))]
@@ -266,7 +266,6 @@ def train(records, substrate_pool, params, config: ModelConfig,
         last_good = {k: t.data.copy() for k, t in params.items()}
         opt.step()
         result.history.append(agg)
-        log_lines.append(agg.line(step))
         step += 1
 
     if checkpoint_path is not None:
@@ -274,8 +273,8 @@ def train(records, substrate_pool, params, config: ModelConfig,
     if loss_log_path is not None:
         mode = "a" if start_step > 0 else "w"
         with open(loss_log_path, mode) as f:
-            for line in log_lines:
-                f.write(line + "\n")
+            for i, agg in enumerate(result.history):
+                f.write(agg.line(start_step + i) + "\n")
     return result
 
 

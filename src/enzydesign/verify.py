@@ -16,11 +16,11 @@ from . import geometry
 from .config import SUBSTRATE_FEATURES, ModelConfig
 from .data import EnzymeRecord, SubstrateRecord
 from .enzyme_model import forward_stack
-from .numerics import finite_difference_gradient
+from .numerics import finite_difference_gradient, softmax
 from .parameters import (TagVocabulary, constant_views, init_parameters,
                          zero_grads)
 from .residues import AMINO_ACIDS, NUM_AMINO_ACIDS
-from .substrate_model import binding_probabilities, substrate_forward
+from .substrate_model import binding_scores, substrate_forward
 from .training import record_loss
 
 SEED = 0
@@ -156,11 +156,11 @@ def run_binding_invariance_suite(params, config: ModelConfig,
 
         _, _, h_e = forward_stack(seq, mask, tag_idx, coords, params, config)
         h_s = substrate_forward(feats, sub_coords, params, config)
-        base = binding_probabilities(h_e, h_s, params).data
+        base = softmax(binding_scores(h_e, h_s, params)).data
 
         perm = rng.permutation(m)
         h_s_perm = substrate_forward(feats[perm], sub_coords[perm], params, config)
-        p_perm = binding_probabilities(h_e, h_s_perm, params).data
+        p_perm = softmax(binding_scores(h_e, h_s_perm, params)).data
         worst_perm = max(worst_perm, float(np.abs(p_perm - base).max()))
 
         rot_e, t_e = geometry.random_rigid(rng)
@@ -171,7 +171,7 @@ def run_binding_invariance_suite(params, config: ModelConfig,
         h_s2 = substrate_forward(feats,
                                  geometry.apply_rigid(rot_s, t_s, sub_coords),
                                  params, config)
-        p_rigid = binding_probabilities(h_e2, h_s2, params).data
+        p_rigid = softmax(binding_scores(h_e2, h_s2, params)).data
         worst_rigid = max(worst_rigid, float(np.abs(p_rigid - base).max()))
     return {"permutation": worst_perm, "rigid": worst_rigid,
             "passed": worst_perm < PERMUTATION_TOL and worst_rigid < RIGID_TOL}

@@ -77,8 +77,7 @@ def test_criterion_3_overfit_oracle():
                 for k, v in data_cfg.items()}
     records, sites, pool, pairings = _load_corpus(data_cfg)
     manifest = make_split_manifest(records, data_cfg["split_seed"])
-    splits = assemble_dataset(records, sites, pool, pairings, manifest,
-                              schedule.seed)
+    splits = assemble_dataset(records, sites, pool, pairings, manifest)
     vocab = TagVocabulary.from_tags(sorted({r.tag for r in records}))
     params = init_parameters(model_cfg, vocab,
                              np.random.default_rng(schedule.seed))

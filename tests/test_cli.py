@@ -255,6 +255,37 @@ class TestGenerate:
         assert capsys.readouterr().err == \
             "error: non-finite logits or coordinates\n"
 
+    def test_failed_candidate_leaves_no_designs_file(self, trained, tmp_path,
+                                                     capsys, monkeypatch):
+        """A forward that fails after an earlier candidate decoded still
+        leaves no ``--out`` file."""
+        import enzydesign.cli as cli
+        import enzydesign.numerics as nm
+        root, ckpt = trained
+        forwards = []
+        forward_stack, silu = cli.forward_stack, nm.silu
+
+        def counted(*args, **kwargs):
+            forwards.append(1)
+            return forward_stack(*args, **kwargs)
+
+        def planted(x):
+            out = silu(x)
+            if len(forwards) > 1:
+                out.data.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "forward_stack", counted)
+        monkeypatch.setattr(nm, "silu", planted)
+        capsys.readouterr()
+        out = tmp_path / "o.txt"
+        assert main(["generate", "--checkpoint", ckpt, "--motif",
+                     str(root / "motif.tsv"), "--num-candidates", "3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: non-finite logits or coordinates\n"
+        assert len(forwards) == 2 and not out.exists()
+
     def test_unknown_tag_exits_1(self, trained, tmp_path):
         root, ckpt = trained
         assert main(["generate", "--checkpoint", ckpt,
@@ -622,6 +653,7 @@ _CORPUS_EDITS = [
     ("shortsub", "substrates_dir", {"sub0.tsv": "sub0\t1\n0 0 0 0 0\t0\t0\n"}),
     ("nansub", "substrates_dir", {"sub0.tsv": "sub0\t1\nnan 0 0 0 0\t0\t0\t0\n"}),
     ("badlabel", "pairings", {"": "rec0\tsub0\tyes\n"}),
+    ("rangelabel", "pairings", {"": "rec0\tsub0\t2\n"}),
     ("sitelow", "sites_manifest", {"": "rec0\t-1\tA\n"}),
     ("sitehigh", "sites_manifest", {"": "rec0\t99\tA\n"}),
 ]
@@ -761,6 +793,9 @@ BAD_INPUTS = {
         "train", "--config", "{d}/nansub/run.json"]),
     "train-pairing-label-not-integer": (1, "pairings.tsv line 1", [
         "train", "--config", "{d}/badlabel/run.json"]),
+    "train-pairing-label-out-of-range": (
+        1, "pairings.tsv line 1: binding label must be 0 or 1, got 2", [
+            "train", "--config", "{d}/rangelabel/run.json"]),
     "train-site-index-negative": (1, "rec0: site index -1", [
         "train", "--config", "{d}/sitelow/run.json"]),
     "train-site-index-past-end": (1, "rec0: site index 99", [

@@ -314,26 +314,26 @@ class TestAssembly:
 
     def test_positive_pairings_attached(self):
         records, pool, pairings, manifest = self.setup_corpus()
-        splits = assemble_dataset(records, {}, pool, pairings, manifest, 0)
+        splits = assemble_dataset(records, {}, pool, pairings, manifest)
         for split in splits.values():
             for rec in split:
                 assert rec.binding_label == 1
                 assert rec.substrate_id == pairings[rec.id][0]
 
-    def test_negative_never_own_positive(self):
+    def test_unpaired_records_stay_unpaired(self):
+        """Negatives are drawn in training, not at assembly."""
         records, pool, pairings, manifest = self.setup_corpus()
-        # drop explicit pairings for train records: they get sampled negatives
         test_ids = {r for r, s in manifest.split.items() if s == "test"}
         partial = {k: v for k, v in pairings.items() if k in test_ids}
-        for seed in range(20):
-            for rec in records:
-                rec.substrate_id, rec.binding_label = None, None
-            splits = assemble_dataset(records, {}, pool, partial, manifest, seed)
-            for split in splits.values():
-                for rec in split:
-                    assert rec.substrate_id in pool
-                    if rec.id not in partial:
-                        assert rec.binding_label == 0
+        splits = assemble_dataset(records, {}, pool, partial, manifest)
+        for split in splits.values():
+            for rec in split:
+                if rec.id in partial:
+                    assert (rec.substrate_id, rec.binding_label) == \
+                        (partial[rec.id][0], 1)
+                else:
+                    assert rec.substrate_id is None
+                    assert rec.binding_label is None
 
     def test_test_record_without_pairing_rejected(self):
         records, pool, pairings, manifest = self.setup_corpus()
@@ -341,12 +341,12 @@ class TestAssembly:
         assert test_ids
         del pairings[test_ids[0]]
         with pytest.raises(DataError):
-            assemble_dataset(records, {}, pool, pairings, manifest, 0)
+            assemble_dataset(records, {}, pool, pairings, manifest)
 
     def test_empty_pool_rejected(self):
         records, pool, pairings, manifest = self.setup_corpus()
         with pytest.raises(DataError):
-            assemble_dataset(records, {}, {}, pairings, manifest, 0)
+            assemble_dataset(records, {}, {}, pairings, manifest)
 
     def test_sites_attached_from_manifest(self):
         from enzydesign.site_miner import SiteAnnotation
@@ -354,7 +354,7 @@ class TestAssembly:
         sites = {"rec0": SiteAnnotation("rec0", [2, 5], ["X", "X"])}
         for rec in records:
             rec.sites = []
-        splits = assemble_dataset(records, sites, pool, pairings, manifest, 0)
+        splits = assemble_dataset(records, sites, pool, pairings, manifest)
         by_id = {r.id: r for split in splits.values() for r in split}
         assert by_id["rec0"].sites == [2, 5]
 

@@ -155,11 +155,13 @@ class TestGlobalAttention:
         assert len(built) == 12
 
     def test_head_count_must_divide_d(self):
+        """``forward_stack`` validates the config before any sub-layer."""
         config, vocab, params = small_setup(d=8, heads=2, sublayers=1)
         config.num_heads = 3
-        with pytest.raises(ConfigError):
-            global_attention_sublayer(Tensor(np.zeros((2, 8))), params,
-                                      "attn0", config)
+        with pytest.raises(ConfigError, match="not divisible by num_heads"):
+            forward_stack(np.zeros(2, dtype=np.intp), np.ones(2, bool),
+                          np.zeros(4, dtype=np.intp), np.zeros((2, 3)),
+                          params, config)
 
 
 class TestNeighborhood:

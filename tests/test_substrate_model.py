@@ -6,8 +6,7 @@ from enzydesign import geometry
 from enzydesign.config import ModelConfig
 from enzydesign.numerics import Tensor
 from enzydesign.parameters import TagVocabulary, init_parameters
-from enzydesign.substrate_model import (binding_probabilities, binding_scores,
-                                        substrate_forward, substrate_neighbors)
+from enzydesign.substrate_model import binding_scores, substrate_forward
 
 
 def setup(d=8, seed=0):
@@ -20,18 +19,21 @@ def setup(d=8, seed=0):
 
 class TestNeighbors:
     def test_single_atom_has_no_edges(self):
-        assert substrate_neighbors(np.zeros((1, 3)), 30) is None
+        """No edge messages: only the input projection gets a gradient."""
+        config, params = setup()
+        feats = np.random.default_rng(1).normal(size=(1, 5))
+        nm.tensor_sum(substrate_forward(feats, np.zeros((1, 3)), params,
+                                        config)).backward()
+        assert params["sub/input/w"].grad is not None
+        assert all(params[k].grad is None for k in params
+                   if k.startswith("sub") and k != "sub/input/w")
 
     def test_small_molecule_fully_connected(self):
-        nbrs = substrate_neighbors(np.random.default_rng(0).normal(size=(4, 3)), 30)
+        """At most k + 1 atoms: the knn graph holds every other atom."""
+        nbrs = geometry.knn(np.random.default_rng(0).normal(size=(4, 3)), 30)
         assert nbrs.shape == (4, 3)
         for i in range(4):
             assert set(nbrs[i]) == set(range(4)) - {i}
-
-    def test_large_molecule_uses_knn(self):
-        coords = np.random.default_rng(1).normal(size=(10, 3))
-        nbrs = substrate_neighbors(coords, 4)
-        np.testing.assert_array_equal(nbrs, geometry.knn(coords, 4))
 
 
 class TestSubstrateForward:
@@ -108,15 +110,17 @@ class TestBindingHead:
         config, params = setup()
         params["binding/out/w"].data[:] = 0.0
         rng = np.random.default_rng(6)
-        probs = binding_probabilities(Tensor(rng.normal(size=(4, 8))),
-                                      Tensor(rng.normal(size=(3, 8))), params)
+        probs = nm.softmax(binding_scores(Tensor(rng.normal(size=(4, 8))),
+                                          Tensor(rng.normal(size=(3, 8))),
+                                          params))
         np.testing.assert_allclose(probs.data, [0.5, 0.5], atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
         config, params = setup()
         rng = np.random.default_rng(7)
-        probs = binding_probabilities(Tensor(rng.normal(size=(5, 8))),
-                                      Tensor(rng.normal(size=(2, 8))), params)
+        probs = nm.softmax(binding_scores(Tensor(rng.normal(size=(5, 8))),
+                                          Tensor(rng.normal(size=(2, 8))),
+                                          params))
         assert probs.shape == (2,)
         assert abs(probs.data.sum() - 1.0) < 1e-12
 

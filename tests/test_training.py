@@ -262,6 +262,37 @@ class TestTrainLoop:
                  log.read_text().splitlines()]
         assert steps == [0, 1, 2, 3]
 
+    def test_unpaired_records_get_fresh_negatives_each_epoch(
+            self, monkeypatch):
+        """Each one-batch epoch pairs every unpaired record with a pool
+        substrate at label 0, drawn anew, and keeps every positive."""
+        records, pool, vocab, config, params = toy_setup()
+        unpaired = ["rec0", "rec3", "rec5"]
+        for rec in records:
+            if rec.id in unpaired:
+                rec.substrate_id = rec.binding_label = None
+        name_of = {id(sub): name for name, sub in pool.items()}
+        epochs = []
+        batch_loss = training.batch_loss
+
+        def spy(batch, params, config, rng, pairs, mlm):
+            epochs.append({rec.id: (name_of[id(sub)], y)
+                           for rec, (sub, y) in zip(batch, pairs)})
+            return batch_loss(batch, params, config, rng, pairs, mlm)
+
+        monkeypatch.setattr(training, "batch_loss", spy)
+        sched = TrainSchedule(phase1_steps=0, phase2_steps=4, seed=0)
+        train(records, pool, params, config, sched, vocab)
+        assert len(epochs) == 4
+        for epoch in epochs:
+            assert sorted(epoch) == sorted(rec.id for rec in records)
+            for rec in records:
+                if rec.id in unpaired:
+                    assert epoch[rec.id][0] in pool and epoch[rec.id][1] == 0
+                else:
+                    assert epoch[rec.id] == (rec.substrate_id, 1)
+        assert len({tuple(e[r] for r in unpaired) for e in epochs}) > 1
+
     def test_record_loss_gradient_matches_finite_differences(self):
         records, pool, vocab, config, params = toy_setup()
         rec = records[0]
