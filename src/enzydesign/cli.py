@@ -16,11 +16,12 @@ import numpy as np
 
 from . import geometry
 from .config import ConfigError, read_run_config
-from .data import (DataError, assemble_dataset, ingest_directory,
+from .data import (DataError, assemble_dataset, claim, ingest_directory,
                    make_split_manifest, read_pairing_manifest, read_substrate,
                    read_table, read_tags)
 from .enzyme_model import forward_stack, greedy_decode
-from .parameters import TagVocabulary, init_parameters, load_checkpoint
+from .parameters import (TagVocabulary, constant_views, init_parameters,
+                         load_checkpoint)
 from .residues import AA_TO_INDEX, AMINO_ACIDS
 from .site_miner import (mine_sites, read_aligned_fasta, read_site_manifest,
                          write_site_manifest)
@@ -43,6 +44,8 @@ def load_run_config(path):
         raise UsageError(str(exc)) from None
     if not Path(data["records_dir"]).is_dir():
         raise UsageError(f"records_dir not found: {data['records_dir']!r}")
+    if data.get("split_seed", 0) < 0:
+        raise UsageError("data.split_seed must be >= 0")
     return model, schedule, data, output
 
 
@@ -78,10 +81,11 @@ def _load_corpus(data_cfg):
         rec.tag = tags[rec.id]
     sites = (read_site_manifest(data_cfg["sites_manifest"])
              if "sites_manifest" in data_cfg else {})
-    pool = {}
+    pool, files = {}, {}
     if "substrates_dir" in data_cfg:
         for path in sorted(Path(data_cfg["substrates_dir"]).iterdir()):
             sub = read_substrate(path)
+            claim(files, f"substrate {sub.id!r}", path.name)
             pool[sub.id] = sub
     pairings = (read_pairing_manifest(data_cfg["pairings"])
                 if "pairings" in data_cfg else {})
@@ -101,9 +105,9 @@ def cmd_train(args) -> int:
         vocab = TagVocabulary.from_tags(sorted({r.tag for r in records}))
         params = init_parameters(model_cfg, vocab,
                                  np.random.default_rng(schedule.seed))
-        if args.pretrain_mlm and train(splits["train"], pool, params,
-                                       model_cfg, schedule, vocab,
-                                       mlm=True).aborted:
+        if schedule.mlm_pretrain_steps > 0 and train(
+                splits["train"], pool, params, model_cfg, schedule, vocab,
+                mlm=True).aborted:
             print("error: masked pretraining diverged", file=sys.stderr)
             return 1
 
@@ -157,6 +161,8 @@ def read_motif_file(path):
 def cmd_generate(args) -> int:
     if args.num_candidates < 1:
         raise UsageError("--num-candidates must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be at least 0")
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
     n, tag, indices, residues, motif_coords = read_motif_file(args.motif)
     if n > config.max_len:  # before --out is created
@@ -164,8 +170,7 @@ def cmd_generate(args) -> int:
                          f"{config.max_len}")
     tag = args.tag or tag
     tag_idx = vocab.encode(tag)
-    for t in params.values():  # forward only: constants build no graph
-        t.requires_grad = False
+    params = constant_views(params)  # forward only: builds no graph
 
     seq_indices = np.zeros(n, dtype=np.intp)
     mask = np.zeros(n, dtype=bool)
@@ -246,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train from a run config")
     p.add_argument("--config", required=True)
-    p.add_argument("--pretrain-mlm", action="store_true", dest="pretrain_mlm")
     p.add_argument("--resume", default=None)
     p.set_defaults(func=cmd_train)
 

@@ -96,8 +96,9 @@ class TrainSchedule(_Section):
     mlm_pretrain_steps: int = 0
 
     def validate(self) -> "TrainSchedule":
-        if self.phase1_steps < 0 or self.phase2_steps < 0:
-            raise ConfigError("step counts must be nonnegative")
+        for name in ("phase1_steps", "phase2_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"schedule.{name} must be >= 0")
         return self
 
 

@@ -29,14 +29,21 @@ class DataError(ValueError):
     pass
 
 
-def read_table(path, width: int, parse, header: bool = False):
+def claim(owners: dict, key: str, where) -> None:
+    """``owners[key] = where``; a second ``where`` raises naming both."""
+    if owners.setdefault(key, where) != where:
+        raise DataError(f"{key} is given in both {owners[key]} and {where}")
+
+
+def read_table(path, width: int, parse, header=False, keyed=False):
     """``parse(*fields)`` for each non-blank row of a tab-separated file.
 
     A row without ``width`` fields, or whose ``parse`` raises ValueError,
-    raises DataError naming the file and 1-based line. With ``header``,
-    returns ``(first line, rows)``.
+    raises DataError naming the file and 1-based line, as does a repeated
+    key with ``keyed``, which returns the (key, value) rows as a dict.
+    With ``header``, returns ``(first line, rows)``.
     """
-    rows = []
+    rows, lines = [], {}
     with open(path) as f:
         first = f.readline().rstrip("\n") if header else None
         for lineno, line in enumerate(f, start=2 if header else 1):
@@ -48,9 +55,11 @@ def read_table(path, width: int, parse, header: bool = False):
                     raise ValueError(f"want {width} tab-separated fields, "
                                      f"got {len(fields)}")
                 rows.append(parse(*fields))
+                if keyed:
+                    claim(lines, f"id {rows[-1][0]!r}", f"line {lineno}")
             except ValueError as exc:
                 raise DataError(f"{path} line {lineno}: {exc}") from None
-    return (first, rows) if header else rows
+    return (first, rows) if header else dict(rows) if keyed else rows
 
 
 def _check_sites(rec) -> None:
@@ -175,16 +184,18 @@ def read_tsv(path) -> EnzymeRecord:
 
 def ingest_directory(directory) -> list[EnzymeRecord]:
     """Parse every .pdb/.tsv file; an unparseable record is skipped with a
-    one-line warning on stderr."""
-    records = []
+    one-line warning on stderr, and a record id in two read files raises."""
+    records, files = [], {}
     for path in sorted(Path(directory).iterdir()):
+        reader = {".pdb": parse_pdb, ".tsv": read_tsv}.get(path.suffix)
         try:
-            if path.suffix == ".pdb":
-                records.append(parse_pdb(path))
-            elif path.suffix == ".tsv":
-                records.append(read_tsv(path))
+            rec = reader(path) if reader else None
         except ValueError as exc:  # DataError, UnknownResidueError, undecodable text
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
+            continue
+        if rec:
+            claim(files, f"record {rec.id!r}", path.name)
+            records.append(rec)
     return records
 
 
@@ -209,8 +220,8 @@ def read_substrate(path) -> SubstrateRecord:
 
 
 def read_tags(path) -> dict:
-    """record_id -> EC tag from a tab-separated file."""
-    return dict(read_table(path, 2, lambda rid, tag: (rid, tag)))
+    """record_id -> EC tag, one row per record."""
+    return read_table(path, 2, lambda rid, tag: (rid, tag), keyed=True)
 
 
 def _pairing(eid, sid, label):
@@ -221,9 +232,8 @@ def _pairing(eid, sid, label):
 
 
 def read_pairing_manifest(path) -> dict:
-    """enzyme_id -> (substrate_id, label 0 or 1) from a tab-separated
-    manifest."""
-    return dict(read_table(path, 3, _pairing))
+    """enzyme_id -> (substrate_id, label 0 or 1), one row per enzyme."""
+    return read_table(path, 3, _pairing, keyed=True)
 
 
 # ---- sequence identity and clustering ----

@@ -134,16 +134,14 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors, params,
     Coordinates move along the radial directions x_i − x_k scaled by a
     per-edge scalar, which preserves SE(3) equivariance. When
     ``freeze_motif_coords`` is set, motif rows keep their incoming
-    coordinates. ``neighbors`` is one (N, K) array of row indices, or a
-    list of such blocks, one per packed record, each with its own K. The
-    edge block runs at most ``numerics.ROW_TILE`` centers of one K at a
-    time.
+    coordinates. ``neighbors`` is a list of blocks of row indices, one
+    (N_r, K_r) block per packed record. The edge block runs at most
+    ``numerics.ROW_TILE`` centers of one K at a time.
     """
     n = h.shape[0]
-    blocks = [neighbors] if isinstance(neighbors, np.ndarray) else neighbors
     proj = edge_projections(h, params, prefix)
     deltas, aggregates = [], []
-    for lo, lists in _edge_tiles(blocks, nm.ROW_TILE):
+    for lo, lists in _edge_tiles(neighbors, nm.ROW_TILE):
         rows = None if len(lists) == n else np.arange(lo, lo + len(lists))
         m, _, rel = neighborhood_messages(proj, x, lists, params, prefix, rows)
         scale = _linear(nm.silu(_linear(m, params, f"{prefix}/coord1")),

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .config import SUBSTRATE_FEATURES, ConfigError, ModelConfig, check_section
-from .numerics import LAYER_NORM_EPS, Tensor
+from .numerics import LAYER_NORM_EPS, NumericsError, Tensor
 from .residues import NUM_AMINO_ACIDS
 
 _MAGIC = b"ENZD0001"
@@ -23,6 +23,8 @@ _HEADER_SPEC = {"config": dict, "vocab_levels": list, "step": int,
 # Retired model keys that older headers carry, with the value each must hold
 _RETIRED_KEYS = {"knn_mode": "dynamic", "layer_norm_eps": LAYER_NORM_EPS,
                  "ffn_multiplier": 4, "substrate_feature_dim": 5}
+# Each substrate block's unread coordinate head, which older payloads carry
+_RETIRED_PARAMS = ("coord1/w", "coord1/b", "coord2/w", "coord2/b")
 
 
 class VocabularyError(KeyError):
@@ -91,7 +93,7 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
         if bias:
             layout[name + "/b"] = ((fan_out,), _ZERO)
 
-    def neighborhood_block(prefix, zero_coord):
+    def neighborhood_block(prefix, coord_head):
         # message FFN: [h_i; h_k; dist] -> d, SiLU between the two layers.
         # edge_projections and neighborhood_messages split msg1/w by this
         # row layout (rows [0, d) for h_i, [d, 2d) for h_k, row 2d for
@@ -100,10 +102,11 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
         linear(f"{prefix}/msg2", d, d)
         # scalar attention row over messages
         linear(f"{prefix}/attn", d, 1)
-        # per-edge coordinate scale; last layer zero-initialized so
-        # coordinate updates start at rest and grow during training
-        linear(f"{prefix}/coord1", d, d)
-        linear(f"{prefix}/coord2", d, 1, zero=zero_coord)
+        if coord_head:
+            # per-edge coordinate scale; last layer zero-initialized so
+            # coordinate updates start at rest and grow during training
+            linear(f"{prefix}/coord1", d, d)
+            linear(f"{prefix}/coord2", d, 1, zero=zero_coord_scale)
         # gated node update
         linear(f"{prefix}/gate1", d, d)
         linear(f"{prefix}/gate2", d, d)
@@ -118,12 +121,10 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
             layout[f"{p}/{ln}/g"] = ((d,), ("constant", 1.0))
             layout[f"{p}/{ln}/b"] = ((d,), _ZERO)
     for j in range(config.neighborhood_sublayers):
-        neighborhood_block(f"neigh{j}", zero_coord_scale)
+        neighborhood_block(f"neigh{j}", True)
     linear("sub/input", SUBSTRATE_FEATURES, d, bias=False)
-    # substrate coordinates stay fixed, so substrate_forward never reads
-    # sub{j}/coord1 and coord2; they stay here to keep the draw order
-    for j in range(config.substrate_layers):
-        neighborhood_block(f"sub{j}", True)
+    for j in range(config.substrate_layers):  # substrate atoms never move
+        neighborhood_block(f"sub{j}", False)
     linear("binding/out", 2 * d, 2, bias=False)
     return layout
 
@@ -188,6 +189,7 @@ def load_checkpoint(path):
 
     A cut inside a record is caught by the short read; a cut at a record
     boundary by the parameter count in the header, when it has one.
+    A retired parameter in an older payload is counted, then dropped.
     """
     with open(path, "rb") as f:
         def read(n: int) -> bytes:
@@ -211,9 +213,10 @@ def load_checkpoint(path):
             shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
-            if not np.isfinite(data).all():
-                raise ValueError(f"{path}: parameter {name} is not finite")
-            params[name] = Tensor(data.copy(), requires_grad=True)
+            try:  # the leaf's own finiteness scan, named here
+                params[name] = Tensor(data.copy(), requires_grad=True)
+            except NumericsError:
+                raise ValueError(f"{path}: parameter {name} is not finite") from None
     try:  # a corrupt file, not a usage error: ValueError, exit 1
         check_section("header", header, _HEADER_SPEC,
                       ("config", "vocab_levels", "step"))
@@ -228,6 +231,9 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: {exc.args[0]}") from None
     if len(params) < header.get("param_count", 0):
         raise ValueError(f"{path} is truncated")
+    for j in range(config.substrate_layers):
+        for name in _RETIRED_PARAMS:
+            params.pop(f"sub{j}/{name}", None)
     layout = parameter_layout(config, vocab)
     for name in sorted(layout.keys() | params.keys()):
         have = str(params[name].shape) if name in params else "no entry"

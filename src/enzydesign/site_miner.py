@@ -117,7 +117,6 @@ def write_site_manifest(path, annotations) -> None:
 
 
 def read_site_manifest(path) -> dict:
-    rows = read_table(path, 3, lambda rid, idx, letters: SiteAnnotation(
+    return read_table(path, 3, lambda rid, idx, letters: (rid, SiteAnnotation(
         rid, [int(i) for i in idx.split(",")] if idx else [],
-        letters.split(",") if letters else []))
-    return {ann.sequence_id: ann for ann in rows}
+        letters.split(",") if letters else [])), keyed=True)

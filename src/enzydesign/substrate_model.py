@@ -2,9 +2,9 @@
 
 Substrate atoms carry five precomputed chemical features and fixed 3D
 coordinates; stacked neighborhood layers update features only (the real
-substrate geometry is kept as-is). The binding head sum-pools enzyme and
-substrate features and maps the concatenation to bind / no-bind
-probabilities.
+substrate geometry is kept as-is), so a substrate block has no
+coordinate head. The binding head sum-pools enzyme and substrate
+features and maps the concatenation to bind / no-bind scores.
 """
 from __future__ import annotations
 
@@ -47,14 +47,14 @@ def binding_scores(enzyme_features: Tensor, substrate_features: Tensor,
                    params) -> Tensor:
     """Pre-softmax {no-bind, bind} scores from sum-pooled representations.
 
-    ``binding/out/w`` maps [enzyme pool; substrate pool] to the scores;
-    each pool meets its own half of the rows, so nothing is concatenated.
+    ``binding/out/w`` maps [enzyme pool; substrate pool] to one (1, 2) row
+    of scores; each pool meets its own half of the rows, so nothing is
+    concatenated.
     """
     w = params["binding/out/w"]
     d = enzyme_features.shape[1]
-    logits = (nm.tensor_sum(enzyme_features, axis=0, keepdims=True)
-              @ nm.take(w, np.arange(d))
-              + nm.tensor_sum(substrate_features, axis=0, keepdims=True)
-              @ nm.take(w, np.arange(d, 2 * d)))
-    return nm.reshape(logits, (2,))
+    return (nm.tensor_sum(enzyme_features, axis=0, keepdims=True)
+            @ nm.take(w, np.arange(d))
+            + nm.tensor_sum(substrate_features, axis=0, keepdims=True)
+            @ nm.take(w, np.arange(d, 2 * d)))
 

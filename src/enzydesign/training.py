@@ -174,9 +174,8 @@ def batch_loss(batch, params, config: ModelConfig, rng, pairs=None,
                                                     params, config)
         rows = [nm.take(feats, np.arange(r.start, r.stop))
                 for r in nm.segments(lengths)]
-        binding = nm.concat([
-            nm.reshape(binding_scores(h, shared[id(sub)], params), (1, 2))
-            for h, (sub, _) in zip(rows, pairs)])
+        binding = nm.concat([binding_scores(h, shared[id(sub)], params)
+                             for h, (sub, _) in zip(rows, pairs)])
         labels = [y for _, y in pairs]
     return joint_loss(logits, seq, coords_out,
                       np.concatenate([rec.coords for rec in batch]), ~known,

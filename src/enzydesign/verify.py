@@ -110,16 +110,14 @@ def run_gradient_suite(params, config: ModelConfig, vocab) -> dict:
                                 rng.normal(0.0, 2.0, (4, 3)))
     init_seed = int(rng.integers(2 ** 31))
 
-    def loss_value(_theta) -> float:
+    def loss():
         (total, _), _ = record_loss(rec, params, config,
                                     np.random.default_rng(init_seed),
                                     substrate, 1)
-        return total.item()
+        return total
 
     zero_grads(params)
-    (total, _), _ = record_loss(rec, params, config,
-                                np.random.default_rng(init_seed), substrate, 1)
-    total.backward()
+    loss().backward()
 
     worst = 0.0
     worst_name = ""
@@ -128,8 +126,8 @@ def run_gradient_suite(params, config: ModelConfig, vocab) -> dict:
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         count = min(FD_SAMPLES, p.size)
         picks = rng.choice(p.size, size=count, replace=False)
-        fd = finite_difference_gradient(loss_value, p.data, FD_STEP,
-                                        indices=picks).reshape(-1)[picks]
+        fd = finite_difference_gradient(lambda _: loss().item(), p.data,
+                                        FD_STEP, picks).reshape(-1)[picks]
         g = grad.reshape(-1)[picks]
         # relative error with an absolute floor: FD roundoff at h=1e-5
         # is ~1e-10 even where the true gradient is exactly zero
@@ -146,32 +144,31 @@ def run_binding_invariance_suite(params, config: ModelConfig,
     """Binding probabilities under atom permutation and rigid transforms."""
     rng = np.random.default_rng(SEED)
     params = constant_views(params)
+
+    def probabilities(enzyme, coords, *substrates):
+        """Bind probabilities of each (features, coords) substrate."""
+        _, _, h_e = forward_stack(*enzyme, coords, params, config)
+        return [softmax(binding_scores(
+            h_e, substrate_forward(f, x, params, config), params)).data
+            for f, x in substrates]
+
     worst_perm, worst_rigid = 0.0, 0.0
     for _ in range(trials):
         m = int(rng.integers(2, 8))
         n = int(rng.integers(4, 12))
-        seq, mask, tag_idx, coords = random_instance(n, rng)
+        *enzyme, coords = random_instance(n, rng)
         feats = rng.normal(0.0, 1.0, (m, SUBSTRATE_FEATURES))
         sub_coords = rng.normal(0.0, 2.0, (m, 3))
-
-        _, _, h_e = forward_stack(seq, mask, tag_idx, coords, params, config)
-        h_s = substrate_forward(feats, sub_coords, params, config)
-        base = softmax(binding_scores(h_e, h_s, params)).data
-
         perm = rng.permutation(m)
-        h_s_perm = substrate_forward(feats[perm], sub_coords[perm], params, config)
-        p_perm = softmax(binding_scores(h_e, h_s_perm, params)).data
-        worst_perm = max(worst_perm, float(np.abs(p_perm - base).max()))
-
         rot_e, t_e = geometry.random_rigid(rng)
         rot_s, t_s = geometry.random_rigid(rng)
-        _, _, h_e2 = forward_stack(seq, mask, tag_idx,
-                                   geometry.apply_rigid(rot_e, t_e, coords),
-                                   params, config)
-        h_s2 = substrate_forward(feats,
-                                 geometry.apply_rigid(rot_s, t_s, sub_coords),
-                                 params, config)
-        p_rigid = softmax(binding_scores(h_e2, h_s2, params)).data
+
+        base, p_perm = probabilities(enzyme, coords, (feats, sub_coords),
+                                     (feats[perm], sub_coords[perm]))
+        (p_rigid,) = probabilities(
+            enzyme, geometry.apply_rigid(rot_e, t_e, coords),
+            (feats, geometry.apply_rigid(rot_s, t_s, sub_coords)))
+        worst_perm = max(worst_perm, float(np.abs(p_perm - base).max()))
         worst_rigid = max(worst_rigid, float(np.abs(p_rigid - base).max()))
     return {"permutation": worst_perm, "rigid": worst_rigid,
             "passed": worst_perm < PERMUTATION_TOL and worst_rigid < RIGID_TOL}

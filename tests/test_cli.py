@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import enzydesign
 from enzydesign.cli import UsageError, main, read_motif_file
 from enzydesign.config import ModelConfig
+from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, init_parameters,
                                    load_checkpoint, save_checkpoint)
 from enzydesign.site_miner import read_site_manifest
@@ -153,29 +154,21 @@ class TestTrain:
         _, _, _, step = load_checkpoint(cfg["output"]["checkpoint"])
         assert step == 4
 
-    def test_pretrain_flag_with_zero_steps_is_noop(self, toy_tree, tmp_path):
-        root, _, _ = toy_tree
-        checkpoints = []
-        for k, flag in enumerate((False, True)):
-            sub = tmp_path / f"run{k}"
-            sub.mkdir()
-            cfg_path, cfg = toy_config(root, sub, mlm_pretrain_steps=0)
-            argv = ["train", "--config", str(cfg_path)]
-            if flag:
-                argv.append("--pretrain-mlm")
-            assert main(argv) == 0
-            checkpoints.append(Path(cfg["output"]["checkpoint"]).read_bytes())
-        assert checkpoints[0] == checkpoints[1]
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_pretrain_exits_1(self, toy_tree, tmp_path, capsys):
         root, _, _ = toy_tree
         cfg_path, _ = toy_config(root, tmp_path, mlm_pretrain_steps=10,
                                  learning_rate=1e18)
-        assert main(["train", "--config", str(cfg_path),
-                     "--pretrain-mlm"]) == 1
+        assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: masked pretraining diverged\n"
+
+    def test_pretrain_flag_is_gone(self, toy_tree, tmp_path):
+        """``schedule.mlm_pretrain_steps`` alone decides pretraining."""
+        cfg_path, _ = toy_config(toy_tree[0], tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", str(cfg_path), "--pretrain-mlm"])
+        assert info.value.code == 2
 
     def test_pretrain_mlm_changes_result(self, toy_tree, tmp_path):
         root, _, _ = toy_tree
@@ -184,8 +177,7 @@ class TestTrain:
             sub = tmp_path / f"run{k}"
             sub.mkdir()
             cfg_path, cfg = toy_config(root, sub, mlm_pretrain_steps=steps)
-            assert main(["train", "--config", str(cfg_path),
-                         "--pretrain-mlm"]) == 0
+            assert main(["train", "--config", str(cfg_path)]) == 0
             checkpoints.append(Path(cfg["output"]["checkpoint"]).read_bytes())
         assert checkpoints[0] != checkpoints[1]
 
@@ -233,6 +225,33 @@ class TestGenerate:
         blocks = text.split(">candidate_")[1:]
         coords = [b.splitlines()[2:] for b in blocks]
         assert coords[0] != coords[1]   # different init seeds move free residues
+
+    def test_checkpoint_with_substrate_coord_head(self, toy_tree, tmp_path):
+        """A checkpoint whose substrate blocks still store the coordinate
+        head that nothing read loads to the current layout and designs
+        byte for byte what the same weights without it design."""
+        root, _, _ = toy_tree
+        config, vocab = ModelConfig(), TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(0))
+        rng, d = np.random.default_rng(1), config.d
+        old = dict(params)
+        for j in range(config.substrate_layers):
+            for name, shape in (("coord1/w", (d, d)), ("coord1/b", (d,)),
+                                ("coord2/w", (d, 1)), ("coord2/b", (1,))):
+                old[f"sub{j}/{name}"] = Tensor(rng.normal(size=shape))
+        designs = []
+        for name, payload in (("old", old), ("new", params)):
+            save_checkpoint(tmp_path / f"{name}.ckpt", payload, config, vocab)
+            back = load_checkpoint(tmp_path / f"{name}.ckpt")[0]
+            assert sorted(back) == sorted(params) and len(back) == 177
+            for key, t in params.items():
+                np.testing.assert_array_equal(back[key].data, t.data)
+            assert main(["generate", "--checkpoint",
+                         str(tmp_path / f"{name}.ckpt"), "--motif",
+                         str(root / "motif.tsv"), "--num-candidates", "2",
+                         "--out", str(tmp_path / f"{name}.txt")]) == 0
+            designs.append((tmp_path / f"{name}.txt").read_bytes())
+        assert len(old) == 189 and designs[0] == designs[1]
 
     def test_nan_mid_graph_exits_1_with_one_line(self, trained, tmp_path,
                                                  capsys, monkeypatch):
@@ -431,6 +450,23 @@ class TestVerifyCommand:
         assert taped == []
         assert all(t.requires_grad for t in params.values())
 
+    def test_binding_suite_model_calls_per_trial(self, small_ckpt,
+                                                 monkeypatch):
+        """Each trial runs the enzyme forward twice (as given, then moved)
+        and the substrate stack three times (as given, permuted, moved)."""
+        import enzydesign.verify as verify
+        params, config, _, _ = load_checkpoint(small_ckpt)
+        calls = []
+        for name in ("forward_stack", "substrate_forward"):
+            def spy(*args, name=name, fn=getattr(verify, name)):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(verify, name, spy)
+        run_binding_invariance_suite(params, config, trials=3)
+        assert calls == ["forward_stack", "substrate_forward",
+                         "substrate_forward", "forward_stack",
+                         "substrate_forward"] * 3
+
     def test_all_suites_print_one_line_each(self, small_ckpt, capsys):
         num = r"\d\.\d{3}e[+-]\d\d"
         assert main(["verify", "--checkpoint", str(small_ckpt),
@@ -553,6 +589,8 @@ def _bad_input_files(root, tmp_path):
     ckpt = tmp_path / "m.ckpt"
     params = init_parameters(config, vocab, np.random.default_rng(0))
     save_checkpoint(ckpt, params, config, vocab)
+    save_checkpoint(tmp_path / "unknown-name.ckpt",
+                    {**params, "extra/w": params["emb/mask"]}, config, vocab)
     params["attn0/q/w"].data[0, 0] = np.nan
     save_checkpoint(tmp_path / "nan-payload.ckpt", params, config, vocab)
     raw = ckpt.read_bytes()
@@ -637,6 +675,8 @@ _CONFIG_EDITS = {
     "bond-string.json": ("model", "bond_length", "x"),
     "freeze-string.json": ("model", "freeze_motif_coords", "no"),
     "seed-string.json": ("data", "split_seed", "x"),
+    "split-seed-negative.json": ("data", "split_seed", -3),
+    "seed-negative.json": ("schedule", "seed", -1),
     "retired-key.json": ("model", "knn_mode", "dynamic"),
     "no-records-dir.json": ("data", "records_dir", None),
     "no-tags.json": ("data", "tags", None),
@@ -652,6 +692,13 @@ _CORPUS_EDITS = [
                                                 "n\tC\t0\t0\t0\n"}),
     ("shortsub", "substrates_dir", {"sub0.tsv": "sub0\t1\n0 0 0 0 0\t0\t0\n"}),
     ("nansub", "substrates_dir", {"sub0.tsv": "sub0\t1\nnan 0 0 0 0\t0\t0\t0\n"}),
+    ("skippedcopy", "records_dir", {"copy.tsv": "rec0\tA\t0\t0\n"}),
+    ("recordcopy", "records_dir", {"copy.tsv": "rec0\tA\t0\t0\t0\n"}),
+    ("substratecopy", "substrates_dir",
+     {"copy.tsv": "sub0\t1\n0 0 0 0 0\t0\t0\t0\n"}),
+    ("duptags", "tags", {"": "rec0\t1.1.1.1\nrec0\t1.1.1.2\n"}),
+    ("duppairing", "pairings", {"": "rec0\tsub0\t1\nrec0\tsub1\t0\n"}),
+    ("dupsites", "sites_manifest", {"": "rec0\t0\tA\nrec0\t1\tA\n"}),
     ("badlabel", "pairings", {"": "rec0\tsub0\tyes\n"}),
     ("rangelabel", "pairings", {"": "rec0\tsub0\t2\n"}),
     ("sitelow", "sites_manifest", {"": "rec0\t-1\tA\n"}),
@@ -769,6 +816,14 @@ BAD_INPUTS = {
     "generate-motif-bad-header": (2, "header.tsv: bad motif header", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/header.tsv", "--out", "{d}/o.txt"]),
+    "generate-checkpoint-unknown-parameter": (
+        1, "unknown-name.ckpt: parameter extra/w: payload has (8,), "
+        "header's model needs no entry", [
+            "generate", "--checkpoint", "{d}/unknown-name.ckpt", "--motif",
+            "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "generate-negative-seed": (2, "error: --seed must be at least 0\n", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/motif.tsv",
+        "--seed", "-1", "--out", "{d}/o.txt"]),
     "generate-zero-candidates": (
         2, "error: --num-candidates must be at least 1\n", [
             "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
@@ -787,6 +842,23 @@ BAD_INPUTS = {
     "train-malformed-record-files": (
         0, "bad.pdb line 1, bad.tsv line 1, mixed.tsv line 2", [
         "train", "--config", "{d}/badrecords/run.json"]),
+    "train-skipped-file-with-a-taken-id": (0, "copy.tsv line 1", [
+        "train", "--config", "{d}/skippedcopy/run.json"]),
+    "train-record-id-in-two-files": (
+        1, "error: record 'rec0' is given in both copy.tsv and rec0.tsv\n", [
+            "train", "--config", "{d}/recordcopy/run.json"]),
+    "train-substrate-id-in-two-files": (
+        1, "error: substrate 'sub0' is given in both copy.tsv and sub0.tsv\n",
+        ["train", "--config", "{d}/substratecopy/run.json"]),
+    "train-tag-id-repeated": (
+        1, "tags.tsv line 2: id 'rec0' is given in both line 1 and line 2\n",
+        ["train", "--config", "{d}/duptags/run.json"]),
+    "train-pairing-id-repeated": (
+        1, "pairings.tsv line 2: id 'rec0' is given in both line 1 and "
+        "line 2\n", ["train", "--config", "{d}/duppairing/run.json"]),
+    "train-site-manifest-id-repeated": (
+        1, "sites.tsv line 2: id 'rec0' is given in both line 1 and line 2\n",
+        ["train", "--config", "{d}/dupsites/run.json"]),
     "train-substrate-row-with-three-fields": (1, "sub0.tsv line 2", [
         "train", "--config", "{d}/shortsub/run.json"]),
     "train-nan-substrate": (1, "sub0: non-finite", [
@@ -816,6 +888,11 @@ BAD_INPUTS = {
         "train", "--config", "{d}/freeze-string.json"]),
     "train-config-split-seed-string": (2, "data.split_seed", [
         "train", "--config", "{d}/seed-string.json"]),
+    "train-config-negative-split-seed": (
+        2, "error: data.split_seed must be >= 0\n", [
+            "train", "--config", "{d}/split-seed-negative.json"]),
+    "train-config-negative-seed": (2, "error: schedule.seed must be >= 0\n", [
+        "train", "--config", "{d}/seed-negative.json"]),
     "train-config-retired-key": (2, "unknown model config key 'knn_mode'", [
         "train", "--config", "{d}/retired-key.json"]),
     "train-config-without-records-dir": (

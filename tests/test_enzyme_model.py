@@ -221,7 +221,7 @@ class TestNeighborhood:
         h = Tensor(rng.normal(size=(5, 8)))
         x = Tensor(rng.normal(size=(5, 3)))
         nbrs = geometry.knn(x.data, 2)
-        _, x_new = neighborhood_sublayer(h, x, nbrs, params, "neigh0", config)
+        _, x_new = neighborhood_sublayer(h, x, [nbrs], params, "neigh0", config)
         np.testing.assert_array_equal(x_new.data, x.data)
 
     def test_neighbor_order_permutation_invariance(self):
@@ -233,8 +233,9 @@ class TestNeighborhood:
         shuffled = nbrs.copy()
         for row in shuffled:
             rng.shuffle(row)
-        h1, x1 = neighborhood_sublayer(h, x, nbrs, params, "neigh0", config)
-        h2, x2 = neighborhood_sublayer(h, x, shuffled, params, "neigh0", config)
+        h1, x1 = neighborhood_sublayer(h, x, [nbrs], params, "neigh0", config)
+        h2, x2 = neighborhood_sublayer(h, x, [shuffled], params, "neigh0",
+                                       config)
         np.testing.assert_allclose(h1.data, h2.data, atol=1e-12)
         np.testing.assert_allclose(x1.data, x2.data, atol=1e-12)
 
@@ -245,10 +246,10 @@ class TestNeighborhood:
         x = rng.normal(size=(7, 3)) * 3.0
         rot, t = geometry.random_rigid(rng)
         nbrs = geometry.knn(x, 3)
-        h1, x1 = neighborhood_sublayer(h, Tensor(x), nbrs, params, "neigh0",
+        h1, x1 = neighborhood_sublayer(h, Tensor(x), [nbrs], params, "neigh0",
                                        config)
         h2, x2 = neighborhood_sublayer(h, Tensor(geometry.apply_rigid(rot, t, x)),
-                                       nbrs, params, "neigh0", config)
+                                       [nbrs], params, "neigh0", config)
         np.testing.assert_allclose(h2.data, h1.data, atol=1e-9)
         np.testing.assert_allclose(x2.data, geometry.apply_rigid(rot, t, x1.data),
                                    atol=1e-9)
@@ -268,7 +269,7 @@ class TestNeighborhood:
         x = Tensor(rng.normal(size=(5, 3)))
         nbrs = geometry.knn(x.data, 2)
         motif = np.array([True, False, True, False, False])
-        _, x_new = neighborhood_sublayer(h, x, nbrs, params, "neigh0", config,
+        _, x_new = neighborhood_sublayer(h, x, [nbrs], params, "neigh0", config,
                                          motif_mask=motif)
         np.testing.assert_array_equal(x_new.data[motif], x.data[motif])
         assert not np.allclose(x_new.data[~motif], x.data[~motif])
@@ -376,7 +377,7 @@ class TestRowTiles:
         nbrs = geometry.knn(x.data, 30)
 
         def run():
-            return neighborhood_sublayer(h, x, nbrs, params, "neigh0", config)
+            return neighborhood_sublayer(h, x, [nbrs], params, "neigh0", config)
 
         tiled = _with_tile(monkeypatch, 128, run)
         whole = _with_tile(monkeypatch, 300, run)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from enzydesign.config import ConfigError, ModelConfig
+from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, VocabularyError,
                                    init_parameters, load_checkpoint,
-                                   save_checkpoint, zero_grads)
+                                   parameter_layout, save_checkpoint,
+                                   zero_grads)
 from helpers import edit_checkpoint_header
 
 
@@ -52,6 +54,19 @@ class TestInit:
             assert name in params, name
         assert params["emb/amino"].shape == (20, 8)
         assert params["binding/out/w"].shape == (16, 2)
+
+    def test_substrate_blocks_have_no_coordinate_head(self):
+        """Substrate atoms keep their positions, so only the enzyme's
+        neighborhood blocks carry ``coord1``/``coord2``."""
+        config = ModelConfig()
+        layout = parameter_layout(config, TagVocabulary.from_tags(["1.1.1.1"]))
+        assert not [name for name in layout if name.startswith("sub")
+                    and "/coord" in name]
+        assert sum(name.startswith("neigh") and "/coord" in name
+                   for name in layout) == 4 * config.neighborhood_sublayers
+        assert len(layout) == 177
+        assert sum(int(np.prod(shape)) for shape, _ in layout.values()) \
+            == 472_713
 
     def test_coord_scale_zero_by_default(self):
         config = small_config()
@@ -135,6 +150,38 @@ class TestCheckpoint:
         assert cfg == config and step == 3
         for k in params:
             np.testing.assert_array_equal(back[k].data, params[k].data)
+
+    @pytest.mark.parametrize("extra", ["extra/w", "sub3/coord1/w"])
+    def test_unknown_parameter_rejected(self, tmp_path, extra):
+        """Only the retired coordinate head of the model's own substrate
+        blocks (sub0 to sub2 here) is dropped; any other name fails."""
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(5))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {**params, extra: Tensor(np.zeros((8, 8)))},
+                        config, vocab)
+        with pytest.raises(ValueError, match=f"m.ckpt: parameter {extra}: "
+                           "payload has \\(8, 8\\), header's model needs "
+                           "no entry"):
+            load_checkpoint(path)
+
+    def test_retired_parameter_counts_toward_param_count(self, tmp_path):
+        """An older payload that lost its last record is caught as
+        truncated, not as a missing parameter, though its header counts a
+        retired record that the model no longer has."""
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(6))
+        old = {**params, "sub2/coord2/b": Tensor(np.zeros(1))}
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, {k: old[k] for k in sorted(old)[:-1]}, config,
+                        vocab)
+        header = edit_checkpoint_header(path)
+        header["param_count"] = len(old)
+        edit_checkpoint_header(path, header)
+        with pytest.raises(ValueError, match="old.ckpt is truncated"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [
         ("knn_mode", "frozen"), ("layer_norm_eps", 1e-6),

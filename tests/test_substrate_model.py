@@ -113,7 +113,7 @@ class TestBindingHead:
         probs = nm.softmax(binding_scores(Tensor(rng.normal(size=(4, 8))),
                                           Tensor(rng.normal(size=(3, 8))),
                                           params))
-        np.testing.assert_allclose(probs.data, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(probs.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
         config, params = setup()
@@ -121,7 +121,7 @@ class TestBindingHead:
         probs = nm.softmax(binding_scores(Tensor(rng.normal(size=(5, 8))),
                                           Tensor(rng.normal(size=(2, 8))),
                                           params))
-        assert probs.shape == (2,)
+        assert probs.shape == (1, 2)
         assert abs(probs.data.sum() - 1.0) < 1e-12
 
     def test_sum_pool_oracle(self):
@@ -132,7 +132,7 @@ class TestBindingHead:
         scores = binding_scores(Tensor(ef), Tensor(sf), params)
         pooled = np.concatenate([ef.sum(axis=0), sf.sum(axis=0)])
         np.testing.assert_allclose(scores.data,
-                                   pooled @ params["binding/out/w"].data,
+                                   [pooled @ params["binding/out/w"].data],
                                    atol=1e-12)
 
     def test_residue_permutation_invariance(self):

@@ -404,9 +404,10 @@ class TestPackedBatch:
 
     def test_toy_config_step_tensor_count(self, monkeypatch):
         """One phase-2 step of the toy config's model over the toy corpus
-        (eight length-12 records, three substrates) builds 558 tensors,
+        (eight length-12 records, three substrates) builds 542 tensors,
         interior nodes and constants alike; one forward and one substrate
-        stack per record built 2497."""
+        stack per record built 2497, and a binding head that reshaped its
+        scores to (2,) and back 558."""
         model_cfg = read_run_config(json.loads(
             (REPO / "configs/toy.json").read_text()))[0]
         records, pool, vocab, _, _ = toy_setup()
@@ -421,7 +422,7 @@ class TestPackedBatch:
         monkeypatch.setattr(Tensor, "__init__", counting)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
         train(records, pool, params, model_cfg, sched, vocab)
-        assert len(built) == 558
+        assert len(built) == 542
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("primitive", ["silu", "log_softmax"])
