@@ -4,6 +4,7 @@ object of four JSON-object sections, ``model``, ``schedule``, ``data``
 and ``output``). Values the model never varies are constants here.
 Field annotations are the types the reader checks, so this module must
 not postpone their evaluation."""
+import math
 from dataclasses import dataclass, asdict, fields
 
 SUBSTRATE_FEATURES = 5  # chemical features per substrate atom
@@ -68,7 +69,7 @@ class ModelConfig(_Section):
         for name in ("d", "num_heads", "interleave_period", "k_neighbors",
                      "max_len"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ConfigError(f"model.{name} must be >= 1")
         if self.d % self.num_heads != 0:
             raise ConfigError(
                 f"d={self.d} not divisible by num_heads={self.num_heads}")
@@ -76,8 +77,12 @@ class ModelConfig(_Section):
             raise ConfigError(
                 f"interleave_period={self.interleave_period} exceeds "
                 f"attention_sublayers={self.attention_sublayers}")
-        if self.coord_loss_weight < 0:
-            raise ConfigError("coord_loss_weight must be >= 0")
+        if self.substrate_layers < 0:
+            raise ConfigError("model.substrate_layers must be >= 0")
+        if not 0 < self.bond_length < math.inf:  # NaN fails every comparison
+            raise ConfigError("model.bond_length must be finite and > 0")
+        if not 0 <= self.coord_loss_weight < math.inf:
+            raise ConfigError("model.coord_loss_weight must be finite and >= 0")
         return self
 
     @property
@@ -96,9 +101,14 @@ class TrainSchedule(_Section):
     mlm_pretrain_steps: int = 0
 
     def validate(self) -> "TrainSchedule":
-        for name in ("phase1_steps", "phase2_steps", "seed"):
+        for name in ("phase1_steps", "phase2_steps", "seed",
+                     "mlm_pretrain_steps"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"schedule.{name} must be >= 0")
+        if self.batch_residues < 1:
+            raise ConfigError("schedule.batch_residues must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("schedule.learning_rate must be finite and > 0")
         return self
 
 

@@ -69,37 +69,38 @@ def global_attention_sublayer(h: Tensor, params, prefix: str,
                          params[f"{prefix}/ln2/b"])
 
 
-def edge_projections(h: Tensor, params, prefix: str):
-    """(h W_i, h W_k) over all N rows, with W_i and W_k rows [0, d) and
-    [d, 2d) of the first message layer's W (row 2d is w_d)."""
-    w1, d = params[f"{prefix}/msg1/w"], h.shape[1]
-    return h @ nm.take(w1, np.arange(d)), h @ nm.take(w1, np.arange(d, 2 * d))
+def neighborhood_messages(h: Tensor, x: Tensor, neighbors, params,
+                          prefix: str):
+    """Softmax-weighted edge messages m_ik, one edge tile at a time.
 
-
-def neighborhood_messages(proj, x: Tensor, neighbors: np.ndarray, params,
-                          prefix: str, rows=None):
-    """Softmax-weighted edge messages m_ik of the centers ``rows`` (all
-    when None), whose neighbor lists are ``neighbors``.
-
-    Returns (weighted messages (R,K,d), weights (R,K,1), radial vectors
-    x_i − x_k (R,K,3)). The only coordinate dependence is through the
-    pairwise distance, which keeps the whole block rigid-motion
-    invariant. The first message layer W·[h_i; h_k; d_ik] + b is
-    (hW_i)_i + (hW_k)_k + d_ik·w_d + b, from ``edge_projections``'s
-    ``proj``, so no (R,K,2d+1) input is built.
+    ``neighbors`` is a list of blocks of row indices, one (N_r, K_r)
+    block per packed record. Yields (weighted messages (R,K,d), radial
+    vectors x_i − x_k (R,K,3)) for each of ``_edge_tiles``' tiles of at
+    most ``numerics.ROW_TILE`` centers, in row order; a K = 0 tile (a
+    one-atom record) has no messages. The only coordinate dependence is
+    through the pairwise distance, which keeps the whole block
+    rigid-motion invariant. The first message layer W·[h_i; h_k; d_ik] + b
+    is (hW_i)_i + (hW_k)_k + d_ik·w_d + b, with hW_i and hW_k formed once
+    over all N rows, so no (R,K,2d+1) input is built.
     """
-    (hw_i, hw_k), x_i = proj, x
-    if rows is not None:
-        hw_i, x_i = nm.take(hw_i, rows), nm.take(x, rows)
-    r, d = hw_i.shape
-    rel = nm.reshape(x_i, (r, 1, 3)) - nm.take(x, neighbors)
-    dist = nm.l2_norm(rel, axis=-1)
-    pre = (nm.reshape(hw_i, (r, 1, d)) + nm.take(hw_k, neighbors)
-           + dist * nm.take(params[f"{prefix}/msg1/w"], [2 * d])
-           + params[f"{prefix}/msg1/b"])
-    m = nm.silu(_linear(nm.silu(pre), params, f"{prefix}/msg2"))
-    w = nm.softmax(_linear(m, params, f"{prefix}/attn"), axis=1)
-    return w * m, w, rel
+    (n, d), w1 = h.shape, params[f"{prefix}/msg1/w"]
+    hw_i = h @ nm.take(w1, np.arange(d))
+    hw_k = h @ nm.take(w1, np.arange(d, 2 * d))
+    for lo, lists in _edge_tiles(neighbors, nm.ROW_TILE):
+        r, k = lists.shape
+        if k == 0:
+            yield Tensor(np.zeros((r, 0, d))), Tensor(np.zeros((r, 0, 3)))
+            continue
+        hw_r, x_r = hw_i, x
+        if r != n:
+            rows = np.arange(lo, lo + r)
+            hw_r, x_r = nm.take(hw_i, rows), nm.take(x, rows)
+        rel = nm.reshape(x_r, (r, 1, 3)) - nm.take(x, lists)
+        pre = (nm.reshape(hw_r, (r, 1, d)) + nm.take(hw_k, lists)
+               + nm.l2_norm(rel, axis=-1) * nm.take(w1, [2 * d])
+               + params[f"{prefix}/msg1/b"])
+        m = nm.silu(_linear(nm.silu(pre), params, f"{prefix}/msg2"))
+        yield nm.softmax(_linear(m, params, f"{prefix}/attn"), axis=1) * m, rel
 
 
 def gated_node_update(h: Tensor, g: Tensor, params, prefix: str) -> Tensor:
@@ -134,16 +135,10 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors, params,
     Coordinates move along the radial directions x_i − x_k scaled by a
     per-edge scalar, which preserves SE(3) equivariance. When
     ``freeze_motif_coords`` is set, motif rows keep their incoming
-    coordinates. ``neighbors`` is a list of blocks of row indices, one
-    (N_r, K_r) block per packed record. The edge block runs at most
-    ``numerics.ROW_TILE`` centers of one K at a time.
+    coordinates. ``neighbors`` is as in ``neighborhood_messages``.
     """
-    n = h.shape[0]
-    proj = edge_projections(h, params, prefix)
     deltas, aggregates = [], []
-    for lo, lists in _edge_tiles(neighbors, nm.ROW_TILE):
-        rows = None if len(lists) == n else np.arange(lo, lo + len(lists))
-        m, _, rel = neighborhood_messages(proj, x, lists, params, prefix, rows)
+    for m, rel in neighborhood_messages(h, x, neighbors, params, prefix):
         scale = _linear(nm.silu(_linear(m, params, f"{prefix}/coord1")),
                         params, f"{prefix}/coord2")
         deltas.append(nm.tensor_sum(rel * scale, axis=1))

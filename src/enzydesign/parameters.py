@@ -95,9 +95,9 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
 
     def neighborhood_block(prefix, coord_head):
         # message FFN: [h_i; h_k; dist] -> d, SiLU between the two layers.
-        # edge_projections and neighborhood_messages split msg1/w by this
-        # row layout (rows [0, d) for h_i, [d, 2d) for h_k, row 2d for
-        # dist), so it must not change.
+        # neighborhood_messages splits msg1/w by this row layout (rows
+        # [0, d) for h_i, [d, 2d) for h_k, row 2d for dist), so it must
+        # not change.
         linear(f"{prefix}/msg1", 2 * d + 1, d)
         linear(f"{prefix}/msg2", d, d)
         # scalar attention row over messages
@@ -220,6 +220,8 @@ def load_checkpoint(path):
     try:  # a corrupt file, not a usage error: ValueError, exit 1
         check_section("header", header, _HEADER_SPEC,
                       ("config", "vocab_levels", "step"))
+        if header["step"] < 0:  # --resume would run extra steps
+            raise ConfigError("header.step must be >= 0")
         fields = dict(header["config"])
         for key, value in _RETIRED_KEYS.items():
             if fields.pop(key, value) != value:

@@ -13,13 +13,17 @@ import numpy as np
 from . import geometry
 from . import numerics as nm
 from .config import SUBSTRATE_FEATURES, ModelConfig
-from .enzyme_model import (edge_projections, gated_node_update,
-                           neighborhood_messages)
+from .enzyme_model import gated_node_update, neighborhood_messages
 from .numerics import Tensor
 
 
-def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:
-    """Per-atom representations after the substrate message-passing stack."""
+def substrate_forward(features, coords, params, config: ModelConfig,
+                      lengths=None) -> Tensor:
+    """Per-atom representations after the substrate message-passing stack.
+
+    With ``lengths``, the atoms are several substrates packed end to end,
+    each with its own kNN block, so each one's rows equal its own forward's.
+    """
     feats = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != SUBSTRATE_FEATURES:
@@ -28,33 +32,43 @@ def substrate_forward(features, coords, params, config: ModelConfig) -> Tensor:
     if coords.shape != (feats.shape[0], 3):
         raise ValueError(f"substrate coords shape {coords.shape} inconsistent "
                          f"with {feats.shape[0]} atoms")
+    lengths = [feats.shape[0]] if lengths is None else lengths
 
     h = Tensor(feats) @ params["sub/input/w"]
-    if feats.shape[0] == 1:
+    if max(lengths) == 1:
         return h  # no edges, so every gated update is the identity
     x = Tensor(coords)
     # at most k + 1 atoms are fully connected: knn clips k to m - 1
-    neighbors = geometry.knn(coords, config.k_neighbors)
+    neighbors = [geometry.knn(coords[r], config.k_neighbors) + r.start
+                 if r.stop - r.start > 1 else np.zeros((1, 0), np.intp)
+                 for r in nm.segments(lengths)]
     for layer in range(config.substrate_layers):
         prefix = f"sub{layer}"
-        m, _, _ = neighborhood_messages(edge_projections(h, params, prefix), x,
-                                        neighbors, params, prefix)
-        h = gated_node_update(h, nm.tensor_sum(m, axis=1), params, prefix)
+        g = nm.concat([nm.tensor_sum(m, axis=1) for m, _ in
+                       neighborhood_messages(h, x, neighbors, params, prefix)])
+        h = gated_node_update(h, g, params, prefix)
     return h
 
 
 def binding_scores(enzyme_features: Tensor, substrate_features: Tensor,
-                   params) -> Tensor:
+                   params, lengths=None, substrate_rows=None) -> Tensor:
     """Pre-softmax {no-bind, bind} scores from sum-pooled representations.
 
-    ``binding/out/w`` maps [enzyme pool; substrate pool] to one (1, 2) row
-    of scores; each pool meets its own half of the rows, so nothing is
-    concatenated.
+    ``lengths`` splits the enzyme rows into records (one when None), and
+    ``substrate_rows`` holds the slice of substrate rows paired with each
+    (all of them when None). ``binding/out/w`` maps each record's
+    [enzyme pool; substrate pool] to one row of the (B, 2) scores; each
+    pool meets its own half of the rows, so nothing is concatenated.
     """
+    n, d = enzyme_features.shape
+    records = nm.segments([n] if lengths is None else lengths)
+    pool_e = np.zeros((len(records), n))  # the constant 0/1 pooling matrices
+    pool_s = np.zeros((len(records), substrate_features.shape[0]))
+    pairs = zip(records, substrate_rows or [slice(None)] * len(records),
+                strict=True)
+    for b, (rows, atoms) in enumerate(pairs):
+        pool_e[b, rows] = pool_s[b, atoms] = 1.0
     w = params["binding/out/w"]
-    d = enzyme_features.shape[1]
-    return (nm.tensor_sum(enzyme_features, axis=0, keepdims=True)
-            @ nm.take(w, np.arange(d))
-            + nm.tensor_sum(substrate_features, axis=0, keepdims=True)
+    return (Tensor(pool_e) @ enzyme_features @ nm.take(w, np.arange(d))
+            + Tensor(pool_s) @ substrate_features
             @ nm.take(w, np.arange(d, 2 * d)))
-

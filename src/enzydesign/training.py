@@ -46,10 +46,9 @@ def joint_loss(logits: Tensor, target_seq, coords_out: Tensor, target_coords,
     """The joint objective for one enzyme, or for records packed end to
     end, whose terms are summed.
 
-    ``binding`` holds the pre-softmax binding scores (phase 2): a
-    2-vector with an int label ``y``, or one row per record with one
-    label each. It is None in phase 1. Returns (total Tensor,
-    LossBreakdown).
+    ``binding`` holds the pre-softmax binding scores (phase 2), a (B, 2)
+    block with one row per record, and ``y`` one 0/1 label per row. It
+    is None in phase 1. Returns (total Tensor, LossBreakdown).
     """
     free = np.asarray(free_mask, dtype=bool)
     n_free = int(free.sum())
@@ -72,9 +71,12 @@ def joint_loss(logits: Tensor, target_seq, coords_out: Tensor, target_coords,
     total = seq_nll + coord_l2
     binding_ce = Tensor(0.0)
     if binding is not None:
-        if not all(v in (0, 1) for v in np.ravel(y)):
-            raise ValueError(f"binding label must be 0 or 1, got {y!r}")
-        pick = np.eye(2)[np.asarray(y, dtype=np.intp)]
+        labels = np.asarray(y)
+        if (labels.ndim != 1 or binding.shape != (len(labels), 2)
+                or not all(v in (0, 1) for v in labels)):
+            raise ValueError(f"want one 0/1 binding label per row of scores "
+                             f"of shape {binding.shape}, got {y!r}")
+        pick = np.eye(2)[labels.astype(np.intp)]
         binding_ce = -nm.tensor_sum(nm.log_softmax(binding, axis=-1)
                                     * Tensor(pick))
         total = total + binding_ce
@@ -147,8 +149,8 @@ def batch_loss(batch, params, config: ModelConfig, rng, pairs=None,
     its free-residue coordinates are drawn; the known (teacher-forced)
     residues are its motif, or with ``mlm`` the unmasked ones, and the
     loss covers the rest. ``pairs`` gives each record's (substrate,
-    label) for the binding term, or is None (no binding term). Each
-    distinct substrate's stack runs once, shared by its records.
+    label) for the binding term, or is None (no binding term). The
+    distinct substrates run as one packed stack, shared by their records.
     Returns ((total, LossBreakdown), packed logits).
     """
     knowns, coords0 = [], []
@@ -167,15 +169,14 @@ def batch_loss(batch, params, config: ModelConfig, rng, pairs=None,
         np.concatenate(coords0), params, config, lengths)
     binding = labels = None
     if pairs is not None:
-        shared = {}
-        for sub, _ in pairs:
-            if id(sub) not in shared:
-                shared[id(sub)] = substrate_forward(sub.features, sub.coords,
-                                                    params, config)
-        rows = [nm.take(feats, np.arange(r.start, r.stop))
-                for r in nm.segments(lengths)]
-        binding = nm.concat([binding_scores(h, shared[id(sub)], params)
-                             for h, (sub, _) in zip(rows, pairs)])
+        subs = list({id(sub): sub for sub, _ in pairs}.values())
+        sizes = [len(sub.features) for sub in subs]
+        rows = dict(zip(map(id, subs), nm.segments(sizes)))
+        h_sub = substrate_forward(np.concatenate([s.features for s in subs]),
+                                  np.concatenate([s.coords for s in subs]),
+                                  params, config, sizes)
+        binding = binding_scores(feats, h_sub, params, lengths,
+                                 [rows[id(sub)] for sub, _ in pairs])
         labels = [y for _, y in pairs]
     return joint_loss(logits, seq, coords_out,
                       np.concatenate([rec.coords for rec in batch]), ~known,

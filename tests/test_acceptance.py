@@ -106,8 +106,8 @@ def test_criterion_4_loss_decomposition():
         n = int(rng.integers(1, 12))
         free = rng.random(n) < 0.6
         phase2 = trial % 2 == 1
-        binding = Tensor(rng.normal(size=2)) if phase2 else None
-        y = int(rng.integers(2)) if phase2 else None
+        binding = Tensor(rng.normal(size=(1, 2))) if phase2 else None
+        y = [int(rng.integers(2))] if phase2 else None
         total, bd = joint_loss(Tensor(rng.normal(size=(n, 20))),
                                rng.integers(0, 20, n),
                                Tensor(rng.normal(size=(n, 3))),

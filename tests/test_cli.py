@@ -550,15 +550,17 @@ class TestVerifyCommand:
         import enzydesign.enzyme_model as em
         original = em.neighborhood_messages
 
-        def leaky(proj, x, neighbors, params, prefix, rows=None):
-            m, w, rel = original(proj, x, neighbors, params, prefix, rows)
+        def leaky(h, x, neighbors, params, prefix):
             from enzydesign.numerics import Tensor
             import enzydesign.numerics as nm
             # x * 1e-3 into the first three channels of every message
-            pad = np.zeros((3, m.shape[-1]))
+            pad = np.zeros((3, h.shape[1]))
             pad[:, :3] = 1e-3 * np.eye(3)
-            leak = nm.reshape(x, (x.shape[0], 1, 3)) @ Tensor(pad)
-            return m + leak, w, rel
+            tiles = em._edge_tiles(neighbors, nm.ROW_TILE)
+            for (m, rel), (lo, lists) in zip(
+                    original(h, x, neighbors, params, prefix), tiles):
+                x_i = nm.take(x, np.arange(lo, lo + len(lists)))
+                yield m + nm.reshape(x_i, (len(lists), 1, 3)) @ Tensor(pad), rel
 
         em.neighborhood_messages = leaky
         try:
@@ -661,6 +663,7 @@ _HEADER_EDITS = {
     "vocab-level-number.ckpt": lambda h: {
         **h, "vocab_levels": [["1"], ["1.1"], [1], ["1.1.1.1"]]},
     "step-string.ckpt": lambda h: {**h, "step": "7"},
+    "step-negative.ckpt": lambda h: {**h, "step": -3},
     "header-unknown-key.ckpt": lambda h: {**h, "epoch": 1},
     "vocab-longer.ckpt": lambda h: {**h, "vocab_levels": [
         *h["vocab_levels"][:3], h["vocab_levels"][3] + ["1.1.1.2"]]},
@@ -677,6 +680,12 @@ _CONFIG_EDITS = {
     "seed-string.json": ("data", "split_seed", "x"),
     "split-seed-negative.json": ("data", "split_seed", -3),
     "seed-negative.json": ("schedule", "seed", -1),
+    "lr-nan.json": ("schedule", "learning_rate", float("nan")),
+    "mlm-negative.json": ("schedule", "mlm_pretrain_steps", -1),
+    "batch-zero.json": ("schedule", "batch_residues", 0),
+    "substrate-layers-negative.json": ("model", "substrate_layers", -1),
+    "bond-zero.json": ("model", "bond_length", 0.0),
+    "coord-weight-inf.json": ("model", "coord_loss_weight", float("inf")),
     "retired-key.json": ("model", "knn_mode", "dynamic"),
     "no-records-dir.json": ("data", "records_dir", None),
     "no-tags.json": ("data", "tags", None),
@@ -754,6 +763,10 @@ BAD_INPUTS = {
         1, "step-string.ckpt: header.step must be int, got str", [
             "export-embeddings", "--checkpoint", "{d}/step-string.ckpt",
             "--out", "{d}/e.tsv"]),
+    "train-resume-checkpoint-negative-step": (
+        1, "step-negative.ckpt: header.step must be >= 0", [
+            "train", "--config", "{d}/run.json", "--resume",
+            "{d}/step-negative.ckpt"]),
     "export-checkpoint-header-unknown-key": (
         1, "header-unknown-key.ckpt: unknown header config key 'epoch'", [
             "export-embeddings", "--checkpoint",
@@ -893,6 +906,24 @@ BAD_INPUTS = {
             "train", "--config", "{d}/split-seed-negative.json"]),
     "train-config-negative-seed": (2, "error: schedule.seed must be >= 0\n", [
         "train", "--config", "{d}/seed-negative.json"]),
+    "train-config-learning-rate-nan": (
+        2, "error: schedule.learning_rate must be finite and > 0\n", [
+            "train", "--config", "{d}/lr-nan.json"]),
+    "train-config-negative-mlm-steps": (
+        2, "error: schedule.mlm_pretrain_steps must be >= 0\n", [
+            "train", "--config", "{d}/mlm-negative.json"]),
+    "train-config-zero-batch-residues": (
+        2, "error: schedule.batch_residues must be >= 1\n", [
+            "train", "--config", "{d}/batch-zero.json"]),
+    "train-config-negative-substrate-layers": (
+        2, "error: model.substrate_layers must be >= 0\n", [
+            "train", "--config", "{d}/substrate-layers-negative.json"]),
+    "train-config-zero-bond-length": (
+        2, "error: model.bond_length must be finite and > 0\n", [
+            "train", "--config", "{d}/bond-zero.json"]),
+    "train-config-infinite-coord-loss-weight": (
+        2, "error: model.coord_loss_weight must be finite and >= 0\n", [
+            "train", "--config", "{d}/coord-weight-inf.json"]),
     "train-config-retired-key": (2, "unknown model config key 'knn_mode'", [
         "train", "--config", "{d}/retired-key.json"]),
     "train-config-without-records-dir": (

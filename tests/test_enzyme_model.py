@@ -4,8 +4,8 @@ import pytest
 import enzydesign.numerics as nm
 from enzydesign import geometry
 from enzydesign.config import ConfigError, ModelConfig
-from enzydesign.enzyme_model import (edge_projections, embed_inputs,
-                                     forward_stack, gated_node_update,
+from enzydesign.enzyme_model import (embed_inputs, forward_stack,
+                                     gated_node_update,
                                      global_attention_sublayer, greedy_decode,
                                      neighborhood_messages,
                                      neighborhood_sublayer)
@@ -164,26 +164,53 @@ class TestGlobalAttention:
                           params, config)
 
 
+def concat_form_messages(h, x, nbrs, params, prefix="neigh0"):
+    """Plain-numpy oracle of one record's edge block: the messages
+    silu(silu([h_i; h_k; d_ik]·W1 + b1)·W2 + b2), their softmax weights
+    over K and the radial vectors."""
+    def p(name):
+        return params[f"{prefix}/{name}"].data
+
+    def silu(v):
+        return v / (1.0 + np.exp(-v))
+
+    (n, d), k = h.shape, nbrs.shape[1]
+    rel = x[:, None, :] - x[nbrs]
+    z = np.concatenate([np.broadcast_to(h[:, None, :], (n, k, d)), h[nbrs],
+                        np.linalg.norm(rel, axis=-1, keepdims=True)], axis=-1)
+    msg = silu(silu(z @ p("msg1/w") + p("msg1/b")) @ p("msg2/w") + p("msg2/b"))
+    score = msg @ p("attn/w") + p("attn/b")
+    e = np.exp(score - score.max(axis=1, keepdims=True))
+    return msg, e / e.sum(axis=1, keepdims=True), rel
+
+
+def one_tile(h, x, nbrs, params, prefix="neigh0"):
+    """The (messages, radial vectors) of a record that fits one tile."""
+    (tile,) = neighborhood_messages(Tensor(h), Tensor(x), [nbrs], params,
+                                    prefix)
+    return tile
+
+
 class TestNeighborhood:
     def test_weights_sum_to_one_per_node(self):
         config, vocab, params = small_setup()
         rng = np.random.default_rng(2)
-        h = Tensor(rng.normal(size=(5, 8)))
-        x = Tensor(rng.normal(size=(5, 3)))
-        nbrs = geometry.knn(x.data, 3)
-        _, w, _ = neighborhood_messages(edge_projections(h, params, "neigh0"),
-                                        x, nbrs, params, "neigh0")
-        np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
+        h, x = rng.normal(size=(5, 8)), rng.normal(size=(5, 3))
+        nbrs = geometry.knn(x, 3)
+        msg, w, _ = concat_form_messages(h, x, nbrs, params)
+        m, _ = one_tile(h, x, nbrs, params)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(m.data, w * msg, rtol=0, atol=1e-12)
 
     def test_single_neighbor_weight_is_one(self):
         config, vocab, params = small_setup()
         rng = np.random.default_rng(2)
-        h = Tensor(rng.normal(size=(2, 8)))
-        x = Tensor(rng.normal(size=(2, 3)))
+        h, x = rng.normal(size=(2, 8)), rng.normal(size=(2, 3))
         nbrs = np.array([[1], [0]])
-        _, w, _ = neighborhood_messages(edge_projections(h, params, "neigh0"),
-                                        x, nbrs, params, "neigh0")
-        np.testing.assert_allclose(w.data, 1.0, atol=1e-15)
+        msg, w, _ = concat_form_messages(h, x, nbrs, params)
+        m, _ = one_tile(h, x, nbrs, params)
+        np.testing.assert_allclose(w, 1.0, atol=1e-15)
+        np.testing.assert_allclose(m.data, msg, rtol=0, atol=1e-12)
 
     def test_split_weight_matches_concat_form(self):
         """Messages equal silu(silu([h_i; h_k; d_ik]·W1 + b1)·W2 + b2)."""
@@ -192,26 +219,8 @@ class TestNeighborhood:
         h = rng.normal(size=(6, 8))
         x = rng.normal(size=(6, 3)) * 3.0
         nbrs = geometry.knn(x, 3)
-        m, w, rel = neighborhood_messages(
-            edge_projections(Tensor(h), params, "neigh0"), Tensor(x), nbrs,
-            params, "neigh0")
-
-        def p(name):
-            return params[f"neigh0/{name}"].data
-
-        def silu(v):
-            return v / (1.0 + np.exp(-v))
-
-        rel_ref = x[:, None, :] - x[nbrs]
-        z = np.concatenate([np.broadcast_to(h[:, None, :], (6, 3, 8)), h[nbrs],
-                            np.linalg.norm(rel_ref, axis=-1, keepdims=True)],
-                           axis=-1)
-        msg = silu(silu(z @ p("msg1/w") + p("msg1/b")) @ p("msg2/w")
-                   + p("msg2/b"))
-        score = msg @ p("attn/w") + p("attn/b")
-        e = np.exp(score - score.max(axis=1, keepdims=True))
-        w_ref = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(w.data, w_ref, rtol=0, atol=1e-12)
+        m, rel = one_tile(h, x, nbrs, params)
+        msg, w_ref, rel_ref = concat_form_messages(h, x, nbrs, params)
         np.testing.assert_allclose(m.data, w_ref * msg, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(rel.data, rel_ref)
 

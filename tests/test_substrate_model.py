@@ -97,6 +97,22 @@ class TestSubstrateForward:
         b = substrate_forward(feats[perm], coords[perm], params, config)
         np.testing.assert_allclose(b.data, a.data[perm], atol=1e-10)
 
+    @pytest.mark.parametrize("tile", [128, 2])
+    def test_packed_matches_each_substrate_alone(self, monkeypatch, tile):
+        """Five substrates packed end to end, one-atom ones among them:
+        each one's rows equal its own forward's."""
+        config, params = setup()
+        rng = np.random.default_rng(11)
+        lengths = [1, 4, 1, 6, 2]
+        feats = rng.normal(size=(sum(lengths), 5))
+        coords = rng.normal(size=(sum(lengths), 3)) * 2.0
+        alone = [substrate_forward(feats[r], coords[r], params, config).data
+                 for r in nm.segments(lengths)]
+        monkeypatch.setattr(nm, "ROW_TILE", tile)
+        packed = substrate_forward(feats, coords, params, config, lengths)
+        np.testing.assert_allclose(packed.data, np.concatenate(alone),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_bad_feature_width_rejected(self):
         config, params = setup()
         with pytest.raises(ValueError):
@@ -144,6 +160,22 @@ class TestBindingHead:
         b = binding_scores(Tensor(ef[rng.permutation(6)]),
                            Tensor(sf[rng.permutation(4)]), params)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+
+    def test_packed_rows_match_one_record_at_a_time(self):
+        """One (B, 2) block for records paired with slices of a packed
+        substrate stack, equal to one call per record; a slice count that
+        differs from the record count is an error."""
+        config, params = setup()
+        rng = np.random.default_rng(12)
+        ef, sf = rng.normal(size=(9, 8)), rng.normal(size=(5, 8))
+        lengths, rows = [2, 4, 3], [slice(0, 3), slice(3, 5), slice(0, 3)]
+        packed = binding_scores(Tensor(ef), Tensor(sf), params, lengths, rows)
+        each = [binding_scores(Tensor(ef[r]), Tensor(sf[s]), params).data
+                for r, s in zip(nm.segments(lengths), rows)]
+        np.testing.assert_allclose(packed.data, np.concatenate(each),
+                                   rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError):
+            binding_scores(Tensor(ef), Tensor(sf), params, lengths, rows[:2])
 
     def test_row_duplication_changes_pool(self):
         """Sum pooling is sensitive to multiplicity, unlike max pooling."""

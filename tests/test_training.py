@@ -69,7 +69,8 @@ class TestJointLoss:
         free = np.array([True, False, True, True, False, True])
         binding_arr = rng.normal(size=2)
         total, bd = joint_loss(Tensor(logits_arr), target, Tensor(coords_out),
-                               coords_tgt, free, 1.0, Tensor(binding_arr), 1)
+                               coords_tgt, free, 1.0,
+                               Tensor(binding_arr[None]), [1])
 
         lse = np.log(np.exp(logits_arr).sum(axis=-1))
         nll = sum(lse[i] - logits_arr[i, target[i]] for i in range(n) if free[i])
@@ -86,8 +87,8 @@ class TestJointLoss:
         for trial in range(20):
             n = int(rng.integers(1, 8))
             free = rng.random(n) < 0.6
-            binding = Tensor(rng.normal(size=2)) if trial % 2 else None
-            y = int(rng.integers(2)) if binding is not None else None
+            binding = Tensor(rng.normal(size=(1, 2))) if trial % 2 else None
+            y = [int(rng.integers(2))] if binding is not None else None
             total, bd = joint_loss(Tensor(rng.normal(size=(n, 20))),
                                    rng.integers(0, 20, n),
                                    Tensor(rng.normal(size=(n, 3))),
@@ -113,7 +114,7 @@ class TestJointLoss:
                 Tensor(np.zeros((1, 3))), np.zeros((1, 3)),
                 np.array([False]), 1.0)
         _, bd = joint_loss(*args, Tensor(scores), labels)
-        each = [joint_loss(*args, Tensor(row), y)[1].binding_ce
+        each = [joint_loss(*args, Tensor(row[None]), [y])[1].binding_ce
                 for row, y in zip(scores, labels)]
         assert abs(bd.binding_ce - sum(each)) < 1e-12
 
@@ -121,7 +122,16 @@ class TestJointLoss:
         with pytest.raises(ValueError):
             joint_loss(Tensor(np.zeros((1, 20))), np.array([0]),
                        Tensor(np.zeros((1, 3))), np.zeros((1, 3)),
-                       np.array([True]), 1.0, Tensor(np.zeros(2)), 2)
+                       np.array([True]), 1.0, Tensor(np.zeros((1, 2))), [2])
+
+    @pytest.mark.parametrize("labels", [1, [1], [1, 0, 1, 0], [[1, 0, 1]]])
+    def test_one_label_per_binding_row(self, labels):
+        """Three rows of scores take exactly three labels: a scalar is not
+        broadcast over the rows."""
+        with pytest.raises(ValueError, match="one 0/1 binding label per row"):
+            joint_loss(Tensor(np.zeros((1, 20))), np.array([0]),
+                       Tensor(np.zeros((1, 3))), np.zeros((1, 3)),
+                       np.array([True]), 1.0, Tensor(np.zeros((3, 2))), labels)
 
     def test_se3_invariance_of_total(self):
         """One shared rigid motion on input and target coords: same loss."""
@@ -378,36 +388,36 @@ class TestPackedBatch:
             np.testing.assert_allclose(params[k].grad, g, rtol=0,
                                        atol=1e-12 * scale, err_msg=k)
 
-    def test_phase2_step_is_one_forward_and_one_stack_per_substrate(
+    def test_phase2_step_is_one_forward_one_stack_one_binding_call(
             self, monkeypatch):
-        """Eight records over three substrates: one enzyme forward and
-        three substrate stacks."""
+        """Eight records over three substrates: one enzyme forward, one
+        packed stack over the three distinct substrates, and one binding
+        call that scores all eight records."""
         records, pool, vocab, config, params = toy_setup()
-        forwards, stacks = [], []
-
-        def spy(fn, log):
-            def wrapped(*args, **kwargs):
-                log.append(args[0])
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(training, "forward_stack",
-                            spy(training.forward_stack, forwards))
-        monkeypatch.setattr(training, "substrate_forward",
-                            spy(training.substrate_forward, stacks))
+        calls = {"forward_stack": [], "substrate_forward": [],
+                 "binding_scores": []}
+        for name, log in calls.items():
+            def wrapped(*args, fn=getattr(training, name), log=log):
+                log.append((args, fn(*args)))
+                return log[-1][1]
+            monkeypatch.setattr(training, name, wrapped)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
         train(records, pool, params, config, sched, vocab)
-        assert len(forwards) == 1 and len(forwards[0]) == 8 * 12
-        by_features = {id(sub.features): name for name, sub in pool.items()}
-        assert sorted(by_features[id(f)] for f in stacks) == \
-            ["sub0", "sub1", "sub2"]
+        (forward,), (stack,), (binding,) = calls.values()
+        assert len(forward[0][0]) == 8 * 12
+        subs = [pool[name] for name in ("sub0", "sub1", "sub2")]
+        assert sorted(stack[0][4]) == sorted(len(s.features) for s in subs)
+        assert sorted(map(tuple, stack[0][0])) == sorted(
+            map(tuple, np.concatenate([s.features for s in subs])))
+        assert binding[1].shape == (8, 2)
 
     def test_toy_config_step_tensor_count(self, monkeypatch):
         """One phase-2 step of the toy config's model over the toy corpus
-        (eight length-12 records, three substrates) builds 542 tensors,
+        (eight length-12 records, three substrates) builds 312 tensors,
         interior nodes and constants alike; one forward and one substrate
-        stack per record built 2497, and a binding head that reshaped its
-        scores to (2,) and back 558."""
+        stack per record built 2497, a binding head that reshaped its
+        scores to (2,) and back 558, and one substrate stack per distinct
+        substrate with one binding call per record 542."""
         model_cfg = read_run_config(json.loads(
             (REPO / "configs/toy.json").read_text()))[0]
         records, pool, vocab, _, _ = toy_setup()
@@ -422,7 +432,7 @@ class TestPackedBatch:
         monkeypatch.setattr(Tensor, "__init__", counting)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
         train(records, pool, params, model_cfg, sched, vocab)
-        assert len(built) == 542
+        assert len(built) == 312
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("primitive", ["silu", "log_softmax"])
