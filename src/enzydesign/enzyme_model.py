@@ -81,26 +81,23 @@ def neighborhood_messages(h: Tensor, x: Tensor, neighbors, params,
     through the pairwise distance, which keeps the whole block
     rigid-motion invariant. The first message layer W·[h_i; h_k; d_ik] + b
     is (hW_i)_i + (hW_k)_k + d_ik·w_d + b, with hW_i and hW_k formed once
-    over all N rows, so no (R,K,2d+1) input is built.
+    over all N rows, so no (R,K,2d+1) input is built. Each tile's
+    messages are one ``numerics.edge_messages`` node; the radial vectors
+    stay ordinary nodes, which the coordinate head also reads.
     """
     (n, d), w1 = h.shape, params[f"{prefix}/msg1/w"]
     hw_i = h @ nm.take(w1, np.arange(d))
     hw_k = h @ nm.take(w1, np.arange(d, 2 * d))
+    weights = [params[f"{prefix}/{name}"] for name in (
+        "msg1/w", "msg1/b", "msg2/w", "msg2/b", "attn/w", "attn/b")]
     for lo, lists in _edge_tiles(neighbors, nm.ROW_TILE):
         r, k = lists.shape
         if k == 0:
             yield Tensor(np.zeros((r, 0, d))), Tensor(np.zeros((r, 0, 3)))
             continue
-        hw_r, x_r = hw_i, x
-        if r != n:
-            rows = np.arange(lo, lo + r)
-            hw_r, x_r = nm.take(hw_i, rows), nm.take(x, rows)
+        x_r = x if r == n else nm.take(x, np.arange(lo, lo + r))
         rel = nm.reshape(x_r, (r, 1, 3)) - nm.take(x, lists)
-        pre = (nm.reshape(hw_r, (r, 1, d)) + nm.take(hw_k, lists)
-               + nm.l2_norm(rel, axis=-1) * nm.take(w1, [2 * d])
-               + params[f"{prefix}/msg1/b"])
-        m = nm.silu(_linear(nm.silu(pre), params, f"{prefix}/msg2"))
-        yield nm.softmax(_linear(m, params, f"{prefix}/attn"), axis=1) * m, rel
+        yield nm.edge_messages(hw_i, hw_k, rel, *weights, lo, lists), rel
 
 
 def gated_node_update(h: Tensor, g: Tensor, params, prefix: str) -> Tensor:

@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Define-by-run: each operation records its parents, a backward rule and
-a creation number. A rule is a pure function of the result's gradient
-that returns one gradient per parent, in order; ``Tensor.backward`` is
-the one place that sums each back to its input's shape and accumulates
-it, and it fires the rules newest first. Everything downstream of this
+a creation number. A rule maps the result's gradient to one gradient
+per parent, in order, and fires once (``edge_messages``' rule reuses the
+buffers its forward kept); ``Tensor.backward`` is the one place that
+sums each back to its input's shape and accumulates it, and it fires the
+rules newest first. Everything downstream of this
 module (attention layers, equivariant updates, losses) is built from the
 primitives here, so each backward rule is validated against central
 finite differences in the test suite.
@@ -15,8 +16,11 @@ to each operand's shape; ``linear`` (``x @ w + b`` over the last axis);
 ``relu``, ``sigmoid``, ``silu``, ``tensor_sum``, ``l2_norm``, ``reshape``,
 ``take``, ``concat`` along axis 0 and a matrix's ``transpose``;
 ``softmax``, ``log_softmax``, multi-head ``attention`` (block-diagonal
-over packed records) and the affine ``layer_norm(x, g, b)``. Each is one
-graph node with a closed-form backward rule.
+over packed records), the affine ``layer_norm(x, g, b)`` and
+``edge_messages`` (one edge tile's softmax-weighted EGNN messages). Each
+is one graph node with a closed-form backward rule. The model calls
+``l2_norm`` and ``softmax`` only inside ``edge_messages``, as numpy ops;
+the tests build that node's reference composite from them.
 
 Finiteness is checked at the boundaries: a tensor built from data (a
 leaf, an input, a checkpoint payload) is scanned when it is made, an op
@@ -250,30 +254,48 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _backward_fn=bw)
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) on numpy's vectorized exp. Below x = -709 the exp
-    overflows to inf and the quotient is the exact 0.0, so that overflow
-    is not an error."""
+def _logistic(x: np.ndarray, out=None) -> np.ndarray:
+    """1 / (1 + exp(-x)) on numpy's vectorized exp, in one buffer (``out``
+    when given). Below x = -709 the exp overflows to inf and the reciprocal
+    is the exact 0.0, so that overflow is not an error."""
+    s = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
+
+
+def _silu_grad(g: np.ndarray, s: np.ndarray, y: np.ndarray,
+               out=None) -> np.ndarray:
+    """g · (s + y · (1 − s)) for y = x · s, in one buffer (``out`` when
+    given, which must not be one of the inputs); the same bits as
+    g · (s + x · s · (1 − s))."""
+    t = np.subtract(1.0, s, out=out)
+    t *= y
+    t += s
+    t *= g
+    return t
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _logistic(x.data)
 
     def bw(g):
-        return (g * s * (1.0 - s),)
+        gx = g * s
+        gx *= 1.0 - s  # (g · s) · (1 − s), with one temporary
+        return (gx,)
 
     return Tensor(s, _parents=(x,), _backward_fn=bw)
 
 
 def silu(x: Tensor) -> Tensor:
     s = _logistic(x.data)
+    y = x.data * s
 
     def bw(g):
-        return (g * (s + x.data * s * (1.0 - s)),)
+        return (_silu_grad(g, s, y),)
 
-    return Tensor(x.data * s, _parents=(x,), _backward_fn=bw)
+    return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
 # ---- reductions and shape ----
@@ -417,6 +439,91 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         return gq, gk, gv
 
     return Tensor(out, _parents=(q, k, v), _backward_fn=bw)
+
+
+def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, w1: Tensor,
+                  b1: Tensor, w2: Tensor, b2: Tensor, wa: Tensor, ba: Tensor,
+                  lo: int, lists) -> Tensor:
+    """Softmax-weighted messages (R, K, d) of one edge tile, with a
+    closed-form backward.
+
+    Center r of the tile is row ``lo + r`` of the (N, d) projection
+    ``hw_i``; its neighbors are the rows ``lists[r]`` (R, K) of ``hw_k``,
+    and ``rel`` (R, K, 3) holds its radial vectors. With d_rk = |rel_rk|,
+    the distance row w_d = ``w1[2d]`` (no other row of ``w1`` is read),
+    ``w2`` (d, d) and one score per edge from ``wa`` (d, 1):
+
+        z = (hw_i[lo + r] + hw_k[lists[r, k]]) + d_rk·w_d + b1
+        m = silu(silu(z) @ w2 + b2)
+        out = softmax over K of (m @ wa + ba), times m
+
+    The forward runs the numpy ops of that chain of primitives in the same
+    order, so the result has the same bits, and so does each gradient.
+    The intermediates live only as long as the backward rule, which exists
+    only when an input requires a gradient; the rule reuses their buffers,
+    so it fires once, as ``Tensor.backward`` fires every rule. The
+    distance gradient is 0 at d = 0, as in ``l2_norm``, and the rows of
+    ``hw_k`` are scattered back with one ``bincount``, as in ``take``.
+    """
+    lists = np.asarray(lists, dtype=np.intp)
+    (r, k), (n, d) = lists.shape, hw_k.shape
+    parents = (hw_i, hw_k, rel, w1, b1, w2, b2, wa, ba)
+    keep = any(t.requires_grad for t in parents)
+    wd = w1.data[2 * d]
+    dist = np.sqrt((rel.data ** 2).sum(axis=-1, keepdims=True))
+    y1 = hw_k.data[lists]
+    y1 += hw_i.data[lo:lo + r, None]
+    s1 = np.multiply(dist, wd)
+    y1 += s1
+    y1 += b1.data
+    _logistic(y1, out=s1)
+    y1 *= s1  # silu(z), in z's buffer
+    # without a backward, m and its logistic take the two spent buffers
+    m = np.matmul(y1.reshape(-1, d), w2.data,
+                  out=None if keep else s1.reshape(-1, d))
+    m += b2.data
+    s2 = _logistic(m, out=None if keep else y1.reshape(-1, d))
+    m *= s2
+    p = (m @ wa.data).reshape(r, k, 1)
+    p += ba.data
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    m, s2 = m.reshape(r, k, d), s2.reshape(r, k, d)
+    if keep:
+        out = p * m
+    else:
+        out = m
+        out *= p
+
+    def bw(g):
+        buf = g * m
+        gp = buf.sum(axis=-1, keepdims=True)  # the product's rule
+        gp -= (gp * p).sum(axis=1, keepdims=True)
+        gp *= p  # softmax's rule
+        gp = gp.reshape(r * k, 1)
+        gwa = m.reshape(r * k, d).T @ gp
+        gm = np.multiply(g, p, out=buf)
+        gm += (gp @ wa.data.T).reshape(gm.shape)
+        gz2 = _silu_grad(gm, s2, m).reshape(r * k, d)
+        gy1 = np.matmul(gz2, w2.data.T, out=buf.reshape(r * k, d))
+        gz1 = _silu_grad(gy1.reshape(y1.shape), s1, y1, out=s2)
+        gw2 = y1.reshape(r * k, d).T @ gz2
+        # the bias-like gradients sum over R, then K, as _unbroadcast does
+        gw1 = np.zeros_like(w1.data)
+        gw1[2 * d] = np.multiply(gz1, dist, out=buf).sum(axis=0).sum(axis=0)
+        gdist = np.multiply(gz1, wd, out=buf).sum(axis=-1, keepdims=True)
+        unit = np.where(dist == 0.0, 0.0,
+                        rel.data / np.where(dist == 0.0, 1.0, dist))
+        ghw_i = np.zeros_like(hw_i.data)
+        ghw_i[lo:lo + r] = gz1.sum(axis=1)
+        flat = (lists * d).reshape(-1, 1) + np.arange(d)
+        ghw_k = np.bincount(flat.reshape(-1), weights=gz1.reshape(-1),
+                            minlength=n * d).reshape(n, d)
+        return (ghw_i, ghw_k, gdist * unit, gw1, gz1.sum(axis=0).sum(axis=0),
+                gw2, gz2.sum(axis=0), gwa, gp.sum(axis=0))
+
+    return Tensor(out, _parents=parents, _backward_fn=bw)
 
 
 def log_softmax(x: Tensor, axis=-1) -> Tensor:

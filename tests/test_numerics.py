@@ -9,7 +9,8 @@ import enzydesign.numerics as nm
 from enzydesign.numerics import (DimensionError, NumericsError, Tensor,
                                  finite_difference_gradient)
 
-from helpers import check_gradient, composite_attention, interior_nodes
+from helpers import (check_gradient, composite_attention,
+                     composite_edge_messages, interior_nodes)
 
 
 class TestMatmul:
@@ -351,6 +352,98 @@ class TestAttentionRowTiles:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
+def edge_inputs(rng, n, d):
+    """(hw_i, hw_k, coordinates) and the six message weights of an
+    (N, d) edge block: msg1/w (2d + 1, d), msg1/b, msg2/w, msg2/b,
+    attn/w (d, 1) and attn/b."""
+    arrays = [rng.normal(size=(n, d)), rng.normal(size=(n, d)),
+              rng.normal(size=(n, 3))]
+    return arrays + [rng.normal(0.0, 0.5, s) for s in
+                     ((2 * d + 1, d), (d,), (d, d), (d,), (d, 1), (1,))]
+
+
+def tiled_edge_messages(hw_i, hw_k, x, weights, lists):
+    """Every ``ROW_TILE``-row tile's messages of one record, flattened and
+    joined; each tile's radial vectors are built from ``x`` by primitives,
+    as the model builds them."""
+    outs = []
+    for lo in range(0, len(lists), nm.ROW_TILE):
+        tile = lists[lo:lo + nm.ROW_TILE]
+        r = len(tile)
+        rel = (nm.reshape(nm.take(x, np.arange(lo, lo + r)), (r, 1, 3))
+               - nm.take(x, tile))
+        out = nm.edge_messages(hw_i, hw_k, rel, *weights, lo, tile)
+        outs.append(nm.reshape(out, (-1,)))
+    return nm.concat(outs)
+
+
+class TestEdgeMessages:
+    @pytest.mark.parametrize("n,d,lo,r,k", [(5, 4, 0, 5, 3), (6, 8, 3, 2, 1),
+                                            (40, 16, 10, 30, 8),
+                                            (300, 64, 128, 128, 30)])
+    def test_equals_composite_bit_for_bit(self, n, d, lo, r, k):
+        """Values and every input's gradient, with two coincident points."""
+        rng = np.random.default_rng(27 + n)
+        arrays = edge_inputs(rng, n, d)
+        arrays[2][1] = arrays[2][0]
+        lists = np.stack([rng.choice(np.delete(np.arange(n), lo + i), k,
+                                     replace=False) for i in range(r)])
+        if lo == 0:
+            lists[0, 0] = 1  # center 0 meets its twin, point 1
+
+        def run(op):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            hw_i, hw_k, x, *weights = ts
+            rel = (nm.reshape(nm.take(x, np.arange(lo, lo + r)), (r, 1, 3))
+                   - nm.take(x, lists))
+            out = op(hw_i, hw_k, rel, *weights, lo, lists)
+            nm.tensor_sum(out * Tensor(np.cos(out.data))).backward()
+            return [out.data] + [t.grad for t in ts]
+
+        for a, b in zip(run(nm.edge_messages), run(composite_edge_messages)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["coincident", "k1", "tiles"])
+    @pytest.mark.parametrize("which", range(9))
+    def test_finite_difference_agreement(self, case, which, monkeypatch):
+        """Every input at h = 1e-5: a zero-distance edge (points 0 and 1
+        coincide), a K = 1 record, and tiles of two rows, so lo > 0."""
+        rng = np.random.default_rng(28)
+        if case == "coincident":
+            arrays = edge_inputs(rng, 4, 3)
+            arrays[2][1] = arrays[2][0]
+            lists = np.array([[1, 2], [0, 3], [3, 0], [2, 1]])
+        elif case == "k1":
+            arrays = edge_inputs(rng, 3, 3)
+            lists = np.array([[1], [0], [1]])
+        else:
+            monkeypatch.setattr(nm, "ROW_TILE", 2)
+            arrays = edge_inputs(rng, 5, 3)
+            lists = np.array([[1, 4], [3, 2], [0, 4], [2, 1], [3, 0]])
+
+        def op(t):
+            ts = [Tensor(a) for a in arrays]
+            ts[which] = t
+            hw_i, hw_k, x, *weights = ts
+            return tiled_edge_messages(hw_i, hw_k, x, weights, lists)
+
+        check_gradient(op, arrays[which])
+
+    def test_constant_inputs_record_nothing(self):
+        rng = np.random.default_rng(29)
+        hw_i, hw_k, x, *weights = edge_inputs(rng, 6, 4)
+        lists = np.array([[1, 2], [0, 5], [4, 0]])
+        rel = Tensor(x[:3, None] - x[lists])
+        args = [Tensor(a) for a in (hw_i, hw_k)] + [rel] + [
+            Tensor(w) for w in weights]
+        out = nm.edge_messages(*args, 0, lists)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+        taped = nm.edge_messages(*args[:3], *(Tensor(w, requires_grad=True)
+                                              for w in weights), 0, lists)
+        assert np.array_equal(out.data, taped.data)
+
+
 class TestElementwiseSuite:
     def test_silu_at_zero(self):
         assert nm.silu(Tensor(0.0)).item() == 0.0
@@ -366,7 +459,10 @@ class TestElementwiseSuite:
         (nm.layer_norm, [(4, 5), (5,), (5,)]),
         (nm.log_softmax, [(4, 5)]),
         (lambda q, k, v: nm.attention(q, k, v, 2), [(4, 6)] * 3),
-    ], ids=["layer_norm", "log_softmax", "attention"])
+        (lambda *t: nm.edge_messages(*t, 1, np.array([[0, 2], [3, 0]])),
+         [(4, 3), (4, 3), (2, 2, 3), (7, 3), (3,), (3, 3), (3,), (3, 1),
+          (1,)]),
+    ], ids=["layer_norm", "log_softmax", "attention", "edge_messages"])
     def test_fused_op_builds_one_tensor(self, op, shapes, monkeypatch):
         rng = np.random.default_rng(8)
         inputs = tuple(Tensor(rng.normal(size=s), requires_grad=True)

@@ -413,11 +413,12 @@ class TestPackedBatch:
 
     def test_toy_config_step_tensor_count(self, monkeypatch):
         """One phase-2 step of the toy config's model over the toy corpus
-        (eight length-12 records, three substrates) builds 312 tensors,
+        (eight length-12 records, three substrates) builds 234 tensors,
         interior nodes and constants alike; one forward and one substrate
         stack per record built 2497, a binding head that reshaped its
-        scores to (2,) and back 558, and one substrate stack per distinct
-        substrate with one binding call per record 542."""
+        scores to (2,) and back 558, one substrate stack per distinct
+        substrate with one binding call per record 542, and edge messages
+        built from generic primitives 312."""
         model_cfg = read_run_config(json.loads(
             (REPO / "configs/toy.json").read_text()))[0]
         records, pool, vocab, _, _ = toy_setup()
@@ -432,7 +433,7 @@ class TestPackedBatch:
         monkeypatch.setattr(Tensor, "__init__", counting)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
         train(records, pool, params, model_cfg, sched, vocab)
-        assert len(built) == 312
+        assert len(built) == 234
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("primitive", ["silu", "log_softmax"])
