@@ -210,11 +210,11 @@ def cmd_export_embeddings(args) -> int:
 # name -> (suite(params, config, vocab, trials), the property it checks)
 SUITES = {
     "equivariance": (lambda p, c, v, trials: run_equivariance_suite(
-        p, c, trials=trials or 50), "SE(3) equivariance"),
+        p, c, trials), "SE(3) equivariance"),
     "gradients": (lambda p, c, v, trials: run_gradient_suite(p, c, v),
                   "gradient audit"),
     "binding": (lambda p, c, v, trials: run_binding_invariance_suite(
-        p, c, trials=trials or 25), "binding invariance"),
+        p, c, trials), "binding invariance"),
 }
 
 

@@ -2,8 +2,9 @@
 reader that checks every key and value type of a run config (a JSON
 object of four JSON-object sections, ``model``, ``schedule``, ``data``
 and ``output``). Values the model never varies are constants here.
-Field annotations are the types the reader checks, so this module must
-not postpone their evaluation."""
+``ModelConfig`` and ``TrainSchedule`` are frozen and range-check their
+values when made, so every instance is valid. Field annotations are the
+types the reader checks: their evaluation must not be postponed."""
 import math
 from dataclasses import dataclass, asdict, fields
 
@@ -45,13 +46,13 @@ class _Section:
     @classmethod
     def from_dict(cls, raw):
         spec = {f.name: f.type for f in fields(cls)}
-        return cls(**check_section(cls.SECTION, raw, spec)).validate()
+        return cls(**check_section(cls.SECTION, raw, spec))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig(_Section):
     SECTION = "model"
     d: int = 64
@@ -65,7 +66,7 @@ class ModelConfig(_Section):
     bond_length: float = 3.75
     freeze_motif_coords: bool = False
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         for name in ("d", "num_heads", "interleave_period", "k_neighbors",
                      "max_len"):
             if getattr(self, name) < 1:
@@ -83,14 +84,13 @@ class ModelConfig(_Section):
             raise ConfigError("model.bond_length must be finite and > 0")
         if not 0 <= self.coord_loss_weight < math.inf:
             raise ConfigError("model.coord_loss_weight must be finite and >= 0")
-        return self
 
     @property
     def neighborhood_sublayers(self) -> int:
         return self.attention_sublayers // self.interleave_period
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSchedule(_Section):
     SECTION = "schedule"
     phase1_steps: int = 100
@@ -100,7 +100,7 @@ class TrainSchedule(_Section):
     seed: int = 0
     mlm_pretrain_steps: int = 0
 
-    def validate(self) -> "TrainSchedule":
+    def __post_init__(self):
         for name in ("phase1_steps", "phase2_steps", "seed",
                      "mlm_pretrain_steps"):
             if getattr(self, name) < 0:
@@ -109,7 +109,6 @@ class TrainSchedule(_Section):
             raise ConfigError("schedule.batch_residues must be >= 1")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("schedule.learning_rate must be finite and > 0")
-        return self
 
 
 def read_run_config(raw):

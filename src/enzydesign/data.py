@@ -290,7 +290,7 @@ def _may_reach(a: str, b: str, threshold: float) -> bool:
     return long == 0 or short / long >= threshold
 
 
-def cluster_by_identity(records, threshold: float = 0.5) -> dict:
+def cluster_by_identity(records, threshold: float) -> dict:
     """record id -> cluster id, greedy single linkage in id order.
 
     A pair whose length ratio is below the threshold is never aligned

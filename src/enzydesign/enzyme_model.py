@@ -77,7 +77,7 @@ def neighborhood_messages(h: Tensor, x: Tensor, neighbors, params,
     block per packed record. Yields (weighted messages (R,K,d), radial
     vectors x_i − x_k (R,K,3)) for each of ``_edge_tiles``' tiles of at
     most ``numerics.ROW_TILE`` centers, in row order; a K = 0 tile (a
-    one-atom record) has no messages. The only coordinate dependence is
+    one-residue or one-atom record) has no messages. The only coordinate dependence is
     through the pairwise distance, which keeps the whole block
     rigid-motion invariant. The first message layer W·[h_i; h_k; d_ik] + b
     is (hW_i)_i + (hW_k)_k + d_ik·w_d + b, with hW_i and hW_k formed once
@@ -166,7 +166,6 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
     forward's. Raises ``NumericsError`` when the logits or coordinates
     are not finite.
     """
-    config.validate()
     n = len(seq_indices)
     lengths = [n] if lengths is None else list(lengths)
     if sum(lengths) != n:

@@ -37,19 +37,21 @@ def pairwise_distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
 def knn(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbors of each point, self excluded.
 
-    Returns an (N, min(k, N-1)) int array. Neighbors are ordered by
-    increasing distance; ties broken by lower index (the order of a
-    stable sort of each row), so the graph is deterministic and invariant
-    under rigid motion for generic point sets. Rows are ranked
-    ``numerics.ROW_TILE`` at a time.
+    Returns an (N, min(k, N-1)) int array, so one point gets an empty
+    (1, 0) block. Neighbors are ordered by increasing distance; ties
+    broken by lower index (the order of a stable sort of each row), so
+    the graph is deterministic and invariant under rigid motion for
+    generic point sets. Rows are ranked ``numerics.ROW_TILE`` at a time.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if n < 2:
-        raise GeometryError(f"knn needs at least 2 points, got {n}")
+    if n < 1:
+        raise GeometryError("knn needs at least 1 point, got 0")
     if k < 1:
         raise GeometryError(f"knn needs k >= 1, got {k}")
     k = min(k, n - 1)
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.intp)
     tiles = []
     for lo in range(0, n, nm.ROW_TILE):
         d = pairwise_distances(points[lo:lo + nm.ROW_TILE], points)

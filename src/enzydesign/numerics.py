@@ -10,22 +10,23 @@ module (attention layers, equivariant updates, losses) is built from the
 primitives here, so each backward rule is validated against central
 finite differences in the test suite.
 
-The primitives are the ones the model calls: ``add``, ``sub``, ``mul``
-and ``matmul``, which broadcast like numpy and sum their gradients back
-to each operand's shape; ``linear`` (``x @ w + b`` over the last axis);
-``relu``, ``sigmoid``, ``silu``, ``tensor_sum``, ``l2_norm``, ``reshape``,
+The primitives are ``add``, ``sub``, ``mul`` and ``matmul``, which
+broadcast like numpy and sum their gradients back to each operand's
+shape; ``linear`` (``x @ w + b`` over the last axis); ``relu``,
+``sigmoid``, ``silu``, ``tensor_sum``, ``l2_norm``, ``reshape``,
 ``take``, ``concat`` along axis 0 and a matrix's ``transpose``;
 ``softmax``, ``log_softmax``, multi-head ``attention`` (block-diagonal
 over packed records), the affine ``layer_norm(x, g, b)`` and
 ``edge_messages`` (one edge tile's softmax-weighted EGNN messages). Each
-is one graph node with a closed-form backward rule. The model calls
-``l2_norm`` and ``softmax`` only inside ``edge_messages``, as numpy ops;
-the tests build that node's reference composite from them.
+is one graph node with a closed-form backward rule. ``edge_messages``
+runs its distance and softmax as numpy ops; ``l2_norm`` serves only as
+a block of the tests' reference composite for that node, and
+``softmax`` also gives the binding suite its probabilities.
 
-Finiteness is checked at the boundaries: a tensor built from data (a
-leaf, an input, a checkpoint payload) is scanned when it is made, an op
-result is not. Callers check what leaves the graph: ``forward_stack``
-its logits and coordinates, ``train`` its loss.
+No tensor is scanned for finiteness when it is made. Data is checked
+where it enters the program (the record, substrate, motif and run-config
+readers and ``load_checkpoint``), and results where they leave the
+graph: ``forward_stack`` its logits and coordinates, ``train`` its loss.
 
 Graph lifetime: a result records its parents and rule only when one of
 its inputs requires a gradient, so a forward pass over constants builds
@@ -102,9 +103,6 @@ class Tensor:
             self._order = next(_creation)
         else:
             self._parents, self._backward_fn = (), None
-        # op results are checked where they leave the graph (see above)
-        if _backward_fn is None and not np.all(np.isfinite(self.data)):
-            raise NumericsError("non-finite values in tensor")
 
     @property
     def shape(self):

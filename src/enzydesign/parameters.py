@@ -5,6 +5,8 @@ gradient audits can enumerate tensors and checkpoints round-trip
 byte-identically. Checkpoint layout: magic, JSON header (model config,
 tag vocabularies, step counter, parameter count), then per-parameter
 records sorted by name with little-endian float64 payloads.
+Stored values enter the program through ``load_checkpoint``, the one
+place that checks them for finiteness.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import struct
 import numpy as np
 
 from .config import SUBSTRATE_FEATURES, ConfigError, ModelConfig, check_section
-from .numerics import LAYER_NORM_EPS, NumericsError, Tensor
+from .numerics import LAYER_NORM_EPS, Tensor
 from .residues import NUM_AMINO_ACIDS
 
 _MAGIC = b"ENZD0001"
@@ -213,10 +215,9 @@ def load_checkpoint(path):
             shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
-            try:  # the leaf's own finiteness scan, named here
-                params[name] = Tensor(data.copy(), requires_grad=True)
-            except NumericsError:
-                raise ValueError(f"{path}: parameter {name} is not finite") from None
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: parameter {name} is not finite")
+            params[name] = Tensor(data.copy(), requires_grad=True)
     try:  # a corrupt file, not a usage error: ValueError, exit 1
         check_section("header", header, _HEADER_SPEC,
                       ("config", "vocab_levels", "step"))

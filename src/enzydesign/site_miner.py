@@ -23,7 +23,6 @@ class AlignmentError(ValueError):
 
 @dataclass
 class AlignedFamily:
-    family_tag: str
     rows: list  # (sequence_id, gapped sequence) pairs
     column_count: int = 0
 
@@ -87,7 +86,7 @@ def mine_sites(family: AlignedFamily, tau: float) -> list[SiteAnnotation]:
     return annotations
 
 
-def read_aligned_fasta(path, family_tag: str = "") -> AlignedFamily:
+def read_aligned_fasta(path) -> AlignedFamily:
     rows = []
     current_id, chunks = None, []
     with open(path) as f:
@@ -104,7 +103,7 @@ def read_aligned_fasta(path, family_tag: str = "") -> AlignedFamily:
                 chunks.append(line)
     if current_id is not None:
         rows.append((current_id, "".join(chunks)))
-    return AlignedFamily(family_tag or str(path), rows)
+    return AlignedFamily(rows)
 
 
 def write_site_manifest(path, annotations) -> None:

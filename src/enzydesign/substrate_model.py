@@ -40,7 +40,6 @@ def substrate_forward(features, coords, params, config: ModelConfig,
     x = Tensor(coords)
     # at most k + 1 atoms are fully connected: knn clips k to m - 1
     neighbors = [geometry.knn(coords[r], config.k_neighbors) + r.start
-                 if r.stop - r.start > 1 else np.zeros((1, 0), np.intp)
                  for r in nm.segments(lengths)]
     for layer in range(config.substrate_layers):
         prefix = f"sub{layer}"

@@ -141,16 +141,17 @@ def draw_mlm_mask(n: int, fraction: float, rng) -> np.ndarray:
     return masked
 
 
-def batch_loss(batch, params, config: ModelConfig, rng, pairs=None,
+def batch_loss(batch, params, config: ModelConfig, vocab, rng, pairs=None,
                mlm: bool = False):
     """One packed forward pass + the joint loss of a batch of records.
 
-    For each record in turn, ``mlm`` draws its masked positions and then
-    its free-residue coordinates are drawn; the known (teacher-forced)
-    residues are its motif, or with ``mlm`` the unmasked ones, and the
-    loss covers the rest. ``pairs`` gives each record's (substrate,
-    label) for the binding term, or is None (no binding term). The
-    distinct substrates run as one packed stack, shared by their records.
+    Each record's EC tag is encoded with ``vocab``. For each record in
+    turn, ``mlm`` draws its masked positions and then its free-residue
+    coordinates are drawn; the known (teacher-forced) residues are its
+    motif, or with ``mlm`` the unmasked ones, and the loss covers the
+    rest. ``pairs`` gives each record's (substrate, label) for the
+    binding term, or is None (no binding term). The distinct substrates
+    run as one packed stack, shared by their records.
     Returns ((total, LossBreakdown), packed logits).
     """
     knowns, coords0 = [], []
@@ -165,7 +166,7 @@ def batch_loss(batch, params, config: ModelConfig, rng, pairs=None,
     seq = np.concatenate([rec.seq_indices for rec in batch])
     lengths = [len(rec.sequence) for rec in batch]
     logits, coords_out, feats = forward_stack(
-        seq, known, np.stack([rec.tag_idx for rec in batch]),
+        seq, known, np.stack([vocab.encode(rec.tag) for rec in batch]),
         np.concatenate(coords0), params, config, lengths)
     binding = labels = None
     if pairs is not None:
@@ -183,11 +184,11 @@ def batch_loss(batch, params, config: ModelConfig, rng, pairs=None,
                       config.coord_loss_weight, binding, labels), logits
 
 
-def record_loss(rec, params, config: ModelConfig, rng, substrate=None,
-                y: int | None = None):
+def record_loss(rec, params, config: ModelConfig, vocab, rng,
+                substrate=None, y: int | None = None):
     """``batch_loss`` of the one record ``rec``: its motif teacher-forced,
     and the binding term with ``substrate`` and label ``y`` when given."""
-    return batch_loss([rec], params, config, rng,
+    return batch_loss([rec], params, config, vocab, rng,
                       None if substrate is None else [(substrate, y)])
 
 
@@ -212,7 +213,6 @@ def train(records, substrate_pool, params, config: ModelConfig,
     the last finite loss was computed; the checkpoint keeps them, with
     the number of updates behind them as its step.
     """
-    schedule.validate()
     if mlm:
         rng = np.random.default_rng(schedule.seed + 1)
         total_steps, substrate_pool = schedule.mlm_pretrain_steps, None
@@ -222,8 +222,6 @@ def train(records, substrate_pool, params, config: ModelConfig,
     opt = Adam(params, schedule.learning_rate)
     result = TrainResult()
     records = sorted(records, key=lambda r: r.id)
-    for rec in records:
-        rec.tag_idx = vocab.encode(rec.tag)
 
     pool_ids = sorted(substrate_pool or ())
     last_good: dict = {}
@@ -251,8 +249,8 @@ def train(records, substrate_pool, params, config: ModelConfig,
 
         zero_grads(params)
         try:
-            (total, agg), _ = batch_loss(batch, params, config, rng, pairs,
-                                         mlm)
+            (total, agg), _ = batch_loss(batch, params, config, vocab, rng,
+                                         pairs, mlm)
             if not np.isfinite(total.item()):
                 raise NumericsError("non-finite loss")
             total.backward()
@@ -286,8 +284,7 @@ def evaluate_recovery(records, params, config: ModelConfig, vocab,
     params = constant_views(params)
     nll_sum, free_sum, correct = 0.0, 0, 0
     for rec in sorted(records, key=lambda r: r.id):
-        rec.tag_idx = vocab.encode(rec.tag)
-        (_, bd), logits = record_loss(rec, params, config, rng)
+        (_, bd), logits = record_loss(rec, params, config, vocab, rng)
         nll_sum += bd.seq_nll
         free_sum += bd.free_residues
         mask = rec.site_mask

@@ -4,7 +4,8 @@ binding invariance.
 The three suites run against any parameter store (the equivariance
 property is architectural, so random weights suffice) and report the
 worst observed deviation per property. Their seeds, sample counts and
-acceptance bounds are the fixed constants below, never arguments. The
+acceptance bounds are the fixed constants below; only the equivariance
+and binding suites take a trial count, their constant's when None. The
 forward-only suites run on constant views of the parameters, so they
 build no autodiff graph.
 """
@@ -30,6 +31,8 @@ FD_STEP = 1e-5
 FD_SAMPLES = 5            # coordinates differenced per parameter tensor
 PERMUTATION_TOL = 1e-12
 RIGID_TOL = 1e-9
+EQUIVARIANCE_TRIALS = 50  # (input, transform) pairs
+BINDING_TRIALS = 25       # (enzyme, substrate) cases
 
 
 def random_instance(n: int, rng):
@@ -65,7 +68,7 @@ def equivariance_deviation(params, config: ModelConfig, n: int, rng) -> dict:
 
 
 def run_equivariance_suite(params=None, config: ModelConfig | None = None,
-                           trials: int = 200) -> dict:
+                           trials: int | None = None) -> dict:
     """Random (input, transform) pairs against ``params``, N in {5, 50}.
 
     Without ``params``, each trial draws a random model, d in {8, 64}.
@@ -76,12 +79,12 @@ def run_equivariance_suite(params=None, config: ModelConfig | None = None,
         params = constant_views(params)
     worst = {"features": 0.0, "logits": 0.0, "coords": 0.0}
     settings = [(8, 5), (8, 50), (64, 5), (64, 50)]
-    for trial in range(trials):
+    for trial in range(EQUIVARIANCE_TRIALS if trials is None else trials):
         if params is None:
             d, n = settings[trial % len(settings)]
             cfg = ModelConfig(d=d, num_heads=2 if d == 8 else 4,
                               attention_sublayers=2, interleave_period=1,
-                              k_neighbors=6).validate()
+                              k_neighbors=6)
             p = constant_views(init_parameters(cfg, vocab, rng,
                                                zero_coord_scale=False))
         else:
@@ -105,13 +108,12 @@ def run_gradient_suite(params, config: ModelConfig, vocab) -> dict:
                   for i in rng.integers(0, NUM_AMINO_ACIDS, n))
     rec = EnzymeRecord("grad-check", seq, rng.normal(0.0, 3.0, (n, 3)),
                        sites=[0, 2], tag=vocab.levels[3][0])
-    rec.tag_idx = vocab.encode(rec.tag)
     substrate = SubstrateRecord("sub", rng.normal(0.0, 1.0, (4, SUBSTRATE_FEATURES)),
                                 rng.normal(0.0, 2.0, (4, 3)))
     init_seed = int(rng.integers(2 ** 31))
 
     def loss():
-        (total, _), _ = record_loss(rec, params, config,
+        (total, _), _ = record_loss(rec, params, config, vocab,
                                     np.random.default_rng(init_seed),
                                     substrate, 1)
         return total
@@ -140,7 +142,7 @@ def run_gradient_suite(params, config: ModelConfig, vocab) -> dict:
 
 
 def run_binding_invariance_suite(params, config: ModelConfig,
-                                 trials: int = 100) -> dict:
+                                 trials: int | None = None) -> dict:
     """Binding probabilities under atom permutation and rigid transforms."""
     rng = np.random.default_rng(SEED)
     params = constant_views(params)
@@ -153,7 +155,7 @@ def run_binding_invariance_suite(params, config: ModelConfig,
             for f, x in substrates]
 
     worst_perm, worst_rigid = 0.0, 0.0
-    for _ in range(trials):
+    for _ in range(BINDING_TRIALS if trials is None else trials):
         m = int(rng.integers(2, 8))
         n = int(rng.integers(4, 12))
         *enzyme, coords = random_instance(n, rng)

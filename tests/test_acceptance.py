@@ -122,7 +122,7 @@ def test_criterion_4_loss_decomposition():
 
 
 def test_criterion_5_site_miner():
-    family = AlignedFamily("1.1.1.1", [
+    family = AlignedFamily([
         ("seq1", "AEKG-CMW"),
         ("seq2", "TEQGRSMY"),
         ("seq3", "-EVGNIMH"),
@@ -136,7 +136,7 @@ def test_criterion_5_site_miner():
     for _ in range(20):
         rows = [(f"r{i}", "".join(rng.choice(alphabet, size=30)))
                 for i in range(6)]
-        fam = AlignedFamily("x", rows)
+        fam = AlignedFamily(rows)
         previous = None
         for tau in (0.1, 0.3, 0.5, 0.8, 1.0):
             got = set(conserved_columns(fam, tau))

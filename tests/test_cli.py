@@ -116,6 +116,21 @@ class TestTrain:
         splits = Path(cfg["output"]["split_manifest"]).read_text().splitlines()
         assert len(splits) == len(records)
 
+    def test_one_residue_record_trains(self, toy_tree, tmp_path):
+        """A one-row record file beside the toy corpus trains through its
+        empty kNN block and writes the checkpoint and loss log."""
+        root, _, _ = toy_tree
+        (root / "records" / "one.tsv").write_text("one\tW\t0\t0\t0\n")
+        with open(root / "tags.tsv", "a") as f:
+            f.write("one\t1.1.1.9\n")
+        cfg_path, cfg = toy_config(root, tmp_path)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        splits = Path(cfg["output"]["split_manifest"]).read_text()
+        assert "one\t0\ttrain\n" in splits
+        assert load_checkpoint(cfg["output"]["checkpoint"])[3] == 4
+        assert len(Path(cfg["output"]["loss_log"]).read_text()
+                   .splitlines()) == 4
+
     def test_unknown_config_key_exits_2(self, toy_tree, tmp_path, capsys):
         root, _, _ = toy_tree
         cfg_path, cfg = toy_config(root, tmp_path)
@@ -493,19 +508,20 @@ class TestVerifyCommand:
         ("binding", [], 25), ("binding", ["--trials", "3"], 3)])
     def test_trials_reach_the_sampled_suites(self, small_ckpt, monkeypatch,
                                              suite, argv, trials):
-        import enzydesign.cli as cli
-        seen = []
+        """Each trial draws one random instance; without ``--trials`` a
+        suite runs ``EQUIVARIANCE_TRIALS`` or ``BINDING_TRIALS`` of them."""
+        import enzydesign.verify as verify
+        drawn = []
 
-        def spy(params, config, trials):
-            seen.append(trials)
-            return {"passed": True}
+        def spy(n, rng, draw=verify.random_instance):
+            drawn.append(n)
+            return draw(n, rng)
 
-        fn = {"equivariance": "run_equivariance_suite",
-              "binding": "run_binding_invariance_suite"}[suite]
-        monkeypatch.setattr(cli, fn, spy)
+        monkeypatch.setattr(verify, "random_instance", spy)
         assert main(["verify", "--checkpoint", str(small_ckpt),
                      "--suite", suite, *argv]) == 0
-        assert seen == [trials]
+        assert len(drawn) == trials
+        assert (verify.EQUIVARIANCE_TRIALS, verify.BINDING_TRIALS) == (50, 25)
 
     @pytest.mark.parametrize("failing,prop", [
         ("equivariance", "SE(3) equivariance"),

@@ -1,6 +1,6 @@
 import json
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,26 +17,67 @@ import seeded_inputs  # noqa: E402
 
 
 def test_defaults_are_valid():
-    cfg = ModelConfig().validate()
+    cfg = ModelConfig()
     assert cfg.d == 64
     assert cfg.neighborhood_sublayers == 3
 
 
 def test_head_divisibility():
-    with pytest.raises(ConfigError):
-        ModelConfig(d=10, num_heads=4).validate()
+    with pytest.raises(ConfigError, match="d=10 not divisible by num_heads=4"):
+        ModelConfig(d=10, num_heads=4)
 
 
 def test_interleave_bounds():
     with pytest.raises(ConfigError):
-        ModelConfig(interleave_period=0).validate()
+        ModelConfig(interleave_period=0)
     with pytest.raises(ConfigError):
-        ModelConfig(attention_sublayers=2, interleave_period=3).validate()
+        ModelConfig(attention_sublayers=2, interleave_period=3)
 
 
 def test_negative_coord_weight():
     with pytest.raises(ConfigError):
-        ModelConfig(coord_loss_weight=-1.0).validate()
+        ModelConfig(coord_loss_weight=-1.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cls,key,value,message", [
+    *((ModelConfig, key, 0, f"model.{key} must be >= 1") for key in (
+        "d", "num_heads", "interleave_period", "k_neighbors", "max_len")),
+    (ModelConfig, "num_heads", 3, "d=64 not divisible by num_heads=3"),
+    (ModelConfig, "interleave_period", 7,
+     "interleave_period=7 exceeds attention_sublayers=6"),
+    (ModelConfig, "substrate_layers", -1, "model.substrate_layers must be >= 0"),
+    *((ModelConfig, "bond_length", v, "model.bond_length must be finite and > 0")
+      for v in (0.0, -1.0, _NAN, _INF)),
+    *((ModelConfig, "coord_loss_weight", v,
+       "model.coord_loss_weight must be finite and >= 0")
+      for v in (-1e-9, _NAN, _INF)),
+    *((TrainSchedule, key, -1, f"schedule.{key} must be >= 0") for key in (
+        "phase1_steps", "phase2_steps", "seed", "mlm_pretrain_steps")),
+    (TrainSchedule, "batch_residues", 0, "schedule.batch_residues must be >= 1"),
+    *((TrainSchedule, "learning_rate", v,
+       "schedule.learning_rate must be finite and > 0")
+      for v in (0.0, -0.1, _NAN, _INF)),
+])
+def test_invalid_value_raises_at_construction(cls, key, value, message):
+    """Each out-of-range value raises ConfigError with its one message when
+    the config is made, directly or from a run-config section."""
+    for make in (lambda: cls(**{key: value}),
+                 lambda: cls.from_dict({key: value})):
+        with pytest.raises(ConfigError) as caught:
+            make()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("obj,key", [(ModelConfig(), "d"),
+                                     (TrainSchedule(), "learning_rate")])
+def test_fields_cannot_be_assigned(obj, key):
+    """A config is checked once, when made, so its fields stay put."""
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, key, getattr(obj, key))
+    assert replace(obj, **{key: 2 * getattr(obj, key)}) != obj
 
 
 def test_from_dict_rejects_unknown_keys():

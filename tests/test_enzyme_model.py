@@ -154,15 +154,6 @@ class TestGlobalAttention:
         global_attention_sublayer(h, params, "attn0", config)
         assert len(built) == 12
 
-    def test_head_count_must_divide_d(self):
-        """``forward_stack`` validates the config before any sub-layer."""
-        config, vocab, params = small_setup(d=8, heads=2, sublayers=1)
-        config.num_heads = 3
-        with pytest.raises(ConfigError, match="not divisible by num_heads"):
-            forward_stack(np.zeros(2, dtype=np.intp), np.ones(2, bool),
-                          np.zeros(4, dtype=np.intp), np.zeros((2, 3)),
-                          params, config)
-
 
 def concat_form_messages(h, x, nbrs, params, prefix="neigh0"):
     """Plain-numpy oracle of one record's edge block: the messages

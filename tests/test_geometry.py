@@ -38,10 +38,14 @@ class TestKnn:
         np.testing.assert_array_equal(knn(pts, 5), brute_force_knn(pts, 5))
 
     def test_errors(self):
-        with pytest.raises(GeometryError):
-            knn(np.zeros((1, 3)), 1)
+        with pytest.raises(GeometryError, match="at least 1 point"):
+            knn(np.zeros((0, 3)), 1)
         with pytest.raises(GeometryError):
             knn(np.zeros((3, 3)), 0)
+
+    def test_one_point_has_an_empty_block(self):
+        g = knn(np.zeros((1, 3)), 30)
+        assert g.shape == (1, 0) and g.dtype == np.intp
 
     @pytest.mark.parametrize("k", [1, 6, 18, 30])
     def test_lattice_ties_match_stable_argsort(self, k):

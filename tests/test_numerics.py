@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import enzydesign.numerics as nm
-from enzydesign.numerics import (DimensionError, NumericsError, Tensor,
+from enzydesign.numerics import (DimensionError, Tensor,
                                  finite_difference_gradient)
 
 from helpers import (check_gradient, composite_attention,
@@ -479,15 +479,16 @@ class TestElementwiseSuite:
         assert built == [out]
         assert out._parents == inputs
 
-    def test_nan_rejected(self):
-        with pytest.raises(NumericsError):
-            Tensor([1.0, np.nan])
-
     def test_op_results_are_not_scanned(self):
-        """Only tensors built from data are checked; a non-finite op result
-        is left for the caller's boundary check."""
-        with np.errstate(over="ignore"):
+        """No tensor is scanned when it is made: a constant, a leaf and an
+        op result all keep their non-finite values, which are left to the
+        boundary checks where data enters and results leave."""
+        assert np.isnan(Tensor([1.0, np.nan]).data[1])
+        leaf = Tensor([np.inf, 1.0], requires_grad=True)
+        assert np.isinf(leaf.data[0]) and leaf.requires_grad
+        with np.errstate(over="ignore", invalid="ignore"):
             out = nm.add(Tensor([1e308]), Tensor([1e308]))
+            assert np.isnan(nm.mul(leaf, Tensor([0.0, 1.0])).data[0])
         assert np.isinf(out.data).all()
 
     @pytest.mark.parametrize("op", [

@@ -13,7 +13,7 @@ from helpers import (NAME, counter_conserved_columns,
 
 def egm_family():
     """Family where exactly the E, G and M columns are shared by all rows."""
-    return AlignedFamily("1.1.1.1", [
+    return AlignedFamily([
         ("seq1", "AEKG-CMW"),
         ("seq2", "TEQGRSMY"),
         ("seq3", "-EVGNIMH"),
@@ -34,13 +34,13 @@ class TestMineSites:
         assert anns["seq4"].indices == [1, 3, 5]
 
     def test_strict_threshold_at_tau_one(self):
-        family = AlignedFamily("x", [("a", "AAC"), ("b", "AAC"), ("c", "AGC")])
+        family = AlignedFamily([("a", "AAC"), ("b", "AAC"), ("c", "AGC")])
         cols = conserved_columns(family, 1.0)
         assert 1 not in cols          # one row differs: count == rows, not >
         assert cols == {}             # count > 1.0 * rows is impossible
 
     def test_all_gap_column_never_conserved(self):
-        family = AlignedFamily("x", [("a", "A-C"), ("b", "A-C")])
+        family = AlignedFamily([("a", "A-C"), ("b", "A-C")])
         assert 1 not in conserved_columns(family, 0.3)
 
     def test_counting_oracle_random_alignments(self):
@@ -50,7 +50,7 @@ class TestMineSites:
             rows = [("r%d" % i,
                      "".join(rng.choice(list(letters), size=40)))
                     for i in range(6)]
-            family = AlignedFamily("x", rows)
+            family = AlignedFamily(rows)
             cols = conserved_columns(family, 0.3)
             for col in range(40):
                 counts = {}
@@ -70,7 +70,7 @@ class TestMineSites:
     def test_columns_equal_counter_oracle(self, rows, tau):
         """Exact equality with one Counter per column, ties included, over
         all-gap columns, zero-width families and non-ASCII letters."""
-        family = AlignedFamily("x", [(f"s{k}", r) for k, r in enumerate(rows)])
+        family = AlignedFamily([(f"s{k}", r) for k, r in enumerate(rows)])
         assert conserved_columns(family, tau) == counter_conserved_columns(
             family, tau)
 
@@ -85,7 +85,7 @@ class TestMineSites:
         for _ in range(10):
             rows = [("r%d" % i, "".join(rng.choice(list("ACD-"), size=25)))
                     for i in range(5)]
-            family = AlignedFamily("x", rows)
+            family = AlignedFamily(rows)
             previous = None
             for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
                 selected = set(conserved_columns(family, tau))
@@ -95,7 +95,7 @@ class TestMineSites:
 
     def test_row_order_invariant(self):
         family = egm_family()
-        reversed_family = AlignedFamily("1.1.1.1", family.rows[::-1])
+        reversed_family = AlignedFamily(family.rows[::-1])
         a = conserved_columns(family, 0.3)
         b = conserved_columns(reversed_family, 0.3)
         assert a == b
@@ -131,7 +131,7 @@ class TestColumnMapping:
         min_size=2, max_size=6)), st.sampled_from([0.2, 0.3, 0.5, 1.0]))
     @settings(max_examples=200, deadline=None)
     def test_mine_sites_equals_per_column_oracle(self, rows, tau):
-        family = AlignedFamily("x", [(f"s{k}", r) for k, r in enumerate(rows)])
+        family = AlignedFamily([(f"s{k}", r) for k, r in enumerate(rows)])
         columns = conserved_columns(family, tau)
         for (rid, seq), ann in zip(family.rows, mine_sites(family, tau)):
             want = [(map_column_to_residue_index(seq, col), letter)
@@ -144,21 +144,21 @@ class TestColumnMapping:
 class TestIO:
     def test_ragged_alignment_rejected(self):
         with pytest.raises(AlignmentError):
-            AlignedFamily("x", [("a", "ABC"), ("b", "AB")])
+            AlignedFamily([("a", "ABC"), ("b", "AB")])
 
     def test_row_ragged_after_upper_case_rejected(self):
         """'ß' upper-cases to 'SS', so its row no longer fits the columns."""
         with pytest.raises(AlignmentError):
-            AlignedFamily("x", [("a", "ßA"), ("b", "CA")])
+            AlignedFamily([("a", "ßA"), ("b", "CA")])
 
     def test_single_row_rejected(self):
         with pytest.raises(AlignmentError):
-            AlignedFamily("x", [("a", "ABC")])
+            AlignedFamily([("a", "ABC")])
 
     def test_fasta_round_trip(self, tmp_path):
         path = tmp_path / "fam.fasta"
         path.write_text(">s1 desc\nAEK\nGCM\n>s2\nTEQGRC\n")
-        family = read_aligned_fasta(path, "1.2.3.4")
+        family = read_aligned_fasta(path)
         assert family.rows == [("s1", "AEKGCM"), ("s2", "TEQGRC")]
         assert family.column_count == 6
 
@@ -172,7 +172,7 @@ class TestIO:
         assert back["b"].indices == []
 
     def test_case_and_dot_gaps(self):
-        family = AlignedFamily("x", [("a", "ae.g"), ("b", "AE-G")])
+        family = AlignedFamily([("a", "ae.g"), ("b", "AE-G")])
         cols = conserved_columns(family, 0.9)
         assert cols == {0: "A", 1: "E", 3: "G"}
 

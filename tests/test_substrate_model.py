@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ class TestSubstrateForward:
     def test_three_atom_edge_enumeration_oracle(self):
         """m=3 full graph: recompute one layer's messages with plain numpy."""
         config, params = setup()
-        config.substrate_layers = 1
+        config = replace(config, substrate_layers=1)
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(3, 5))
         coords = rng.normal(size=(3, 3))

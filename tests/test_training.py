@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,6 @@ class TestJointLoss:
         params = init_parameters(config, vocab, np.random.default_rng(0),
                                  zero_coord_scale=False)
         rec = records[0]
-        rec.tag_idx = vocab.encode(rec.tag)
         mask = rec.site_mask
         rng = np.random.default_rng(4)
         coords0 = geometry.init_coordinates(rec.coords[mask], np.where(mask)[0],
@@ -151,8 +151,8 @@ class TestJointLoss:
                         (geometry.apply_rigid(rot, t, coords0),
                          geometry.apply_rigid(rot, t, rec.coords))):
             logits, coords_out, _ = forward_stack(rec.seq_indices, mask,
-                                                  rec.tag_idx, c0, params,
-                                                  config)
+                                                  vocab.encode(rec.tag), c0,
+                                                  params, config)
             total, _ = joint_loss(logits, rec.seq_indices, coords_out, tgt,
                                   ~mask, config.coord_loss_weight)
             totals.append(total.item())
@@ -242,8 +242,8 @@ class TestTrainLoop:
             assert res.aborted and len(res.history) == finite_steps
             # the last finite loss was computed after finite_steps - 1 updates
             records, pool, vocab, config, last_good = toy_setup()
-            sched.phase1_steps = finite_steps - 1
-            train(records, pool, last_good, config, sched, vocab)
+            train(records, pool, last_good, config,
+                  replace(sched, phase1_steps=finite_steps - 1), vocab)
             for k, t in params.items():
                 np.testing.assert_array_equal(t.data, last_good[k].data)
 
@@ -285,10 +285,10 @@ class TestTrainLoop:
         epochs = []
         batch_loss = training.batch_loss
 
-        def spy(batch, params, config, rng, pairs, mlm):
+        def spy(batch, params, config, vocab, rng, pairs, mlm):
             epochs.append({rec.id: (name_of[id(sub)], y)
                            for rec, (sub, y) in zip(batch, pairs)})
-            return batch_loss(batch, params, config, rng, pairs, mlm)
+            return batch_loss(batch, params, config, vocab, rng, pairs, mlm)
 
         monkeypatch.setattr(training, "batch_loss", spy)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=4, seed=0)
@@ -306,11 +306,10 @@ class TestTrainLoop:
     def test_record_loss_gradient_matches_finite_differences(self):
         records, pool, vocab, config, params = toy_setup()
         rec = records[0]
-        rec.tag_idx = vocab.encode(rec.tag)
         sub = pool["sub0"]
 
         def loss_fn():
-            (total, _), _ = record_loss(rec, params, config,
+            (total, _), _ = record_loss(rec, params, config, vocab,
                                         np.random.default_rng(11), sub, 1)
             return total
 
@@ -337,14 +336,51 @@ def mixed_batch():
                         np.cumsum(rng.normal(size=(n, 3)) * 2.0, axis=0),
                         sites=[0, 4, 9, 13, 17], tag=records[0].tag)
     batch = [records[0], long, records[1], records[2]]
-    for rec in batch:
-        rec.tag_idx = vocab.encode(rec.tag)
     pairs = [(pool["sub0"], 1), (pool["sub1"], 0), (pool["sub0"], 0),
              (pool["sub2"], 1)]
     config = small_config(k_neighbors=12)
     params = init_parameters(config, vocab, np.random.default_rng(0),
                              zero_coord_scale=False)
-    return batch, pairs, params, config
+    return batch, pairs, params, config, vocab
+
+
+def one_residue_record(tag):
+    return EnzymeRecord("one", "W", np.zeros((1, 3)), sites=[], tag=tag)
+
+
+def assert_packed_matches_singles(batch, pairs, params, config, vocab):
+    """Per-record logits, the loss terms and every parameter gradient of
+    ``batch_loss`` agree with one record at a time to 1e-12 relative."""
+    rng = np.random.default_rng(8)
+    singles, logits, grads = [], [], {}
+    for rec, (sub, y) in zip(batch, pairs):
+        zero_grads(params)
+        (total, bd), lg = record_loss(rec, params, config, vocab, rng, sub, y)
+        total.backward()
+        singles.append(bd)
+        logits.append(lg.data)
+        for k, t in params.items():
+            if t.grad is not None:
+                grads[k] = grads.get(k, 0.0) + t.grad
+    zero_grads(params)
+    (total, bd), packed = batch_loss(batch, params, config, vocab,
+                                     np.random.default_rng(8), pairs)
+    total.backward()
+
+    np.testing.assert_allclose(packed.data, np.concatenate(logits),
+                               rtol=1e-12, atol=0)
+    for term in ("seq_nll", "coord_l2", "binding_ce", "total"):
+        want = sum(getattr(b, term) for b in singles)
+        assert abs(getattr(bd, term) - want) <= 1e-12 * abs(want), term
+    assert bd.free_residues == sum(b.free_residues for b in singles)
+    assert grads.keys() == {k for k, t in params.items()
+                            if t.grad is not None}
+    # relative to the largest gradient: some (attn*/k/b) are zero
+    # up to roundoff
+    scale = max(np.abs(g).max() for g in grads.values())
+    for k, g in grads.items():
+        np.testing.assert_allclose(params[k].grad, g, rtol=0,
+                                   atol=1e-12 * scale, err_msg=k)
 
 
 class TestPackedBatch:
@@ -353,40 +389,40 @@ class TestPackedBatch:
 
     @pytest.mark.parametrize("tile", [128, 5])
     def test_matches_one_record_path(self, monkeypatch, tile):
-        """Per-record logits, the loss terms and every parameter gradient
-        agree with one record at a time to 1e-12 relative."""
+        """Edge tiles of two widths, split at 128 and at 5 rows."""
         monkeypatch.setattr(nm, "ROW_TILE", tile)
-        batch, pairs, params, config = mixed_batch()
-        rng = np.random.default_rng(8)
-        singles, logits, grads = [], [], {}
-        for rec, (sub, y) in zip(batch, pairs):
-            zero_grads(params)
-            (total, bd), lg = record_loss(rec, params, config, rng, sub, y)
-            total.backward()
-            singles.append(bd)
-            logits.append(lg.data)
-            for k, t in params.items():
-                if t.grad is not None:
-                    grads[k] = grads.get(k, 0.0) + t.grad
-        zero_grads(params)
-        (total, bd), packed = batch_loss(batch, params, config,
-                                         np.random.default_rng(8), pairs)
-        total.backward()
+        assert_packed_matches_singles(*mixed_batch())
 
-        np.testing.assert_allclose(packed.data, np.concatenate(logits),
-                                   rtol=1e-12, atol=0)
-        for term in ("seq_nll", "coord_l2", "binding_ce", "total"):
-            want = sum(getattr(b, term) for b in singles)
-            assert abs(getattr(bd, term) - want) <= 1e-12 * abs(want), term
-        assert bd.free_residues == sum(b.free_residues for b in singles)
-        assert grads.keys() == {k for k, t in params.items()
-                                if t.grad is not None}
-        # relative to the largest gradient: some (attn*/k/b) are zero
-        # up to roundoff
-        scale = max(np.abs(g).max() for g in grads.values())
-        for k, g in grads.items():
-            np.testing.assert_allclose(params[k].grad, g, rtol=0,
-                                       atol=1e-12 * scale, err_msg=k)
+    def test_one_residue_record_matches_its_own_forward(self):
+        """A one-residue record has an empty kNN block, so its edge tile
+        has K = 0; packed between two others it still equals its own
+        forward, and theirs are unchanged."""
+        batch, pairs, params, config, vocab = mixed_batch()
+        batch = [batch[0], one_residue_record(batch[0].tag), batch[2]]
+        assert_packed_matches_singles(batch, pairs[:3], params, config, vocab)
+
+    def test_k0_tile_gradient_matches_finite_differences(self):
+        """The coordinate head's gradient through a batch whose first edge
+        tile is a one-residue record's K = 0 tile, against central FD."""
+        batch, pairs, params, config, vocab = mixed_batch()
+        batch = [one_residue_record(batch[0].tag), batch[0]]
+
+        def loss_fn():
+            (total, _), _ = batch_loss(batch, params, config, vocab,
+                                       np.random.default_rng(3), pairs[:2])
+            return total
+
+        zero_grads(params)
+        loss_fn().backward()
+        for name in ("neigh0/coord1/w", "neigh0/coord1/b", "neigh0/coord2/w",
+                     "neigh0/coord2/b", "neigh1/coord1/w", "neigh1/coord2/b"):
+            p = params[name]
+            idx = np.linspace(0, p.size - 1, 3, dtype=int)
+            fd = finite_difference_gradient(lambda _: loss_fn().item(), p.data,
+                                            indices=idx).reshape(-1)[idx]
+            g = p.grad.reshape(-1)[idx]
+            rel = np.abs(g - fd) / (np.maximum(np.abs(g), np.abs(fd)) + 1e-3)
+            assert rel.max() < 1e-5, name
 
     def test_phase2_step_is_one_forward_one_stack_one_binding_call(
             self, monkeypatch):
@@ -469,8 +505,8 @@ class TestPackedBatch:
         assert load_checkpoint(ckpt)[3] == 1
         monkeypatch.undo()
         records, pool, vocab, config, last_good = toy_setup()
-        sched.phase1_steps, sched.phase2_steps = 1, 0
-        train(records, pool, last_good, config, sched, vocab)
+        train(records, pool, last_good, config,
+              replace(sched, phase1_steps=1, phase2_steps=0), vocab)
         for k, t in params.items():
             np.testing.assert_array_equal(t.data, last_good[k].data)
 
@@ -483,14 +519,14 @@ class TestEvaluateRecovery:
         rng = np.random.default_rng(5)
         logits = {}
         for rec in records:
-            rec.tag_idx = vocab.encode(rec.tag)
             mask = rec.site_mask
             coords0 = geometry.init_coordinates(rec.coords[mask],
                                                 np.where(mask)[0],
                                                 len(rec.sequence), rng,
                                                 config.bond_length)
-            logits[rec.id] = forward_stack(rec.seq_indices, mask, rec.tag_idx,
-                                           coords0, params, config)[0].data
+            logits[rec.id] = forward_stack(rec.seq_indices, mask,
+                                           vocab.encode(rec.tag), coords0,
+                                           params, config)[0].data
         # free residue types are not model inputs: make one prediction right
         rec = records[0]
         i = int(np.where(~rec.site_mask)[0][0])
@@ -510,6 +546,15 @@ class TestEvaluateRecovery:
         assert abs(nats - nll / free_total) < 1e-12
         assert recovery == hits / free_total
 
+
+    def test_records_keep_no_tag_index(self):
+        """``batch_loss`` encodes each record's tag itself: neither the
+        training loop nor evaluation writes an index onto a record."""
+        records, pool, vocab, config, params = toy_setup()
+        train(records, pool, params, config,
+              TrainSchedule(phase1_steps=1, phase2_steps=1, seed=0), vocab)
+        evaluate_recovery(records, params, config, vocab)
+        assert not any(hasattr(rec, "tag_idx") for rec in records)
 
     def test_builds_no_graph(self, monkeypatch):
         """No evaluation tensor has parents, and the caller's parameters
@@ -569,8 +614,9 @@ class TestMLM:
             res = train(records, pool, params, config, sched, vocab, mlm=True)
             assert res.aborted and len(res.history) == finite_steps
             records, pool, vocab, config, last_good = toy_setup()
-            sched.mlm_pretrain_steps = finite_steps - 1
-            train(records, pool, last_good, config, sched, vocab, mlm=True)
+            train(records, pool, last_good, config,
+                  replace(sched, mlm_pretrain_steps=finite_steps - 1), vocab,
+                  mlm=True)
             for k, t in params.items():
                 np.testing.assert_array_equal(t.data, last_good[k].data)
 
