@@ -2,8 +2,8 @@
 
 Subcommands: mine-sites, train, generate, export-embeddings, verify.
 Exit codes: 0 success; 1 verification failure, divergence or bad input
-data; 2 usage or configuration error. ``main`` holds the one map from
-exception to exit code, and every error prints one ``error: ...`` line.
+data (ValueError, OSError); 2 usage or configuration error (UsageError,
+ConfigError). ``main`` maps just these, each to one ``error: ...`` line.
 """
 from __future__ import annotations
 
@@ -38,10 +38,7 @@ def load_run_config(path):
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
-    try:
-        model, schedule, data, output = read_run_config(raw)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+    model, schedule, data, output = read_run_config(raw)
     if not Path(data["records_dir"]).is_dir():
         raise UsageError(f"records_dir not found: {data['records_dir']!r}")
     if data.get("split_seed", 0) < 0:
@@ -144,8 +141,8 @@ def read_motif_file(path):
         tag = tag_part.split()[1]
     except (ValueError, IndexError):
         raise UsageError(f"{path}: bad motif header {header.strip()!r}")
-    if n < 2:
-        raise UsageError(f"{path}: design length {n} is below 2")
+    if n < 1:
+        raise UsageError(f"{path}: design length {n} is below 1")
     indices = [r[0] for r in rows]
     for idx, res, _ in rows:
         if res not in AA_TO_INDEX:
@@ -284,10 +281,8 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, IndexError) as exc:
-        # str() of a KeyError is the repr of its message, quotes included
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -89,6 +89,12 @@ class ModelConfig(_Section):
     def neighborhood_sublayers(self) -> int:
         return self.attention_sublayers // self.interleave_period
 
+    def check_length(self, n: int) -> None:
+        """Raise ConfigError if a record of ``n`` residues exceeds max_len."""
+        if n > self.max_len:
+            raise ConfigError(f"sequence length {n} exceeds max_len "
+                              f"{self.max_len}")
+
 
 @dataclass(frozen=True)
 class TrainSchedule(_Section):

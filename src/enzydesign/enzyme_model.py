@@ -32,9 +32,7 @@ def embed_inputs(seq_indices, known_mask, tag_indices, params,
     lengths = [len(seq_indices)] if lengths is None else list(lengths)
     if min(lengths, default=0) == 0:
         raise ConfigError("empty sequence")
-    if max(lengths) > config.max_len:
-        raise ConfigError(f"sequence length {max(lengths)} exceeds max_len "
-                          f"{config.max_len}")
+    config.check_length(max(lengths))
 
     aa_rows = nm.take(params["emb/amino"], np.where(known, seq_indices, 0))
     known_col = known.astype(np.float64)[:, None]

@@ -52,10 +52,10 @@ ROW_TILE = 128
 
 
 class NumericsError(ValueError):
-    """Base class for numerics failures."""
+    """A non-finite result where it leaves the graph."""
 
 
-class DimensionError(NumericsError):
+class DimensionError(ValueError):
     """Shapes incompatible with the requested operation."""
 
 

@@ -6,7 +6,9 @@ byte-identically. Checkpoint layout: magic, JSON header (model config,
 tag vocabularies, step counter, parameter count), then per-parameter
 records sorted by name with little-endian float64 payloads.
 Stored values enter the program through ``load_checkpoint``, the one
-place that checks them for finiteness.
+place that checks them for finiteness. A file loads when it matches the
+layout ``save_checkpoint`` writes now; any other fails naming its first
+mismatch.
 """
 from __future__ import annotations
 
@@ -16,20 +18,15 @@ import struct
 import numpy as np
 
 from .config import SUBSTRATE_FEATURES, ConfigError, ModelConfig, check_section
-from .numerics import LAYER_NORM_EPS, Tensor
+from .numerics import Tensor
 from .residues import NUM_AMINO_ACIDS
 
 _MAGIC = b"ENZD0001"
 _HEADER_SPEC = {"config": dict, "vocab_levels": list, "step": int,
                 "param_count": int}
-# Retired model keys that older headers carry, with the value each must hold
-_RETIRED_KEYS = {"knn_mode": "dynamic", "layer_norm_eps": LAYER_NORM_EPS,
-                 "ffn_multiplier": 4, "substrate_feature_dim": 5}
-# Each substrate block's unread coordinate head, which older payloads carry
-_RETIRED_PARAMS = ("coord1/w", "coord1/b", "coord2/w", "coord2/b")
 
 
-class VocabularyError(KeyError):
+class VocabularyError(ValueError):
     pass
 
 
@@ -190,8 +187,7 @@ def load_checkpoint(path):
     model and vocabulary raises ValueError naming the file.
 
     A cut inside a record is caught by the short read; a cut at a record
-    boundary by the parameter count in the header, when it has one.
-    A retired parameter in an older payload is counted, then dropped.
+    boundary by the parameter count in the header.
     """
     with open(path, "rb") as f:
         def read(n: int) -> bytes:
@@ -219,24 +215,15 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: parameter {name} is not finite")
             params[name] = Tensor(data.copy(), requires_grad=True)
     try:  # a corrupt file, not a usage error: ValueError, exit 1
-        check_section("header", header, _HEADER_SPEC,
-                      ("config", "vocab_levels", "step"))
+        check_section("header", header, _HEADER_SPEC, _HEADER_SPEC)
         if header["step"] < 0:  # --resume would run extra steps
             raise ConfigError("header.step must be >= 0")
-        fields = dict(header["config"])
-        for key, value in _RETIRED_KEYS.items():
-            if fields.pop(key, value) != value:
-                raise ConfigError(f"model key {key} is no longer settable "
-                                  f"and must be {value!r}")
-        config = ModelConfig.from_dict(fields)
+        config = ModelConfig.from_dict(header["config"])
         vocab = TagVocabulary(header["vocab_levels"])
     except (ConfigError, VocabularyError) as exc:
         raise ValueError(f"{path}: {exc.args[0]}") from None
-    if len(params) < header.get("param_count", 0):
+    if len(params) < header["param_count"]:
         raise ValueError(f"{path} is truncated")
-    for j in range(config.substrate_layers):
-        for name in _RETIRED_PARAMS:
-            params.pop(f"sub{j}/{name}", None)
     layout = parameter_layout(config, vocab)
     for name in sorted(layout.keys() | params.keys()):
         have = str(params[name].shape) if name in params else "no entry"

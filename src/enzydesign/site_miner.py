@@ -90,14 +90,18 @@ def read_aligned_fasta(path) -> AlignedFamily:
     rows = []
     current_id, chunks = None, []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith(">"):
                 if current_id is not None:
                     rows.append((current_id, "".join(chunks)))
-                current_id = line[1:].split()[0]
+                words = line[1:].split()
+                if not words:
+                    raise AlignmentError(f"{path} line {lineno}: "
+                                         "header has no sequence id")
+                current_id = words[0]
                 chunks = []
             else:
                 chunks.append(line)

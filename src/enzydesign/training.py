@@ -226,6 +226,13 @@ def train(records, substrate_pool, params, config: ModelConfig,
     pool_ids = sorted(substrate_pool or ())
     last_good: dict = {}
     step = start_step
+    if step < total_steps:  # the forward's checks, naming the record
+        for rec in records:
+            try:
+                config.check_length(len(rec.sequence))
+                vocab.encode(rec.tag)
+            except ValueError as exc:  # ConfigError or VocabularyError
+                raise type(exc)(f"record {rec.id}: {exc}") from None
     batches: list = []
     epoch_pairings: dict = {}
     while step < total_steps:

@@ -5,7 +5,8 @@ The three suites run against any parameter store (the equivariance
 property is architectural, so random weights suffice) and report the
 worst observed deviation per property. Their seeds, sample counts and
 acceptance bounds are the fixed constants below; only the equivariance
-and binding suites take a trial count, their constant's when None. The
+and binding suites take a trial count, their constant's when None.
+Enzyme lengths are capped at the model's ``max_len``. The
 forward-only suites run on constant views of the parameters, so they
 build no autodiff graph.
 """
@@ -88,7 +89,7 @@ def run_equivariance_suite(params=None, config: ModelConfig | None = None,
             p = constant_views(init_parameters(cfg, vocab, rng,
                                                zero_coord_scale=False))
         else:
-            cfg, p, n = config, params, (5, 50)[trial % 2]
+            cfg, p, n = config, params, min((5, 50)[trial % 2], config.max_len)
         dev = equivariance_deviation(p, cfg, n, rng)
         for key in worst:
             worst[key] = max(worst[key], dev[key])
@@ -103,11 +104,12 @@ def run_gradient_suite(params, config: ModelConfig, vocab) -> dict:
     compares the analytic gradient against (f(θ+h)-f(θ-h))/2h, h = FD_STEP.
     """
     rng = np.random.default_rng(SEED)
-    n = 6
+    n = min(6, config.max_len)
     seq = "".join(AMINO_ACIDS[i]
                   for i in rng.integers(0, NUM_AMINO_ACIDS, n))
     rec = EnzymeRecord("grad-check", seq, rng.normal(0.0, 3.0, (n, 3)),
-                       sites=[0, 2], tag=vocab.levels[3][0])
+                       sites=[i for i in (0, 2) if i < n],
+                       tag=vocab.levels[3][0])
     substrate = SubstrateRecord("sub", rng.normal(0.0, 1.0, (4, SUBSTRATE_FEATURES)),
                                 rng.normal(0.0, 2.0, (4, 3)))
     init_seed = int(rng.integers(2 ** 31))
@@ -157,7 +159,7 @@ def run_binding_invariance_suite(params, config: ModelConfig,
     worst_perm, worst_rigid = 0.0, 0.0
     for _ in range(BINDING_TRIALS if trials is None else trials):
         m = int(rng.integers(2, 8))
-        n = int(rng.integers(4, 12))
+        n = min(int(rng.integers(4, 12)), config.max_len)
         *enzyme, coords = random_instance(n, rng)
         feats = rng.normal(0.0, 1.0, (m, SUBSTRATE_FEATURES))
         sub_coords = rng.normal(0.0, 2.0, (m, 3))

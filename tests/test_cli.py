@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import enzydesign
-from enzydesign.cli import UsageError, main, read_motif_file
+import enzydesign.cli as cli
+from enzydesign import training
+from enzydesign.cli import SUITES, UsageError, main, read_motif_file
 from enzydesign.config import ModelConfig
 from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, init_parameters,
@@ -93,6 +95,20 @@ class TestMineSites:
         assert "ragged" in capsys.readouterr().err
         assert "seq1" in read_site_manifest(out)
 
+    def test_bare_header_fails_its_file_only(self, tmp_path, capsys):
+        """A header line with no id names its file and line; the other
+        families still reach the manifest."""
+        d = self.fasta_dir(tmp_path)
+        (d / "bad.fasta").write_text(">a\nACDE\n>\nACDE\n")
+        out = tmp_path / "sites.tsv"
+        assert main(["mine-sites", "--alignments", str(d),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad.fasta: {d / 'bad.fasta'} line 3: "
+            "header has no sequence id\n")
+        assert sorted(read_site_manifest(out)) == [
+            "seq1", "seq2", "seq3", "seq4"]
+
     def test_deterministic_bytes(self, tmp_path):
         d = self.fasta_dir(tmp_path)
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -130,6 +146,48 @@ class TestTrain:
         assert load_checkpoint(cfg["output"]["checkpoint"])[3] == 4
         assert len(Path(cfg["output"]["loss_log"]).read_text()
                    .splitlines()) == 4
+
+    def test_overlong_record_refused_before_first_step(
+            self, toy_tree, tmp_path, capsys, monkeypatch):
+        """A record longer than max_len exits 2 naming it, and no step
+        runs: no checkpoint, loss log or split manifest is written."""
+        root, _, _ = toy_tree
+        (root / "records" / "big.tsv").write_text(
+            "".join(f"big\tA\t{3.75 * i}\t0\t0\n" for i in range(40)))
+        with open(root / "tags.tsv", "a") as f:
+            f.write("big\t1.1.1.9\n")
+        cfg_path, cfg = toy_config(root, tmp_path, batch_residues=24)
+        cfg["model"]["max_len"] = 30
+        cfg_path.write_text(json.dumps(cfg))
+        steps = []
+        monkeypatch.setattr(training.Adam, "step", lambda opt: steps.append(1))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: record big: sequence length 40 exceeds max_len 30\n")
+        assert not steps
+        assert not any(Path(path).exists() for path in cfg["output"].values())
+
+    def test_resume_with_unknown_tag_leaves_checkpoint(self, toy_tree,
+                                                       tmp_path, capsys):
+        """--resume over a record whose tag the checkpoint's vocabulary
+        lacks exits 1 naming it, before any step: the checkpoint and the
+        loss log stay as they were."""
+        root, _, _ = toy_tree
+        cfg_path, cfg = toy_config(root, tmp_path, phase1=1, phase2=0,
+                                   batch_residues=24)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt, log = (Path(cfg["output"][k]) for k in ("checkpoint", "loss_log"))
+        before = ckpt.read_bytes(), log.read_bytes()
+        tags = (root / "tags.tsv").read_text()
+        (root / "tags.tsv").write_text(tags.replace("rec7\t1.1.1.8",
+                                                    "rec7\t6.6.6.6"))
+        cfg_path, _ = toy_config(root, tmp_path, phase1=1, phase2=2,
+                                 batch_residues=24)
+        assert main(["train", "--config", str(cfg_path), "--resume",
+                     str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            "error: record rec7: unknown EC tag component '6'\n")
+        assert (ckpt.read_bytes(), log.read_bytes()) == before
 
     def test_unknown_config_key_exits_2(self, toy_tree, tmp_path, capsys):
         root, _, _ = toy_tree
@@ -241,32 +299,17 @@ class TestGenerate:
         coords = [b.splitlines()[2:] for b in blocks]
         assert coords[0] != coords[1]   # different init seeds move free residues
 
-    def test_checkpoint_with_substrate_coord_head(self, toy_tree, tmp_path):
-        """A checkpoint whose substrate blocks still store the coordinate
-        head that nothing read loads to the current layout and designs
-        byte for byte what the same weights without it design."""
-        root, _, _ = toy_tree
-        config, vocab = ModelConfig(), TagVocabulary.from_tags(["1.1.1.1"])
-        params = init_parameters(config, vocab, np.random.default_rng(0))
-        rng, d = np.random.default_rng(1), config.d
-        old = dict(params)
-        for j in range(config.substrate_layers):
-            for name, shape in (("coord1/w", (d, d)), ("coord1/b", (d,)),
-                                ("coord2/w", (d, 1)), ("coord2/b", (1,))):
-                old[f"sub{j}/{name}"] = Tensor(rng.normal(size=shape))
-        designs = []
-        for name, payload in (("old", old), ("new", params)):
-            save_checkpoint(tmp_path / f"{name}.ckpt", payload, config, vocab)
-            back = load_checkpoint(tmp_path / f"{name}.ckpt")[0]
-            assert sorted(back) == sorted(params) and len(back) == 177
-            for key, t in params.items():
-                np.testing.assert_array_equal(back[key].data, t.data)
-            assert main(["generate", "--checkpoint",
-                         str(tmp_path / f"{name}.ckpt"), "--motif",
-                         str(root / "motif.tsv"), "--num-candidates", "2",
-                         "--out", str(tmp_path / f"{name}.txt")]) == 0
-            designs.append((tmp_path / f"{name}.txt").read_bytes())
-        assert len(old) == 189 and designs[0] == designs[1]
+    def test_one_residue_design(self, trained, tmp_path):
+        """A design of length 1 decodes through an empty kNN block."""
+        root, ckpt = trained
+        motif = tmp_path / "one.tsv"
+        motif.write_text("length 1, tag 1.1.1.1\n0\tW\t1\t2\t3\n")
+        out = tmp_path / "one.txt"
+        assert main(["generate", "--checkpoint", ckpt, "--motif", str(motif),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == [">candidate_0 tag=1.1.1.1 length=1", "W"]
+        assert len(lines) == 3 and lines[2].startswith("0\tW\t")
 
     def test_nan_mid_graph_exits_1_with_one_line(self, trained, tmp_path,
                                                  capsys, monkeypatch):
@@ -401,9 +444,9 @@ def test_import_loads_no_scipy():
     assert done.stdout == "[]\n", done.stdout
 
 
-def _verify_ckpt(path, d=8, tags=("1.1.1.1",)):
+def _verify_ckpt(path, d=8, tags=("1.1.1.1",), max_len=512):
     config = ModelConfig(d=d, num_heads=2, attention_sublayers=2,
-                         interleave_period=1, k_neighbors=3)
+                         interleave_period=1, k_neighbors=3, max_len=max_len)
     vocab = TagVocabulary.from_tags(list(tags))
     params = init_parameters(config, vocab, np.random.default_rng(0),
                              zero_coord_scale=False)
@@ -420,6 +463,17 @@ class TestVerifyCommand:
         assert main(["verify", "--checkpoint", str(small_ckpt),
                      "--suite", "equivariance", "--trials", "8"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_len", [30, 1])
+    def test_suites_fit_a_small_max_len(self, tmp_path, capsys, max_len):
+        """Each suite caps its enzyme lengths at the checkpoint's max_len
+        (the equivariance suite's N = 50 would exceed 30)."""
+        ckpt = _verify_ckpt(tmp_path / "m.ckpt", max_len=max_len)
+        assert main(["verify", "--checkpoint", str(ckpt),
+                     "--trials", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(SUITES)
+        assert all(line.endswith(" PASS") for line in lines)
 
     def test_gradient_suite_passes(self, small_ckpt, capsys):
         assert main(["verify", "--checkpoint", str(small_ckpt),
@@ -608,6 +662,9 @@ def _bad_input_files(root, tmp_path):
     save_checkpoint(ckpt, params, config, vocab)
     save_checkpoint(tmp_path / "unknown-name.ckpt",
                     {**params, "extra/w": params["emb/mask"]}, config, vocab)
+    save_checkpoint(tmp_path / "coord-head.ckpt",  # as substrate blocks had
+                    {**params, "sub0/coord1/b": params["emb/mask"]}, config,
+                    vocab)
     params["attn0/q/w"].data[0, 0] = np.nan
     save_checkpoint(tmp_path / "nan-payload.ckpt", params, config, vocab)
     raw = ckpt.read_bytes()
@@ -616,7 +673,7 @@ def _bad_input_files(root, tmp_path):
     (tmp_path / "record_cut.ckpt").write_bytes(raw[:_first_record_end(raw)])
     (tmp_path / "frozen.ckpt").write_bytes(raw)
     header = edit_checkpoint_header(tmp_path / "frozen.ckpt")
-    header["config"]["knn_mode"] = "frozen"  # a retired key, not at its value
+    header["config"]["knn_mode"] = "frozen"  # a model key that is gone
     edit_checkpoint_header(tmp_path / "frozen.ckpt", header)
     for name, edit in _HEADER_EDITS.items():
         (tmp_path / name).write_bytes(raw)
@@ -634,6 +691,7 @@ def _bad_input_files(root, tmp_path):
                       ("dup.tsv", "0\tW\t0\t0\t0\n0\tP\t1\t0\t0")):
         (tmp_path / name).write_text(f"length 4, tag 1.1.1.1\n{row}\n")
     (tmp_path / "one.tsv").write_text("length 1, tag 1.1.1.1\n0\tA\t0\t0\t0\n")
+    (tmp_path / "zero.tsv").write_text("length 0, tag 1.1.1.1\n")
     (tmp_path / "long.tsv").write_text("length 5000, tag 1.1.1.1\n"
                                        "0\tA\t0\t0\t0\n")
     (tmp_path / "header.tsv").write_text("length 4 tag 1.1.1.1\n0\tA\t0\t0\t0\n")
@@ -678,6 +736,8 @@ _HEADER_EDITS = {
     "vocab-level-number.ckpt": lambda h: {
         **h, "vocab_levels": [["1"], ["1.1"], [1], ["1.1.1.1"]]},
     "step-string.ckpt": lambda h: {**h, "step": "7"},
+    "count-missing.ckpt": lambda h: {k: v for k, v in h.items()
+                                     if k != "param_count"},
     "step-negative.ckpt": lambda h: {**h, "step": -3},
     "header-unknown-key.ckpt": lambda h: {**h, "epoch": 1},
     "vocab-longer.ckpt": lambda h: {**h, "vocab_levels": [
@@ -747,7 +807,8 @@ BAD_INPUTS = {
     "generate-checkpoint-cut-at-record": (1, "truncated", [
         "generate", "--checkpoint", "{d}/record_cut.ckpt", "--motif",
         "{d}/motif.tsv", "--out", "{d}/o.txt"]),
-    "generate-checkpoint-frozen-knn-mode": (1, "frozen.ckpt: model key knn_mode", [
+    "generate-checkpoint-frozen-knn-mode": (
+        1, "frozen.ckpt: unknown model config key 'knn_mode'", [
         "generate", "--checkpoint", "{d}/frozen.ckpt", "--motif",
         "{d}/motif.tsv", "--out", "{d}/o.txt"]),
     "export-checkpoint-header-array": (
@@ -774,6 +835,15 @@ BAD_INPUTS = {
         1, "vocab-level-number.ckpt: tag vocabulary needs 4 lists of strings", [
             "export-embeddings", "--checkpoint",
             "{d}/vocab-level-number.ckpt", "--out", "{d}/e.tsv"]),
+    "export-checkpoint-without-param-count": (
+        1, "count-missing.ckpt: header config needs param_count", [
+            "export-embeddings", "--checkpoint", "{d}/count-missing.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "generate-checkpoint-substrate-coord-head": (
+        1, "coord-head.ckpt: parameter sub0/coord1/b: payload has (8,), "
+        "header's model needs no entry", [
+            "generate", "--checkpoint", "{d}/coord-head.ckpt", "--motif",
+            "{d}/motif.tsv", "--out", "{d}/o.txt"]),
     "export-checkpoint-step-string": (
         1, "step-string.ckpt: header.step must be int, got str", [
             "export-embeddings", "--checkpoint", "{d}/step-string.ckpt",
@@ -834,8 +904,11 @@ BAD_INPUTS = {
     "generate-motif-repeated-index": (2, "dup.tsv: motif index 0 given twice", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/dup.tsv",
         "--out", "{d}/o.txt"]),
-    "generate-motif-length-one": (2, "one.tsv: design length 1 is below 2", [
+    "generate-motif-length-one": (0, "", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/one.tsv",
+        "--out", "{d}/o.txt"]),
+    "generate-motif-length-zero": (2, "zero.tsv: design length 0 is below 1", [
+        "generate", "--checkpoint", "{d}/m.ckpt", "--motif", "{d}/zero.tsv",
         "--out", "{d}/o.txt"]),
     "generate-motif-longer-than-max-len": (
         2, "long.tsv: design length 5000 exceeds max_len 512", [
@@ -953,7 +1026,8 @@ BAD_INPUTS = {
 def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
                                              capsys):
     """Exit 1 or 2 with one error line, or 0 with one warning line per
-    skipped file (the fragment lists each file and line, comma-separated)."""
+    skipped file (the fragment lists each file and line, comma-separated;
+    an empty one means no line)."""
     root, _, _ = toy_tree
     _bad_input_files(root, tmp_path)
     code, fragment, argv = BAD_INPUTS[case]
@@ -962,7 +1036,7 @@ def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
     err = capsys.readouterr().err
     if code == 0:
         lines = err.splitlines()
-        wanted = fragment.split(", ")
+        wanted = fragment.split(", ") if fragment else []
         assert len(lines) == len(wanted) and all(
             line.startswith("warning: skipping ") for line in lines), err
         for where in wanted:
@@ -971,6 +1045,19 @@ def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
     assert not (tmp_path / "o.txt").exists()  # no designs file on failure
+
+
+@pytest.mark.parametrize("error", [KeyError("k"), IndexError("i")])
+def test_unexpected_error_propagates(error, monkeypatch, tmp_path):
+    """``main`` maps only the two exception families to exit codes: any
+    other error inside a command is a fault and keeps its traceback."""
+    def command(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_export_embeddings", command)
+    with pytest.raises(type(error)):
+        main(["export-embeddings", "--checkpoint", str(tmp_path / "m.ckpt"),
+              "--out", str(tmp_path / "e.tsv")])
 
 
 _MOTIF = table(integer(-1, 4), mostly(st.sampled_from("ACWX")),

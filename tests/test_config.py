@@ -146,7 +146,7 @@ def _typed(value, want) -> bool:
 def _load(path):
     try:
         return load_run_config(path), None
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:  # both exit 2
         return None, str(exc)
 
 
@@ -155,7 +155,7 @@ def _load(path):
 @settings(max_examples=300, deadline=None)
 def test_any_json_loads_or_raises_usage_error(raw):
     """A run config loads with values of the declared types, or raises a
-    one-line UsageError."""
+    one-line UsageError or ConfigError."""
     loaded, error = read_text_as(_load, json.dumps(raw))
     if loaded is None:
         assert error and "\n" not in error

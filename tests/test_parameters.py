@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from enzydesign.config import ConfigError, ModelConfig
+from enzydesign.config import ModelConfig
 from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, VocabularyError,
                                    init_parameters, load_checkpoint,
                                    parameter_layout, save_checkpoint,
                                    zero_grads)
-from helpers import edit_checkpoint_header
 
 
 def small_config():
@@ -33,6 +32,14 @@ class TestVocabulary:
         vocab = TagVocabulary.from_tags(["1.1.1.1"])
         with pytest.raises(VocabularyError):
             vocab.encode("1.1.1")
+
+    def test_error_is_a_value_error_that_prints_its_message(self):
+        """``cli.main`` maps it to exit 1 and prints ``str`` of it as is."""
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        with pytest.raises(ValueError) as info:
+            vocab.encode("9.9.9.9")
+        assert isinstance(info.value, VocabularyError)
+        assert str(info.value) == "unknown EC tag component '9'"
 
     def test_shared_prefixes_share_rows(self):
         vocab = TagVocabulary.from_tags(["1.1.1.1", "1.1.1.2"])
@@ -122,39 +129,10 @@ class TestCheckpoint:
         save_checkpoint(p2, params, config, vocab)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_header_without_param_count_still_loads(self, tmp_path):
-        """Checkpoints written before the header carried the count."""
-        config = small_config()
-        vocab = TagVocabulary.from_tags(["1.1.1.1"])
-        params = init_parameters(config, vocab, np.random.default_rng(3))
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params, config, vocab, step=5)
-        header = edit_checkpoint_header(path)
-        assert header.pop("param_count") == len(params)
-        edit_checkpoint_header(path, header)
-        back, _, _, step = load_checkpoint(path)
-        assert step == 5 and sorted(back) == sorted(params)
-
-    def test_header_with_retired_keys_still_loads(self, tmp_path):
-        """Checkpoints written while four model constants were settable
-        carry them; at the values now hardwired they load unchanged."""
-        config = small_config()
-        vocab = TagVocabulary.from_tags(["1.1.1.1"])
-        params = init_parameters(config, vocab, np.random.default_rng(4))
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params, config, vocab, step=3)
-        header = edit_checkpoint_header(path)
-        header["config"].update(RETIRED)
-        edit_checkpoint_header(path, header)
-        back, cfg, _, step = load_checkpoint(path)
-        assert cfg == config and step == 3
-        for k in params:
-            np.testing.assert_array_equal(back[k].data, params[k].data)
-
     @pytest.mark.parametrize("extra", ["extra/w", "sub3/coord1/w"])
     def test_unknown_parameter_rejected(self, tmp_path, extra):
-        """Only the retired coordinate head of the model's own substrate
-        blocks (sub0 to sub2 here) is dropped; any other name fails."""
+        """Any name outside the model's layout fails the load, a
+        coordinate head on a substrate block among them."""
         config = small_config()
         vocab = TagVocabulary.from_tags(["1.1.1.1"])
         params = init_parameters(config, vocab, np.random.default_rng(5))
@@ -165,44 +143,3 @@ class TestCheckpoint:
                            "payload has \\(8, 8\\), header's model needs "
                            "no entry"):
             load_checkpoint(path)
-
-    def test_retired_parameter_counts_toward_param_count(self, tmp_path):
-        """An older payload that lost its last record is caught as
-        truncated, not as a missing parameter, though its header counts a
-        retired record that the model no longer has."""
-        config = small_config()
-        vocab = TagVocabulary.from_tags(["1.1.1.1"])
-        params = init_parameters(config, vocab, np.random.default_rng(6))
-        old = {**params, "sub2/coord2/b": Tensor(np.zeros(1))}
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(path, {k: old[k] for k in sorted(old)[:-1]}, config,
-                        vocab)
-        header = edit_checkpoint_header(path)
-        header["param_count"] = len(old)
-        edit_checkpoint_header(path, header)
-        with pytest.raises(ValueError, match="old.ckpt is truncated"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("key,value", [
-        ("knn_mode", "frozen"), ("layer_norm_eps", 1e-6),
-        ("ffn_multiplier", 2), ("substrate_feature_dim", 7)])
-    def test_retired_key_with_other_value_rejected(self, tmp_path, key,
-                                                   value):
-        config = small_config()
-        vocab = TagVocabulary.from_tags(["1.1.1.1"])
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(path, init_parameters(config, vocab, 0), config,
-                        vocab)
-        header = edit_checkpoint_header(path)
-        header["config"].update(RETIRED, **{key: value})
-        edit_checkpoint_header(path, header)
-        with pytest.raises(ValueError, match=f"old.ckpt.*{key}") as info:
-            load_checkpoint(path)
-        assert not isinstance(info.value, ConfigError)  # exit 1, not 2
-
-
-# retired model keys at the values that headers written before their
-# retirement hold
-RETIRED = {"knn_mode": "dynamic", "layer_norm_eps": 1e-5,
-           "ffn_multiplier": 4, "substrate_feature_dim": 5}
-

@@ -190,3 +190,19 @@ def test_site_manifest_parses_or_raises_data_error(text):
     for rid, ann in (sites or {}).items():
         assert ann.sequence_id == rid
         assert all(isinstance(i, int) for i in ann.indices)
+
+
+_FASTA_LINE = (st.sampled_from([">", "> ", ">s1", ">s2 desc"])
+               | st.text("AC-.", max_size=5) | st.text(max_size=4))
+
+
+@given(st.lists(_FASTA_LINE, max_size=6).map("\n".join))
+@settings(max_examples=200, deadline=None)
+def test_aligned_fasta_parses_or_raises_value_error(text):
+    """Near-FASTA text gives a family of equal-width rows with ids, or
+    raises AlignmentError or another ValueError."""
+    family = read_text_as(read_aligned_fasta, text, ValueError)
+    if family is not None:
+        assert len(family.rows) >= 2
+        assert all(rid and rid == rid.split()[0] for rid, _ in family.rows)
+        assert {len(seq) for _, seq in family.rows} == {family.column_count}

@@ -8,12 +8,13 @@ import pytest
 import enzydesign.numerics as nm
 import enzydesign.training as training
 from enzydesign import geometry
-from enzydesign.config import ModelConfig, read_run_config
+from enzydesign.config import ConfigError, ModelConfig, read_run_config
 from enzydesign.data import EnzymeRecord
 from enzydesign.enzyme_model import forward_stack
 from enzydesign.numerics import Tensor, finite_difference_gradient
-from enzydesign.parameters import (TagVocabulary, init_parameters,
-                                   load_checkpoint, zero_grads)
+from enzydesign.parameters import (TagVocabulary, VocabularyError,
+                                   init_parameters, load_checkpoint,
+                                   zero_grads)
 from enzydesign.residues import AMINO_ACIDS
 from enzydesign.substrate_model import binding_scores, substrate_forward
 from enzydesign.training import (Adam, TrainSchedule, _pack_batches,
@@ -259,6 +260,45 @@ class TestTrainLoop:
                         checkpoint_path=ckpt, start_step=start_step)
             assert res.aborted
             assert load_checkpoint(ckpt)[3] == updates
+
+    def test_shape_fault_is_not_divergence(self, monkeypatch, tmp_path):
+        """A DimensionError in a step is a fault, not a non-finite loss: it
+        leaves ``train``, which writes no checkpoint."""
+        records, pool, vocab, config, params = toy_setup()
+
+        def broken(*args):
+            raise nm.DimensionError("linear shapes disagree")
+
+        monkeypatch.setattr(training, "batch_loss", broken)
+        sched = TrainSchedule(phase1_steps=2, phase2_steps=0, seed=0)
+        with pytest.raises(nm.DimensionError):
+            train(records, pool, params, config, sched, vocab,
+                  checkpoint_path=tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("fault", ["tag", "length"])
+    def test_records_checked_before_first_step(self, fault, tmp_path):
+        """A record the forward would refuse stops a run that takes steps
+        before its first one; a run of zero steps checks nothing."""
+        records, pool, vocab, config, params = toy_setup()
+        if fault == "tag":
+            records[3].tag = "9.9.9.9"
+            error = VocabularyError
+            message = "record rec3: unknown EC tag component '9'"
+        else:
+            config = replace(config, max_len=11)
+            error = ConfigError
+            message = "record rec0: sequence length 12 exceeds max_len 11"
+        before = {k: t.data.copy() for k, t in params.items()}
+        sched = TrainSchedule(phase1_steps=1, phase2_steps=0, seed=0)
+        with pytest.raises(error, match=f"^{message}$"):
+            train(records, pool, params, config, sched, vocab,
+                  checkpoint_path=tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
+        for k, data in before.items():
+            np.testing.assert_array_equal(params[k].data, data)
+        sched = TrainSchedule(phase1_steps=0, phase2_steps=0, seed=0)
+        assert train(records, pool, params, config, sched, vocab).history == []
 
     def test_loss_log_append_on_resume(self, tmp_path):
         records, pool, vocab, config, params = toy_setup()
