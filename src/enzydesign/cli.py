@@ -41,8 +41,6 @@ def load_run_config(path):
     model, schedule, data, output = read_run_config(raw)
     if not Path(data["records_dir"]).is_dir():
         raise UsageError(f"records_dir not found: {data['records_dir']!r}")
-    if data.get("split_seed", 0) < 0:
-        raise UsageError("data.split_seed must be >= 0")
     return model, schedule, data, output
 
 

@@ -1,7 +1,8 @@
 """Run configuration: the model and schedule dataclasses, and the one
-reader that checks every key and value type of a run config (a JSON
-object of four JSON-object sections, ``model``, ``schedule``, ``data``
-and ``output``). Values the model never varies are constants here.
+reader that checks every key, value type and value range of a run
+config (a JSON object of four JSON-object sections, ``model``,
+``schedule``, ``data`` and ``output``). Values the model never varies
+are constants here.
 ``ModelConfig`` and ``TrainSchedule`` are frozen and range-check their
 values when made, so every instance is valid. Field annotations are the
 types the reader checks: their evaluation must not be postponed."""
@@ -122,6 +123,9 @@ def read_run_config(raw):
     a missing section reads as an empty one."""
     check_section("run", raw, dict.fromkeys(SECTIONS, dict))
     model, schedule, data, output = (raw.get(name, {}) for name in SECTIONS)
-    return (ModelConfig.from_dict(model), TrainSchedule.from_dict(schedule),
-            check_section("data", data, DATA_SPEC, ("records_dir", "tags")),
-            check_section("output", output, OUTPUT_SPEC))
+    checked = (ModelConfig.from_dict(model), TrainSchedule.from_dict(schedule),
+               check_section("data", data, DATA_SPEC, ("records_dir", "tags")),
+               check_section("output", output, OUTPUT_SPEC))
+    if data.get("split_seed", 0) < 0:
+        raise ConfigError("data.split_seed must be >= 0")
+    return checked

@@ -2,15 +2,14 @@
 
 k-nearest-neighbor selection over Cα positions, random rigid transforms
 for equivariance testing, and spherical initialization of unknown
-residue coordinates at the canonical Cα-Cα bond length.
+residue coordinates at a given Cα-Cα bond length (the model's
+``bond_length``).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import numerics as nm
-
-CA_BOND_LENGTH = 3.75  # Ångström, consecutive Cα-Cα distance
 
 
 class GeometryError(ValueError):
@@ -97,7 +96,7 @@ def apply_rigid(rot: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarra
 
 
 def init_coordinates(given: np.ndarray, motif: np.ndarray, n: int, rng,
-                     bond_length: float = CA_BOND_LENGTH) -> np.ndarray:
+                     bond_length: float) -> np.ndarray:
     """Full N×3 coordinates: given values at motif indices, chained
     spherical placements elsewhere.
 

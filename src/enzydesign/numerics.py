@@ -13,15 +13,14 @@ finite differences in the test suite.
 The primitives are ``add``, ``sub``, ``mul`` and ``matmul``, which
 broadcast like numpy and sum their gradients back to each operand's
 shape; ``linear`` (``x @ w + b`` over the last axis); ``relu``,
-``sigmoid``, ``silu``, ``tensor_sum``, ``l2_norm``, ``reshape``,
-``take``, ``concat`` along axis 0 and a matrix's ``transpose``;
-``softmax``, ``log_softmax``, multi-head ``attention`` (block-diagonal
-over packed records), the affine ``layer_norm(x, g, b)`` and
-``edge_messages`` (one edge tile's softmax-weighted EGNN messages). Each
-is one graph node with a closed-form backward rule. ``edge_messages``
-runs its distance and softmax as numpy ops; ``l2_norm`` serves only as
-a block of the tests' reference composite for that node, and
-``softmax`` also gives the binding suite its probabilities.
+``sigmoid``, ``silu``, ``tensor_sum``, ``reshape``, ``take``,
+``concat`` along axis 0 and a matrix's ``transpose``; ``log_softmax``,
+multi-head ``attention`` (block-diagonal over packed records), the
+affine ``layer_norm(x, g, b)`` and ``edge_messages`` (one edge tile's
+softmax-weighted EGNN messages). Each is one graph node with a
+closed-form backward rule, and a run of the program builds every one.
+``attention`` runs its softmax, and ``edge_messages`` its distance and
+softmax, as numpy ops.
 
 No tensor is scanned for finiteness when it is made. Data is checked
 where it enters the program (the record, substrate, motif and run-config
@@ -307,17 +306,6 @@ def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
                   _backward_fn=bw)
 
 
-def l2_norm(x: Tensor, axis=-1) -> Tensor:
-    """Euclidean norm over ``axis``, kept as size 1; gradient 0 at 0."""
-    n = np.sqrt((x.data ** 2).sum(axis=axis, keepdims=True))
-
-    def bw(g):
-        safe = np.where(n == 0.0, 1.0, n)
-        return (g * np.where(n == 0.0, 0.0, x.data / safe),)
-
-    return Tensor(n, _parents=(x,), _backward_fn=bw)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     def bw(g):
         return (g.reshape(x.shape),)
@@ -373,21 +361,12 @@ def segments(lengths) -> list[slice]:
     return [slice(int(e) - int(m), int(e)) for m, e in zip(lengths, ends)]
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of a numpy array along ``axis``, shifted by the max: no
+    graph node, just ``attention``'s forward and the binding suite's
+    probabilities."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax(x: Tensor, axis=-1) -> Tensor:
-    if x.data.ndim == 0 or x.data.shape[axis] == 0:
-        raise DimensionError(f"softmax over empty axis of shape {x.shape}")
-    y = _softmax(x.data, axis)
-
-    def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -418,7 +397,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         p = np.empty((heads, size, size)) if grad else None
         for lo in range(r.start, r.stop, ROW_TILE):
             rows = slice(lo, min(lo + ROW_TILE, r.stop))
-            pt = _softmax((qh[:, rows] @ kt) * scale, -1)
+            pt = softmax((qh[:, rows] @ kt) * scale, -1)
             out[rows] = merge(pt @ vr)
             if p is not None:
                 p[:, lo - r.start:rows.stop - r.start] = pt
@@ -460,8 +439,8 @@ def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, w1: Tensor,
     The intermediates live only as long as the backward rule, which exists
     only when an input requires a gradient; the rule reuses their buffers,
     so it fires once, as ``Tensor.backward`` fires every rule. The
-    distance gradient is 0 at d = 0, as in ``l2_norm``, and the rows of
-    ``hw_k`` are scattered back with one ``bincount``, as in ``take``.
+    distance gradient is 0 at d = 0, and the rows of ``hw_k`` are
+    scattered back with one ``bincount``, as in ``take``.
     """
     lists = np.asarray(lists, dtype=np.intp)
     (r, k), (n, d) = lists.shape, hw_k.shape

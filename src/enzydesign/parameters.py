@@ -133,8 +133,8 @@ def init_parameters(config: ModelConfig, vocab: TagVocabulary, rng,
     """Fresh parameter store drawn in ``parameter_layout`` order.
 
     ``zero_coord_scale=False`` randomizes the per-edge coordinate scale
-    instead of starting it at rest; property suites use this so the
-    coordinate path is exercised with generic weights.
+    instead of starting it at rest; the equivariance and gradient tests
+    use this so the coordinate path is exercised with generic weights.
     """
     rng = np.random.default_rng(rng)
     params: dict[str, Tensor] = {}

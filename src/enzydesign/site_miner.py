@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_table
+from .data import claim, read_table
 
 GAP_CHARS = {"-", "."}
 _GAP_CODES = [ord(c) for c in GAP_CHARS]
@@ -87,27 +87,29 @@ def mine_sites(family: AlignedFamily, tau: float) -> list[SiteAnnotation]:
 
 
 def read_aligned_fasta(path) -> AlignedFamily:
-    rows = []
-    current_id, chunks = None, []
+    """One family from aligned FASTA text. A header with no id or with an
+    id an earlier header gave, or a sequence line before the first
+    header, raises AlignmentError naming the file and line."""
+    rows, ids = [], {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith(">"):
-                if current_id is not None:
-                    rows.append((current_id, "".join(chunks)))
-                words = line[1:].split()
-                if not words:
-                    raise AlignmentError(f"{path} line {lineno}: "
-                                         "header has no sequence id")
-                current_id = words[0]
-                chunks = []
-            else:
-                chunks.append(line)
-    if current_id is not None:
-        rows.append((current_id, "".join(chunks)))
-    return AlignedFamily(rows)
+            try:
+                if line.startswith(">"):
+                    words = line[1:].split()
+                    if not words:
+                        raise AlignmentError("header has no sequence id")
+                    claim(ids, f"id {words[0]!r}", f"line {lineno}")
+                    rows.append((words[0], []))
+                elif not rows:
+                    raise AlignmentError("sequence before the first header")
+                else:
+                    rows[-1][1].append(line)
+            except ValueError as exc:
+                raise AlignmentError(f"{path} line {lineno}: {exc}") from None
+    return AlignedFamily([(rid, "".join(chunks)) for rid, chunks in rows])
 
 
 def write_site_manifest(path, annotations) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import geometry
 from . import numerics as nm
-from .config import SUBSTRATE_FEATURES, ModelConfig
+from .config import ModelConfig
 from .enzyme_model import gated_node_update, neighborhood_messages
 from .numerics import Tensor
 
@@ -21,17 +21,13 @@ def substrate_forward(features, coords, params, config: ModelConfig,
                       lengths=None) -> Tensor:
     """Per-atom representations after the substrate message-passing stack.
 
-    With ``lengths``, the atoms are several substrates packed end to end,
-    each with its own kNN block, so each one's rows equal its own forward's.
+    ``features`` and ``coords`` have the shapes ``SubstrateRecord``
+    enforces. With ``lengths``, the atoms are several substrates packed
+    end to end, each with its own kNN block, so each one's rows equal its
+    own forward's.
     """
     feats = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != SUBSTRATE_FEATURES:
-        raise ValueError(f"substrate features must be m x "
-                         f"{SUBSTRATE_FEATURES}, got {feats.shape}")
-    if coords.shape != (feats.shape[0], 3):
-        raise ValueError(f"substrate coords shape {coords.shape} inconsistent "
-                         f"with {feats.shape[0]} atoms")
     lengths = [feats.shape[0]] if lengths is None else lengths
 
     h = Tensor(feats) @ params["sub/input/w"]

@@ -1,14 +1,15 @@
 """Executable property suites: SE(3) equivariance, gradient audit and
 binding invariance.
 
-The three suites run against any parameter store (the equivariance
-property is architectural, so random weights suffice) and report the
-worst observed deviation per property. Their seeds, sample counts and
-acceptance bounds are the fixed constants below; only the equivariance
-and binding suites take a trial count, their constant's when None.
-Enzyme lengths are capped at the model's ``max_len``. The
+Each suite runs against a parameter store and its model config (the
+equivariance property is architectural, so random weights suffice) and
+reports the worst observed deviation per property. Their seeds, sample
+counts and acceptance bounds are the fixed constants below; only the
+equivariance and binding suites take a trial count, their constant's
+when None. Enzyme lengths are capped at the model's ``max_len``. The
 forward-only suites run on constant views of the parameters, so they
-build no autodiff graph.
+build no autodiff graph, and the binding probabilities are numpy
+softmaxes of the scores.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from .config import SUBSTRATE_FEATURES, ModelConfig
 from .data import EnzymeRecord, SubstrateRecord
 from .enzyme_model import forward_stack
 from .numerics import finite_difference_gradient, softmax
-from .parameters import (TagVocabulary, constant_views, init_parameters,
-                         zero_grads)
+from .parameters import constant_views, zero_grads
 from .residues import AMINO_ACIDS, NUM_AMINO_ACIDS
 from .substrate_model import binding_scores, substrate_forward
 from .training import record_loss
@@ -68,29 +68,15 @@ def equivariance_deviation(params, config: ModelConfig, n: int, rng) -> dict:
     }
 
 
-def run_equivariance_suite(params=None, config: ModelConfig | None = None,
+def run_equivariance_suite(params, config: ModelConfig,
                            trials: int | None = None) -> dict:
-    """Random (input, transform) pairs against ``params``, N in {5, 50}.
-
-    Without ``params``, each trial draws a random model, d in {8, 64}.
-    """
+    """Random (input, transform) pairs against ``params``, N in {5, 50}."""
     rng = np.random.default_rng(SEED)
-    vocab = TagVocabulary.from_tags(["1.1.1.1"])
-    if params is not None:
-        params = constant_views(params)
+    params = constant_views(params)
     worst = {"features": 0.0, "logits": 0.0, "coords": 0.0}
-    settings = [(8, 5), (8, 50), (64, 5), (64, 50)]
     for trial in range(EQUIVARIANCE_TRIALS if trials is None else trials):
-        if params is None:
-            d, n = settings[trial % len(settings)]
-            cfg = ModelConfig(d=d, num_heads=2 if d == 8 else 4,
-                              attention_sublayers=2, interleave_period=1,
-                              k_neighbors=6)
-            p = constant_views(init_parameters(cfg, vocab, rng,
-                                               zero_coord_scale=False))
-        else:
-            cfg, p, n = config, params, min((5, 50)[trial % 2], config.max_len)
-        dev = equivariance_deviation(p, cfg, n, rng)
+        n = min((5, 50)[trial % 2], config.max_len)
+        dev = equivariance_deviation(params, config, n, rng)
         for key in worst:
             worst[key] = max(worst[key], dev[key])
     worst["passed"] = max(worst.values()) < EQUIVARIANCE_TOL
@@ -153,7 +139,7 @@ def run_binding_invariance_suite(params, config: ModelConfig,
         """Bind probabilities of each (features, coords) substrate."""
         _, _, h_e = forward_stack(*enzyme, coords, params, config)
         return [softmax(binding_scores(
-            h_e, substrate_forward(f, x, params, config), params)).data
+            h_e, substrate_forward(f, x, params, config), params).data, -1)
             for f, x in substrates]
 
     worst_perm, worst_rigid = 0.0, 0.0

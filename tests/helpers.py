@@ -41,6 +41,32 @@ def check_gradient(op, x, h=1e-5, tol=1e-6):
     assert rel.max() < tol, f"max relative error {rel.max():.3e}"
 
 
+# ---- graph nodes the program no longer builds, kept as test oracles ----
+
+def l2_norm(x: Tensor, axis=-1) -> Tensor:
+    """Euclidean norm over ``axis``, kept as size 1; gradient 0 at 0."""
+    n = np.sqrt((x.data ** 2).sum(axis=axis, keepdims=True))
+
+    def bw(g):
+        safe = np.where(n == 0.0, 1.0, n)
+        return (g * np.where(n == 0.0, 0.0, x.data / safe),)
+
+    return Tensor(n, _parents=(x,), _backward_fn=bw)
+
+
+def softmax(x: Tensor, axis=-1) -> Tensor:
+    """Softmax along ``axis`` as one graph node over ``nm.softmax``."""
+    if x.data.ndim == 0 or x.data.shape[axis] == 0:
+        raise nm.DimensionError(f"softmax over empty axis of shape {x.shape}")
+    y = nm.softmax(x.data, axis)
+
+    def bw(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return (y * (g - dot),)
+
+    return Tensor(y, _parents=(x,), _backward_fn=bw)
+
+
 def composite_attention(q, k, v, heads):
     """Multi-head attention as the model built it from separate primitives
     before ``numerics.attention``, op for op on numpy arrays: split the
@@ -70,9 +96,9 @@ def composite_edge_messages(hw_i, hw_k, rel, w1, b1, w2, b2, wa, ba, lo,
     (r, _), d = lists.shape, hw_k.shape[1]
     hw_r = nm.take(hw_i, np.arange(lo, lo + r))
     pre = (nm.reshape(hw_r, (r, 1, d)) + nm.take(hw_k, lists)
-           + nm.l2_norm(rel, axis=-1) * nm.take(w1, [2 * d]) + b1)
+           + l2_norm(rel, axis=-1) * nm.take(w1, [2 * d]) + b1)
     m = nm.silu(nm.linear(nm.silu(pre), w2, b2))
-    return nm.softmax(nm.linear(m, wa, ba), axis=1) * m
+    return softmax(nm.linear(m, wa, ba), axis=1) * m
 
 
 def interior_nodes(root):

@@ -501,8 +501,8 @@ class TestVerifyCommand:
 
     def test_forward_only_suites_build_no_graph(self, small_ckpt,
                                                 monkeypatch):
-        """Neither forward-only suite, in either equivariance branch,
-        creates a Tensor with parents; the caller's tensors keep theirs."""
+        """Neither forward-only suite creates a Tensor with parents; the
+        caller's tensors keep theirs."""
         import enzydesign.numerics as nm
         params, config, _, _ = load_checkpoint(small_ckpt)
         taped = []
@@ -514,7 +514,6 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(nm.Tensor, "__init__", spy)
         run_equivariance_suite(params, config, trials=2)
-        run_equivariance_suite(trials=4)
         run_binding_invariance_suite(params, config, trials=2)
         assert taped == []
         assert all(t.requires_grad for t in params.values())
@@ -653,7 +652,8 @@ def _first_record_end(raw):
 
 
 def _bad_input_files(root, tmp_path):
-    """A valid checkpoint, three truncations of it, motifs, run configs."""
+    """A valid checkpoint, three truncations of it, motifs, run configs
+    and alignment directories of one bad family each."""
     config = ModelConfig(d=8, num_heads=2, attention_sublayers=2,
                          interleave_period=1, k_neighbors=3)
     vocab = TagVocabulary.from_tags(["1.1.1.1"])
@@ -705,6 +705,10 @@ def _bad_input_files(root, tmp_path):
         else:
             edited[section][key] = value
         (tmp_path / name).write_text(json.dumps(edited))
+    for name, text in (("dup", ">a\nACDE\n>a\nACDF\n>b\nACDE\n"),
+                       ("headless", "ACDEF\n>a\nACDE\n>b\nACDE\n")):
+        (tmp_path / f"aln-{name}").mkdir()
+        (tmp_path / f"aln-{name}" / f"{name}.fasta").write_text(text)
     (tmp_path / "top-array.json").write_text("[]")
     (tmp_path / "data-number.json").write_text(json.dumps({**cfg, "data": 3}))
 
@@ -938,6 +942,14 @@ BAD_INPUTS = {
     "generate-motif-unknown-residue": (2, "residue.tsv: motif residue 'X'", [
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/residue.tsv", "--out", "{d}/o.txt"]),
+    "mine-sites-id-repeated": (
+        1, "dup.fasta line 3: id 'a' is given in both line 1 and line 3\n", [
+            "mine-sites", "--alignments", "{d}/aln-dup", "--out",
+            "{d}/sites-dup.tsv"]),
+    "mine-sites-sequence-before-header": (
+        1, "headless.fasta line 1: sequence before the first header\n", [
+            "mine-sites", "--alignments", "{d}/aln-headless", "--out",
+            "{d}/sites-headless.tsv"]),
     "train-tag-line-without-tab": (1, "tags.tsv line 1", [
         "train", "--config", "{d}/badtags/run.json"]),
     "train-malformed-record-files": (

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from enzydesign.cli import UsageError, load_run_config
 from enzydesign.config import (DATA_SPEC, OUTPUT_SPEC, SECTIONS, ConfigError,
-                               ModelConfig, TrainSchedule)
+                               ModelConfig, TrainSchedule, read_run_config)
 from helpers import read_text_as
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +98,16 @@ def test_ints_stand_for_floats_and_bools_for_nothing_else():
             ModelConfig.from_dict(bad)
 
 
+def test_negative_split_seed_is_rejected_by_the_reader():
+    """The reader checks the range without looking at the file system."""
+    raw = {"data": {"records_dir": "absent", "tags": "absent",
+                    "split_seed": -1}}
+    with pytest.raises(ConfigError, match=r"^data\.split_seed must be >= 0$"):
+        read_run_config(raw)
+    raw["data"]["split_seed"] = 0
+    assert read_run_config(raw)[2]["split_seed"] == 0
+
+
 def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
     """configs/toy.json and every run config the benchmark writes load,
     so retiring a key they set fails here first."""
@@ -165,3 +175,4 @@ def test_any_json_loads_or_raises_usage_error(raw):
         assert all(_typed(getattr(obj, f.name), f.type) for f in fields(obj))
     for section, spec in ((data, DATA_SPEC), (output, OUTPUT_SPEC)):
         assert all(_typed(v, spec[k]) for k, v in section.items())
+    assert data.get("split_seed", 0) >= 0

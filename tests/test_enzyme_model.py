@@ -12,6 +12,8 @@ from enzydesign.enzyme_model import (embed_inputs, forward_stack,
 from enzydesign.numerics import Tensor
 from enzydesign.parameters import TagVocabulary, init_parameters
 
+from helpers import softmax
+
 
 def small_setup(d=8, heads=2, sublayers=2, period=1, seed=0,
                 zero_coord_scale=True, **kw):
@@ -113,7 +115,7 @@ class TestGlobalAttention:
         q = q.reshape(6, 2, 4).transpose(1, 0, 2)
         k = k.reshape(6, 2, 4).transpose(1, 0, 2)
         s = q @ k.transpose(0, 2, 1) / np.sqrt(4)
-        a = nm.softmax(Tensor(s), axis=-1).data
+        a = softmax(Tensor(s), axis=-1).data
         np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_single_residue_attends_to_itself(self):

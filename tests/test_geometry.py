@@ -134,26 +134,27 @@ class TestRandomRigid:
 class TestInitCoordinates:
     def test_all_motif_passthrough(self):
         given = np.arange(15.0).reshape(5, 3)
-        out = init_coordinates(given, np.arange(5), 5, 0)
+        out = init_coordinates(given, np.arange(5), 5, 0, 3.75)
         np.testing.assert_array_equal(out, given)
 
     def test_free_residue_bond_length(self):
         motif = np.array([0, 2])
         given = np.array([[0.0, 0, 0], [5.0, 0, 0]])
-        out = init_coordinates(given, motif, 6, 7)
+        out = init_coordinates(given, motif, 6, 7, 3.75)
         for i in (1, 3, 4, 5):
             assert np.linalg.norm(out[i] - out[i - 1]) == pytest.approx(3.75)
 
     def test_leading_free_residue_anchors_at_origin(self):
-        out = init_coordinates(np.array([[1.0, 1, 1]]), np.array([3]), 4, 11)
+        out = init_coordinates(np.array([[1.0, 1, 1]]), np.array([3]), 4, 11,
+                               3.75)
         assert np.linalg.norm(out[0]) == pytest.approx(3.75)
 
     def test_seeded_bit_identical(self):
         given = np.array([[1.0, 2, 3]])
-        a = init_coordinates(given, np.array([2]), 8, 123)
-        b = init_coordinates(given, np.array([2]), 8, 123)
+        a = init_coordinates(given, np.array([2]), 8, 123, 3.75)
+        b = init_coordinates(given, np.array([2]), 8, 123, 3.75)
         np.testing.assert_array_equal(a, b)
 
     def test_out_of_range_motif_index(self):
         with pytest.raises(IndexError):
-            init_coordinates(np.zeros((1, 3)), np.array([9]), 5, 0)
+            init_coordinates(np.zeros((1, 3)), np.array([9]), 5, 0, 3.75)

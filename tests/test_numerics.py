@@ -10,7 +10,7 @@ from enzydesign.numerics import (DimensionError, Tensor,
                                  finite_difference_gradient)
 
 from helpers import (check_gradient, composite_attention,
-                     composite_edge_messages, interior_nodes)
+                     composite_edge_messages, interior_nodes, l2_norm, softmax)
 
 
 class TestMatmul:
@@ -138,11 +138,11 @@ class TestLogistic:
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        out = nm.softmax(Tensor([0.0, 0.0, 0.0, 0.0]))
+        out = softmax(Tensor([0.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, 0.25, rtol=0, atol=1e-15)
 
     def test_overflow_stability(self):
-        out = nm.softmax(Tensor([1000.0, 0.0]))
+        out = softmax(Tensor([1000.0, 0.0]))
         assert out.data[0] == pytest.approx(1.0)
         assert out.data[1] == pytest.approx(0.0, abs=1e-300)
 
@@ -150,17 +150,17 @@ class TestSoftmax:
         rng = np.random.default_rng(2)
         x = rng.normal(size=7)
         expect = np.exp(x) / np.exp(x).sum()
-        out = nm.softmax(Tensor(x))
+        out = softmax(Tensor(x))
         assert np.abs(out.data - expect).max() < 1e-12
 
     def test_empty_axis_rejected(self):
         with pytest.raises(DimensionError):
-            nm.softmax(Tensor(np.zeros((3, 0))))
+            softmax(Tensor(np.zeros((3, 0))))
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_sums_to_one(self, values):
-        out = nm.softmax(Tensor(values))
+        out = softmax(Tensor(values))
         assert abs(out.data.sum() - 1.0) < 1e-12
 
 
@@ -172,7 +172,7 @@ class TestBackward:
 
     def test_softmax_sum_is_constant(self):
         x = Tensor([0.3, -1.2, 2.0], requires_grad=True)
-        nm.tensor_sum(nm.softmax(x)).backward()
+        nm.tensor_sum(softmax(x)).backward()
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -494,9 +494,9 @@ class TestElementwiseSuite:
     @pytest.mark.parametrize("op", [
         nm.silu, nm.relu, nm.sigmoid,
         lambda t: nm.layer_norm(t, Tensor(_GAMMA), Tensor(_BETA)),
-        lambda t: nm.softmax(t, axis=-1),
+        lambda t: softmax(t, axis=-1),
         lambda t: nm.log_softmax(t, axis=-1),
-        lambda t: nm.l2_norm(t, axis=-1),
+        lambda t: l2_norm(t, axis=-1),
         lambda t: nm.tensor_sum(t, axis=0),
         lambda t: nm.reshape(t, (3, 10)),
         lambda t: nm.transpose(nm.reshape(t, (10, 3))),
@@ -535,7 +535,7 @@ class TestElementwiseSuite:
     def test_no_nonfinite_outputs(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-50, 50, size=6))
-        for op in (nm.silu, nm.relu, nm.sigmoid, lambda t: nm.softmax(t),
+        for op in (nm.silu, nm.relu, nm.sigmoid, lambda t: softmax(t),
                    lambda t: nm.log_softmax(t),
                    lambda t: nm.layer_norm(t, Tensor(np.linspace(-2, 2, 6)),
                                            Tensor(np.arange(6.0)))):
@@ -551,12 +551,12 @@ def every_primitive(x):
                        Tensor(_BETA))
     c = nm.linear(nm.matmul(nm.transpose(b), ln),
                   Tensor(np.eye(3)[::-1] + 0.5), Tensor([0.1, -0.2, 0.3]))
-    d = nm.mul(nm.softmax(c), nm.log_softmax(c))
+    d = nm.mul(softmax(c), nm.log_softmax(c))
     e = nm.take(nm.reshape(nm.concat([d, ln]), (21, 1)),
                 np.array([0, 2, 5, 2, 16]))
     # (1,) times (4, 3): the gradient is summed back over the broadcast
     f = nm.mul(nm.tensor_sum(e, axis=0), nm.silu(b))
-    return nm.tensor_sum(nm.l2_norm(f))
+    return nm.tensor_sum(l2_norm(f))
 
 
 X_POSITIVE = np.linspace(0.5, 2.0, 12).reshape(4, 3)
@@ -566,7 +566,7 @@ X_POSITIVE = np.linspace(0.5, 2.0, 12).reshape(4, 3)
 _W = np.random.default_rng(16).normal(0.0, 0.5, (4, 4))
 _GAMMA_4 = np.array([0.5, -1.5, 2.0, 1.0])
 _BETA_4 = np.array([0.3, 0.0, -0.4, 0.7])
-_KEEP = (nm.sigmoid, nm.silu, nm.softmax, nm.log_softmax,
+_KEEP = (nm.sigmoid, nm.silu, softmax, nm.log_softmax,
          lambda t: nm.layer_norm(t, Tensor(_GAMMA_4), Tensor(_BETA_4)),
          lambda t: nm.attention(t, t @ Tensor(_W), t, 2),
          lambda t: t @ Tensor(_W),
@@ -577,7 +577,7 @@ _KEEP = (nm.sigmoid, nm.silu, nm.softmax, nm.log_softmax,
 _REDUCE = (lambda t: nm.tensor_sum(t, axis=1, keepdims=True),
            lambda t: nm.tensor_sum(t, axis=0, keepdims=True),
            lambda t: nm.tensor_sum(t, axis=0),
-           lambda t: nm.l2_norm(t))
+           lambda t: l2_norm(t))
 _CONSTANT_SHAPES = ((3, 4), (4,), (3, 1), ())
 _ANCHOR = np.random.default_rng(17).uniform(1.0, 2.0, (3, 4))
 

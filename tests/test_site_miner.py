@@ -162,6 +162,19 @@ class TestIO:
         assert family.rows == [("s1", "AEKGCM"), ("s2", "TEQGRC")]
         assert family.column_count == 6
 
+    @pytest.mark.parametrize("text,where", [
+        (">a\nACDE\n>a\nACDF\n>b\nACDE\n",
+         "line 3: id 'a' is given in both line 1 and line 3"),
+        ("ACDEF\n>a\nACDE\n>b\nACDE\n",
+         "line 1: sequence before the first header"),
+    ], ids=["repeated-id", "sequence-before-header"])
+    def test_fasta_error_names_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "fam.fasta"
+        path.write_text(text)
+        with pytest.raises(AlignmentError) as err:
+            read_aligned_fasta(path)
+        assert str(err.value) == f"{path} {where}"
+
     def test_manifest_round_trip(self, tmp_path):
         anns = [SiteAnnotation("a", [1, 5], ["E", "M"]), SiteAnnotation("b", [], [])]
         path = tmp_path / "sites.tsv"
@@ -205,4 +218,5 @@ def test_aligned_fasta_parses_or_raises_value_error(text):
     if family is not None:
         assert len(family.rows) >= 2
         assert all(rid and rid == rid.split()[0] for rid, _ in family.rows)
+        assert len({rid for rid, _ in family.rows}) == len(family.rows)
         assert {len(seq) for _, seq in family.rows} == {family.column_count}

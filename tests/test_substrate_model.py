@@ -10,6 +10,8 @@ from enzydesign.numerics import Tensor
 from enzydesign.parameters import TagVocabulary, init_parameters
 from enzydesign.substrate_model import binding_scores, substrate_forward
 
+from helpers import softmax
+
 
 def setup(d=8, seed=0):
     config = ModelConfig(d=d, num_heads=2, attention_sublayers=2,
@@ -128,17 +130,17 @@ class TestBindingHead:
         config, params = setup()
         params["binding/out/w"].data[:] = 0.0
         rng = np.random.default_rng(6)
-        probs = nm.softmax(binding_scores(Tensor(rng.normal(size=(4, 8))),
-                                          Tensor(rng.normal(size=(3, 8))),
-                                          params))
+        probs = softmax(binding_scores(Tensor(rng.normal(size=(4, 8))),
+                                       Tensor(rng.normal(size=(3, 8))),
+                                       params))
         np.testing.assert_allclose(probs.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
         config, params = setup()
         rng = np.random.default_rng(7)
-        probs = nm.softmax(binding_scores(Tensor(rng.normal(size=(5, 8))),
-                                          Tensor(rng.normal(size=(2, 8))),
-                                          params))
+        probs = softmax(binding_scores(Tensor(rng.normal(size=(5, 8))),
+                                       Tensor(rng.normal(size=(2, 8))),
+                                       params))
         assert probs.shape == (1, 2)
         assert abs(probs.data.sum() - 1.0) < 1e-12
 
