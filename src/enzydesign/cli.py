@@ -50,14 +50,18 @@ def cmd_mine_sites(args) -> int:
     directory = Path(args.alignments)
     if not directory.is_dir():
         raise UsageError(f"alignment directory not found: {directory}")
-    annotations = []
+    annotations, owners = [], {}
     failures = 0
     files = sorted(p for p in directory.iterdir()
                    if p.suffix in (".fasta", ".fa", ".aln"))
     for path in files:
         try:
-            family = read_aligned_fasta(path)
-            annotations.extend(mine_sites(family, args.tau))
+            sites = mine_sites(read_aligned_fasta(path), args.tau)
+            ids = [f"id {ann.sequence_id!r}" for ann in sites]
+            taken = [key for key in ids if key in owners]
+            for key in taken + ids:  # a taken id raises before any is claimed
+                claim(owners, key, path.name)
+            annotations.extend(sites)
         except (ValueError, OSError) as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             failures += 1

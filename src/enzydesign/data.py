@@ -5,10 +5,10 @@ line), substrates from a small per-atom text format. ``read_table`` reads
 every tab-separated input and names the file and line of a bad row.
 Records are grouped into identity clusters (global alignment,
 ``SPLIT_IDENTITY`` = 50%) so train and held-out splits never share a
-cluster. The Needleman-Wunsch fill runs a row at a time as numpy ops,
-and a pair whose length ratio is below the threshold is never aligned,
-since its identity cannot reach it. A record keeps the substrate
-pairing its manifest gives; training draws the negatives.
+cluster. The Needleman-Wunsch fill takes three numpy calls a row, and a
+pair whose length ratio is below the threshold is never aligned, since
+its identity cannot reach it. A record keeps the substrate pairing its
+manifest gives; training draws the negatives.
 """
 from __future__ import annotations
 
@@ -241,45 +241,38 @@ def read_pairing_manifest(path) -> dict:
 def global_alignment_identity(a: str, b: str) -> float:
     """Identity = matches / alignment length under match=1, mismatch=0, gap=-1.
 
-    Needleman-Wunsch filled a row at a time: with t = max(diag, up), the
-    left chain is a prefix max, row[j] = max_k<=j (t[k] + k) - j. Scores
-    are integer-valued, so comparing the finished row with its diag and
-    up candidates recovers the deterministic traceback preference
-    (diagonal, then up, then left) exactly.
+    Needleman-Wunsch on shifted scores v[i, j] = score[i, j] + i + j,
+    whose borders are 0: v[i, j] = max(v[i-1, j-1] + match + 2, v[i-1, j],
+    v[i, j-1]), three numpy calls a row. All values are small integers,
+    exact in float64, so ``==`` against the diagonal and up candidates
+    recovers the traceback preference (diagonal, then up, then left).
     """
     la, lb = len(a), len(b)
     codes_a = np.fromiter(map(ord, a), dtype=np.int64, count=la)
     codes_b = np.fromiter(map(ord, b), dtype=np.int64, count=lb)
-    match = (codes_a[:, None] == codes_b[None, :]).astype(np.float64)
-    cols = np.arange(lb + 1, dtype=np.float64)
-    score = np.empty((la + 1, lb + 1))
-    score[0] = -cols
-    t = np.empty(lb + 1)
-    for i in range(1, la + 1):
-        prev = score[i - 1]
-        np.maximum(prev[:-1] + match[i - 1], prev[1:] - 1.0, out=t[1:])
-        t[0] = -i
-        t += cols
-        np.maximum.accumulate(t, out=score[i])
-        score[i] -= cols
-    best = score[1:, 1:]
-    move = np.empty((la + 1, lb + 1), dtype=np.int8)  # 0 diag, 1 up, 2 left
-    move[1:, 0] = 1
-    move[0, 1:] = 2
-    move[1:, 1:] = np.where(best == score[:-1, :-1] + match, 0,
-                            np.where(best == score[:-1, 1:] - 1.0, 1, 2))
+    gain = (codes_a[:, None] == codes_b[None, :]) + 2.0
+    v = np.zeros((la + 1, lb + 1))
+    for row, cur, up, diag, g in zip(v[1:], v[1:, 1:], v[:-1, 1:],
+                                     v[:-1, :-1], gain):
+        np.add(diag, g, out=cur)
+        np.maximum(cur, up, out=cur)
+        np.maximum.accumulate(row, out=row)
+    best = v[1:, 1:]
+    is_diag = (best == v[:-1, :-1] + gain).tobytes()
+    is_up = (best == v[:-1, 1:]).tobytes()
     matches, length = 0, 0
     i, j = la, lb
-    while i > 0 or j > 0:
+    while i and j:
+        k = (i - 1) * lb + j - 1
         length += 1
-        m = move[i, j]
-        if m == 0:
+        if is_diag[k]:
             matches += a[i - 1] == b[j - 1]
             i, j = i - 1, j - 1
-        elif m == 1:
+        elif is_up[k]:
             i -= 1
         else:
             j -= 1
+    length += i + j  # the rest of the path runs along row or column 0
     return matches / length if length else 0.0
 
 

@@ -44,45 +44,44 @@ class SiteAnnotation:
     letters: list = field(default_factory=list)   # conserved letter per index
 
 
-def conserved_columns(family: AlignedFamily, tau: float) -> dict:
-    """Map column -> majority letter for columns above the tau threshold.
-
-    Letters are counted per column over a (rows, columns) array of code
-    points, sorted, so argmax breaks a tie toward the lowest letter."""
+def _family_columns(family: AlignedFamily, tau: float):
+    """A family's (rows, columns) code points, their not-a-gap mask, the
+    mask of columns above tau and each column's majority code (ties go to
+    the lowest, as counts run over sorted code points)."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    width = family.column_count
-    if not width:
-        return {}
     codes = np.array([np.frombuffer(seq.encode("utf-32-le"), dtype="<u4")
                       for _, seq in family.rows])
+    residue = ~np.isin(codes, _GAP_CODES)
+    width = family.column_count
+    if not width:  # no column to count
+        return codes, residue, np.zeros(0, dtype=bool), codes[0]
     letters, index = np.unique(codes, return_inverse=True)
     cells = index.reshape(codes.shape) * width + np.arange(width)
-    counts = np.bincount(cells[~np.isin(codes, _GAP_CODES)],
+    counts = np.bincount(cells[residue],
                          minlength=len(letters) * width).reshape(-1, width)
-    best = counts.argmax(axis=0)
-    return {int(col): chr(letters[best[col]]) for col in
-            np.flatnonzero(counts.max(axis=0) > tau * len(family.rows))}
+    return (codes, residue, counts.max(axis=0) > tau * len(family.rows),
+            letters[counts.argmax(axis=0)])
+
+
+def conserved_columns(family: AlignedFamily, tau: float) -> dict:
+    """Map column -> majority letter for columns above the tau threshold."""
+    _, _, conserved, majority = _family_columns(family, tau)
+    return {int(col): chr(majority[col]) for col in np.flatnonzero(conserved)}
 
 
 def mine_sites(family: AlignedFamily, tau: float) -> list[SiteAnnotation]:
-    """Per-member important-site annotations for one aligned family.
-
-    Each row is walked once with a running ungapped index.
-    """
-    columns = conserved_columns(family, tau)
+    """Per-member important-site annotations for one aligned family: the
+    residues in a conserved column that carry its majority letter, at
+    their ungapped index (the row's running residue count, less one)."""
+    codes, residue, conserved, majority = _family_columns(family, tau)
+    index = np.cumsum(residue, axis=1) - 1
     annotations = []
-    for rid, seq in family.rows:
-        ann = SiteAnnotation(rid)
-        index = 0
-        for col, ch in enumerate(seq):
-            if ch in GAP_CHARS:
-                continue
-            if columns.get(col) == ch:
-                ann.indices.append(index)
-                ann.letters.append(ch)
-            index += 1
-        annotations.append(ann)
+    for (rid, seq), sites, row_index in zip(
+            family.rows, conserved & (codes == majority), index):
+        cols = np.flatnonzero(sites).tolist()
+        annotations.append(SiteAnnotation(rid, row_index[cols].tolist(),
+                                          [seq[c] for c in cols]))
     return annotations
 
 

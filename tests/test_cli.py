@@ -109,6 +109,23 @@ class TestMineSites:
         assert sorted(read_site_manifest(out)) == [
             "seq1", "seq2", "seq3", "seq4"]
 
+    def test_id_in_two_families_fails_the_later_family(self, tmp_path,
+                                                          capsys):
+        """A family giving an id an earlier family gave fails whole and
+        claims none of its ids; the others still reach a manifest that
+        reads back."""
+        d = tmp_path / "aln"
+        d.mkdir()
+        for name, ids in (("f1", "ab"), ("f2", "ac"), ("f3", "cd")):
+            (d / f"{name}.fasta").write_text(
+                "".join(f">{rid}\nACDE\n" for rid in ids))
+        out = tmp_path / "sites.tsv"
+        assert main(["mine-sites", "--alignments", str(d),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: f2.fasta: id 'a' is given in both f1.fasta and f2.fasta\n")
+        assert sorted(read_site_manifest(out)) == ["a", "b", "c", "d"]
+
     def test_deterministic_bytes(self, tmp_path):
         d = self.fasta_dir(tmp_path)
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -709,6 +726,10 @@ def _bad_input_files(root, tmp_path):
                        ("headless", "ACDEF\n>a\nACDE\n>b\nACDE\n")):
         (tmp_path / f"aln-{name}").mkdir()
         (tmp_path / f"aln-{name}" / f"{name}.fasta").write_text(text)
+    (tmp_path / "aln-twice").mkdir()
+    for name, text in (("f1", ">a\nACDE\n>b\nACDE\n"),
+                       ("f2", ">a\nACDF\n>c\nACDF\n")):
+        (tmp_path / "aln-twice" / f"{name}.fasta").write_text(text)
     (tmp_path / "top-array.json").write_text("[]")
     (tmp_path / "data-number.json").write_text(json.dumps({**cfg, "data": 3}))
 
@@ -946,6 +967,10 @@ BAD_INPUTS = {
         1, "dup.fasta line 3: id 'a' is given in both line 1 and line 3\n", [
             "mine-sites", "--alignments", "{d}/aln-dup", "--out",
             "{d}/sites-dup.tsv"]),
+    "mine-sites-id-in-two-families": (
+        1, "error: f2.fasta: id 'a' is given in both f1.fasta and f2.fasta\n",
+        ["mine-sites", "--alignments", "{d}/aln-twice", "--out",
+         "{d}/sites-twice.tsv"]),
     "mine-sites-sequence-before-header": (
         1, "headless.fasta line 1: sequence before the first header\n", [
             "mine-sites", "--alignments", "{d}/aln-headless", "--out",

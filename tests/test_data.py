@@ -144,6 +144,43 @@ class TestRoundTrips:
         assert pairs == {"e1": ("s1", 1), "e2": ("s2", 0)}
 
 
+def _long_pairs():
+    """name -> (a, b): sequences of 60 to 200 residues drawn with a fixed
+    seed, related the ways corpus records are, and low-complexity pairs
+    whose many tied paths test the traceback preference."""
+    rng = np.random.default_rng(22)
+
+    def draw(n, alphabet=AMINO_ACIDS):
+        return "".join(rng.choice(list(alphabet), size=n))
+
+    def substitute(seq, rate):
+        return "".join(draw(1) if rng.random() < rate else c for c in seq)
+
+    def indels(seq, count):
+        for _ in range(count):
+            k = int(rng.integers(len(seq)))
+            seq = (seq[:k] + seq[k + 1:] if rng.random() < 0.5
+                   else seq[:k] + draw(int(rng.integers(1, 4))) + seq[k:])
+        return seq
+
+    a60, a130, a200 = draw(60), draw(130), draw(200)
+    return {
+        "substitutions-60": (a60, substitute(a60, 0.1)),
+        "substitutions-200": (a200, substitute(a200, 0.1)),
+        "one-indel-130": (a130, indels(a130, 1)),
+        "five-indels-200": (substitute(a200, 0.1), indels(a200, 5)),
+        "unrelated-60-90": (a60, draw(90)),
+        "suffix-200-130": (a200, a200[70:]),
+        "prefix-130-200": (a200[:130], substitute(a200, 0.1)),
+        "two-letters-150-157": (draw(150, "AC"), draw(157, "AC")),
+        "three-letters-120-128": (draw(120, "ACD"), draw(128, "ACD")),
+        "four-letters-200-180": (draw(200, "ACDE"), draw(180, "ACDE")),
+    }
+
+
+_LONG_PAIRS = _long_pairs()
+
+
 class TestIdentityAndClustering:
     def test_identical_sequences(self):
         assert global_alignment_identity("ACDEFG", "ACDEFG") == 1.0
@@ -180,6 +217,18 @@ class TestIdentityAndClustering:
     @settings(max_examples=200, deadline=None)
     def test_rows_equal_scalar_oracle(self, pair):
         """Exact equality with the cell-by-cell fill, ties included."""
+        assert global_alignment_identity(*pair) \
+            == scalar_alignment_identity(*pair)
+
+    @pytest.mark.parametrize("pair", [
+        ("AAAA", "A"), ("A", "AAAA"), ("", "AC"), ("AC", ""),
+        *_LONG_PAIRS.values()], ids=[
+        "column-0-first", "row-0-first", "empty-first", "empty-second",
+        *_LONG_PAIRS])
+    def test_benchmark_sizes_equal_scalar_oracle(self, pair):
+        """Fixed pairs at the lengths corpus preparation aligns (60-200),
+        and pairs whose traceback reaches row or column 0 before the
+        corner, against the cell-by-cell fill."""
         assert global_alignment_identity(*pair) \
             == scalar_alignment_identity(*pair)
 

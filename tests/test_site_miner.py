@@ -100,6 +100,16 @@ class TestMineSites:
         b = conserved_columns(reversed_family, 0.3)
         assert a == b
 
+    @pytest.mark.parametrize("rows", [
+        [("a", "AC-"), ("b", "CA-"), ("c", "-GA")], [("a", ""), ("b", "")]],
+        ids=["no-column-above-tau", "zero-width"])
+    def test_no_conserved_column_gives_empty_annotations(self, rows):
+        family = AlignedFamily(rows)
+        assert conserved_columns(family, 0.5) == {}
+        assert [(a.sequence_id, a.indices, a.letters)
+                for a in mine_sites(family, 0.5)] == [
+            (rid, [], []) for rid, _ in rows]
+
     def test_annotation_letters_round_trip(self):
         for ann in mine_sites(egm_family(), 0.3):
             seq = dict(egm_family().rows)[ann.sequence_id].replace("-", "")
@@ -127,10 +137,12 @@ class TestColumnMapping:
             assert got == len(stripped_prefix)
 
     @given(st.integers(1, 30).flatmap(lambda width: st.lists(
-        st.text("ACac-.", min_size=width, max_size=width),
+        st.text("ACac-.\x00\U0001F600", min_size=width, max_size=width),
         min_size=2, max_size=6)), st.sampled_from([0.2, 0.3, 0.5, 1.0]))
     @settings(max_examples=200, deadline=None)
     def test_mine_sites_equals_per_column_oracle(self, rows, tau):
+        """Code 0 and a letter beyond 16 bits are letters like any other,
+        so neither a sentinel code nor a narrow dtype can pass."""
         family = AlignedFamily([(f"s{k}", r) for k, r in enumerate(rows)])
         columns = conserved_columns(family, tau)
         for (rid, seq), ann in zip(family.rows, mine_sites(family, tau)):
