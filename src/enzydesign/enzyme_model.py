@@ -83,7 +83,7 @@ def neighborhood_messages(h: Tensor, x: Tensor, neighbors, params,
     messages are one ``numerics.edge_messages`` node; the radial vectors
     stay ordinary nodes, which the coordinate head also reads.
     """
-    (n, d), w1 = h.shape, params[f"{prefix}/msg1/w"]
+    d, w1 = h.shape[1], params[f"{prefix}/msg1/w"]
     hw_i = h @ nm.take(w1, np.arange(d))
     hw_k = h @ nm.take(w1, np.arange(d, 2 * d))
     weights = [params[f"{prefix}/{name}"] for name in (
@@ -93,8 +93,7 @@ def neighborhood_messages(h: Tensor, x: Tensor, neighbors, params,
         if k == 0:
             yield Tensor(np.zeros((r, 0, d))), Tensor(np.zeros((r, 0, 3)))
             continue
-        x_r = x if r == n else nm.take(x, np.arange(lo, lo + r))
-        rel = nm.reshape(x_r, (r, 1, 3)) - nm.take(x, lists)
+        rel = nm.take(x, (lo + np.arange(r))[:, None]) - nm.take(x, lists)
         yield nm.edge_messages(hw_i, hw_k, rel, *weights, lo, lists), rel
 
 

@@ -13,12 +13,12 @@ finite differences in the test suite.
 The primitives are ``add``, ``sub``, ``mul`` and ``matmul``, which
 broadcast like numpy and sum their gradients back to each operand's
 shape; ``linear`` (``x @ w + b`` over the last axis); ``relu``,
-``sigmoid``, ``silu``, ``tensor_sum``, ``reshape``, ``take``,
-``concat`` along axis 0 and a matrix's ``transpose``; ``log_softmax``,
-multi-head ``attention`` (block-diagonal over packed records), the
-affine ``layer_norm(x, g, b)`` and ``edge_messages`` (one edge tile's
-softmax-weighted EGNN messages). Each is one graph node with a
-closed-form backward rule, and a run of the program builds every one.
+``sigmoid``, ``silu``, ``tensor_sum``, ``take`` (rows by an index array
+of any shape), ``concat`` along axis 0 and a matrix's ``transpose``;
+``log_softmax``, multi-head ``attention`` (block-diagonal over packed
+records), the affine ``layer_norm(x, g, b)`` and ``edge_messages`` (one
+edge tile's softmax-weighted EGNN messages). Each is one graph node with
+a closed-form backward rule, and a run of the program builds every one.
 ``attention`` runs its softmax, and ``edge_messages`` its distance and
 softmax, as numpy ops.
 
@@ -304,13 +304,6 @@ def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
     return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,),
                   _backward_fn=bw)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    def bw(g):
-        return (g.reshape(x.shape),)
-
-    return Tensor(x.data.reshape(shape), _parents=(x,), _backward_fn=bw)
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -2,18 +2,26 @@
 
 Every learnable weight lives in a flat dict keyed by a stable name, so
 gradient audits can enumerate tensors and checkpoints round-trip
-byte-identically. Checkpoint layout: magic, JSON header (model config,
-tag vocabularies, step counter, parameter count), then per-parameter
-records sorted by name with little-endian float64 payloads.
-Stored values enter the program through ``load_checkpoint``, the one
-place that checks them for finiteness. A file loads when it matches the
-layout ``save_checkpoint`` writes now; any other fails naming its first
-mismatch.
+byte-identically. ``parameter_layout`` of a model config and tag
+vocabulary is the one schema: it fixes each parameter's name, shape and
+place. A checkpoint file is the format tag ``ENZD0002``, the header
+length (little-endian u32), a JSON header of model config, tag
+vocabularies and step counter, then every parameter's little-endian
+float64 data concatenated in layout order, and last a little-endian u32
+``zlib.crc32`` of all the bytes before it. ``save_checkpoint`` writes a
+temp file beside the target and renames it over the target, so a failed
+write leaves the old file as it was. Stored values enter the program
+through ``load_checkpoint``, the one place that checks them for
+finiteness; a file of another format tag fails naming that tag.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -21,9 +29,8 @@ from .config import SUBSTRATE_FEATURES, ConfigError, ModelConfig, check_section
 from .numerics import Tensor
 from .residues import NUM_AMINO_ACIDS
 
-_MAGIC = b"ENZD0001"
-_HEADER_SPEC = {"config": dict, "vocab_levels": list, "step": int,
-                "param_count": int}
+_MAGIC = b"ENZD0002"
+_HEADER_SPEC = {"config": dict, "vocab_levels": list, "step": int}
 
 
 class VocabularyError(ValueError):
@@ -74,8 +81,7 @@ _EMBEDDING = ("normal", 0.02)
 _ZERO = ("constant", 0.0)
 
 
-def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
-                     zero_coord_scale: bool = True) -> dict:
+def parameter_layout(config: ModelConfig, vocab: TagVocabulary) -> dict:
     """``{name: (shape, init)}`` of the full model (enzyme + substrate) in
     draw order. ``init`` is ``("normal", std)``, drawn from the shared
     generator, or ``("constant", value)``, which draws nothing."""
@@ -105,7 +111,7 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
             # per-edge coordinate scale; last layer zero-initialized so
             # coordinate updates start at rest and grow during training
             linear(f"{prefix}/coord1", d, d)
-            linear(f"{prefix}/coord2", d, 1, zero=zero_coord_scale)
+            linear(f"{prefix}/coord2", d, 1, zero=True)
         # gated node update
         linear(f"{prefix}/gate1", d, d)
         linear(f"{prefix}/gate2", d, d)
@@ -128,18 +134,12 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary,
     return layout
 
 
-def init_parameters(config: ModelConfig, vocab: TagVocabulary, rng,
-                    zero_coord_scale: bool = True) -> dict:
-    """Fresh parameter store drawn in ``parameter_layout`` order.
-
-    ``zero_coord_scale=False`` randomizes the per-edge coordinate scale
-    instead of starting it at rest; the equivariance and gradient tests
-    use this so the coordinate path is exercised with generic weights.
-    """
+def init_parameters(config: ModelConfig, vocab: TagVocabulary, rng) -> dict:
+    """Fresh parameter store drawn in ``parameter_layout`` order."""
     rng = np.random.default_rng(rng)
     params: dict[str, Tensor] = {}
-    for name, (shape, (kind, value)) in parameter_layout(
-            config, vocab, zero_coord_scale).items():
+    for name, (shape, (kind, value)) in parameter_layout(config,
+                                                         vocab).items():
         data = (rng.normal(0.0, value, shape) if kind == "normal"
                 else np.full(shape, value))
         params[name] = Tensor(data, requires_grad=True)
@@ -158,62 +158,48 @@ def zero_grads(params: dict) -> None:
 
 def save_checkpoint(path, params: dict, config: ModelConfig,
                     vocab: TagVocabulary, step: int = 0) -> None:
-    header = {
-        "config": config.to_dict(),
-        "vocab_levels": vocab.levels,
-        "step": step,
-        "param_count": len(params),
-    }
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(hbytes)))
-        f.write(hbytes)
-        for name in sorted(params):
-            t = params[name]
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", t.data.ndim))
-            for dim in t.data.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(t.data.astype("<f8").tobytes())
+    """Write ``<path>.tmp`` beside ``path``, then rename it over ``path``;
+    on any failure the temp file goes and ``path`` keeps its old bytes."""
+    header = json.dumps({"config": config.to_dict(),
+                         "vocab_levels": vocab.levels, "step": step},
+                        sort_keys=True).encode("utf-8")
+    head = _MAGIC + struct.pack("<I", len(header)) + header
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(head)
+            crc = zlib.crc32(head)
+            for name in parameter_layout(config, vocab):
+                data = np.ascontiguousarray(params[name].data, dtype="<f8")
+                f.write(data)
+                crc = zlib.crc32(data, crc)
+            f.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Returns (params, config, vocab, step). A truncated file, a bad
-    header, a non-finite payload value, or a payload whose parameter
-    names or shapes differ from ``parameter_layout`` of the header's
-    model and vocabulary raises ValueError naming the file.
-
-    A cut inside a record is caught by the short read; a cut at a record
-    boundary by the parameter count in the header.
-    """
+    """Returns (params, config, vocab, step). Another format tag, a CRC-32
+    that does not match the bytes before it (a cut or a flipped bit), a
+    bad header, a payload whose size is not that of ``parameter_layout``
+    of the header's model and vocabulary, or a non-finite value raises
+    ValueError naming the file, checked in that order."""
     with open(path, "rb") as f:
-        def read(n: int) -> bytes:
-            raw = f.read(n)
-            if len(raw) != n:
-                raise ValueError(f"{path} is truncated")
-            return raw
-
-        if f.read(8) != _MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        (hlen,) = struct.unpack("<I", read(4))
-        try:
-            header = json.loads(read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: header is not JSON: {exc}") from None
-        params: dict[str, Tensor] = {}
-        while f.peek(1):
-            (nlen,) = struct.unpack("<H", read(2))
-            name = read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", read(1))
-            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
-            if not np.isfinite(data).all():
-                raise ValueError(f"{path}: parameter {name} is not finite")
-            params[name] = Tensor(data.copy(), requires_grad=True)
+        raw = f.read()
+    if raw[:8] != _MAGIC:
+        raise ValueError(f"{path}: format tag {raw[:8]!r} is not "
+                         f"{_MAGIC.decode()}")
+    if len(raw) < 16 or zlib.crc32(memoryview(raw)[:-4]) != int.from_bytes(
+            raw[-4:], "little"):
+        raise ValueError(f"{path} is truncated or corrupt")
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    try:
+        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: header is not JSON: {exc}") from None
     try:  # a corrupt file, not a usage error: ValueError, exit 1
         check_section("header", header, _HEADER_SPEC, _HEADER_SPEC)
         if header["step"] < 0:  # --resume would run extra steps
@@ -222,13 +208,17 @@ def load_checkpoint(path):
         vocab = TagVocabulary(header["vocab_levels"])
     except (ConfigError, VocabularyError) as exc:
         raise ValueError(f"{path}: {exc.args[0]}") from None
-    if len(params) < header["param_count"]:
-        raise ValueError(f"{path} is truncated")
     layout = parameter_layout(config, vocab)
-    for name in sorted(layout.keys() | params.keys()):
-        have = str(params[name].shape) if name in params else "no entry"
-        need = str(layout[name][0]) if name in layout else "no entry"
-        if have != need:
-            raise ValueError(f"{path}: parameter {name}: payload has {have}, "
-                             f"header's model needs {need}")
+    count = sum(math.prod(shape) for shape, _ in layout.values())
+    have = len(raw) - 16 - hlen
+    if have != 8 * count:
+        raise ValueError(f"{path}: payload has {have} bytes, header's model "
+                         f"needs {8 * count}")
+    params, pos = {}, 12 + hlen
+    for name, (shape, _) in layout.items():
+        data = np.frombuffer(raw, "<f8", math.prod(shape), pos).reshape(shape)
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: parameter {name} is not finite")
+        params[name] = Tensor(data.copy(), requires_grad=True)
+        pos += data.nbytes
     return params, config, vocab, header["step"]

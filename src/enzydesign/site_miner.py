@@ -24,7 +24,7 @@ class AlignmentError(ValueError):
 @dataclass
 class AlignedFamily:
     rows: list  # (sequence_id, gapped sequence) pairs
-    column_count: int = 0
+    column_count: int = field(init=False)
 
     def __post_init__(self):
         if len(self.rows) < 2:
@@ -62,12 +62,6 @@ def _family_columns(family: AlignedFamily, tau: float):
                          minlength=len(letters) * width).reshape(-1, width)
     return (codes, residue, counts.max(axis=0) > tau * len(family.rows),
             letters[counts.argmax(axis=0)])
-
-
-def conserved_columns(family: AlignedFamily, tau: float) -> dict:
-    """Map column -> majority letter for columns above the tau threshold."""
-    _, _, conserved, majority = _family_columns(family, tau)
-    return {int(col): chr(majority[col]) for col in np.flatnonzero(conserved)}
 
 
 def mine_sites(family: AlignedFamily, tau: float) -> list[SiteAnnotation]:

@@ -21,13 +21,17 @@ def substrate_forward(features, coords, params, config: ModelConfig,
                       lengths=None) -> Tensor:
     """Per-atom representations after the substrate message-passing stack.
 
-    ``features`` and ``coords`` have the shapes ``SubstrateRecord``
-    enforces. With ``lengths``, the atoms are several substrates packed
-    end to end, each with its own kNN block, so each one's rows equal its
-    own forward's.
+    ``features`` have the shape ``SubstrateRecord`` enforces; ``coords``
+    with another row count than ``features`` raise, since the edge path
+    gathers only the rows its neighbor lists name. With ``lengths``, the
+    atoms are several substrates packed end to end, each with its own kNN
+    block, so each one's rows equal its own forward's.
     """
     feats = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != (len(feats), 3):
+        raise nm.DimensionError(f"substrate coords of shape {coords.shape} "
+                                f"for {len(feats)} atoms")
     lengths = [feats.shape[0]] if lengths is None else lengths
 
     h = Tensor(feats) @ params["sub/input/w"]

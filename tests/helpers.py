@@ -2,6 +2,7 @@
 import json
 import struct
 import tempfile
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 import enzydesign.numerics as nm
 from enzydesign.data import SplitManifest, read_table
 from enzydesign.numerics import Tensor, finite_difference_gradient
-from enzydesign.site_miner import GAP_CHARS
+from enzydesign.parameters import parameter_layout
+from enzydesign.site_miner import GAP_CHARS, _family_columns
 
 
 def check_gradient(op, x, h=1e-5, tol=1e-6):
@@ -67,6 +69,14 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
+def reshape(x: Tensor, shape) -> Tensor:
+    """``x`` in another shape of the same size, as one graph node."""
+    def bw(g):
+        return (g.reshape(x.shape),)
+
+    return Tensor(x.data.reshape(shape), _parents=(x,), _backward_fn=bw)
+
+
 def composite_attention(q, k, v, heads):
     """Multi-head attention as the model built it from separate primitives
     before ``numerics.attention``, op for op on numpy arrays: split the
@@ -95,10 +105,27 @@ def composite_edge_messages(hw_i, hw_k, rel, w1, b1, w2, b2, wa, ba, lo,
     then a softmax over K of the ``attn`` score, times the messages."""
     (r, _), d = lists.shape, hw_k.shape[1]
     hw_r = nm.take(hw_i, np.arange(lo, lo + r))
-    pre = (nm.reshape(hw_r, (r, 1, d)) + nm.take(hw_k, lists)
+    pre = (reshape(hw_r, (r, 1, d)) + nm.take(hw_k, lists)
            + l2_norm(rel, axis=-1) * nm.take(w1, [2 * d]) + b1)
     m = nm.silu(nm.linear(nm.silu(pre), w2, b2))
     return softmax(nm.linear(m, wa, ba), axis=1) * m
+
+
+def init_generic_parameters(config, vocab, rng) -> dict:
+    """``init_parameters`` with each ``*/coord2/w`` drawn like the other
+    weights, ``("normal", 1/sqrt(fan_in))``, instead of starting at zero,
+    so the coordinate path runs on generic weights. The draws come in
+    ``parameter_layout`` order, so every other tensor is unchanged."""
+    rng = np.random.default_rng(rng)
+    params = {}
+    for name, (shape, (kind, value)) in parameter_layout(config,
+                                                         vocab).items():
+        if name.endswith("/coord2/w"):
+            kind, value = "normal", 1.0 / np.sqrt(shape[0])
+        data = (rng.normal(0.0, value, shape) if kind == "normal"
+                else np.full(shape, value))
+        params[name] = Tensor(data, requires_grad=True)
+    return params
 
 
 def interior_nodes(root):
@@ -148,15 +175,22 @@ def read_text_as(reader, text, *errors):
             return None
 
 
+def with_crc(body: bytes) -> bytes:
+    """Checkpoint bytes: ``body`` and its CRC-32, as ``save_checkpoint``
+    ends a file."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def edit_checkpoint_header(path, header=None):
-    """The checkpoint's JSON header; with ``header``, write it in place."""
+    """The checkpoint's JSON header; with ``header``, write it in place
+    before the same payload, under a fresh CRC-32."""
     raw = path.read_bytes()
     (hlen,) = struct.unpack_from("<I", raw, 8)
     if header is None:
         return json.loads(raw[12:12 + hlen])
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
-                     + raw[12 + hlen:])
+    path.write_bytes(with_crc(raw[:8] + struct.pack("<I", len(hbytes))
+                              + hbytes + raw[12 + hlen:-4]))
 
 
 def read_split_manifest(path) -> SplitManifest:
@@ -208,6 +242,13 @@ def scalar_alignment_identity(a: str, b: str) -> float:
         else:
             j -= 1
     return matches / length if length else 0.0
+
+
+def conserved_columns(family, tau: float) -> dict:
+    """Map column -> majority letter for columns above the tau threshold,
+    from the arrays ``mine_sites`` reads."""
+    _, _, conserved, majority = _family_columns(family, tau)
+    return {int(col): chr(majority[col]) for col in np.flatnonzero(conserved)}
 
 
 def counter_conserved_columns(family, tau: float) -> dict:

@@ -19,10 +19,11 @@ from enzydesign.data import (assemble_dataset, global_alignment_identity,
 from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, constant_views,
                                    init_parameters)
-from enzydesign.site_miner import AlignedFamily, conserved_columns, mine_sites
+from enzydesign.site_miner import AlignedFamily, mine_sites
 from enzydesign.training import joint_loss, train, evaluate_recovery
 from enzydesign.verify import run_binding_invariance_suite, run_gradient_suite
 from fixtures import make_toy_corpus, write_toy_tree
+from helpers import conserved_columns, init_generic_parameters
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -49,8 +50,7 @@ def test_criterion_1_se3_equivariance():
         config = ModelConfig(d=d, num_heads=2 if d == 8 else 4,
                              attention_sublayers=2, interleave_period=1,
                              k_neighbors=6)
-        params = constant_views(init_parameters(config, vocab, rng,
-                                                zero_coord_scale=False))
+        params = constant_views(init_generic_parameters(config, vocab, rng))
         dev = verify.equivariance_deviation(params, config, n, rng)
         for key in res:
             res[key] = max(res[key], dev[key])
@@ -66,8 +66,7 @@ def test_criterion_2_gradient_audit():
     config = ModelConfig(d=8, num_heads=2, attention_sublayers=4,
                          interleave_period=1, k_neighbors=3)
     vocab = TagVocabulary.from_tags(["1.1.1.1"])
-    params = init_parameters(config, vocab, np.random.default_rng(0),
-                             zero_coord_scale=False)
+    params = init_generic_parameters(config, vocab, np.random.default_rng(0))
     res = run_gradient_suite(params, config, vocab)
     dt = time.monotonic() - t0
     ok = res["passed"] and dt < 120.0
@@ -235,8 +234,7 @@ def test_criterion_8_binding_invariances():
     config = ModelConfig(d=8, num_heads=2, attention_sublayers=2,
                          interleave_period=1, k_neighbors=3)
     vocab = TagVocabulary.from_tags(["1.1.1.1"])
-    params = init_parameters(config, vocab, np.random.default_rng(0),
-                             zero_coord_scale=False)
+    params = init_generic_parameters(config, vocab, np.random.default_rng(0))
     res = run_binding_invariance_suite(params, config, trials=100)
     report(8, "binding invariance, 100 cases", res["passed"],
            f"permutation={res['permutation']:.2e} rigid={res['rigid']:.2e}")

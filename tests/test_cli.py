@@ -23,8 +23,9 @@ from enzydesign.site_miner import read_site_manifest
 from enzydesign.verify import (run_binding_invariance_suite,
                                run_equivariance_suite)
 from fixtures import TOY_LENGTH, free_positions, write_toy_tree
-from helpers import (COORD, edit_checkpoint_header, integer, mostly,
-                     read_text_as, table)
+from helpers import (COORD, edit_checkpoint_header, init_generic_parameters,
+                     integer, mostly, read_text_as, reshape, table,
+                     with_crc)
 
 
 @pytest.fixture
@@ -465,8 +466,7 @@ def _verify_ckpt(path, d=8, tags=("1.1.1.1",), max_len=512):
     config = ModelConfig(d=d, num_heads=2, attention_sublayers=2,
                          interleave_period=1, k_neighbors=3, max_len=max_len)
     vocab = TagVocabulary.from_tags(list(tags))
-    params = init_parameters(config, vocab, np.random.default_rng(0),
-                             zero_coord_scale=False)
+    params = init_generic_parameters(config, vocab, np.random.default_rng(0))
     save_checkpoint(path, params, config, vocab)
     return path
 
@@ -645,7 +645,7 @@ class TestVerifyCommand:
             for (m, rel), (lo, lists) in zip(
                     original(h, x, neighbors, params, prefix), tiles):
                 x_i = nm.take(x, np.arange(lo, lo + len(lists)))
-                yield m + nm.reshape(x_i, (len(lists), 1, 3)) @ Tensor(pad), rel
+                yield m + reshape(x_i, (len(lists), 1, 3)) @ Tensor(pad), rel
 
         em.neighborhood_messages = leaky
         try:
@@ -657,37 +657,40 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
-def _first_record_end(raw):
-    """Byte offset just past the first parameter record of a checkpoint."""
-    (hlen,) = struct.unpack_from("<I", raw, 8)
-    pos = 12 + hlen
-    (nlen,) = struct.unpack_from("<H", raw, pos)
-    pos += 2 + nlen
-    ndim = raw[pos]
-    shape = struct.unpack_from(f"<{ndim}I", raw, pos + 1)
-    return pos + 1 + 4 * ndim + 8 * int(np.prod(shape))
+def _flip(raw, i):
+    """``raw`` with every bit of byte ``i`` flipped."""
+    return raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:]
 
 
 def _bad_input_files(root, tmp_path):
-    """A valid checkpoint, three truncations of it, motifs, run configs
-    and alignment directories of one bad family each."""
+    """A valid checkpoint, cut, flipped and edited copies of it, motifs,
+    run configs and alignment directories of one bad family each."""
     config = ModelConfig(d=8, num_heads=2, attention_sublayers=2,
                          interleave_period=1, k_neighbors=3)
     vocab = TagVocabulary.from_tags(["1.1.1.1"])
     ckpt = tmp_path / "m.ckpt"
     params = init_parameters(config, vocab, np.random.default_rng(0))
     save_checkpoint(ckpt, params, config, vocab)
-    save_checkpoint(tmp_path / "unknown-name.ckpt",
-                    {**params, "extra/w": params["emb/mask"]}, config, vocab)
-    save_checkpoint(tmp_path / "coord-head.ckpt",  # as substrate blocks had
-                    {**params, "sub0/coord1/b": params["emb/mask"]}, config,
-                    vocab)
-    params["attn0/q/w"].data[0, 0] = np.nan
-    save_checkpoint(tmp_path / "nan-payload.ckpt", params, config, vocab)
     raw = ckpt.read_bytes()
-    (tmp_path / "header_cut.ckpt").write_bytes(raw[:10])
-    (tmp_path / "payload_cut.ckpt").write_bytes(raw[:len(raw) // 2])
-    (tmp_path / "record_cut.ckpt").write_bytes(raw[:_first_record_end(raw)])
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    payload = 12 + hlen  # where the payload starts; emb/amino comes first
+    for name, data in {
+            "header_cut.ckpt": raw[:10],
+            "payload_cut.ckpt": raw[:len(raw) // 2],
+            "record_cut.ckpt": raw[:payload + params["emb/amino"].data.nbytes],
+            "header-end-cut.ckpt": raw[:payload],
+            "header-flip.ckpt": _flip(raw, 12),
+            "payload-flip.ckpt": _flip(raw, payload),
+            "crc-flip.ckpt": _flip(raw, len(raw) - 1),
+            "old-format.ckpt": b"ENZD0001" + raw[8:],
+            "header-text.ckpt": with_crc(raw[:12] + b"{" * hlen
+                                         + raw[payload:-4]),
+            # payloads longer than the model: one more d-vector, or a
+            # substrate block's old coord1 (a d x d weight and a d bias)
+            "unknown-name.ckpt": with_crc(raw[:-4] + bytes(8 * 8)),
+            "coord-head.ckpt": with_crc(raw[:-4] + bytes(8 * (8 * 8 + 8))),
+    }.items():
+        (tmp_path / name).write_bytes(data)
     (tmp_path / "frozen.ckpt").write_bytes(raw)
     header = edit_checkpoint_header(tmp_path / "frozen.ckpt")
     header["config"]["knn_mode"] = "frozen"  # a model key that is gone
@@ -696,9 +699,8 @@ def _bad_input_files(root, tmp_path):
         (tmp_path / name).write_bytes(raw)
         edit_checkpoint_header(tmp_path / name,
                                edit(edit_checkpoint_header(ckpt)))
-    (hlen,) = struct.unpack_from("<I", raw, 8)
-    (tmp_path / "header-text.ckpt").write_bytes(
-        raw[:8] + struct.pack("<I", hlen) + b"{" * hlen + raw[12 + hlen:])
+    params["attn0/q/w"].data[0, 0] = np.nan
+    save_checkpoint(tmp_path / "nan-payload.ckpt", params, config, vocab)
     for name, row in (("motif.tsv", "1\tA\t0\t0\t0"),
                       ("far.tsv", "9\tA\t0\t0\t0"),
                       ("residue.tsv", "1\tX\t0\t0\t0"),
@@ -761,8 +763,7 @@ _HEADER_EDITS = {
     "vocab-level-number.ckpt": lambda h: {
         **h, "vocab_levels": [["1"], ["1.1"], [1], ["1.1.1.1"]]},
     "step-string.ckpt": lambda h: {**h, "step": "7"},
-    "count-missing.ckpt": lambda h: {k: v for k, v in h.items()
-                                     if k != "param_count"},
+    "count-kept.ckpt": lambda h: {**h, "param_count": 177},
     "step-negative.ckpt": lambda h: {**h, "step": -3},
     "header-unknown-key.ckpt": lambda h: {**h, "epoch": 1},
     "vocab-longer.ckpt": lambda h: {**h, "vocab_levels": [
@@ -829,9 +830,29 @@ BAD_INPUTS = {
     "export-truncated-checkpoint": (1, "truncated", [
         "export-embeddings", "--checkpoint", "{d}/header_cut.ckpt",
         "--out", "{d}/e.tsv"]),
-    "generate-checkpoint-cut-at-record": (1, "truncated", [
+    "generate-checkpoint-cut-at-record": (
+        1, "record_cut.ckpt is truncated or corrupt\n", [
         "generate", "--checkpoint", "{d}/record_cut.ckpt", "--motif",
         "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "generate-checkpoint-cut-after-header": (
+        1, "header-end-cut.ckpt is truncated or corrupt\n", [
+            "generate", "--checkpoint", "{d}/header-end-cut.ckpt", "--motif",
+            "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "export-checkpoint-header-byte-flipped": (
+        1, "header-flip.ckpt is truncated or corrupt\n", [
+            "export-embeddings", "--checkpoint", "{d}/header-flip.ckpt",
+            "--out", "{d}/e.tsv"]),
+    "generate-checkpoint-payload-byte-flipped": (
+        1, "payload-flip.ckpt is truncated or corrupt\n", [
+            "generate", "--checkpoint", "{d}/payload-flip.ckpt", "--motif",
+            "{d}/motif.tsv", "--out", "{d}/o.txt"]),
+    "verify-checkpoint-crc-byte-flipped": (
+        1, "crc-flip.ckpt is truncated or corrupt\n", [
+            "verify", "--checkpoint", "{d}/crc-flip.ckpt"]),
+    "train-resume-checkpoint-old-format": (
+        1, "old-format.ckpt: format tag b'ENZD0001' is not ENZD0002\n", [
+            "train", "--config", "{d}/run.json", "--resume",
+            "{d}/old-format.ckpt"]),
     "generate-checkpoint-frozen-knn-mode": (
         1, "frozen.ckpt: unknown model config key 'knn_mode'", [
         "generate", "--checkpoint", "{d}/frozen.ckpt", "--motif",
@@ -860,13 +881,13 @@ BAD_INPUTS = {
         1, "vocab-level-number.ckpt: tag vocabulary needs 4 lists of strings", [
             "export-embeddings", "--checkpoint",
             "{d}/vocab-level-number.ckpt", "--out", "{d}/e.tsv"]),
-    "export-checkpoint-without-param-count": (
-        1, "count-missing.ckpt: header config needs param_count", [
-            "export-embeddings", "--checkpoint", "{d}/count-missing.ckpt",
+    "export-checkpoint-with-param-count": (
+        1, "count-kept.ckpt: unknown header config key 'param_count'", [
+            "export-embeddings", "--checkpoint", "{d}/count-kept.ckpt",
             "--out", "{d}/e.tsv"]),
     "generate-checkpoint-substrate-coord-head": (
-        1, "coord-head.ckpt: parameter sub0/coord1/b: payload has (8,), "
-        "header's model needs no entry", [
+        1, "coord-head.ckpt: payload has 65528 bytes, header's model needs "
+        "64952\n", [
             "generate", "--checkpoint", "{d}/coord-head.ckpt", "--motif",
             "{d}/motif.tsv", "--out", "{d}/o.txt"]),
     "export-checkpoint-step-string": (
@@ -890,13 +911,13 @@ BAD_INPUTS = {
             "export-embeddings", "--checkpoint",
             "{d}/config-unknown-key.ckpt", "--out", "{d}/e.tsv"]),
     "export-checkpoint-vocab-longer-than-table": (
-        1, "vocab-longer.ckpt: parameter emb/tag_l4: payload has (1, 8), "
-        "header's model needs (2, 8)", [
+        1, "vocab-longer.ckpt: payload has 64952 bytes, header's model needs "
+        "65016\n", [
             "export-embeddings", "--checkpoint", "{d}/vocab-longer.ckpt",
             "--out", "{d}/e.tsv"]),
     "generate-checkpoint-d-over-smaller-tensors": (
-        1, "config-d-16.ckpt: parameter attn0/ffn1/b: payload has (32,), "
-        "header's model needs (64,)", [
+        1, "config-d-16.ckpt: payload has 64952 bytes, header's model needs "
+        "182072\n", [
             "generate", "--checkpoint", "{d}/config-d-16.ckpt", "--motif",
             "{d}/motif.tsv", "--out", "{d}/o.txt"]),
     "generate-checkpoint-nan-payload": (
@@ -943,8 +964,8 @@ BAD_INPUTS = {
         "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
         "{d}/header.tsv", "--out", "{d}/o.txt"]),
     "generate-checkpoint-unknown-parameter": (
-        1, "unknown-name.ckpt: parameter extra/w: payload has (8,), "
-        "header's model needs no entry", [
+        1, "unknown-name.ckpt: payload has 65016 bytes, header's model needs "
+        "64952\n", [
             "generate", "--checkpoint", "{d}/unknown-name.ckpt", "--motif",
             "{d}/motif.tsv", "--out", "{d}/o.txt"]),
     "generate-negative-seed": (2, "error: --seed must be at least 0\n", [

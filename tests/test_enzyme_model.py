@@ -12,16 +12,18 @@ from enzydesign.enzyme_model import (embed_inputs, forward_stack,
 from enzydesign.numerics import Tensor
 from enzydesign.parameters import TagVocabulary, init_parameters
 
-from helpers import softmax
+from helpers import init_generic_parameters, softmax
 
 
 def small_setup(d=8, heads=2, sublayers=2, period=1, seed=0,
-                zero_coord_scale=True, **kw):
+                generic=False, **kw):
+    """A small model; ``generic`` draws the coordinate scale like the
+    other weights instead of starting it at zero."""
     config = ModelConfig(d=d, num_heads=heads, attention_sublayers=sublayers,
                          interleave_period=period, k_neighbors=3, **kw)
     vocab = TagVocabulary.from_tags(["1.1.1.1", "1.2.3.4", "2.1.1.1"])
-    params = init_parameters(config, vocab, np.random.default_rng(seed),
-                             zero_coord_scale=zero_coord_scale)
+    params = (init_generic_parameters if generic else init_parameters)(
+        config, vocab, np.random.default_rng(seed))
     return config, vocab, params
 
 
@@ -218,7 +220,7 @@ class TestNeighborhood:
         np.testing.assert_array_equal(rel.data, rel_ref)
 
     def test_zero_coord_scale_leaves_coordinates_unchanged(self):
-        config, vocab, params = small_setup(zero_coord_scale=True)
+        config, vocab, params = small_setup()
         rng = np.random.default_rng(4)
         h = Tensor(rng.normal(size=(5, 8)))
         x = Tensor(rng.normal(size=(5, 3)))
@@ -227,7 +229,7 @@ class TestNeighborhood:
         np.testing.assert_array_equal(x_new.data, x.data)
 
     def test_neighbor_order_permutation_invariance(self):
-        config, vocab, params = small_setup(zero_coord_scale=False)
+        config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(6)
         h = Tensor(rng.normal(size=(6, 8)))
         x = Tensor(rng.normal(size=(6, 3)))
@@ -242,7 +244,7 @@ class TestNeighborhood:
         np.testing.assert_allclose(x1.data, x2.data, atol=1e-12)
 
     def test_sublayer_se3_equivariance(self):
-        config, vocab, params = small_setup(zero_coord_scale=False)
+        config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(7)
         h = Tensor(rng.normal(size=(7, 8)))
         x = rng.normal(size=(7, 3)) * 3.0
@@ -264,7 +266,7 @@ class TestNeighborhood:
         np.testing.assert_array_equal(out.data, h.data)
 
     def test_freeze_motif_coords(self):
-        config, vocab, params = small_setup(zero_coord_scale=False,
+        config, vocab, params = small_setup(generic=True,
                                             freeze_motif_coords=True)
         rng = np.random.default_rng(8)
         h = Tensor(rng.normal(size=(5, 8)))
@@ -279,7 +281,7 @@ class TestNeighborhood:
 
 class TestForwardStack:
     def test_se3_equivariance_full_stack(self):
-        config, vocab, params = small_setup(zero_coord_scale=False)
+        config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(9)
         seq, known, tag_idx, coords = random_instance(9, config, vocab, rng)
         rot, t = geometry.random_rigid(rng)
@@ -305,7 +307,7 @@ class TestForwardStack:
         assert logits.shape == (5, 20)
 
     def test_constant_params_build_no_graph(self):
-        config, vocab, params = small_setup(zero_coord_scale=False)
+        config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(12)
         seq, known, tag_idx, coords = random_instance(9, config, vocab, rng)
         taped = forward_stack(seq, known, tag_idx, coords, params, config)
@@ -371,8 +373,7 @@ class TestRowTiles:
     each is checked against one tile (``ROW_TILE`` patched to N or more)."""
 
     def test_neighborhood_sublayer_bit_identical_at_300(self, monkeypatch):
-        config, vocab, params = small_setup(d=64, heads=4,
-                                            zero_coord_scale=False)
+        config, vocab, params = small_setup(d=64, heads=4, generic=True)
         rng = np.random.default_rng(30)
         h = Tensor(rng.normal(size=(300, 64)))
         x = Tensor(np.cumsum(rng.normal(size=(300, 3)) * 2.0, axis=0))
@@ -392,9 +393,8 @@ class TestRowTiles:
         than the 300-row ones, which moves the last bit."""
         config = ModelConfig()
         vocab = TagVocabulary.from_tags(["1.2.3.4"])
-        params = {k: Tensor(t.data) for k, t in init_parameters(
-            config, vocab, np.random.default_rng(31),
-            zero_coord_scale=False).items()}
+        params = {k: Tensor(t.data) for k, t in init_generic_parameters(
+            config, vocab, np.random.default_rng(31)).items()}
         for n in (512, 300):
             inputs = random_instance(n, config, vocab,
                                      np.random.default_rng(n))
@@ -411,8 +411,7 @@ class TestRowTiles:
                                            atol=1e-14 * np.abs(b.data).max())
 
     def test_multi_tile_gradients_match_one_tile(self, monkeypatch):
-        config, vocab, params = small_setup(d=16, heads=2,
-                                            zero_coord_scale=False)
+        config, vocab, params = small_setup(d=16, heads=2, generic=True)
         inputs = random_instance(150, config, vocab,
                                  np.random.default_rng(32))
         tiled = _with_tile(monkeypatch, 7,
@@ -427,7 +426,7 @@ class TestRowTiles:
 
     def test_multi_tile_se3_equivariance(self, monkeypatch):
         monkeypatch.setattr(nm, "ROW_TILE", 7)
-        config, vocab, params = small_setup(zero_coord_scale=False)
+        config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(33)
         seq, known, tag_idx, coords = random_instance(40, config, vocab, rng)
         rot, t = geometry.random_rigid(rng)
@@ -469,7 +468,7 @@ class TestPacking:
     @pytest.mark.parametrize("tile", [128, 4])
     def test_each_record_equals_its_own_forward(self, monkeypatch, tile):
         monkeypatch.setattr(nm, "ROW_TILE", tile)
-        config, vocab, params = small_setup(zero_coord_scale=False)
+        config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(40)
         instances = self.instances(config, vocab, rng)
         packed, lengths = _pack(instances)
@@ -482,7 +481,7 @@ class TestPacking:
     def test_se3_equivariance_per_record(self, monkeypatch):
         """A different rigid motion on each record moves only its rows."""
         monkeypatch.setattr(nm, "ROW_TILE", 4)
-        config, vocab, params = small_setup(zero_coord_scale=False)
+        config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(41)
         instances = self.instances(config, vocab, rng)
         packed, lengths = _pack(instances)

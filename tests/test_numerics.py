@@ -10,7 +10,8 @@ from enzydesign.numerics import (DimensionError, Tensor,
                                  finite_difference_gradient)
 
 from helpers import (check_gradient, composite_attention,
-                     composite_edge_messages, interior_nodes, l2_norm, softmax)
+                     composite_edge_messages, interior_nodes, l2_norm, reshape,
+                     softmax)
 
 
 class TestMatmul:
@@ -370,10 +371,10 @@ def tiled_edge_messages(hw_i, hw_k, x, weights, lists):
     for lo in range(0, len(lists), nm.ROW_TILE):
         tile = lists[lo:lo + nm.ROW_TILE]
         r = len(tile)
-        rel = (nm.reshape(nm.take(x, np.arange(lo, lo + r)), (r, 1, 3))
+        rel = (reshape(nm.take(x, np.arange(lo, lo + r)), (r, 1, 3))
                - nm.take(x, tile))
         out = nm.edge_messages(hw_i, hw_k, rel, *weights, lo, tile)
-        outs.append(nm.reshape(out, (-1,)))
+        outs.append(reshape(out, (-1,)))
     return nm.concat(outs)
 
 
@@ -394,7 +395,7 @@ class TestEdgeMessages:
         def run(op):
             ts = [Tensor(a, requires_grad=True) for a in arrays]
             hw_i, hw_k, x, *weights = ts
-            rel = (nm.reshape(nm.take(x, np.arange(lo, lo + r)), (r, 1, 3))
+            rel = (reshape(nm.take(x, np.arange(lo, lo + r)), (r, 1, 3))
                    - nm.take(x, lists))
             out = op(hw_i, hw_k, rel, *weights, lo, lists)
             nm.tensor_sum(out * Tensor(np.cos(out.data))).backward()
@@ -498,8 +499,8 @@ class TestElementwiseSuite:
         lambda t: nm.log_softmax(t, axis=-1),
         lambda t: l2_norm(t, axis=-1),
         lambda t: nm.tensor_sum(t, axis=0),
-        lambda t: nm.reshape(t, (3, 10)),
-        lambda t: nm.transpose(nm.reshape(t, (10, 3))),
+        lambda t: reshape(t, (3, 10)),
+        lambda t: nm.transpose(reshape(t, (10, 3))),
         lambda t: nm.take(t, np.array([[0, 2], [4, 0]])),
     ], ids=["silu", "relu", "sigmoid", "layer_norm", "softmax", "log_softmax",
             "l2_norm", "sum_axis", "reshape", "transpose", "take"])
@@ -552,7 +553,7 @@ def every_primitive(x):
     c = nm.linear(nm.matmul(nm.transpose(b), ln),
                   Tensor(np.eye(3)[::-1] + 0.5), Tensor([0.1, -0.2, 0.3]))
     d = nm.mul(softmax(c), nm.log_softmax(c))
-    e = nm.take(nm.reshape(nm.concat([d, ln]), (21, 1)),
+    e = nm.take(reshape(nm.concat([d, ln]), (21, 1)),
                 np.array([0, 2, 5, 2, 16]))
     # (1,) times (4, 3): the gradient is summed back over the broadcast
     f = nm.mul(nm.tensor_sum(e, axis=0), nm.silu(b))
@@ -572,7 +573,7 @@ _KEEP = (nm.sigmoid, nm.silu, softmax, nm.log_softmax,
          lambda t: t @ Tensor(_W),
          lambda t: nm.linear(t, Tensor(_W), Tensor([0.1, 0.0, -0.2, 0.3])),
          lambda t: nm.transpose(nm.transpose(t)),
-         lambda t: nm.reshape(nm.reshape(t, (12,)), (3, 4)),
+         lambda t: reshape(reshape(t, (12,)), (3, 4)),
          lambda t: nm.take(t, np.array([2, 0, 0])))
 _REDUCE = (lambda t: nm.tensor_sum(t, axis=1, keepdims=True),
            lambda t: nm.tensor_sum(t, axis=0, keepdims=True),

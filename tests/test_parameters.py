@@ -1,12 +1,16 @@
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
 from enzydesign.config import ModelConfig
-from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, VocabularyError,
                                    init_parameters, load_checkpoint,
                                    parameter_layout, save_checkpoint,
                                    zero_grads)
+from helpers import with_crc
 
 
 def small_config():
@@ -129,17 +133,63 @@ class TestCheckpoint:
         save_checkpoint(p2, params, config, vocab)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("extra", ["extra/w", "sub3/coord1/w"])
-    def test_unknown_parameter_rejected(self, tmp_path, extra):
-        """Any name outside the model's layout fails the load, a
-        coordinate head on a substrate block among them."""
+    def test_file_is_header_then_layout_payload_then_crc(self, tmp_path):
+        """Format tag, header length, JSON header, every parameter's float64
+        bytes in ``parameter_layout`` order, and the CRC-32 of all of it."""
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(3))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, vocab, step=5)
+        header = json.dumps({"config": config.to_dict(),
+                             "vocab_levels": vocab.levels, "step": 5},
+                            sort_keys=True).encode("utf-8")
+        payload = b"".join(params[name].data.astype("<f8").tobytes()
+                           for name in parameter_layout(config, vocab))
+        assert path.read_bytes() == with_crc(
+            b"ENZD0002" + struct.pack("<I", len(header)) + header + payload)
+
+    def test_payload_one_tensor_too_long_rejected(self, tmp_path):
+        """A payload that stores one tensor more than the header's model
+        has, a substrate block's old coordinate head among them, fails
+        naming both sizes."""
         config = small_config()
         vocab = TagVocabulary.from_tags(["1.1.1.1"])
         params = init_parameters(config, vocab, np.random.default_rng(5))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, {**params, extra: Tensor(np.zeros((8, 8)))},
-                        config, vocab)
-        with pytest.raises(ValueError, match=f"m.ckpt: parameter {extra}: "
-                           "payload has \\(8, 8\\), header's model needs "
-                           "no entry"):
+        save_checkpoint(path, params, config, vocab)
+        raw = path.read_bytes()
+        path.write_bytes(with_crc(raw[:-4] + np.zeros((8, 8)).tobytes()))
+        need = 8 * sum(t.data.size for t in params.values())
+        with pytest.raises(ValueError, match=f"m.ckpt: payload has {need + 512} "
+                           f"bytes, header's model needs {need}$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["mid-write", "rename"])
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch,
+                                               where):
+        """A write that fails inside the temp file or at the rename leaves
+        the old checkpoint's bytes and no temp file; the temp name does
+        not end in ``.ckpt``."""
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(6))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, vocab, step=1)
+        old = path.read_bytes()
+        renamed = []
+        if where == "mid-write":  # the header and some tensors are written
+            del params["sub/input/w"]
+            error = KeyError
+        else:
+            def replace(src, dst):
+                renamed.append(str(src))
+                raise OSError("disk full")
+            monkeypatch.setattr(os, "replace", replace)
+            error = OSError
+        with pytest.raises(error):
+            save_checkpoint(path, params, config, vocab, step=2)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        if where == "rename":  # perfbench sizes checkpoints by ``*.ckpt``
+            assert not renamed[0].endswith(".ckpt")

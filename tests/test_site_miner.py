@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from enzydesign.data import DataError
 from enzydesign.site_miner import (AlignedFamily, AlignmentError,
-                                   SiteAnnotation, conserved_columns,
-                                   mine_sites, read_aligned_fasta,
-                                   read_site_manifest, write_site_manifest)
-from helpers import (NAME, counter_conserved_columns,
+                                   SiteAnnotation, mine_sites,
+                                   read_aligned_fasta, read_site_manifest,
+                                   write_site_manifest)
+from helpers import (NAME, conserved_columns, counter_conserved_columns,
                      map_column_to_residue_index, mostly, read_text_as, table)
 
 

@@ -21,6 +21,7 @@ from enzydesign.training import (Adam, TrainSchedule, _pack_batches,
                                  batch_loss, draw_mlm_mask, evaluate_recovery,
                                  joint_loss, record_loss, train)
 from fixtures import make_toy_corpus
+from helpers import init_generic_parameters
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -138,8 +139,8 @@ class TestJointLoss:
     def test_se3_invariance_of_total(self):
         """One shared rigid motion on input and target coords: same loss."""
         records, pool, vocab, config, params = toy_setup()
-        params = init_parameters(config, vocab, np.random.default_rng(0),
-                                 zero_coord_scale=False)
+        params = init_generic_parameters(config, vocab,
+                                         np.random.default_rng(0))
         rec = records[0]
         mask = rec.site_mask
         rng = np.random.default_rng(4)
@@ -379,8 +380,7 @@ def mixed_batch():
     pairs = [(pool["sub0"], 1), (pool["sub1"], 0), (pool["sub0"], 0),
              (pool["sub2"], 1)]
     config = small_config(k_neighbors=12)
-    params = init_parameters(config, vocab, np.random.default_rng(0),
-                             zero_coord_scale=False)
+    params = init_generic_parameters(config, vocab, np.random.default_rng(0))
     return batch, pairs, params, config, vocab
 
 
