@@ -19,10 +19,10 @@ from enzydesign.data import (assemble_dataset, global_alignment_identity,
 from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, constant_views,
                                    init_parameters)
-from enzydesign.site_miner import AlignedFamily, mine_sites
+from enzydesign.site_miner import AlignedFamily
 from enzydesign.training import joint_loss, train, evaluate_recovery
 from enzydesign.verify import run_binding_invariance_suite, run_gradient_suite
-from fixtures import make_toy_corpus, write_toy_tree
+from fixtures import write_toy_tree
 from helpers import conserved_columns, init_generic_parameters
 
 REPO = Path(__file__).resolve().parent.parent
