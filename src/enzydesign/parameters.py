@@ -159,7 +159,14 @@ def zero_grads(params: dict) -> None:
 def save_checkpoint(path, params: dict, config: ModelConfig,
                     vocab: TagVocabulary, step: int = 0) -> None:
     """Write ``<path>.tmp`` beside ``path``, then rename it over ``path``;
-    on any failure the temp file goes and ``path`` keeps its old bytes."""
+    on any failure the temp file goes and ``path`` keeps its old bytes.
+    A parameter name outside ``parameter_layout`` raises ValueError before
+    anything is written, since the payload would silently drop it."""
+    layout = parameter_layout(config, vocab)
+    for name in params:
+        if name not in layout:
+            raise ValueError(f"{path}: parameter {name} is not in the "
+                             "model's layout")
     header = json.dumps({"config": config.to_dict(),
                          "vocab_levels": vocab.levels, "step": step},
                         sort_keys=True).encode("utf-8")
@@ -169,7 +176,7 @@ def save_checkpoint(path, params: dict, config: ModelConfig,
         with open(tmp, "wb") as f:
             f.write(head)
             crc = zlib.crc32(head)
-            for name in parameter_layout(config, vocab):
+            for name in layout:
                 data = np.ascontiguousarray(params[name].data, dtype="<f8")
                 f.write(data)
                 crc = zlib.crc32(data, crc)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from enzydesign.config import ModelConfig
+from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, VocabularyError,
                                    init_parameters, load_checkpoint,
                                    parameter_layout, save_checkpoint,
@@ -148,6 +149,24 @@ class TestCheckpoint:
                            for name in parameter_layout(config, vocab))
         assert path.read_bytes() == with_crc(
             b"ENZD0002" + struct.pack("<I", len(header)) + header + payload)
+
+    @pytest.mark.parametrize("extra", ["extra/w", "sub3/coord1/w"])
+    def test_unknown_parameter_rejected(self, tmp_path, extra):
+        """Any name outside the model's layout, a coordinate head on a
+        substrate block among them, fails the save before a byte is
+        written: the old checkpoint stays and no temp file is left."""
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(5))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, vocab)
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match=f"m.ckpt: parameter {extra} "
+                           "is not in the model's layout$"):
+            save_checkpoint(path, {**params, extra: Tensor(np.zeros((8, 8)))},
+                            config, vocab)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_payload_one_tensor_too_long_rejected(self, tmp_path):
         """A payload that stores one tensor more than the header's model
