@@ -41,6 +41,10 @@ def load_run_config(path):
     model, schedule, data, output = read_run_config(raw)
     if not Path(data["records_dir"]).is_dir():
         raise UsageError(f"records_dir not found: {data['records_dir']!r}")
+    output = {"checkpoint": "model.ckpt", "loss_log": "loss.log", **output}
+    for key, path in output.items():  # fail before training, not after it
+        if not Path(path).parent.is_dir():
+            raise UsageError(f"output.{key} directory not found: {path!r}")
     return model, schedule, data, output
 
 
@@ -110,11 +114,9 @@ def cmd_train(args) -> int:
             print("error: masked pretraining diverged", file=sys.stderr)
             return 1
 
-    checkpoint = output.get("checkpoint", "model.ckpt")
-    loss_log = output.get("loss_log", "loss.log")
     result = train(splits["train"], pool, params, model_cfg, schedule, vocab,
-                   checkpoint_path=checkpoint, loss_log_path=loss_log,
-                   start_step=start_step)
+                   checkpoint_path=output["checkpoint"],
+                   loss_log_path=output["loss_log"], start_step=start_step)
     if "split_manifest" in output:
         manifest.write(output["split_manifest"])
     if result.aborted:

@@ -13,8 +13,8 @@ finite differences in the test suite.
 The primitives are ``add``, ``sub``, ``mul`` and ``matmul``, which
 broadcast like numpy and sum their gradients back to each operand's
 shape; ``linear`` (``x @ w + b`` over the last axis); ``relu``,
-``sigmoid``, ``silu``, ``tensor_sum``, ``take`` (rows by an index array
-of any shape), ``concat`` along axis 0 and a matrix's ``transpose``;
+``sigmoid``, ``silu``, ``tensor_sum``, ``take`` (embedding or coordinate
+rows by an index array), ``concat`` along axis 0 and a matrix's ``transpose``;
 ``log_softmax``, multi-head ``attention`` (block-diagonal over packed
 records), the affine ``layer_norm(x, g, b)`` and ``edge_messages`` (one
 edge tile's softmax-weighted EGNN messages). Each is one graph node with
@@ -297,13 +297,12 @@ def silu(x: Tensor) -> Tensor:
 
 # ---- reductions and shape ----
 
-def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
+def tensor_sum(x: Tensor, axis=None) -> Tensor:
     def bw(g):
-        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
+        ge = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(ge, x.shape),)
 
-    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,),
-                  _backward_fn=bw)
+    return Tensor(x.data.sum(axis=axis), _parents=(x,), _backward_fn=bw)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -411,7 +410,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return Tensor(out, _parents=(q, k, v), _backward_fn=bw)
 
 
-def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, w1: Tensor,
+def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, wd: Tensor,
                   b1: Tensor, w2: Tensor, b2: Tensor, wa: Tensor, ba: Tensor,
                   lo: int, lists) -> Tensor:
     """Softmax-weighted messages (R, K, d) of one edge tile, with a
@@ -420,10 +419,10 @@ def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, w1: Tensor,
     Center r of the tile is row ``lo + r`` of the (N, d) projection
     ``hw_i``; its neighbors are the rows ``lists[r]`` (R, K) of ``hw_k``,
     and ``rel`` (R, K, 3) holds its radial vectors. With d_rk = |rel_rk|,
-    the distance row w_d = ``w1[2d]`` (no other row of ``w1`` is read),
-    ``w2`` (d, d) and one score per edge from ``wa`` (d, 1):
+    the distance weights ``wd`` (d,), ``w2`` (d, d) and one score per edge
+    from ``wa`` (d, 1):
 
-        z = (hw_i[lo + r] + hw_k[lists[r, k]]) + d_rk·w_d + b1
+        z = (hw_i[lo + r] + hw_k[lists[r, k]]) + d_rk·wd + b1
         m = silu(silu(z) @ w2 + b2)
         out = softmax over K of (m @ wa + ba), times m
 
@@ -437,13 +436,12 @@ def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, w1: Tensor,
     """
     lists = np.asarray(lists, dtype=np.intp)
     (r, k), (n, d) = lists.shape, hw_k.shape
-    parents = (hw_i, hw_k, rel, w1, b1, w2, b2, wa, ba)
+    parents = (hw_i, hw_k, rel, wd, b1, w2, b2, wa, ba)
     keep = any(t.requires_grad for t in parents)
-    wd = w1.data[2 * d]
     dist = np.sqrt((rel.data ** 2).sum(axis=-1, keepdims=True))
     y1 = hw_k.data[lists]
     y1 += hw_i.data[lo:lo + r, None]
-    s1 = np.multiply(dist, wd)
+    s1 = np.multiply(dist, wd.data)
     y1 += s1
     y1 += b1.data
     _logistic(y1, out=s1)
@@ -480,9 +478,8 @@ def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, w1: Tensor,
         gz1 = _silu_grad(gy1.reshape(y1.shape), s1, y1, out=s2)
         gw2 = y1.reshape(r * k, d).T @ gz2
         # the bias-like gradients sum over R, then K, as _unbroadcast does
-        gw1 = np.zeros_like(w1.data)
-        gw1[2 * d] = np.multiply(gz1, dist, out=buf).sum(axis=0).sum(axis=0)
-        gdist = np.multiply(gz1, wd, out=buf).sum(axis=-1, keepdims=True)
+        gwd = np.multiply(gz1, dist, out=buf).sum(axis=0).sum(axis=0)
+        gdist = np.multiply(gz1, wd.data, out=buf).sum(axis=-1, keepdims=True)
         unit = np.where(dist == 0.0, 0.0,
                         rel.data / np.where(dist == 0.0, 1.0, dist))
         ghw_i = np.zeros_like(hw_i.data)
@@ -490,7 +487,7 @@ def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, w1: Tensor,
         flat = (lists * d).reshape(-1, 1) + np.arange(d)
         ghw_k = np.bincount(flat.reshape(-1), weights=gz1.reshape(-1),
                             minlength=n * d).reshape(n, d)
-        return (ghw_i, ghw_k, gdist * unit, gw1, gz1.sum(axis=0).sum(axis=0),
+        return (ghw_i, ghw_k, gdist * unit, gwd, gz1.sum(axis=0).sum(axis=0),
                 gw2, gz2.sum(axis=0), gwa, gp.sum(axis=0))
 
     return Tensor(out, _parents=parents, _backward_fn=bw)

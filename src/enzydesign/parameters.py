@@ -99,11 +99,11 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary) -> dict:
             layout[name + "/b"] = ((fan_out,), _ZERO)
 
     def neighborhood_block(prefix, coord_head):
-        # message FFN: [h_i; h_k; dist] -> d, SiLU between the two layers.
-        # neighborhood_messages splits msg1/w by this row layout (rows
-        # [0, d) for h_i, [d, 2d) for h_k, row 2d for dist), so it must
-        # not change.
-        linear(f"{prefix}/msg1", 2 * d + 1, d)
+        # message FFN; wi, wk, wd: the rows of W·[h_i; h_k; dist], at W's std
+        std = ("normal", 1.0 / np.sqrt(2 * d + 1))
+        for name, shape in (("wi", (d, d)), ("wk", (d, d)), ("wd", (d,))):
+            layout[f"{prefix}/msg1/{name}"] = (shape, std)
+        layout[f"{prefix}/msg1/b"] = ((d,), _ZERO)
         linear(f"{prefix}/msg2", d, d)
         # scalar attention row over messages
         linear(f"{prefix}/attn", d, 1)
@@ -130,7 +130,9 @@ def parameter_layout(config: ModelConfig, vocab: TagVocabulary) -> dict:
     linear("sub/input", SUBSTRATE_FEATURES, d, bias=False)
     for j in range(config.substrate_layers):  # substrate atoms never move
         neighborhood_block(f"sub{j}", False)
-    linear("binding/out", 2 * d, 2, bias=False)
+    std = ("normal", 1.0 / np.sqrt(2 * d))  # the rows of W·[pool_e; pool_s]
+    for pool in ("enzyme", "substrate"):
+        layout[f"binding/{pool}/w"] = ((d, 2), std)
     return layout
 
 

@@ -4,7 +4,7 @@ Substrate atoms carry five precomputed chemical features and fixed 3D
 coordinates; stacked neighborhood layers update features only (the real
 substrate geometry is kept as-is), so a substrate block has no
 coordinate head. The binding head sum-pools enzyme and substrate
-features and maps the concatenation to bind / no-bind scores.
+features and adds each pool times its own weight: bind / no-bind scores.
 """
 from __future__ import annotations
 
@@ -55,11 +55,11 @@ def binding_scores(enzyme_features: Tensor, substrate_features: Tensor,
 
     ``lengths`` splits the enzyme rows into records (one when None), and
     ``substrate_rows`` holds the slice of substrate rows paired with each
-    (all of them when None). ``binding/out/w`` maps each record's
-    [enzyme pool; substrate pool] to one row of the (B, 2) scores; each
-    pool meets its own half of the rows, so nothing is concatenated.
+    (all of them when None). Each record's enzyme pool times
+    ``binding/enzyme/w`` plus its substrate pool times
+    ``binding/substrate/w`` is one row of the (B, 2) scores.
     """
-    n, d = enzyme_features.shape
+    n = enzyme_features.shape[0]
     records = nm.segments([n] if lengths is None else lengths)
     pool_e = np.zeros((len(records), n))  # the constant 0/1 pooling matrices
     pool_s = np.zeros((len(records), substrate_features.shape[0]))
@@ -67,7 +67,6 @@ def binding_scores(enzyme_features: Tensor, substrate_features: Tensor,
                 strict=True)
     for b, (rows, atoms) in enumerate(pairs):
         pool_e[b, rows] = pool_s[b, atoms] = 1.0
-    w = params["binding/out/w"]
-    return (Tensor(pool_e) @ enzyme_features @ nm.take(w, np.arange(d))
+    return (Tensor(pool_e) @ enzyme_features @ params["binding/enzyme/w"]
             + Tensor(pool_s) @ substrate_features
-            @ nm.take(w, np.arange(d, 2 * d)))
+            @ params["binding/substrate/w"])

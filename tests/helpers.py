@@ -96,17 +96,17 @@ def composite_attention(q, k, v, heads):
     return np.transpose(np.matmul(attn, v), (1, 0, 2)).reshape(n, d)
 
 
-def composite_edge_messages(hw_i, hw_k, rel, w1, b1, w2, b2, wa, ba, lo,
+def composite_edge_messages(hw_i, hw_k, rel, wd, b1, w2, b2, wa, ba, lo,
                             lists):
     """One edge tile's weighted messages as the model built them from
     separate primitives before ``numerics.edge_messages``: the centers'
     rows of ``hw_i`` plus the neighbors' rows of ``hw_k``, plus the
-    distance times row 2d of ``w1``, plus ``b1``; silu, ``msg2``, silu;
-    then a softmax over K of the ``attn`` score, times the messages."""
+    distance times ``wd``, plus ``b1``; silu, ``msg2``, silu; then a
+    softmax over K of the ``attn`` score, times the messages."""
     (r, _), d = lists.shape, hw_k.shape[1]
     hw_r = nm.take(hw_i, np.arange(lo, lo + r))
     pre = (reshape(hw_r, (r, 1, d)) + nm.take(hw_k, lists)
-           + l2_norm(rel, axis=-1) * nm.take(w1, [2 * d]) + b1)
+           + l2_norm(rel, axis=-1) * wd + b1)
     m = nm.silu(nm.linear(nm.silu(pre), w2, b2))
     return softmax(nm.linear(m, wa, ba), axis=1) * m
 

@@ -641,7 +641,7 @@ class TestVerifyCommand:
             # x * 1e-3 into the first three channels of every message
             pad = np.zeros((3, h.shape[1]))
             pad[:, :3] = 1e-3 * np.eye(3)
-            tiles = em._edge_tiles(neighbors, nm.ROW_TILE)
+            tiles = em._edge_tiles(neighbors)
             for (m, rel), (lo, lists) in zip(
                     original(h, x, neighbors, params, prefix), tiles):
                 x_i = nm.take(x, np.arange(lo, lo + len(lists)))
@@ -732,6 +732,10 @@ def _bad_input_files(root, tmp_path):
     for name, text in (("f1", ">a\nACDE\n>b\nACDE\n"),
                        ("f2", ">a\nACDF\n>c\nACDF\n")):
         (tmp_path / "aln-twice" / f"{name}.fasta").write_text(text)
+    for key, name in (("checkpoint", "m.ckpt"), ("split_manifest", "splits.tsv")):
+        edited = json.loads(json.dumps(cfg))
+        edited["output"][key] = str(tmp_path / "nodir" / name)
+        (tmp_path / f"nodir-{key}.json").write_text(json.dumps(edited))
     (tmp_path / "top-array.json").write_text("[]")
     (tmp_path / "data-number.json").write_text(json.dumps({**cfg, "data": 3}))
 
@@ -1077,6 +1081,13 @@ BAD_INPUTS = {
             "train", "--config", "{d}/no-records-dir.json"]),
     "train-config-without-tags": (2, "error: data config needs tags\n", [
         "train", "--config", "{d}/no-tags.json"]),
+    "train-checkpoint-directory-missing": (
+        2, "error: output.checkpoint directory not found: '{d}/nodir/m.ckpt'\n",
+        ["train", "--config", "{d}/nodir-checkpoint.json"]),
+    "train-split-manifest-directory-missing": (
+        2, "error: output.split_manifest directory not found: "
+           "'{d}/nodir/splits.tsv'\n",
+        ["train", "--config", "{d}/nodir-split_manifest.json"]),
 }
 
 
@@ -1085,9 +1096,11 @@ def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
                                              capsys):
     """Exit 1 or 2 with one error line, or 0 with one warning line per
     skipped file (the fragment lists each file and line, comma-separated;
-    an empty one means no line)."""
+    an empty one means no line). A usage error (exit 2) writes none of
+    the toy run config's outputs."""
     root, _, _ = toy_tree
     _bad_input_files(root, tmp_path)
+    ckpt = (tmp_path / "m.ckpt").read_bytes()
     code, fragment, argv = BAD_INPUTS[case]
     capsys.readouterr()
     assert main([a.format(d=tmp_path) for a in argv]) == code
@@ -1101,8 +1114,12 @@ def test_bad_input_exits_with_one_error_line(case, toy_tree, tmp_path,
             assert any(where in line for line in lines), (where, err)
         return
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert fragment in err
+    assert fragment.format(d=tmp_path) in err
     assert not (tmp_path / "o.txt").exists()  # no designs file on failure
+    if code == 2:
+        assert (tmp_path / "m.ckpt").read_bytes() == ckpt
+        assert not any((tmp_path / name).exists()
+                       for name in ("loss.log", "splits.tsv", "nodir"))
 
 
 @pytest.mark.parametrize("error", [KeyError("k"), IndexError("i")])

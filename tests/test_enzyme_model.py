@@ -162,7 +162,8 @@ class TestGlobalAttention:
 def concat_form_messages(h, x, nbrs, params, prefix="neigh0"):
     """Plain-numpy oracle of one record's edge block: the messages
     silu(silu([h_i; h_k; d_ik]·W1 + b1)·W2 + b2), their softmax weights
-    over K and the radial vectors."""
+    over K and the radial vectors. W1 is the stored row blocks stacked
+    back into one (2d + 1, d) matrix."""
     def p(name):
         return params[f"{prefix}/{name}"].data
 
@@ -173,7 +174,8 @@ def concat_form_messages(h, x, nbrs, params, prefix="neigh0"):
     rel = x[:, None, :] - x[nbrs]
     z = np.concatenate([np.broadcast_to(h[:, None, :], (n, k, d)), h[nbrs],
                         np.linalg.norm(rel, axis=-1, keepdims=True)], axis=-1)
-    msg = silu(silu(z @ p("msg1/w") + p("msg1/b")) @ p("msg2/w") + p("msg2/b"))
+    w1 = np.concatenate([p("msg1/wi"), p("msg1/wk"), p("msg1/wd")[None]])
+    msg = silu(silu(z @ w1 + p("msg1/b")) @ p("msg2/w") + p("msg2/b"))
     score = msg @ p("attn/w") + p("attn/b")
     e = np.exp(score - score.max(axis=1, keepdims=True))
     return msg, e / e.sum(axis=1, keepdims=True), rel

@@ -355,12 +355,15 @@ class TestAttentionRowTiles:
 
 def edge_inputs(rng, n, d):
     """(hw_i, hw_k, coordinates) and the six message weights of an
-    (N, d) edge block: msg1/w (2d + 1, d), msg1/b, msg2/w, msg2/b,
-    attn/w (d, 1) and attn/b."""
+    (N, d) edge block: msg1/wd (d,), msg1/b, msg2/w, msg2/b, attn/w
+    (d, 1) and attn/b. ``wd`` is the last row of a (2d + 1, d) draw, the
+    whole first message layer, so every input is what it was when the
+    layer was stored as one weight."""
     arrays = [rng.normal(size=(n, d)), rng.normal(size=(n, d)),
               rng.normal(size=(n, 3))]
-    return arrays + [rng.normal(0.0, 0.5, s) for s in
-                     ((2 * d + 1, d), (d,), (d, d), (d,), (d, 1), (1,))]
+    weights = [rng.normal(0.0, 0.5, s) for s in
+               ((2 * d + 1, d), (d,), (d, d), (d,), (d, 1), (1,))]
+    return arrays + [weights[0][2 * d]] + weights[1:]
 
 
 def tiled_edge_messages(hw_i, hw_k, x, weights, lists):
@@ -461,7 +464,7 @@ class TestElementwiseSuite:
         (nm.log_softmax, [(4, 5)]),
         (lambda q, k, v: nm.attention(q, k, v, 2), [(4, 6)] * 3),
         (lambda *t: nm.edge_messages(*t, 1, np.array([[0, 2], [3, 0]])),
-         [(4, 3), (4, 3), (2, 2, 3), (7, 3), (3,), (3, 3), (3,), (3, 1),
+         [(4, 3), (4, 3), (2, 2, 3), (3,), (3,), (3, 3), (3,), (3, 1),
           (1,)]),
     ], ids=["layer_norm", "log_softmax", "attention", "edge_messages"])
     def test_fused_op_builds_one_tensor(self, op, shapes, monkeypatch):
@@ -575,8 +578,8 @@ _KEEP = (nm.sigmoid, nm.silu, softmax, nm.log_softmax,
          lambda t: nm.transpose(nm.transpose(t)),
          lambda t: reshape(reshape(t, (12,)), (3, 4)),
          lambda t: nm.take(t, np.array([2, 0, 0])))
-_REDUCE = (lambda t: nm.tensor_sum(t, axis=1, keepdims=True),
-           lambda t: nm.tensor_sum(t, axis=0, keepdims=True),
+_REDUCE = (lambda t: reshape(nm.tensor_sum(t, axis=1), (3, 1)),
+           lambda t: reshape(nm.tensor_sum(t, axis=0), (1, 4)),
            lambda t: nm.tensor_sum(t, axis=0),
            lambda t: l2_norm(t))
 _CONSTANT_SHAPES = ((3, 4), (4,), (3, 1), ())

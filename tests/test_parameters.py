@@ -61,11 +61,12 @@ class TestInit:
         params = init_parameters(config, vocab, np.random.default_rng(0))
         for name in ("emb/amino", "emb/mask", "emb/pos", "emb/tag_l1",
                      "emb/tag_l4", "attn0/q/w", "attn1/ffn2/b", "attn0/ln1/g",
-                     "neigh0/msg1/w", "neigh0/coord2/w", "neigh0/gate2/b",
-                     "sub/input/w", "sub0/msg1/w", "binding/out/w"):
+                     "neigh0/msg1/wi", "neigh0/coord2/w", "neigh0/gate2/b",
+                     "sub/input/w", "sub0/msg1/wk", "binding/enzyme/w"):
             assert name in params, name
         assert params["emb/amino"].shape == (20, 8)
-        assert params["binding/out/w"].shape == (16, 2)
+        assert params["neigh0/msg1/wd"].shape == (8,)
+        assert params["binding/substrate/w"].shape == (8, 2)
 
     def test_substrate_blocks_have_no_coordinate_head(self):
         """Substrate atoms keep their positions, so only the enzyme's
@@ -76,9 +77,42 @@ class TestInit:
                     and "/coord" in name]
         assert sum(name.startswith("neigh") and "/coord" in name
                    for name in layout) == 4 * config.neighborhood_sublayers
-        assert len(layout) == 177
+        assert len(layout) == 190
         assert sum(int(np.prod(shape)) for shape, _ in layout.values()) \
             == 472_713
+
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_row_blocks_are_one_draw_of_the_whole_weight(self, d):
+        """The row blocks of each message weight (``msg1/wi``, ``wk``,
+        ``wd``) and of the binding weight (``binding/enzyme/w``,
+        ``binding/substrate/w``) sit side by side in the layout, and
+        flattened in that payload order they equal one draw of the whole
+        weight, (2d + 1, d) at 1/sqrt(2d + 1) or (2d, 2) at 1/sqrt(2d),
+        from the same generator state. So init values and checkpoint
+        bytes are those of a layout that stores each weight whole."""
+        config = ModelConfig(d=d, num_heads=2, attention_sublayers=2,
+                             interleave_period=1, k_neighbors=3)
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        layout = parameter_layout(config, vocab)
+        params = init_parameters(config, vocab, np.random.default_rng(5))
+        wholes = {name: ([name[:-1] + b for b in "ikd"], (2 * d + 1, d))
+                  for name in layout if name.endswith("/msg1/wi")}
+        wholes["binding/enzyme/w"] = (
+            ["binding/enzyme/w", "binding/substrate/w"], (2 * d, 2))
+        assert len(wholes) == 6
+        rng, names, i = np.random.default_rng(5), list(layout), 0
+        while i < len(names):
+            shape, (kind, std) = layout[names[i]]
+            blocks, whole = wholes.get(names[i], ([names[i]], None))
+            if whole is not None:
+                assert names[i:i + len(blocks)] == blocks
+                draw = rng.normal(0.0, 1.0 / np.sqrt(whole[0]), whole)
+                stored = np.concatenate([params[b].data.reshape(-1)
+                                         for b in blocks])
+                assert np.array_equal(stored, draw.reshape(-1))
+            elif kind == "normal":
+                rng.normal(0.0, std, shape)
+            i += len(blocks)
 
     def test_coord_scale_zero_by_default(self):
         config = small_config()

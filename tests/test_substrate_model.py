@@ -72,13 +72,16 @@ class TestSubstrateForward:
             return v / (1.0 + np.exp(-v))
 
         h = feats @ params["sub/input/w"].data
+        w1 = np.concatenate([params["sub0/msg1/wi"].data,  # one (2d + 1, d) W1
+                             params["sub0/msg1/wk"].data,
+                             params["sub0/msg1/wd"].data[None]])
         messages = np.zeros((3, 2, config.d))
         logits = np.zeros((3, 2, 1))
         for i in range(3):
             for slot, k in enumerate(j for j in range(3) if j != i):
                 dist = np.linalg.norm(coords[i] - coords[k])
                 z = np.concatenate([h[i], h[k], [dist]])
-                m1 = silu(z @ params["sub0/msg1/w"].data + params["sub0/msg1/b"].data)
+                m1 = silu(z @ w1 + params["sub0/msg1/b"].data)
                 m2 = silu(m1 @ params["sub0/msg2/w"].data + params["sub0/msg2/b"].data)
                 messages[i, slot] = m2
                 logits[i, slot] = m2 @ params["sub0/attn/w"].data + params["sub0/attn/b"].data
@@ -128,7 +131,8 @@ class TestSubstrateForward:
 class TestBindingHead:
     def test_zero_weights_give_uniform_probabilities(self):
         config, params = setup()
-        params["binding/out/w"].data[:] = 0.0
+        for pool in ("enzyme", "substrate"):
+            params[f"binding/{pool}/w"].data[:] = 0.0
         rng = np.random.default_rng(6)
         probs = softmax(binding_scores(Tensor(rng.normal(size=(4, 8))),
                                        Tensor(rng.normal(size=(3, 8))),
@@ -151,9 +155,9 @@ class TestBindingHead:
         sf = rng.normal(size=(3, 8))
         scores = binding_scores(Tensor(ef), Tensor(sf), params)
         pooled = np.concatenate([ef.sum(axis=0), sf.sum(axis=0)])
-        np.testing.assert_allclose(scores.data,
-                                   [pooled @ params["binding/out/w"].data],
-                                   atol=1e-12)
+        w = np.concatenate([params["binding/enzyme/w"].data,
+                            params["binding/substrate/w"].data])
+        np.testing.assert_allclose(scores.data, [pooled @ w], atol=1e-12)
 
     def test_residue_permutation_invariance(self):
         config, params = setup()

@@ -355,8 +355,9 @@ class TestTrainLoop:
             return total
 
         loss_fn().backward()
-        for name in ("emb/amino", "attn0/q/w", "neigh0/msg1/w",
-                     "sub/input/w", "binding/out/w"):
+        for name in ("emb/amino", "attn0/q/w", "neigh0/msg1/wi",
+                     "neigh0/msg1/wk", "neigh0/msg1/wd", "sub/input/w",
+                     "binding/enzyme/w", "binding/substrate/w"):
             p = params[name]
             idx = np.linspace(0, p.size - 1, 3, dtype=int)
             fd = finite_difference_gradient(lambda _: loss_fn().item(), p.data,
@@ -489,12 +490,15 @@ class TestPackedBatch:
 
     def test_toy_config_step_tensor_count(self, monkeypatch):
         """One phase-2 step of the toy config's model over the toy corpus
-        (eight length-12 records, three substrates) builds 234 tensors,
+        (eight length-12 records, three substrates) builds 220 tensors,
         interior nodes and constants alike; one forward and one substrate
         stack per record built 2497, a binding head that reshaped its
         scores to (2,) and back 558, one substrate stack per distinct
-        substrate with one binding call per record 542, and edge messages
-        built from generic primitives 312."""
+        substrate with one binding call per record 542, edge messages
+        built from generic primitives 312, and message and binding weights
+        stored whole and cut into row blocks by ``take`` 234 (two ``take``
+        nodes for each of the six message weights, three enzyme and three
+        substrate sub-layers, and two for the binding weight)."""
         model_cfg = read_run_config(json.loads(
             (REPO / "configs/toy.json").read_text()))[0]
         records, pool, vocab, _, _ = toy_setup()
@@ -509,7 +513,7 @@ class TestPackedBatch:
         monkeypatch.setattr(Tensor, "__init__", counting)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
         train(records, pool, params, model_cfg, sched, vocab)
-        assert len(built) == 234
+        assert len(built) == 220
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("primitive", ["silu", "log_softmax"])
