@@ -73,22 +73,22 @@ def neighborhood_messages(h: Tensor, x: Tensor, neighbors, params,
 
     ``neighbors`` is a list of blocks of row indices, one (N_r, K_r)
     block per packed record. Yields (weighted messages (R,K,d), radial
-    vectors x_i − x_k (R,K,3)) for each of ``_edge_tiles``' tiles of at
-    most ``numerics.ROW_TILE`` centers, in row order; a K = 0 tile (a
-    one-residue or one-atom record) has no messages. Coordinates enter
-    only through the pairwise distance, which keeps the whole block
-    rigid-motion invariant. The first message layer W·[h_i; h_k; d_ik] + b,
-    stored as W's row blocks ``msg1/wi``, ``msg1/wk`` and ``msg1/wd``, is
-    (hW_i)_i + (hW_k)_k + d_ik·w_d + b with hW_i and hW_k formed once over
-    all N rows: no (R,K,2d+1) input is built. Each tile's messages are one
-    ``numerics.edge_messages`` node; the radial vectors stay ordinary
-    nodes, which the coordinate head also reads.
+    vectors x_i − x_k (R,K,3)) for each of ``_edge_tiles``' tiles, in row
+    order; a K = 0 tile (a one-residue or one-atom record) has no
+    messages. Coordinates enter only through the pairwise distance, which
+    keeps the whole block rigid-motion invariant. The first message layer
+    W·[h_i; h_k; d_ik] + b, stored as W's row blocks ``msg1/wi``,
+    ``msg1/wk`` and ``msg1/wd``, is (hW_i)_i + (hW_k)_k + d_ik·w_d + b
+    with hW_i and hW_k formed once over all N rows: no (R,K,2d+1) input
+    is built. Each tile's messages are one ``numerics.edge_messages``
+    node; the radial vectors stay ordinary nodes, which the coordinate
+    head also reads.
     """
     hw_i = h @ params[f"{prefix}/msg1/wi"]
     hw_k = h @ params[f"{prefix}/msg1/wk"]
     weights = [params[f"{prefix}/{name}"] for name in (
         "msg1/wd", "msg1/b", "msg2/w", "msg2/b", "attn/w", "attn/b")]
-    for lo, lists in _edge_tiles(neighbors):
+    for lo, lists in _edge_tiles(neighbors, h.shape[1]):
         r, k = lists.shape
         if k == 0:
             yield Tensor(np.zeros((r, 0, h.shape[1]))), Tensor(np.zeros((r, 0, 3)))
@@ -104,18 +104,21 @@ def gated_node_update(h: Tensor, g: Tensor, params, prefix: str) -> Tensor:
     return h + gate * g
 
 
-def _edge_tiles(neighbors):
+def _edge_tiles(neighbors, d):
     """(first row, neighbor lists) of each edge tile: consecutive records
-    with the same K share tiles of at most ``numerics.ROW_TILE`` rows."""
+    with the same K form a run, cut into ``numerics.tile_rows(K·d·8)``
+    centers, so each (R,K,d) temporary of the forward and of the
+    backward rule stays within ``numerics.TILE_BYTES``."""
     runs = []
     for block in neighbors:
         if runs and runs[-1][-1].shape[1] == block.shape[1]:
             runs[-1].append(block)
         else:
             runs.append([block])
-    lo, tile = 0, nm.ROW_TILE
+    lo = 0
     for run in runs:
         lists = np.concatenate(run)
+        tile = nm.tile_rows(lists.shape[1] * d * 8)
         for i in range(0, len(lists), tile):
             yield lo + i, lists[i:i + tile]
         lo += len(lists)

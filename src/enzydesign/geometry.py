@@ -40,7 +40,7 @@ def knn(points: np.ndarray, k: int) -> np.ndarray:
     (1, 0) block. Neighbors are ordered by increasing distance; ties
     broken by lower index (the order of a stable sort of each row), so
     the graph is deterministic and invariant under rigid motion for
-    generic point sets. Rows are ranked ``numerics.ROW_TILE`` at a time.
+    generic point sets. Ranks ``numerics.tile_rows(N·8)`` rows at a time.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -51,9 +51,9 @@ def knn(points: np.ndarray, k: int) -> np.ndarray:
     k = min(k, n - 1)
     if k == 0:
         return np.zeros((1, 0), dtype=np.intp)
-    tiles = []
-    for lo in range(0, n, nm.ROW_TILE):
-        d = pairwise_distances(points[lo:lo + nm.ROW_TILE], points)
+    tiles, tile = [], nm.tile_rows(n * 8)
+    for lo in range(0, n, tile):
+        d = pairwise_distances(points[lo:lo + tile], points)
         np.fill_diagonal(d[:, lo:], np.inf)
         if 2 * k >= n:  # most of each row is kept: one stable sort is cheaper
             tiles.append(np.argsort(d, axis=1, kind="stable")[:, :k])
@@ -110,19 +110,14 @@ def init_coordinates(given: np.ndarray, motif: np.ndarray, n: int, rng,
     given = np.asarray(given, dtype=np.float64).reshape(len(motif), 3)
     if motif.size and (motif.min() < 0 or motif.max() >= n):
         raise IndexError(f"motif index out of range for length {n}")
-    motif_set = {int(i): row for i, row in zip(motif, given)}
-    coords = np.zeros((n, 3))
-    for i in range(n):
-        if i in motif_set:
-            coords[i] = motif_set[i]
-        else:
-            prev = coords[i - 1] if i > 0 else np.zeros(3)
-            w1 = rng.uniform(0.0, np.pi)
-            w2 = rng.uniform(0.0, 2.0 * np.pi)
-            direction = np.array([
-                np.sin(w1) * np.cos(w2),
-                np.sin(w1) * np.sin(w2),
-                np.cos(w1),
-            ])
-            coords[i] = prev + bond_length * direction
-    return coords
+    free = np.ones(n, dtype=bool)
+    free[motif] = False
+    w1, w2 = rng.uniform([0.0, 0.0], [np.pi, 2.0 * np.pi],
+                         size=(int(free.sum()), 2)).T
+    # row 0 is the origin and each motif row restarts the chain of steps
+    chain = np.zeros((n + 1, 3))
+    chain[1:][free] = bond_length * np.stack(
+        [np.sin(w1) * np.cos(w2), np.sin(w1) * np.sin(w2), np.cos(w1)], axis=1)
+    chain[1 + motif] = given
+    return np.concatenate([np.cumsum(part, axis=0) for part in
+                           np.split(chain, np.flatnonzero(~free) + 1)])[1:]

@@ -22,6 +22,11 @@ a closed-form backward rule, and a run of the program builds every one.
 ``attention`` runs its softmax, and ``edge_messages`` its distance and
 softmax, as numpy ops.
 
+Forward work that grows with N² or N·K runs ``tile_rows`` rows at a
+time, each tile's temporaries at most ``TILE_BYTES``, with or without a
+graph: an edge tile's backward rule allocates its temporaries at the
+tile's size too.
+
 No tensor is scanned for finiteness when it is made. Data is checked
 where it enters the program (the record, substrate, motif and run-config
 readers and ``load_checkpoint``), and results where they leave the
@@ -45,9 +50,15 @@ import numpy as np
 
 _creation = itertools.count()  # orders the tensors that require a gradient
 
-# Rows per block of the forward work that grows with N² or N·K (attention
-# queries, neighborhood edges, kNN distances), read at call time.
-ROW_TILE = 128
+# Bytes per tile temporary, read at call time. On a 2-vCPU VM with 2 MB
+# of L2 per core, 2^18 to 2^20 overlapped across two sweeps and 2^21
+# (about 128-row tiles) was slowest in both; 2^19 led the first sweep.
+TILE_BYTES = 1 << 19
+
+
+def tile_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes that fit in ``TILE_BYTES``, at least 1."""
+    return max(1, TILE_BYTES // max(1, row_bytes))
 
 
 class NumericsError(ValueError):
@@ -355,8 +366,7 @@ def segments(lengths) -> list[slice]:
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     """Softmax of a numpy array along ``axis``, shifted by the max: no
-    graph node, just ``attention``'s forward and the binding suite's
-    probabilities."""
+    graph node, just the binding suite's probabilities."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
@@ -368,9 +378,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     ``lengths`` splits the rows into consecutive records (one record of N
     rows when None); each row attends only to the rows of its own record,
-    so the weights are block-diagonal. Within a record the forward runs
-    ``ROW_TILE`` query rows at a time; each record's (heads, n, n)
-    weights are kept only for the backward."""
+    so the weights are block-diagonal. A record of n rows runs
+    ``tile_rows(heads·n·8)`` query rows at a time, each tile's softmax in
+    place in its scores' buffer: with a backward, the tile's slice of the
+    record's (heads, n, n) weights, kept only for the backward."""
     n, d = q.shape
     scale = 1.0 / np.sqrt(d // heads)
 
@@ -387,12 +398,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     for r in records:
         kt, vr, size = kh[:, r].transpose(0, 2, 1), vh[:, r], r.stop - r.start
         p = np.empty((heads, size, size)) if grad else None
-        for lo in range(r.start, r.stop, ROW_TILE):
-            rows = slice(lo, min(lo + ROW_TILE, r.stop))
-            pt = softmax((qh[:, rows] @ kt) * scale, -1)
+        tile = tile_rows(heads * size * 8)
+        for lo in range(r.start, r.stop, tile):
+            rows = slice(lo, min(lo + tile, r.stop))
+            pt = np.matmul(qh[:, rows], kt, out=None if p is None else
+                           p[:, lo - r.start:rows.stop - r.start])
+            pt *= scale  # softmax's ops, in place
+            pt -= pt.max(axis=-1, keepdims=True)
+            np.exp(pt, out=pt)
+            pt /= pt.sum(axis=-1, keepdims=True)
             out[rows] = merge(pt @ vr)
-            if p is not None:
-                p[:, lo - r.start:rows.stop - r.start] = pt
         weights.append(p)
 
     def bw(g):

@@ -23,6 +23,14 @@ def check_gradient(op, x, h=1e-5, tol=1e-6):
     A fixed random weighting avoids losses that are constant by
     construction (softmax and layer_norm outputs have invariant sums).
     """
+    analytic, fd = analytic_and_fd(op, x, h)
+    rel = np.abs(analytic - fd) / (np.abs(fd) + 1e-8)
+    assert rel.max() < tol, f"max relative error {rel.max():.3e}"
+
+
+def analytic_and_fd(op, x, h=1e-5):
+    """``check_gradient``'s two gradients of the same random projection of
+    op(x): the analytic one and central differences at step ``h``."""
     probe = {}
 
     def loss_of(out):
@@ -39,8 +47,7 @@ def check_gradient(op, x, h=1e-5, tol=1e-6):
         return loss_of(op(Tensor(arr))).item()
 
     fd = finite_difference_gradient(f, np.array(x, dtype=np.float64), h=h)
-    rel = np.abs(t.grad - fd) / (np.abs(fd) + 1e-8)
-    assert rel.max() < tol, f"max relative error {rel.max():.3e}"
+    return t.grad, fd
 
 
 # ---- graph nodes the program no longer builds, kept as test oracles ----
@@ -207,6 +214,30 @@ def argsort_knn(points, k):
     d = np.sqrt((diff ** 2).sum(axis=-1))
     np.fill_diagonal(d, np.inf)
     return np.argsort(d, axis=1, kind="stable")[:, :min(k, len(points) - 1)]
+
+
+def loop_init_coordinates(given, motif, n, rng, bond_length):
+    """``geometry.init_coordinates`` one residue at a time: two scalar
+    draws per free residue, each placed from its predecessor."""
+    rng = np.random.default_rng(rng)
+    motif = np.asarray(motif, dtype=np.intp)
+    given = np.asarray(given, dtype=np.float64).reshape(len(motif), 3)
+    motif_set = {int(i): row for i, row in zip(motif, given)}
+    coords = np.zeros((n, 3))
+    for i in range(n):
+        if i in motif_set:
+            coords[i] = motif_set[i]
+        else:
+            prev = coords[i - 1] if i > 0 else np.zeros(3)
+            w1 = rng.uniform(0.0, np.pi)
+            w2 = rng.uniform(0.0, 2.0 * np.pi)
+            direction = np.array([
+                np.sin(w1) * np.cos(w2),
+                np.sin(w1) * np.sin(w2),
+                np.cos(w1),
+            ])
+            coords[i] = prev + bond_length * direction
+    return coords
 
 
 # ---- scalar oracles for the vectorized data and site_miner paths ----

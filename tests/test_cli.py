@@ -641,7 +641,7 @@ class TestVerifyCommand:
             # x * 1e-3 into the first three channels of every message
             pad = np.zeros((3, h.shape[1]))
             pad[:, :3] = 1e-3 * np.eye(3)
-            tiles = em._edge_tiles(neighbors)
+            tiles = em._edge_tiles(neighbors, h.shape[1])
             for (m, rel), (lo, lists) in zip(
                     original(h, x, neighbors, params, prefix), tiles):
                 x_i = nm.take(x, np.arange(lo, lo + len(lists)))

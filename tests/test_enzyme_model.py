@@ -10,9 +10,10 @@ from enzydesign.enzyme_model import (embed_inputs, forward_stack,
                                      neighborhood_messages,
                                      neighborhood_sublayer)
 from enzydesign.numerics import Tensor
-from enzydesign.parameters import TagVocabulary, init_parameters
+from enzydesign.parameters import (TagVocabulary, constant_views,
+                                   init_parameters)
 
-from helpers import init_generic_parameters, softmax
+from helpers import init_generic_parameters, interior_nodes, softmax
 
 
 def small_setup(d=8, heads=2, sublayers=2, period=1, seed=0,
@@ -352,9 +353,13 @@ class TestGreedyDecode:
         assert out[0] == 0
 
 
-def _with_tile(monkeypatch, tile, fn):
-    monkeypatch.setattr(nm, "ROW_TILE", tile)
+def _with_budget(monkeypatch, budget, fn):
+    monkeypatch.setattr(nm, "TILE_BYTES", budget)
     return fn()
+
+
+# a budget far above any test's block: every block is one tile
+WHOLE = 1 << 40
 
 
 def _loss_grads(params, config, seq, known, tag_idx, coords):
@@ -371,8 +376,8 @@ def _loss_grads(params, config, seq, known, tag_idx, coords):
 
 
 class TestRowTiles:
-    """The blocks that grow with N run ``numerics.ROW_TILE`` rows at a time;
-    each is checked against one tile (``ROW_TILE`` patched to N or more)."""
+    """The blocks that grow with N run ``numerics.TILE_BYTES`` bytes at a
+    time; each is checked against one tile (a budget above the block)."""
 
     def test_neighborhood_sublayer_bit_identical_at_300(self, monkeypatch):
         config, vocab, params = small_setup(d=64, heads=4, generic=True)
@@ -384,19 +389,23 @@ class TestRowTiles:
         def run():
             return neighborhood_sublayer(h, x, [nbrs], params, "neigh0", config)
 
-        tiled = _with_tile(monkeypatch, 128, run)
-        whole = _with_tile(monkeypatch, 300, run)
+        tiled = _with_budget(monkeypatch, 1 << 19, run)  # 34-center tiles
+        whole = _with_budget(monkeypatch, WHOLE, run)
         for a, b in zip(tiled, whole):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_forward_stack_against_one_tile(self, monkeypatch):
-        """Bit-identical at N = 512, four full tiles. At N = 300 the
-        partial tile's attention products may take another OpenBLAS kernel
-        than the 300-row ones, which moves the last bit."""
+        """Bit-identical at N = 512 under 2^21 bytes, where attention runs
+        four full tiles of 128 rows (heads·N·8 = 16384 bytes a row) and
+        the edges 136-center tiles. Smaller attention tiles, as under the
+        default budget and 2^17 bytes, and N = 300's partial tile may take
+        another OpenBLAS kernel than one whole tile, which moves the last
+        bit."""
         config = ModelConfig()
         vocab = TagVocabulary.from_tags(["1.2.3.4"])
-        params = {k: Tensor(t.data) for k, t in init_generic_parameters(
-            config, vocab, np.random.default_rng(31)).items()}
+        params = constant_views(init_generic_parameters(
+            config, vocab, np.random.default_rng(31)))
+        budgets = (1 << 21, nm.TILE_BYTES, 1 << 17)
         for n in (512, 300):
             inputs = random_instance(n, config, vocab,
                                      np.random.default_rng(n))
@@ -404,30 +413,52 @@ class TestRowTiles:
             def run():
                 return forward_stack(*inputs, params, config)
 
-            tiled = _with_tile(monkeypatch, 128, run)
-            whole = _with_tile(monkeypatch, n, run)
-            for a, b in zip(tiled, whole):
-                if n == 512:
-                    np.testing.assert_array_equal(a.data, b.data)
-                np.testing.assert_allclose(a.data, b.data, rtol=0,
-                                           atol=1e-14 * np.abs(b.data).max())
+            whole = _with_budget(monkeypatch, WHOLE, run)
+            for budget in budgets:
+                tiled = _with_budget(monkeypatch, budget, run)
+                for a, b in zip(tiled, whole):
+                    if n == 512 and budget == 1 << 21:
+                        np.testing.assert_array_equal(a.data, b.data)
+                    np.testing.assert_allclose(
+                        a.data, b.data, rtol=0,
+                        atol=1e-14 * np.abs(b.data).max())
 
     def test_multi_tile_gradients_match_one_tile(self, monkeypatch):
+        """7 attention rows (heads·N·8 = 2400 bytes) and 43 edge centers
+        (K·d·8 = 384 bytes) a tile."""
         config, vocab, params = small_setup(d=16, heads=2, generic=True)
         inputs = random_instance(150, config, vocab,
                                  np.random.default_rng(32))
-        tiled = _with_tile(monkeypatch, 7,
-                           lambda: _loss_grads(params, config, *inputs))
-        whole = _with_tile(monkeypatch, 150,
-                           lambda: _loss_grads(params, config, *inputs))
+        tiled = _with_budget(monkeypatch, 7 * 2400,
+                             lambda: _loss_grads(params, config, *inputs))
+        whole = _with_budget(monkeypatch, WHOLE,
+                             lambda: _loss_grads(params, config, *inputs))
         assert tiled.keys() == whole.keys()
         scale = max(np.abs(g).max() for g in whole.values())
         for name, g in whole.items():
             np.testing.assert_allclose(tiled[name], g, rtol=0,
                                        atol=1e-12 * scale, err_msg=name)
 
+    def test_graph_edge_tiles_follow_the_budget(self, monkeypatch):
+        """A graph forward cuts its edges by the budget too, so no (R,K,·)
+        node, whose backward rule sizes its temporaries by it, outgrows
+        the budget: 10 centers of K·d·8 = 384 bytes a tile."""
+        config, vocab, params = small_setup(d=16, heads=2, generic=True)
+        inputs = random_instance(60, config, vocab, np.random.default_rng(34))
+
+        def largest_edge_block():
+            logits, x, _ = forward_stack(*inputs, params, config)
+            root = nm.tensor_sum(logits) + nm.tensor_sum(x)
+            return max(8 * np.prod(t.shape) for t in interior_nodes(root)
+                       if len(t.shape) == 3)
+
+        assert _with_budget(monkeypatch, WHOLE, largest_edge_block) == 60 * 384
+        assert _with_budget(monkeypatch, 3840, largest_edge_block) == 3840
+
     def test_multi_tile_se3_equivariance(self, monkeypatch):
-        monkeypatch.setattr(nm, "ROW_TILE", 7)
+        """7 edge centers (K·d·8 = 192 bytes), 2 attention rows and 4 kNN
+        rows a tile."""
+        monkeypatch.setattr(nm, "TILE_BYTES", 7 * 192)
         config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(33)
         seq, known, tag_idx, coords = random_instance(40, config, vocab, rng)
@@ -469,7 +500,9 @@ class TestPacking:
 
     @pytest.mark.parametrize("tile", [128, 4])
     def test_each_record_equals_its_own_forward(self, monkeypatch, tile):
-        monkeypatch.setattr(nm, "ROW_TILE", tile)
+        """A budget of ``tile`` three-neighbor centers (K·d·8 = 192 bytes
+        each)."""
+        monkeypatch.setattr(nm, "TILE_BYTES", tile * 192)
         config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(40)
         instances = self.instances(config, vocab, rng)
@@ -481,8 +514,9 @@ class TestPacking:
                                            atol=1e-12 * np.abs(b.data).max())
 
     def test_se3_equivariance_per_record(self, monkeypatch):
-        """A different rigid motion on each record moves only its rows."""
-        monkeypatch.setattr(nm, "ROW_TILE", 4)
+        """A different rigid motion on each record moves only its rows;
+        a budget of four centers."""
+        monkeypatch.setattr(nm, "TILE_BYTES", 4 * 192)
         config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(41)
         instances = self.instances(config, vocab, rng)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import enzydesign.numerics as nm
 from enzydesign import geometry
 from enzydesign.geometry import (GeometryError, apply_rigid, init_coordinates,
                                  knn, pairwise_distances, random_rigid)
 
-from helpers import argsort_knn
+from helpers import argsort_knn, loop_init_coordinates
 
 
 def brute_force_knn(points, k):
@@ -60,10 +60,12 @@ class TestKnn:
         np.testing.assert_array_equal(knn(pts[:40], 50), argsort_knn(pts[:40], 50))
 
     @pytest.mark.parametrize("k", [6, 30])
-    def test_row_tiles_match_stable_argsort(self, k):
-        """N = 300 is two full 128-row tiles and a partial one. On the
-        10 x 10 x 3 lattice, rows 127 and 128 are neighbors, so their tied
-        neighbor lists cross the tile edge."""
+    def test_row_tiles_match_stable_argsort(self, k, monkeypatch):
+        """N = 300 under a budget of 128 rows (N·8 bytes each) is two full
+        tiles and a partial one. On the 10 x 10 x 3 lattice, rows 127 and
+        128 are neighbors, so their tied neighbor lists cross the tile
+        edge."""
+        monkeypatch.setattr(nm, "TILE_BYTES", 128 * 300 * 8)
         pts = np.cumsum(np.random.default_rng(8).normal(size=(300, 3)), axis=0)
         np.testing.assert_array_equal(knn(pts, k), argsort_knn(pts, k))
         lattice = np.stack(np.meshgrid(np.arange(10.0), np.arange(10.0),
@@ -73,9 +75,9 @@ class TestKnn:
 
     @pytest.mark.parametrize("n,k", [(12, 6), (12, 30), (27, 13), (40, 7)])
     def test_small_tiles_match_stable_argsort(self, n, k, monkeypatch):
-        """Seven-row tiles, on either side of the k >= N/2 switch to a
-        stable sort of whole rows."""
-        monkeypatch.setattr(nm, "ROW_TILE", 7)
+        """Seven-row tiles (N·8 bytes a row), on either side of the
+        k >= N/2 switch to a stable sort of whole rows."""
+        monkeypatch.setattr(nm, "TILE_BYTES", 7 * n * 8)
         axis = np.arange(3.0)
         lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                            axis=-1).reshape(-1, 3)
@@ -154,6 +156,25 @@ class TestInitCoordinates:
         a = init_coordinates(given, np.array([2]), 8, 123, 3.75)
         b = init_coordinates(given, np.array([2]), 8, 123, 3.75)
         np.testing.assert_array_equal(a, b)
+
+    @given(st.integers(1, 512).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(0, n - 1), max_size=8).map(sorted),
+        st.integers(0, 2 ** 31 - 1))))
+    @example((5, [0, 3], 1))                # a motif at row 0
+    @example((5, [0, 1, 2, 3, 4], 2))       # every residue a motif
+    @example((40, [], 3))                   # no motif
+    @example((1, [], 4))                    # N = 1, free
+    @example((1, [0], 5))                   # N = 1, a motif
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_residue_at_a_time(self, case):
+        """The same draws as the per-residue loop, bit for bit."""
+        n, motif, seed = case
+        given = np.random.default_rng(seed).normal(scale=10.0,
+                                                   size=(len(motif), 3))
+        assert np.array_equal(
+            init_coordinates(given, np.array(motif, dtype=np.intp), n, seed,
+                             3.75),
+            loop_init_coordinates(given, motif, n, seed, 3.75))
 
     def test_out_of_range_motif_index(self):
         with pytest.raises(IndexError):

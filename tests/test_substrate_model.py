@@ -107,7 +107,8 @@ class TestSubstrateForward:
     @pytest.mark.parametrize("tile", [128, 2])
     def test_packed_matches_each_substrate_alone(self, monkeypatch, tile):
         """Five substrates packed end to end, one-atom ones among them:
-        each one's rows equal its own forward's."""
+        each one's rows equal its own forward's. The packed forward has a
+        budget of ``tile`` three-neighbor atoms (K·d·8 = 192 bytes each)."""
         config, params = setup()
         rng = np.random.default_rng(11)
         lengths = [1, 4, 1, 6, 2]
@@ -115,7 +116,7 @@ class TestSubstrateForward:
         coords = rng.normal(size=(sum(lengths), 3)) * 2.0
         alone = [substrate_forward(feats[r], coords[r], params, config).data
                  for r in nm.segments(lengths)]
-        monkeypatch.setattr(nm, "ROW_TILE", tile)
+        monkeypatch.setattr(nm, "TILE_BYTES", tile * 192)
         packed = substrate_forward(feats, coords, params, config, lengths)
         np.testing.assert_allclose(packed.data, np.concatenate(alone),
                                    rtol=1e-12, atol=1e-12)

@@ -430,8 +430,10 @@ class TestPackedBatch:
 
     @pytest.mark.parametrize("tile", [128, 5])
     def test_matches_one_record_path(self, monkeypatch, tile):
-        """Edge tiles of two widths, split at 128 and at 5 rows."""
-        monkeypatch.setattr(nm, "ROW_TILE", tile)
+        """Edge tiles of two widths under budgets of 128 and 5 twelve-
+        neighbor centers (K·d·8 = 768 bytes each); the attention tiles
+        follow the same budgets."""
+        monkeypatch.setattr(nm, "TILE_BYTES", tile * 768)
         assert_packed_matches_singles(*mixed_batch())
 
     def test_one_residue_record_matches_its_own_forward(self):
@@ -490,15 +492,19 @@ class TestPackedBatch:
 
     def test_toy_config_step_tensor_count(self, monkeypatch):
         """One phase-2 step of the toy config's model over the toy corpus
-        (eight length-12 records, three substrates) builds 220 tensors,
-        interior nodes and constants alike; one forward and one substrate
-        stack per record built 2497, a binding head that reshaped its
-        scores to (2,) and back 558, one substrate stack per distinct
-        substrate with one binding call per record 542, edge messages
-        built from generic primitives 312, and message and binding weights
-        stored whole and cut into row blocks by ``take`` 234 (two ``take``
-        nodes for each of the six message weights, three enzyme and three
-        substrate sub-layers, and two for the binding weight)."""
+        (eight length-12 records, three substrates) builds 256 tensors,
+        interior nodes and constants alike. The 96 centers with K = 11
+        make two edge tiles under the 2^19-byte budget (93 + 3 centers of
+        K·d·8 = 5632 bytes), 12 tensors each in each of the three enzyme
+        neighborhood sub-layers; one 96-center tile built 220, one forward
+        and one substrate stack per record 2497, a binding head that
+        reshaped its scores to (2,) and back 558, one substrate stack per
+        distinct substrate with one binding call per record 542, edge
+        messages built from generic primitives 312, and message and
+        binding weights stored whole and cut into row blocks by ``take``
+        234 (two ``take`` nodes for each of the six message weights, three
+        enzyme and three substrate sub-layers, and two for the binding
+        weight)."""
         model_cfg = read_run_config(json.loads(
             (REPO / "configs/toy.json").read_text()))[0]
         records, pool, vocab, _, _ = toy_setup()
@@ -513,7 +519,7 @@ class TestPackedBatch:
         monkeypatch.setattr(Tensor, "__init__", counting)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
         train(records, pool, params, model_cfg, sched, vocab)
-        assert len(built) == 220
+        assert len(built) == 256
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("primitive", ["silu", "log_softmax"])
