@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -148,12 +149,13 @@ def read_motif_file(path):
     if n < 1:
         raise UsageError(f"{path}: design length {n} is below 1")
     indices = [r[0] for r in rows]
+    counts = Counter(indices)
     for idx, res, _ in rows:
         if res not in AA_TO_INDEX:
             raise UsageError(f"{path}: motif residue {res!r}")
         if not 0 <= idx < n:
             raise UsageError(f"{path}: motif index {idx} outside [0, {n})")
-        if indices.count(idx) > 1:
+        if counts[idx] > 1:
             raise UsageError(f"{path}: motif index {idx} given twice")
     return (n, tag, np.array(indices, dtype=np.intp),
             [r[1] for r in rows], np.array([r[2] for r in rows]))

@@ -68,33 +68,29 @@ def global_attention_sublayer(h: Tensor, params, prefix: str,
 
 
 def neighborhood_messages(h: Tensor, x: Tensor, neighbors, params,
-                          prefix: str):
-    """Softmax-weighted edge messages m_ik, one edge tile at a time.
+                          prefix: str, head=()) -> Tensor:
+    """Each row's summed softmax-weighted edge messages Σ_k m_ik, (N, d),
+    and with the coordinate ``head`` weights its coordinate update
+    Σ_k (x_i − x_k)·φ_x(m_ik) in three more columns, (N, d + 3).
 
     ``neighbors`` is a list of blocks of row indices, one (N_r, K_r)
-    block per packed record. Yields (weighted messages (R,K,d), radial
-    vectors x_i − x_k (R,K,3)) for each of ``_edge_tiles``' tiles, in row
-    order; a K = 0 tile (a one-residue or one-atom record) has no
-    messages. Coordinates enter only through the pairwise distance, which
-    keeps the whole block rigid-motion invariant. The first message layer
+    block per packed record. Each of ``_edge_tiles``' tiles is one
+    ``numerics.edge_messages`` node, and the tiles join in row order; a
+    K = 0 tile (a one-residue or one-atom record) has no messages.
+    Coordinates enter the messages only through the pairwise distance,
+    which keeps them rigid-motion invariant. The first message layer
     W·[h_i; h_k; d_ik] + b, stored as W's row blocks ``msg1/wi``,
     ``msg1/wk`` and ``msg1/wd``, is (hW_i)_i + (hW_k)_k + d_ik·w_d + b
     with hW_i and hW_k formed once over all N rows: no (R,K,2d+1) input
-    is built. Each tile's messages are one ``numerics.edge_messages``
-    node; the radial vectors stay ordinary nodes, which the coordinate
-    head also reads.
+    is built.
     """
     hw_i = h @ params[f"{prefix}/msg1/wi"]
     hw_k = h @ params[f"{prefix}/msg1/wk"]
     weights = [params[f"{prefix}/{name}"] for name in (
         "msg1/wd", "msg1/b", "msg2/w", "msg2/b", "attn/w", "attn/b")]
-    for lo, lists in _edge_tiles(neighbors, h.shape[1]):
-        r, k = lists.shape
-        if k == 0:
-            yield Tensor(np.zeros((r, 0, h.shape[1]))), Tensor(np.zeros((r, 0, 3)))
-            continue
-        rel = nm.take(x, (lo + np.arange(r))[:, None]) - nm.take(x, lists)
-        yield nm.edge_messages(hw_i, hw_k, rel, *weights, lo, lists), rel
+    return nm.concat([nm.edge_messages(hw_i, hw_k, x, *weights, lo, lists,
+                                       head)
+                      for lo, lists in _edge_tiles(neighbors, h.shape[1])])
 
 
 def gated_node_update(h: Tensor, g: Tensor, params, prefix: str) -> Tensor:
@@ -134,18 +130,16 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors, params,
     ``freeze_motif_coords`` is set, motif rows keep their incoming
     coordinates. ``neighbors`` is as in ``neighborhood_messages``.
     """
-    deltas, aggregates = [], []
-    for m, rel in neighborhood_messages(h, x, neighbors, params, prefix):
-        scale = _linear(nm.silu(_linear(m, params, f"{prefix}/coord1")),
-                        params, f"{prefix}/coord2")
-        deltas.append(nm.tensor_sum(rel * scale, axis=1))
-        aggregates.append(nm.tensor_sum(m, axis=1))
-    x_new = x + nm.concat(deltas)
+    d = h.shape[1]
+    head = [params[f"{prefix}/{name}"] for name in (
+        "coord1/w", "coord1/b", "coord2/w", "coord2/b")]
+    blocks = neighborhood_messages(h, x, neighbors, params, prefix, head)
+    x_new = x + nm.columns(blocks, d, d + 3)
     if config.freeze_motif_coords and motif_mask is not None:
         keep = Tensor(np.asarray(motif_mask, dtype=np.float64)[:, None])
         x_new = x * keep + x_new * (1.0 - keep)
 
-    h_new = gated_node_update(h, nm.concat(aggregates), params, prefix)
+    h_new = gated_node_update(h, nm.columns(blocks, 0, d), params, prefix)
     return h_new, x_new
 
 

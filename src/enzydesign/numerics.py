@@ -13,13 +13,15 @@ finite differences in the test suite.
 The primitives are ``add``, ``sub``, ``mul`` and ``matmul``, which
 broadcast like numpy and sum their gradients back to each operand's
 shape; ``linear`` (``x @ w + b`` over the last axis); ``relu``,
-``sigmoid``, ``silu``, ``tensor_sum``, ``take`` (embedding or coordinate
-rows by an index array), ``concat`` along axis 0 and a matrix's ``transpose``;
-``log_softmax``, multi-head ``attention`` (block-diagonal over packed
-records), the affine ``layer_norm(x, g, b)`` and ``edge_messages`` (one
-edge tile's softmax-weighted EGNN messages). Each is one graph node with
-a closed-form backward rule, and a run of the program builds every one.
-``attention`` runs its softmax, and ``edge_messages`` its distance and
+``sigmoid``, ``tensor_sum``, ``take`` (embedding rows by an index
+array), ``concat`` along axis 0, a matrix's ``columns`` and its
+``transpose``; ``log_softmax``, multi-head ``attention`` (block-diagonal
+over packed records), the affine ``layer_norm(x, g, b)`` and
+``edge_messages`` (one edge tile of an EGNN layer: the sums over K of
+its softmax-weighted messages and, with the coordinate head, of its
+coordinate updates). Each is one graph node with a closed-form backward
+rule, and a run of the program builds every one. ``attention`` runs its
+softmax, and ``edge_messages`` its radial vectors, distances, SiLUs and
 softmax, as numpy ops.
 
 Forward work that grows with N² or N·K runs ``tile_rows`` rows at a
@@ -296,16 +298,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor(s, _parents=(x,), _backward_fn=bw)
 
 
-def silu(x: Tensor) -> Tensor:
-    s = _logistic(x.data)
-    y = x.data * s
-
-    def bw(g):
-        return (_silu_grad(g, s, y),)
-
-    return Tensor(y, _parents=(x,), _backward_fn=bw)
-
-
 # ---- reductions and shape ----
 
 def tensor_sum(x: Tensor, axis=None) -> Tensor:
@@ -334,13 +326,28 @@ def take(x: Tensor, indices) -> Tensor:
     indices = np.asarray(indices, dtype=np.intp)
 
     def bw(g):
-        width = x.size // x.shape[0]
-        flat = indices.reshape(-1, 1) * width + np.arange(width)
-        gx = np.bincount(flat.reshape(-1), weights=g.reshape(-1),
-                         minlength=x.size)
-        return (gx.reshape(x.shape),)
+        return (_scatter_rows(indices, g, x.shape),)
 
     return Tensor(x.data[indices], _parents=(x,), _backward_fn=bw)
+
+
+def _scatter_rows(indices, g, shape) -> np.ndarray:
+    """Rows of ``g`` added into zeros of ``shape`` at rows ``indices``."""
+    width = int(np.prod(shape[1:]))
+    flat = indices.reshape(-1, 1) * width + np.arange(width)
+    return np.bincount(flat.reshape(-1), weights=g.reshape(-1),
+                       minlength=shape[0] * width).reshape(shape)
+
+
+def columns(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns ``start:stop`` of a matrix, as a C-contiguous copy."""
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        gx[:, start:stop] = g
+        return (gx,)
+
+    return Tensor(x.data[:, start:stop].copy(), _parents=(x,),
+                  _backward_fn=bw)
 
 
 def concat(parts) -> Tensor:
@@ -425,35 +432,42 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return Tensor(out, _parents=(q, k, v), _backward_fn=bw)
 
 
-def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, wd: Tensor,
+def edge_messages(hw_i: Tensor, hw_k: Tensor, x: Tensor, wd: Tensor,
                   b1: Tensor, w2: Tensor, b2: Tensor, wa: Tensor, ba: Tensor,
-                  lo: int, lists) -> Tensor:
-    """Softmax-weighted messages (R, K, d) of one edge tile, with a
-    closed-form backward.
+                  lo: int, lists, head=()) -> Tensor:
+    """One edge tile of an EGNN layer (Satorras et al. 2021, eqs. 3-6) as
+    one node: the (R, d) sums over K of its softmax-weighted messages and,
+    given the coordinate ``head`` (coord1/w, coord1/b, coord2/w,
+    coord2/b), the (R, 3) coordinate updates beside them.
 
-    Center r of the tile is row ``lo + r`` of the (N, d) projection
-    ``hw_i``; its neighbors are the rows ``lists[r]`` (R, K) of ``hw_k``,
-    and ``rel`` (R, K, 3) holds its radial vectors. With d_rk = |rel_rk|,
-    the distance weights ``wd`` (d,), ``w2`` (d, d) and one score per edge
-    from ``wa`` (d, 1):
+    Center r is row ``lo + r`` of ``hw_i`` (N, d) and of ``x`` (N, 3); its
+    neighbors are the rows ``lists[r]`` (R, K) of ``hw_k`` and ``x``. With
+    rel_rk = x[lo + r] − x[lists[r, k]] and d_rk = |rel_rk|:
 
         z = (hw_i[lo + r] + hw_k[lists[r, k]]) + d_rk·wd + b1
         m = silu(silu(z) @ w2 + b2)
-        out = softmax over K of (m @ wa + ba), times m
+        u = softmax over K of (m @ wa + ba), times m
+        out = [Σ_k u | Σ_k rel · (silu(u @ c1w + c1b) @ c2w + c2b)]
 
-    The forward runs the numpy ops of that chain of primitives in the same
-    order, so the result has the same bits, and so does each gradient.
-    The intermediates live only as long as the backward rule, which exists
-    only when an input requires a gradient; the rule reuses their buffers,
-    so it fires once, as ``Tensor.backward`` fires every rule. The
-    distance gradient is 0 at d = 0, and the rows of ``hw_k`` are
-    scattered back with one ``bincount``, as in ``take``.
+    A K = 0 tile gives zeros. The forward runs the numpy ops of the chain
+    of nodes it replaces (two ``take``s and a ``sub`` for rel, the
+    messages, the head's ``linear``, SiLU, ``linear`` and ``mul``, two
+    ``tensor_sum``s) in their order, and ``x`` is a parent twice, once
+    per ``take``, so values and gradients keep their bits. Without a
+    backward, the head reuses the messages' spent buffers. The rule keeps
+    six (R, K, d) arrays, silu(z), m and the head's SiLU output with
+    their logistics, beside (R, K, 3) and (R, K, 1) ones; it recomputes u
+    and reuses buffers, so it fires once, as ``Tensor.backward`` fires
+    every rule. The distance gradient is 0 at d = 0.
     """
     lists = np.asarray(lists, dtype=np.intp)
-    (r, k), (n, d) = lists.shape, hw_k.shape
-    parents = (hw_i, hw_k, rel, wd, b1, w2, b2, wa, ba)
+    (r, k), d = lists.shape, hw_k.shape[1]
+    if k == 0:
+        return Tensor(np.zeros((r, d + 3 if head else d)))
+    parents = (hw_i, hw_k, x, x, wd, b1, w2, b2, wa, ba, *head)
     keep = any(t.requires_grad for t in parents)
-    dist = np.sqrt((rel.data ** 2).sum(axis=-1, keepdims=True))
+    rel = x.data[lo:lo + r, None] - x.data[lists]
+    dist = np.sqrt((rel ** 2).sum(axis=-1, keepdims=True))
     y1 = hw_k.data[lists]
     y1 += hw_i.data[lo:lo + r, None]
     s1 = np.multiply(dist, wd.data)
@@ -473,22 +487,45 @@ def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, wd: Tensor,
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     m, s2 = m.reshape(r, k, d), s2.reshape(r, k, d)
-    if keep:
-        out = p * m
-    else:
-        out = m
-        out *= p
+    u = np.multiply(p, m, out=None if keep else m)
+    out = u.sum(axis=1)
+    if head:
+        c1w, c1b, c2w, c2b = head
+        y3 = np.matmul(u.reshape(-1, d), c1w.data,
+                       out=None if keep else s2.reshape(-1, d))
+        y3 += c1b.data
+        s3 = _logistic(y3, out=None if keep else u.reshape(-1, d))
+        y3 *= s3  # the head's silu, in its input's buffer
+        scale = y3 @ c2w.data
+        scale += c2b.data
+        scale = scale.reshape(r, k, 1)
+        out = np.concatenate([out, (rel * scale).sum(axis=1)], axis=1)
 
     def bw(g):
-        buf = g * m
+        if head:  # the chain's rules from its last node back to u
+            g_rel = g[:, None, d:] * scale
+            gs = (g[:, None, d:] * rel).sum(axis=2, keepdims=True)
+            gs = gs.reshape(r * k, 1)
+            gy3 = gs @ c2w.data.T
+            gc2w, gc2b = y3.T @ gs, gs.sum(axis=0)
+            gz3 = _silu_grad(gy3, s3, y3)
+            u = np.multiply(p, m, out=gy3.reshape(r, k, d)).reshape(-1, d)
+            gc1w, gc1b = u.T @ gz3, gz3.sum(axis=0)
+            gu = np.matmul(gz3, c1w.data.T, out=u).reshape(r, k, d)
+            gu += g[:, None, :d]
+            buf = np.multiply(gu, m, out=gz3.reshape(r, k, d))
+        else:
+            gu = np.empty((r, k, d))
+            gu[...] = g[:, None, :]
+            buf = gu * m
         gp = buf.sum(axis=-1, keepdims=True)  # the product's rule
         gp -= (gp * p).sum(axis=1, keepdims=True)
         gp *= p  # softmax's rule
         gp = gp.reshape(r * k, 1)
         gwa = m.reshape(r * k, d).T @ gp
-        gm = np.multiply(g, p, out=buf)
+        gm = np.multiply(gu, p, out=buf)
         gm += (gp @ wa.data.T).reshape(gm.shape)
-        gz2 = _silu_grad(gm, s2, m).reshape(r * k, d)
+        gz2 = _silu_grad(gm, s2, m, out=gu).reshape(r * k, d)
         gy1 = np.matmul(gz2, w2.data.T, out=buf.reshape(r * k, d))
         gz1 = _silu_grad(gy1.reshape(y1.shape), s1, y1, out=s2)
         gw2 = y1.reshape(r * k, d).T @ gz2
@@ -496,14 +533,20 @@ def edge_messages(hw_i: Tensor, hw_k: Tensor, rel: Tensor, wd: Tensor,
         gwd = np.multiply(gz1, dist, out=buf).sum(axis=0).sum(axis=0)
         gdist = np.multiply(gz1, wd.data, out=buf).sum(axis=-1, keepdims=True)
         unit = np.where(dist == 0.0, 0.0,
-                        rel.data / np.where(dist == 0.0, 1.0, dist))
+                        rel / np.where(dist == 0.0, 1.0, dist))
+        if head:
+            g_rel += gdist * unit
+        else:
+            g_rel = gdist * unit
         ghw_i = np.zeros_like(hw_i.data)
         ghw_i[lo:lo + r] = gz1.sum(axis=1)
-        flat = (lists * d).reshape(-1, 1) + np.arange(d)
-        ghw_k = np.bincount(flat.reshape(-1), weights=gz1.reshape(-1),
-                            minlength=n * d).reshape(n, d)
-        return (ghw_i, ghw_k, gdist * unit, gwd, gz1.sum(axis=0).sum(axis=0),
-                gw2, gz2.sum(axis=0), gwa, gp.sum(axis=0))
+        grads = (ghw_i, _scatter_rows(lists, gz1, hw_k.shape),
+                 _scatter_rows(lists, -g_rel, x.shape),
+                 _scatter_rows(np.arange(lo, lo + r),
+                               _unbroadcast(g_rel, (r, 1, 3)), x.shape),
+                 gwd, gz1.sum(axis=0).sum(axis=0), gw2, gz2.sum(axis=0),
+                 gwa, gp.sum(axis=0))
+        return grads + ((gc1w, gc1b, gc2w, gc2b) if head else ())
 
     return Tensor(out, _parents=parents, _backward_fn=bw)
 

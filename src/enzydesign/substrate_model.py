@@ -43,8 +43,7 @@ def substrate_forward(features, coords, params, config: ModelConfig,
                  for r in nm.segments(lengths)]
     for layer in range(config.substrate_layers):
         prefix = f"sub{layer}"
-        g = nm.concat([nm.tensor_sum(m, axis=1) for m, _ in
-                       neighborhood_messages(h, x, neighbors, params, prefix)])
+        g = neighborhood_messages(h, x, neighbors, params, prefix)
         h = gated_node_update(h, g, params, prefix)
     return h
 

@@ -28,6 +28,22 @@ def check_gradient(op, x, h=1e-5, tol=1e-6):
     assert rel.max() < tol, f"max relative error {rel.max():.3e}"
 
 
+def check_input_gradient(op, x, zero=False):
+    """``check_gradient``'s two gradients of op(x), for an input of a whole
+    layer: they agree within 1e-6 of the largest central difference, since
+    an entry many times smaller than the rest carries the differences'
+    roundoff. With ``zero`` (an input whose exact gradient is 0, as a
+    shift that every score of a softmax shares) both are checked against
+    0, not against each other."""
+    analytic, fd = analytic_and_fd(op, x)
+    if zero:
+        assert np.abs(analytic).max() <= 1e-14
+        assert np.abs(fd).max() <= 1e-9
+    else:
+        err = np.abs(analytic - fd).max() / np.abs(fd).max()
+        assert err < 1e-6, f"max error {err:.3e} of the largest entry"
+
+
 def analytic_and_fd(op, x, h=1e-5):
     """``check_gradient``'s two gradients of the same random projection of
     op(x): the analytic one and central differences at step ``h``."""
@@ -76,6 +92,19 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     return Tensor(y, _parents=(x,), _backward_fn=bw)
 
 
+def silu(x: Tensor) -> Tensor:
+    """x · σ(x) as one graph node, on ``numerics``' logistic and SiLU
+    gradient; the coordinate head built it before ``edge_messages`` took
+    the head in."""
+    s = nm._logistic(x.data)
+    y = x.data * s
+
+    def bw(g):
+        return (nm._silu_grad(g, s, y),)
+
+    return Tensor(y, _parents=(x,), _backward_fn=bw)
+
+
 def reshape(x: Tensor, shape) -> Tensor:
     """``x`` in another shape of the same size, as one graph node."""
     def bw(g):
@@ -105,17 +134,38 @@ def composite_attention(q, k, v, heads):
 
 def composite_edge_messages(hw_i, hw_k, rel, wd, b1, w2, b2, wa, ba, lo,
                             lists):
-    """One edge tile's weighted messages as the model built them from
-    separate primitives before ``numerics.edge_messages``: the centers'
-    rows of ``hw_i`` plus the neighbors' rows of ``hw_k``, plus the
-    distance times ``wd``, plus ``b1``; silu, ``msg2``, silu; then a
-    softmax over K of the ``attn`` score, times the messages."""
+    """One edge tile's (R, K, d) weighted messages from separate
+    primitives: the centers' rows of ``hw_i`` plus the neighbors' rows of
+    ``hw_k``, plus the distance |``rel``| times ``wd``, plus ``b1``; silu,
+    ``msg2``, silu; then a softmax over K of the ``attn`` score, times
+    the messages. Its values and gradients have the bits of the messages
+    node the model built before ``numerics.edge_messages`` also took in
+    the radial vectors, the coordinate head and the sums over K."""
     (r, _), d = lists.shape, hw_k.shape[1]
     hw_r = nm.take(hw_i, np.arange(lo, lo + r))
     pre = (reshape(hw_r, (r, 1, d)) + nm.take(hw_k, lists)
            + l2_norm(rel, axis=-1) * wd + b1)
-    m = nm.silu(nm.linear(nm.silu(pre), w2, b2))
+    m = silu(nm.linear(silu(pre), w2, b2))
     return softmax(nm.linear(m, wa, ba), axis=1) * m
+
+
+def edge_chain(hw_i, hw_k, x, wd, b1, w2, b2, wa, ba, lo, lists, head=()):
+    """One edge tile as the model built it before ``numerics.edge_messages``
+    was one node: the radial vectors from two ``take``s and a ``sub``, the
+    messages, and with the coordinate ``head`` its ``linear``, silu,
+    ``linear`` and ``mul``, then a ``tensor_sum`` over K of the
+    coordinate update and of the messages. Returns [message sum] or
+    [message sum, coordinate update], made in that model's order."""
+    r = len(lists)
+    rel = nm.take(x, np.arange(lo, lo + r)[:, None]) - nm.take(x, lists)
+    m = composite_edge_messages(hw_i, hw_k, rel, wd, b1, w2, b2, wa, ba, lo,
+                                lists)
+    if not head:
+        return [nm.tensor_sum(m, axis=1)]
+    c1w, c1b, c2w, c2b = head
+    scale = nm.linear(silu(nm.linear(m, c1w, c1b)), c2w, c2b)
+    delta = nm.tensor_sum(rel * scale, axis=1)
+    return [nm.tensor_sum(m, axis=1), delta]
 
 
 def init_generic_parameters(config, vocab, rng) -> dict:
@@ -146,6 +196,29 @@ def interior_nodes(root):
                 found.append(t)
                 stack.extend(t._parents)
     return found
+
+
+def rule_closure(t):
+    """What ``t``'s backward rule refers to, less the names it reads only
+    on a path this node did not take."""
+    kept = []
+    for cell in t._backward_fn.__closure__:
+        try:
+            kept.append(cell.cell_contents)
+        except ValueError:  # an empty cell
+            pass
+    return kept
+
+
+def kept_arrays(t):
+    """The arrays ``t``'s backward rule keeps alive: each view's owner,
+    once."""
+    owners = {}
+    for a in rule_closure(t):
+        if isinstance(a, np.ndarray):
+            a = a if a.base is None else a.base
+            owners[id(a)] = a
+    return list(owners.values())
 
 
 def mostly(field):

@@ -24,8 +24,7 @@ from enzydesign.verify import (run_binding_invariance_suite,
                                run_equivariance_suite)
 from fixtures import TOY_LENGTH, free_positions, write_toy_tree
 from helpers import (COORD, edit_checkpoint_header, init_generic_parameters,
-                     integer, mostly, read_text_as, reshape, table,
-                     with_crc)
+                     integer, mostly, read_text_as, table, with_crc)
 
 
 @pytest.fixture
@@ -331,18 +330,18 @@ class TestGenerate:
 
     def test_nan_mid_graph_exits_1_with_one_line(self, trained, tmp_path,
                                                  capsys, monkeypatch):
-        """A NaN planted in a primitive's result is caught where the
+        """A NaN planted in an edge tile's result is caught where the
         forward's outputs leave the graph."""
         import enzydesign.numerics as nm
         root, ckpt = trained
-        silu = nm.silu
+        edge_messages = nm.edge_messages
 
-        def planted(x):
-            out = silu(x)
+        def planted(*args):
+            out = edge_messages(*args)
             out.data.flat[0] = np.nan
             return out
 
-        monkeypatch.setattr(nm, "silu", planted)
+        monkeypatch.setattr(nm, "edge_messages", planted)
         capsys.readouterr()
         assert main(["generate", "--checkpoint", ckpt, "--motif",
                      str(root / "motif.tsv"), "--out",
@@ -358,20 +357,20 @@ class TestGenerate:
         import enzydesign.numerics as nm
         root, ckpt = trained
         forwards = []
-        forward_stack, silu = cli.forward_stack, nm.silu
+        forward_stack, edge_messages = cli.forward_stack, nm.edge_messages
 
         def counted(*args, **kwargs):
             forwards.append(1)
             return forward_stack(*args, **kwargs)
 
-        def planted(x):
-            out = silu(x)
+        def planted(*args):
+            out = edge_messages(*args)
             if len(forwards) > 1:
                 out.data.flat[0] = np.nan
             return out
 
         monkeypatch.setattr(cli, "forward_stack", counted)
-        monkeypatch.setattr(nm, "silu", planted)
+        monkeypatch.setattr(nm, "edge_messages", planted)
         capsys.readouterr()
         out = tmp_path / "o.txt"
         assert main(["generate", "--checkpoint", ckpt, "--motif",
@@ -635,17 +634,14 @@ class TestVerifyCommand:
         import enzydesign.enzyme_model as em
         original = em.neighborhood_messages
 
-        def leaky(h, x, neighbors, params, prefix):
+        def leaky(h, x, neighbors, params, prefix, head=()):
             from enzydesign.numerics import Tensor
-            import enzydesign.numerics as nm
-            # x * 1e-3 into the first three channels of every message
-            pad = np.zeros((3, h.shape[1]))
+            # x * 1e-3 into the first three channels of every row's
+            # message sum
+            out = original(h, x, neighbors, params, prefix, head)
+            pad = np.zeros((3, out.shape[1]))
             pad[:, :3] = 1e-3 * np.eye(3)
-            tiles = em._edge_tiles(neighbors, h.shape[1])
-            for (m, rel), (lo, lists) in zip(
-                    original(h, x, neighbors, params, prefix), tiles):
-                x_i = nm.take(x, np.arange(lo, lo + len(lists)))
-                yield m + reshape(x_i, (len(lists), 1, 3)) @ Tensor(pad), rel
+            return out + x @ Tensor(pad)
 
         em.neighborhood_messages = leaky
         try:
@@ -1152,3 +1148,27 @@ def test_motif_parser_parses_or_raises_usage_error(body):
     assert len(indices) == len(residues) == len(coords)
     assert all(0 <= i < 4 for i in indices)
     assert len(set(indices.tolist())) == len(indices)
+
+
+def test_512_row_motif_duplicate_check(tmp_path):
+    """A 512-row motif reads whole; a repeated index is reported at the
+    first of its two rows, before a bad residue that lies between them,
+    and a bad residue before both is reported first."""
+    rows = [f"{i}\tA\t{i}.0\t0.0\t0.0" for i in range(512)]
+    path = tmp_path / "m.tsv"
+
+    def read(lines):
+        path.write_text("length 600, tag 1.1.1.1\n" + "\n".join(lines) + "\n")
+        return read_motif_file(path)
+
+    n, _, indices, residues, coords = read(rows)
+    assert n == 600 and indices.tolist() == list(range(512))
+    assert len(residues) == len(coords) == 512
+    dup = rows[:511] + ["300\tA\t1.0\t2.0\t3.0"]
+    dup[400] = "400\tX\t0.0\t0.0\t0.0"
+    with pytest.raises(UsageError,
+                       match=r"m\.tsv: motif index 300 given twice$"):
+        read(dup)
+    dup[200] = "200\tX\t0.0\t0.0\t0.0"
+    with pytest.raises(UsageError, match=r"motif residue 'X'$"):
+        read(dup)

@@ -13,7 +13,8 @@ from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, constant_views,
                                    init_parameters)
 
-from helpers import init_generic_parameters, interior_nodes, softmax
+from helpers import (check_input_gradient, init_generic_parameters,
+                     interior_nodes, kept_arrays, softmax)
 
 
 def small_setup(d=8, heads=2, sublayers=2, period=1, seed=0,
@@ -168,25 +169,29 @@ def concat_form_messages(h, x, nbrs, params, prefix="neigh0"):
     def p(name):
         return params[f"{prefix}/{name}"].data
 
-    def silu(v):
-        return v / (1.0 + np.exp(-v))
-
     (n, d), k = h.shape, nbrs.shape[1]
     rel = x[:, None, :] - x[nbrs]
     z = np.concatenate([np.broadcast_to(h[:, None, :], (n, k, d)), h[nbrs],
                         np.linalg.norm(rel, axis=-1, keepdims=True)], axis=-1)
     w1 = np.concatenate([p("msg1/wi"), p("msg1/wk"), p("msg1/wd")[None]])
-    msg = silu(silu(z @ w1 + p("msg1/b")) @ p("msg2/w") + p("msg2/b"))
+    msg = _silu(_silu(z @ w1 + p("msg1/b")) @ p("msg2/w") + p("msg2/b"))
     score = msg @ p("attn/w") + p("attn/b")
     e = np.exp(score - score.max(axis=1, keepdims=True))
     return msg, e / e.sum(axis=1, keepdims=True), rel
 
 
-def one_tile(h, x, nbrs, params, prefix="neigh0"):
-    """The (messages, radial vectors) of a record that fits one tile."""
-    (tile,) = neighborhood_messages(Tensor(h), Tensor(x), [nbrs], params,
-                                    prefix)
-    return tile
+def _silu(v):
+    return v / (1.0 + np.exp(-v))
+
+
+def one_block(h, x, nbrs, params, prefix="neigh0"):
+    """(message sums, coordinate updates) of one record's edge block,
+    read from the coordinate head's form of ``neighborhood_messages``."""
+    head = [params[f"{prefix}/{name}"] for name in (
+        "coord1/w", "coord1/b", "coord2/w", "coord2/b")]
+    out = neighborhood_messages(Tensor(h), Tensor(x), [nbrs], params,
+                                prefix, head).data
+    return out[:, :h.shape[1]], out[:, h.shape[1]:]
 
 
 class TestNeighborhood:
@@ -196,9 +201,10 @@ class TestNeighborhood:
         h, x = rng.normal(size=(5, 8)), rng.normal(size=(5, 3))
         nbrs = geometry.knn(x, 3)
         msg, w, _ = concat_form_messages(h, x, nbrs, params)
-        m, _ = one_tile(h, x, nbrs, params)
+        m, _ = one_block(h, x, nbrs, params)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(m.data, w * msg, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m, (w * msg).sum(axis=1), rtol=0,
+                                   atol=1e-12)
 
     def test_single_neighbor_weight_is_one(self):
         config, vocab, params = small_setup()
@@ -206,21 +212,32 @@ class TestNeighborhood:
         h, x = rng.normal(size=(2, 8)), rng.normal(size=(2, 3))
         nbrs = np.array([[1], [0]])
         msg, w, _ = concat_form_messages(h, x, nbrs, params)
-        m, _ = one_tile(h, x, nbrs, params)
+        m, _ = one_block(h, x, nbrs, params)
         np.testing.assert_allclose(w, 1.0, atol=1e-15)
-        np.testing.assert_allclose(m.data, msg, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m, msg[:, 0], rtol=0, atol=1e-12)
 
     def test_split_weight_matches_concat_form(self):
-        """Messages equal silu(silu([h_i; h_k; d_ik]·W1 + b1)·W2 + b2)."""
-        config, vocab, params = small_setup()
+        """Message sums equal those of silu(silu([h_i; h_k; d_ik]·W1 + b1)
+        ·W2 + b2), and coordinate updates Σ_k rel·(silu(m·C1 + c1)·C2 +
+        c2) on generic weights."""
+        config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(3)
         h = rng.normal(size=(6, 8))
         x = rng.normal(size=(6, 3)) * 3.0
         nbrs = geometry.knn(x, 3)
-        m, rel = one_tile(h, x, nbrs, params)
+        m, delta = one_block(h, x, nbrs, params)
         msg, w_ref, rel_ref = concat_form_messages(h, x, nbrs, params)
-        np.testing.assert_allclose(m.data, w_ref * msg, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(rel.data, rel_ref)
+        weighted = w_ref * msg
+        np.testing.assert_allclose(m, weighted.sum(axis=1), rtol=0,
+                                   atol=1e-12)
+
+        def p(name):
+            return params[f"neigh0/{name}"].data
+
+        scale = (_silu(weighted @ p("coord1/w") + p("coord1/b"))
+                 @ p("coord2/w") + p("coord2/b"))
+        np.testing.assert_allclose(delta, (rel_ref * scale).sum(axis=1),
+                                   rtol=0, atol=1e-12)
 
     def test_zero_coord_scale_leaves_coordinates_unchanged(self):
         config, vocab, params = small_setup()
@@ -280,6 +297,40 @@ class TestNeighborhood:
                                          motif_mask=motif)
         np.testing.assert_array_equal(x_new.data[motif], x.data[motif])
         assert not np.allclose(x_new.data[~motif], x.data[~motif])
+
+    @pytest.mark.parametrize("name", ["h", "x"] + [
+        f"neigh0/{w}" for w in ("msg1/wi", "msg1/wk", "msg1/wd", "msg1/b",
+                                "msg2/w", "msg2/b", "attn/w", "attn/b",
+                                "coord1/w", "coord1/b", "coord2/w",
+                                "coord2/b", "gate1/w", "gate1/b", "gate2/w",
+                                "gate2/b")])
+    def test_frozen_sublayer_finite_differences(self, monkeypatch, name):
+        """Every input of a sub-layer with frozen motif rows at h = 1e-5,
+        under a budget of two centers (K·d·8 = 192 bytes each): seven rows
+        make three tiles with lo > 0, the last of one center. ``attn/b``
+        shifts every score of a softmax alike, so its gradient is 0."""
+        monkeypatch.setattr(nm, "TILE_BYTES", 2 * 192)
+        config, vocab, params = small_setup(generic=True,
+                                            freeze_motif_coords=True)
+        rng = np.random.default_rng(9)
+        arrays = {k: t.data for k, t in params.items()}
+        arrays["h"], arrays["x"] = (rng.normal(size=(7, 8)),
+                                    rng.normal(size=(7, 3)) * 2.0)
+        nbrs = geometry.knn(arrays["x"], 3)
+        motif = np.array([True, False, True, False, False, True, False])
+        probe_h, probe_x = rng.normal(size=(7, 8)), rng.normal(size=(7, 3))
+
+        def op(t):
+            ts = {k: Tensor(a) for k, a in arrays.items()}
+            ts[name] = t
+            h_new, x_new = neighborhood_sublayer(ts["h"], ts["x"], [nbrs], ts,
+                                                 "neigh0", config,
+                                                 motif_mask=motif)
+            return (nm.tensor_sum(h_new * Tensor(probe_h))
+                    + nm.tensor_sum(x_new * Tensor(probe_x)))
+
+        check_input_gradient(op, arrays[name].copy(),
+                             zero=name.endswith("attn/b"))
 
 
 class TestForwardStack:
@@ -440,17 +491,20 @@ class TestRowTiles:
                                        atol=1e-12 * scale, err_msg=name)
 
     def test_graph_edge_tiles_follow_the_budget(self, monkeypatch):
-        """A graph forward cuts its edges by the budget too, so no (R,K,·)
-        node, whose backward rule sizes its temporaries by it, outgrows
-        the budget: 10 centers of K·d·8 = 384 bytes a tile."""
+        """A graph forward cuts its edges by the budget too, so no buffer
+        an edge tile's backward rule keeps, and none of the temporaries
+        the rule sizes alike, outgrows the budget: 10 centers of K·d·8 =
+        384 bytes a tile."""
         config, vocab, params = small_setup(d=16, heads=2, generic=True)
         inputs = random_instance(60, config, vocab, np.random.default_rng(34))
 
         def largest_edge_block():
             logits, x, _ = forward_stack(*inputs, params, config)
             root = nm.tensor_sum(logits) + nm.tensor_sum(x)
-            return max(8 * np.prod(t.shape) for t in interior_nodes(root)
-                       if len(t.shape) == 3)
+            return max(a.nbytes for t in interior_nodes(root)
+                       if t._backward_fn.__qualname__.startswith(
+                           "edge_messages.")
+                       for a in kept_arrays(t))
 
         assert _with_budget(monkeypatch, WHOLE, largest_edge_block) == 60 * 384
         assert _with_budget(monkeypatch, 3840, largest_edge_block) == 3840

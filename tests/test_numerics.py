@@ -10,8 +10,8 @@ from enzydesign.numerics import (DimensionError, Tensor,
                                  finite_difference_gradient)
 
 from helpers import (analytic_and_fd, check_gradient, composite_attention,
-                     composite_edge_messages, interior_nodes, l2_norm, reshape,
-                     softmax)
+                     edge_chain, interior_nodes, kept_arrays, l2_norm,
+                     reshape, rule_closure, silu, softmax)
 
 
 class TestMatmul:
@@ -132,9 +132,9 @@ class TestLogistic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = nm.sigmoid(Tensor([-1e308, 0.0, 1e308])).data
-            silu = nm.silu(Tensor([-1e308, -800.0, 0.0])).data
+            y = silu(Tensor([-1e308, -800.0, 0.0])).data
         assert s.tolist() == [0.0, 0.5, 1.0]
-        assert silu.tolist() == [0.0, 0.0, 0.0]
+        assert y.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestSoftmax:
@@ -183,7 +183,7 @@ class TestBackward:
     def test_fanout_accumulates_double(self):
         def grad_of(n_copies):
             x = Tensor([0.5, -0.3], requires_grad=True)
-            y = nm.silu(x)
+            y = silu(x)
             total = y
             for _ in range(n_copies - 1):
                 total = total + y
@@ -203,7 +203,7 @@ class TestBackward:
             for i, w in enumerate(ws):
                 h = h @ w
                 if i < 2:
-                    h = nm.silu(h)
+                    h = silu(h)
             return nm.tensor_sum(h)
 
         ts = [Tensor(w, requires_grad=True) for w in weights]
@@ -357,31 +357,59 @@ class TestAttentionRowTiles:
 
 
 def edge_inputs(rng, n, d):
-    """(hw_i, hw_k, coordinates) and the six message weights of an
-    (N, d) edge block: msg1/wd (d,), msg1/b, msg2/w, msg2/b, attn/w
-    (d, 1) and attn/b. ``wd`` is the last row of a (2d + 1, d) draw, the
-    whole first message layer, so every input is what it was when the
-    layer was stored as one weight."""
+    """(hw_i, hw_k, coordinates), the six message weights of an (N, d)
+    edge block: msg1/wd (d,), msg1/b, msg2/w, msg2/b, attn/w (d, 1) and
+    attn/b, and the coordinate head's four: coord1/w (d, d), coord1/b,
+    coord2/w (d, 1) and coord2/b. ``wd`` is the last row of a (2d + 1, d)
+    draw, the whole first message layer, so every input is what it was
+    when the layer was stored as one weight; the head is drawn last."""
     arrays = [rng.normal(size=(n, d)), rng.normal(size=(n, d)),
               rng.normal(size=(n, 3))]
     weights = [rng.normal(0.0, 0.5, s) for s in
                ((2 * d + 1, d), (d,), (d, d), (d,), (d, 1), (1,))]
-    return arrays + [weights[0][2 * d]] + weights[1:]
+    head = [rng.normal(0.0, 0.5, s) for s in ((d, d), (d,), (d, 1), (1,))]
+    return arrays + [weights[0][2 * d]] + weights[1:] + head
 
 
-def tiled_edge_messages(hw_i, hw_k, x, weights, lists, rows):
-    """The messages of one record's ``rows``-center tiles, flattened and
-    joined; each tile's radial vectors are built from ``x`` by primitives,
-    as the model builds them."""
-    outs = []
-    for lo in range(0, len(lists), rows):
-        tile = lists[lo:lo + rows]
-        r = len(tile)
-        rel = (reshape(nm.take(x, np.arange(lo, lo + r)), (r, 1, 3))
-               - nm.take(x, tile))
-        out = nm.edge_messages(hw_i, hw_k, rel, *weights, lo, tile)
-        outs.append(reshape(out, (-1,)))
-    return nm.concat(outs)
+def tiled_edge_messages(ts, lists, rows, head=True):
+    """One record's ``rows``-center tiles of ``edge_messages`` on the
+    inputs ``ts`` (as ``edge_inputs`` orders them), joined."""
+    return nm.concat([
+        nm.edge_messages(*ts[:9], lo, lists[lo:lo + rows],
+                         ts[9:] if head else ())
+        for lo in range(0, len(lists), rows)])
+
+
+def fd_case(case, rng):
+    """``edge_inputs`` and neighbor lists of a small edge block: two
+    coincident points (a zero-distance edge), K = 1, or five centers
+    that ``tiled_edge_messages`` cuts into tiles of two, so lo > 0."""
+    if case == "coincident":
+        arrays = edge_inputs(rng, 4, 3)
+        arrays[2][1] = arrays[2][0]
+        return arrays, np.array([[1, 2], [0, 3], [3, 0], [2, 1]]), 4
+    if case == "k1":
+        return edge_inputs(rng, 3, 3), np.array([[1], [0], [1]]), 3
+    lists = np.array([[1, 4], [3, 2], [0, 4], [2, 1], [3, 0]])
+    return edge_inputs(rng, 5, 3), lists, 2
+
+
+def check_edge_gradient(arrays, which, lists, rows, head=True, h=1e-5):
+    """FD at step ``h`` against the analytic gradient of input ``which``.
+    ``attn/b`` (input 8) shifts every edge's score alike, and the softmax
+    over K ignores that shift: its exact gradient is 0, so both gradients
+    are checked against 0 there, not against each other."""
+    def op(t):
+        ts = [Tensor(a) for a in arrays]
+        ts[which] = t
+        return tiled_edge_messages(ts, lists, rows, head)
+
+    if which == 8:
+        analytic, fd = analytic_and_fd(op, arrays[which])
+        assert np.abs(analytic).max() <= 1e-14
+        assert np.abs(fd).max() <= 1e-9
+    else:
+        check_gradient(op, arrays[which], h=h)
 
 
 class TestEdgeMessages:
@@ -389,7 +417,9 @@ class TestEdgeMessages:
                                             (40, 16, 10, 30, 8),
                                             (300, 64, 128, 128, 30)])
     def test_equals_composite_bit_for_bit(self, n, d, lo, r, k):
-        """Values and every input's gradient, with two coincident points."""
+        """Values and every input's gradient equal those of the chain of
+        nodes the node replaces, with the coordinate head and without,
+        with two coincident points."""
         rng = np.random.default_rng(27 + n)
         arrays = edge_inputs(rng, n, d)
         arrays[2][1] = arrays[2][0]
@@ -398,72 +428,106 @@ class TestEdgeMessages:
         if lo == 0:
             lists[0, 0] = 1  # center 0 meets its twin, point 1
 
-        def run(op):
+        def run(op, head):
             ts = [Tensor(a, requires_grad=True) for a in arrays]
-            hw_i, hw_k, x, *weights = ts
-            rel = (reshape(nm.take(x, np.arange(lo, lo + r)), (r, 1, 3))
-                   - nm.take(x, lists))
-            out = op(hw_i, hw_k, rel, *weights, lo, lists)
-            nm.tensor_sum(out * Tensor(np.cos(out.data))).backward()
-            return [out.data] + [t.grad for t in ts]
+            out = op(*ts[:9], lo, lists, ts[9:] if head else ())
+            outs = out if isinstance(out, list) else [out]
+            sum((nm.tensor_sum(o * Tensor(np.cos(o.data))) for o in outs),
+                start=Tensor(0.0)).backward()
+            return ([np.concatenate([o.data for o in outs], axis=1)]
+                    + [t.grad for t in ts[:9 + 4 * head]])
 
-        for a, b in zip(run(nm.edge_messages), run(composite_edge_messages)):
-            assert np.array_equal(a, b)
+        for head in (True, False):
+            for a, b in zip(run(nm.edge_messages, head),
+                            run(edge_chain, head), strict=True):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["coincident", "k1", "tiles"])
+    @pytest.mark.parametrize("which", range(13))
+    def test_finite_difference_agreement(self, case, which):
+        """Every input at h = 1e-5, with the coordinate head. A
+        zero-distance edge's coordinate term rel·φ(m(|rel|)) has a kink in
+        its second factor, so central differences of ``x`` (input 2) are
+        only first-order there, off by about 5e-6 at h = 1e-5: the
+        coincident points' ``x`` is differenced at h = 1e-7."""
+        arrays, lists, rows = fd_case(case, np.random.default_rng(28))
+        check_edge_gradient(arrays, which, lists, rows,
+                            h=1e-7 if (case, which) == ("coincident", 2)
+                            else 1e-5)
 
     @pytest.mark.parametrize("case", ["coincident", "k1", "tiles"])
     @pytest.mark.parametrize("which", range(9))
-    def test_finite_difference_agreement(self, case, which):
-        """Every input at h = 1e-5: a zero-distance edge (points 0 and 1
-        coincide), a K = 1 record, and tiles of two rows, so lo > 0.
-        ``attn/b`` (input 8) shifts every edge's score alike, and the
-        softmax over K ignores that shift: its exact gradient is 0, so both
-        gradients are checked against 0 there, not against each other."""
-        rng = np.random.default_rng(28)
-        rows = None
-        if case == "coincident":
-            arrays = edge_inputs(rng, 4, 3)
-            arrays[2][1] = arrays[2][0]
-            lists = np.array([[1, 2], [0, 3], [3, 0], [2, 1]])
-        elif case == "k1":
-            arrays = edge_inputs(rng, 3, 3)
-            lists = np.array([[1], [0], [1]])
-        else:
-            rows = 2
-            arrays = edge_inputs(rng, 5, 3)
-            lists = np.array([[1, 4], [3, 2], [0, 4], [2, 1], [3, 0]])
+    def test_finite_difference_without_head(self, case, which):
+        """Every input of the substrate stack's form, which has no
+        coordinate head and returns the message sums alone."""
+        arrays, lists, rows = fd_case(case, np.random.default_rng(28))
+        check_edge_gradient(arrays[:9], which, lists, rows, head=False)
 
-        def op(t):
-            ts = [Tensor(a) for a in arrays]
-            ts[which] = t
-            hw_i, hw_k, x, *weights = ts
-            return tiled_edge_messages(hw_i, hw_k, x, weights, lists,
-                                       rows or len(lists))
+    @pytest.mark.parametrize("head", [True, False])
+    def test_k0_tile_is_constant_zeros(self, head):
+        """A K = 0 tile (a one-residue record) has no messages: zeros, no
+        graph, and central differences give every input a zero
+        gradient."""
+        arrays = edge_inputs(np.random.default_rng(31), 3, 4)[:13 if head
+                                                               else 9]
+        lists = np.zeros((2, 0), dtype=np.intp)
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        out = tiled_edge_messages(ts, lists, 2, head)
+        assert np.array_equal(out.data, np.zeros((2, 7 if head else 4)))
+        assert not out.requires_grad
+        for which, a in enumerate(arrays):
+            def f(arr, which=which):
+                args = [Tensor(b) for b in arrays]
+                args[which] = Tensor(arr)
+                return tiled_edge_messages(args, lists, 2, head).data.sum()
 
-        if which == 8:
-            analytic, fd = analytic_and_fd(op, arrays[which])
-            assert np.abs(analytic).max() <= 1e-14
-            assert np.abs(fd).max() <= 1e-9
-        else:
-            check_gradient(op, arrays[which])
+            assert not finite_difference_gradient(f, a.copy()).any()
+
+    @pytest.mark.parametrize("head,wide", [(True, 6), (False, 4)])
+    def test_backward_keeps_six_edge_arrays(self, head, wide):
+        """The rule of a tile with the coordinate head keeps six (R, K, d)
+        arrays: silu(z), m and the head's silu output, each with its
+        logistic (four without the head). The rest of what it keeps is
+        (R, K, 3) or narrower, and no intermediate node."""
+        arrays = edge_inputs(np.random.default_rng(32), 9, 8)
+        lists = np.array([[1, 2, 3], [0, 4, 5], [6, 7, 8], [2, 1, 0],
+                          [3, 5, 7]])
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        out = nm.edge_messages(*ts[:9], 2, lists, ts[9:] if head else ())
+        kept = rule_closure(out)
+        sizes = sorted(a.size for a in kept_arrays(out))
+        assert sizes[-wide:] == [5 * 3 * 8] * wide
+        assert max(sizes[:-wide]) <= 5 * 3 * 3
+        assert {id(t) for t in kept if isinstance(t, Tensor)} <= set(
+            map(id, ts))
 
     def test_constant_inputs_record_nothing(self):
         rng = np.random.default_rng(29)
-        hw_i, hw_k, x, *weights = edge_inputs(rng, 6, 4)
+        arrays = edge_inputs(rng, 6, 4)
         lists = np.array([[1, 2], [0, 5], [4, 0]])
-        rel = Tensor(x[:3, None] - x[lists])
-        args = [Tensor(a) for a in (hw_i, hw_k)] + [rel] + [
-            Tensor(w) for w in weights]
-        out = nm.edge_messages(*args, 0, lists)
+        args = [Tensor(a) for a in arrays]
+        out = nm.edge_messages(*args[:9], 0, lists, args[9:])
         assert not out.requires_grad
         assert out._parents == () and out._backward_fn is None
-        taped = nm.edge_messages(*args[:3], *(Tensor(w, requires_grad=True)
-                                              for w in weights), 0, lists)
+        taped = nm.edge_messages(*args[:3], *(
+            Tensor(w, requires_grad=True) for w in arrays[3:9]), 0, lists,
+            [Tensor(w, requires_grad=True) for w in arrays[9:]])
         assert np.array_equal(out.data, taped.data)
+
+
+class TestColumns:
+    def test_values_and_zero_gradient_outside(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        out = nm.columns(x, 1, 3)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_array_equal(out.data, x.data[:, 1:3])
+        nm.tensor_sum(out).backward()
+        np.testing.assert_array_equal(x.grad, [[0, 1, 1, 0]] * 3)
 
 
 class TestElementwiseSuite:
     def test_silu_at_zero(self):
-        assert nm.silu(Tensor(0.0)).item() == 0.0
+        assert silu(Tensor(0.0)).item() == 0.0
 
     def test_layer_norm_constant_vector(self):
         """A constant row normalizes to zeros, leaving only the shift b."""
@@ -476,9 +540,10 @@ class TestElementwiseSuite:
         (nm.layer_norm, [(4, 5), (5,), (5,)]),
         (nm.log_softmax, [(4, 5)]),
         (lambda q, k, v: nm.attention(q, k, v, 2), [(4, 6)] * 3),
-        (lambda *t: nm.edge_messages(*t, 1, np.array([[0, 2], [3, 0]])),
-         [(4, 3), (4, 3), (2, 2, 3), (3,), (3,), (3, 3), (3,), (3, 1),
-          (1,)]),
+        (lambda *t: nm.edge_messages(*t[:9], 1, np.array([[0, 2], [3, 0]]),
+                                     t[9:]),
+         [(4, 3), (4, 3), (4, 3), (3,), (3,), (3, 3), (3,), (3, 1), (1,),
+          (3, 3), (3,), (3, 1), (1,)]),
     ], ids=["layer_norm", "log_softmax", "attention", "edge_messages"])
     def test_fused_op_builds_one_tensor(self, op, shapes, monkeypatch):
         rng = np.random.default_rng(8)
@@ -494,7 +559,7 @@ class TestElementwiseSuite:
         monkeypatch.setattr(Tensor, "__init__", counting)
         out = op(*inputs)
         assert built == [out]
-        assert out._parents == inputs
+        assert tuple(dict.fromkeys(out._parents)) == inputs
 
     def test_op_results_are_not_scanned(self):
         """No tensor is scanned when it is made: a constant, a leaf and an
@@ -509,7 +574,7 @@ class TestElementwiseSuite:
         assert np.isinf(out.data).all()
 
     @pytest.mark.parametrize("op", [
-        nm.silu, nm.relu, nm.sigmoid,
+        silu, nm.relu, nm.sigmoid,
         lambda t: nm.layer_norm(t, Tensor(_GAMMA), Tensor(_BETA)),
         lambda t: softmax(t, axis=-1),
         lambda t: nm.log_softmax(t, axis=-1),
@@ -518,8 +583,9 @@ class TestElementwiseSuite:
         lambda t: reshape(t, (3, 10)),
         lambda t: nm.transpose(reshape(t, (10, 3))),
         lambda t: nm.take(t, np.array([[0, 2], [4, 0]])),
+        lambda t: nm.columns(reshape(t, (5, 6)), 1, 4),
     ], ids=["silu", "relu", "sigmoid", "layer_norm", "softmax", "log_softmax",
-            "l2_norm", "sum_axis", "reshape", "transpose", "take"])
+            "l2_norm", "sum_axis", "reshape", "transpose", "take", "columns"])
     def test_finite_difference_agreement(self, op):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 2, 3))
@@ -530,7 +596,7 @@ class TestElementwiseSuite:
     @pytest.mark.parametrize("op_pair", [
         (nm.relu, lambda x: np.maximum(x, 0.0)),
         (nm.sigmoid, lambda x: 1.0 / (1.0 + np.exp(-x))),
-        (nm.silu, lambda x: x / (1.0 + np.exp(-x))),
+        (silu, lambda x: x / (1.0 + np.exp(-x))),
         (nm.log_softmax, lambda x: x - np.log(np.exp(x).sum())),
     ], ids=["relu", "sigmoid", "silu", "log_softmax"])
     def test_values_match_definition(self, op_pair):
@@ -552,7 +618,7 @@ class TestElementwiseSuite:
     def test_no_nonfinite_outputs(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-50, 50, size=6))
-        for op in (nm.silu, nm.relu, nm.sigmoid, lambda t: softmax(t),
+        for op in (silu, nm.relu, nm.sigmoid, lambda t: softmax(t),
                    lambda t: nm.log_softmax(t),
                    lambda t: nm.layer_norm(t, Tensor(np.linspace(-2, 2, 6)),
                                            Tensor(np.arange(6.0)))):
@@ -562,7 +628,7 @@ class TestElementwiseSuite:
 
 def every_primitive(x):
     """A scalar loss of a positive (4, 3) tensor through every primitive."""
-    a = nm.sub(nm.add(nm.relu(x), nm.silu(x)), nm.sigmoid(x))
+    a = nm.sub(nm.add(nm.relu(x), silu(x)), nm.sigmoid(x))
     b = nm.mul(nm.relu(a), nm.add(nm.sigmoid(a), Tensor(1.0)))
     ln = nm.layer_norm(nm.attention(b, a, x, 3), Tensor(_GAMMA),
                        Tensor(_BETA))
@@ -572,8 +638,8 @@ def every_primitive(x):
     e = nm.take(reshape(nm.concat([d, ln]), (21, 1)),
                 np.array([0, 2, 5, 2, 16]))
     # (1,) times (4, 3): the gradient is summed back over the broadcast
-    f = nm.mul(nm.tensor_sum(e, axis=0), nm.silu(b))
-    return nm.tensor_sum(l2_norm(f))
+    f = nm.mul(nm.tensor_sum(e, axis=0), silu(b))
+    return nm.tensor_sum(l2_norm(nm.columns(f, 1, 3)))
 
 
 X_POSITIVE = np.linspace(0.5, 2.0, 12).reshape(4, 3)
@@ -583,7 +649,7 @@ X_POSITIVE = np.linspace(0.5, 2.0, 12).reshape(4, 3)
 _W = np.random.default_rng(16).normal(0.0, 0.5, (4, 4))
 _GAMMA_4 = np.array([0.5, -1.5, 2.0, 1.0])
 _BETA_4 = np.array([0.3, 0.0, -0.4, 0.7])
-_KEEP = (nm.sigmoid, nm.silu, softmax, nm.log_softmax,
+_KEEP = (nm.sigmoid, silu, softmax, nm.log_softmax,
          lambda t: nm.layer_norm(t, Tensor(_GAMMA_4), Tensor(_BETA_4)),
          lambda t: nm.attention(t, t @ Tensor(_W), t, 2),
          lambda t: t @ Tensor(_W),

@@ -10,7 +10,7 @@ from enzydesign.numerics import Tensor
 from enzydesign.parameters import TagVocabulary, init_parameters
 from enzydesign.substrate_model import binding_scores, substrate_forward
 
-from helpers import softmax
+from helpers import check_input_gradient, softmax
 
 
 def setup(d=8, seed=0):
@@ -120,6 +120,30 @@ class TestSubstrateForward:
         packed = substrate_forward(feats, coords, params, config, lengths)
         np.testing.assert_allclose(packed.data, np.concatenate(alone),
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", [
+        "sub/input/w", *(f"sub{i}/{w}" for i in range(3) for w in (
+            "msg1/wi", "msg1/wk", "msg1/wd", "msg1/b", "msg2/w", "msg2/b",
+            "attn/w", "attn/b", "gate1/w", "gate1/b", "gate2/w",
+            "gate2/b"))])
+    def test_packed_finite_differences(self, monkeypatch, name):
+        """Every parameter of a packed stack, whose edge tiles have no
+        coordinate head, at h = 1e-5: substrates of 4, 1 and 5 atoms under
+        a budget of two three-neighbor atoms (K·d·8 = 192 bytes each).
+        ``attn/b`` shifts every score of a softmax alike, so its gradient
+        is 0."""
+        monkeypatch.setattr(nm, "TILE_BYTES", 2 * 192)
+        config, params = setup()
+        rng = np.random.default_rng(12)
+        feats, coords = rng.normal(size=(10, 5)), rng.normal(size=(10, 3))
+
+        def op(t):
+            ts = {k: Tensor(p.data) for k, p in params.items()}
+            ts[name] = t
+            return substrate_forward(feats, coords, ts, config, [4, 1, 5])
+
+        check_input_gradient(op, params[name].data.copy(),
+                             zero=name.endswith("attn/b"))
 
     def test_bad_feature_width_rejected(self):
         config, params = setup()

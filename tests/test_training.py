@@ -492,11 +492,17 @@ class TestPackedBatch:
 
     def test_toy_config_step_tensor_count(self, monkeypatch):
         """One phase-2 step of the toy config's model over the toy corpus
-        (eight length-12 records, three substrates) builds 256 tensors,
+        (eight length-12 records, three substrates) builds 193 tensors,
         interior nodes and constants alike. The 96 centers with K = 11
         make two edge tiles under the 2^19-byte budget (93 + 3 centers of
-        K·d·8 = 5632 bytes), 12 tensors each in each of the three enzyme
-        neighborhood sub-layers; one 96-center tile built 220, one forward
+        K·d·8 = 5632 bytes), one ``edge_messages`` node each in each of the
+        three enzyme neighborhood sub-layers, joined by one ``concat`` and
+        read by two ``columns``; the substrate stack's one tile in each of
+        its three layers is one node too. Tiles whose radial vectors (two
+        ``take``s and a ``sub``), coordinate head (``linear``, ``silu``,
+        ``linear``, ``mul``) and sums over K (two ``tensor_sum``s) were
+        separate nodes built 256, one 96-center tile of those built 220,
+        one forward
         and one substrate stack per record 2497, a binding head that
         reshaped its scores to (2,) and back 558, one substrate stack per
         distinct substrate with one binding call per record 542, edge
@@ -519,16 +525,16 @@ class TestPackedBatch:
         monkeypatch.setattr(Tensor, "__init__", counting)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
         train(records, pool, params, model_cfg, sched, vocab)
-        assert len(built) == 256
+        assert len(built) == 193
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("primitive", ["silu", "log_softmax"])
+    @pytest.mark.parametrize("primitive", ["edge_messages", "log_softmax"])
     def test_nan_planted_mid_graph_keeps_last_good_params(
             self, monkeypatch, tmp_path, primitive):
         """A primitive that returns a NaN from the third step on: the loop
         stops holding the parameters of the second step's finite loss, one
         update in, and the checkpoint says so. ``forward_stack``'s output
-        check catches ``silu`` (message layers), the loss check
+        check catches ``edge_messages`` (the edge tiles), the loss check
         ``log_softmax`` (the loss itself)."""
         records, pool, vocab, config, params = toy_setup()
         armed = []
