@@ -20,7 +20,7 @@ from .config import ConfigError, read_run_config
 from .data import (DataError, assemble_dataset, claim, ingest_directory,
                    make_split_manifest, read_pairing_manifest, read_substrate,
                    read_table, read_tags)
-from .enzyme_model import forward_stack, greedy_decode
+from .enzyme_model import encode, forward_stack, greedy_decode
 from .parameters import (TagVocabulary, constant_views, init_parameters,
                          load_checkpoint)
 from .residues import AA_TO_INDEX, AMINO_ACIDS
@@ -43,15 +43,22 @@ def load_run_config(path):
     if not Path(data["records_dir"]).is_dir():
         raise UsageError(f"records_dir not found: {data['records_dir']!r}")
     output = {"checkpoint": "model.ckpt", "loss_log": "loss.log", **output}
-    for key, path in output.items():  # fail before training, not after it
-        if not Path(path).parent.is_dir():
-            raise UsageError(f"output.{key} directory not found: {path!r}")
+    for key, path in output.items():
+        check_out_dir(path, f"output.{key}")
     return model, schedule, data, output
+
+
+def check_out_dir(path, name="--out") -> None:
+    """Fail before any work, not after it, when output ``name``'s
+    directory does not exist."""
+    if not Path(path).parent.is_dir():
+        raise UsageError(f"{name} directory not found: {path!r}")
 
 
 def cmd_mine_sites(args) -> int:
     if not 0.0 < args.tau <= 1.0:
         raise UsageError(f"--tau must lie in (0, 1], got {args.tau}")
+    check_out_dir(args.out)
     directory = Path(args.alignments)
     if not directory.is_dir():
         raise UsageError(f"alignment directory not found: {directory}")
@@ -166,6 +173,7 @@ def cmd_generate(args) -> int:
         raise UsageError("--num-candidates must be at least 1")
     if args.seed < 0:
         raise UsageError("--seed must be at least 0")
+    check_out_dir(args.out)
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
     n, tag, indices, residues, motif_coords = read_motif_file(args.motif)
     if n > config.max_len:  # before --out is created
@@ -181,13 +189,16 @@ def cmd_generate(args) -> int:
         seq_indices[i] = AA_TO_INDEX[res]
         mask[i] = True
 
+    # the coordinate-free prefix is the same for every candidate: run once
+    encoded = encode(seq_indices, mask, tag_idx, params, config)
     designs = []  # every candidate decodes before --out is created
     for k in range(args.num_candidates):
         rng = np.random.default_rng(args.seed + k)
         coords0 = geometry.init_coordinates(motif_coords, indices, n, rng,
                                             config.bond_length)
         logits, coords_out, _ = forward_stack(seq_indices, mask, tag_idx,
-                                              coords0, params, config)
+                                              coords0, params, config,
+                                              encoded=encoded)
         decoded = greedy_decode(logits, seq_indices, mask)
         designs.append(("".join(AMINO_ACIDS[i] for i in decoded),
                         coords_out.data))
@@ -200,6 +211,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
+    check_out_dir(args.out)
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
     with open(args.out, "w") as f:
         for level, table in enumerate(vocab.levels, start=1):

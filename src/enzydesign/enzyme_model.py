@@ -143,8 +143,24 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors, params,
     return h_new, x_new
 
 
+def encode(seq_indices, known_mask, tag_indices, params, config: ModelConfig,
+           lengths=None) -> Tensor:
+    """The coordinate-free prefix of ``forward_stack``: ``embed_inputs``
+    and the first ``interleave_period`` attention sub-layers, (N, d).
+
+    Nothing before the first kNN reads coordinates, so candidates that
+    share a sequence, motif mask and tag share this result and can each
+    pass it to ``forward_stack`` as ``encoded``.
+    """
+    h = embed_inputs(seq_indices, known_mask, tag_indices, params, config,
+                     lengths)
+    for i in range(config.interleave_period):
+        h = global_attention_sublayer(h, params, f"attn{i}", config, lengths)
+    return h
+
+
 def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
-                  config: ModelConfig, lengths=None):
+                  config: ModelConfig, lengths=None, encoded=None):
     """Full enzyme forward pass.
 
     ``coords`` is the complete N×3 coordinate array (motif values plus
@@ -157,15 +173,23 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
     (``tag_indices`` then holds one row of four per record). They share
     one graph but never interact: attention is block-diagonal and each
     record gets its own kNN graph, so each record's rows equal its own
-    forward's. Raises ``NumericsError`` when the logits or coordinates
-    are not finite.
+    forward's. ``encoded``, the result of ``encode`` on the same inputs,
+    stands in for that prefix, which then does not run again; a shape
+    other than (N, d) raises ``DimensionError``. Raises ``NumericsError``
+    when the logits or coordinates are not finite.
     """
     n = len(seq_indices)
     lengths = [n] if lengths is None else list(lengths)
     if sum(lengths) != n:
         raise ConfigError(f"record lengths {lengths} do not sum to {n}")
-    h = embed_inputs(seq_indices, known_mask, tag_indices, params, config,
-                     lengths)
+    if encoded is None:
+        h = encode(seq_indices, known_mask, tag_indices, params, config,
+                   lengths)
+    elif encoded.shape == (n, config.d):
+        h = encoded
+    else:
+        raise nm.DimensionError(f"encoded shape {encoded.shape} is not "
+                                f"({n}, {config.d})")
     x = Tensor(np.asarray(coords, dtype=np.float64))
     if x.shape != (n, 3):
         raise ConfigError(f"coords shape {x.shape} does not match sequence "
@@ -173,14 +197,18 @@ def forward_stack(seq_indices, known_mask, tag_indices, coords, params,
 
     records = nm.segments(lengths)
     period = config.interleave_period
-    for i in range(config.attention_sublayers):
-        h = global_attention_sublayer(h, params, f"attn{i}", config, lengths)
-        if (i + 1) % period == 0:
+    # step i follows the first i attention sub-layers; ``encode`` ran
+    # the first ``period`` of them
+    for i in range(period, config.attention_sublayers + 1):
+        if i % period == 0:
             graph = [geometry.knn(x.data[r], config.k_neighbors) + r.start
                      for r in records]
             h, x = neighborhood_sublayer(h, x, graph, params,
-                                         f"neigh{(i + 1) // period - 1}",
+                                         f"neigh{i // period - 1}",
                                          config, motif_mask=known_mask)
+        if i < config.attention_sublayers:
+            h = global_attention_sublayer(h, params, f"attn{i}", config,
+                                          lengths)
 
     logits = h @ nm.transpose(params["emb/amino"])
     if not (np.isfinite(logits.data).all() and np.isfinite(x.data).all()):

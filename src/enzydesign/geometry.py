@@ -58,11 +58,12 @@ def knn(points: np.ndarray, k: int) -> np.ndarray:
         if 2 * k >= n:  # most of each row is kept: one stable sort is cheaper
             tiles.append(np.argsort(d, axis=1, kind="stable")[:, :k])
             continue
-        # the k smallest of each row, ordered by (distance, index)
-        near = np.argpartition(d, k - 1, axis=1)[:, :k]
+        # the k smallest of each row, ordered by (distance, index): in
+        # index order first, so a stable sort by distance breaks ties
+        near = np.sort(np.argpartition(d, k - 1, axis=1)[:, :k], axis=1)
         near_d = np.take_along_axis(d, near, axis=1)
-        order = np.take_along_axis(near, np.lexsort((near, near_d), axis=1),
-                                   axis=1)
+        order = np.take_along_axis(
+            near, np.argsort(near_d, axis=1, kind="stable"), axis=1)
         # a row whose k-th distance recurs past the cut may have kept the
         # wrong one of the tied indices: those rows take the stable sort
         tied = (d <= near_d.max(axis=1, keepdims=True)).sum(axis=1) > k

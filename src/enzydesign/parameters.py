@@ -223,11 +223,15 @@ def load_checkpoint(path):
     if have != 8 * count:
         raise ValueError(f"{path}: payload has {have} bytes, header's model "
                          f"needs {8 * count}")
-    params, pos = {}, 12 + hlen
+    # one scan of the whole payload; the per-tensor scans that name the
+    # first non-finite tensor run only when it fails
+    payload = np.frombuffer(raw, "<f8", count, 12 + hlen)
+    finite = np.isfinite(payload).all()
+    params, pos = {}, 0
     for name, (shape, _) in layout.items():
-        data = np.frombuffer(raw, "<f8", math.prod(shape), pos).reshape(shape)
-        if not np.isfinite(data).all():
+        data = payload[pos:pos + math.prod(shape)].reshape(shape)
+        if not (finite or np.isfinite(data).all()):
             raise ValueError(f"{path}: parameter {name} is not finite")
         params[name] = Tensor(data.copy(), requires_grad=True)
-        pos += data.nbytes
+        pos += data.size
     return params, config, vocab, header["step"]

@@ -380,6 +380,61 @@ class TestGenerate:
             "error: non-finite logits or coordinates\n"
         assert len(forwards) == 2 and not out.exists()
 
+    @pytest.mark.parametrize("candidates", [1, 2, 3])
+    def test_prefix_runs_once_per_request(self, toy_tree, tmp_path,
+                                          monkeypatch, candidates):
+        """The embedding and the attention sub-layers before the first
+        kNN run once per request, 2 + 4C sub-layers at the default
+        period, and the designs equal a per-candidate forward loop's."""
+        from enzydesign import enzyme_model, geometry
+        from enzydesign.enzyme_model import forward_stack, greedy_decode
+        from enzydesign.parameters import constant_views
+        from enzydesign.residues import AA_TO_INDEX, AMINO_ACIDS
+        root, _, _ = toy_tree
+        config = ModelConfig(d=8, num_heads=2, k_neighbors=3)
+        vocab = TagVocabulary.from_tags(["1.1.1.1", "1.2.3.4"])
+        params = init_generic_parameters(config, vocab,
+                                         np.random.default_rng(0))
+        ckpt, motif = tmp_path / "m.ckpt", root / "motif.tsv"
+        save_checkpoint(ckpt, params, config, vocab)
+
+        params = constant_views(params)
+        n, tag, indices, residues, motif_coords = read_motif_file(motif)
+        seq = np.zeros(n, dtype=np.intp)
+        seq[indices] = [AA_TO_INDEX[r] for r in residues]
+        mask = np.isin(np.arange(n), indices)
+        expected = ""
+        for k in range(candidates):
+            coords0 = geometry.init_coordinates(
+                motif_coords, indices, n, np.random.default_rng(3 + k),
+                config.bond_length)
+            logits, x, _ = forward_stack(seq, mask, vocab.encode(tag),
+                                         coords0, params, config)
+            design = "".join(AMINO_ACIDS[i] for i in
+                             greedy_decode(logits, seq, mask))
+            expected += f">candidate_{k} tag={tag} length={n}\n{design}\n"
+            expected += "".join(f"{i}\t{design[i]}\t{a:.6f}\t{b:.6f}\t"
+                                f"{c:.6f}\n" for i, (a, b, c) in
+                                enumerate(x.data))
+
+        calls = {"embed_inputs": 0, "global_attention_sublayer": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(enzyme_model, name), name=name,
+                        **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(enzyme_model, name, counted)
+        out = tmp_path / "d.txt"
+        assert main(["generate", "--checkpoint", str(ckpt), "--motif",
+                     str(motif), "--num-candidates", str(candidates),
+                     "--seed", "3", "--out", str(out)]) == 0
+        period = config.interleave_period
+        assert calls == {"embed_inputs": 1, "global_attention_sublayer":
+                         period + candidates * (config.attention_sublayers
+                                                - period)}
+        assert calls["global_attention_sublayer"] == 2 + 4 * candidates
+        assert out.read_text() == expected
+
     def test_unknown_tag_exits_1(self, trained, tmp_path):
         root, ckpt = trained
         assert main(["generate", "--checkpoint", ckpt,
@@ -1080,6 +1135,18 @@ BAD_INPUTS = {
     "train-checkpoint-directory-missing": (
         2, "error: output.checkpoint directory not found: '{d}/nodir/m.ckpt'\n",
         ["train", "--config", "{d}/nodir-checkpoint.json"]),
+    "generate-out-directory-missing": (
+        2, "error: --out directory not found: '{d}/nodir/o.txt'\n", [
+            "generate", "--checkpoint", "{d}/none.ckpt", "--motif",
+            "{d}/motif.tsv", "--out", "{d}/nodir/o.txt"]),
+    "mine-sites-out-directory-missing": (
+        2, "error: --out directory not found: '{d}/nodir/sites.tsv'\n", [
+            "mine-sites", "--alignments", "{d}/aln-twice", "--out",
+            "{d}/nodir/sites.tsv"]),
+    "export-out-directory-missing": (
+        2, "error: --out directory not found: '{d}/nodir/e.tsv'\n", [
+            "export-embeddings", "--checkpoint", "{d}/none.ckpt", "--out",
+            "{d}/nodir/e.tsv"]),
     "train-split-manifest-directory-missing": (
         2, "error: output.split_manifest directory not found: "
            "'{d}/nodir/splits.tsv'\n",

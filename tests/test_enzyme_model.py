@@ -4,7 +4,7 @@ import pytest
 import enzydesign.numerics as nm
 from enzydesign import geometry
 from enzydesign.config import ConfigError, ModelConfig
-from enzydesign.enzyme_model import (embed_inputs, forward_stack,
+from enzydesign.enzyme_model import (embed_inputs, encode, forward_stack,
                                      gated_node_update,
                                      global_attention_sublayer, greedy_decode,
                                      neighborhood_messages,
@@ -608,3 +608,78 @@ class TestPacking:
         monkeypatch.setattr(nm, "relu", planted)
         with pytest.raises(nm.NumericsError, match="non-finite"):
             forward_stack(*inst, params, config)
+
+
+class TestEncode:
+    """``forward_stack(..., encoded=encode(...))`` is the one-call forward:
+    the coordinate-free prefix runs once and the rest reads its result."""
+
+    def inputs(self, config, vocab, packed):
+        rng = np.random.default_rng(50)
+        if not packed:
+            return random_instance(11, config, vocab, rng), None
+        instances = [random_instance(n, config, vocab, rng)
+                     for n in TestPacking.LENGTHS]
+        return _pack(instances)
+
+    @staticmethod
+    def run(inst, params, config, lengths, shared):
+        encoded = encode(*inst[:3], params, config, lengths) if shared else None
+        outs = forward_stack(*inst, params, config, lengths, encoded=encoded)
+        if not params["emb/amino"].requires_grad:
+            return outs, {}
+        r = np.random.default_rng(0)
+        logits, x, _ = outs
+        loss = (nm.tensor_sum(logits * Tensor(r.normal(size=logits.shape)))
+                + nm.tensor_sum(x * Tensor(r.normal(size=x.shape))))
+        loss.backward()
+        grads = {k: t.grad for k, t in params.items() if t.grad is not None}
+        for t in params.values():
+            t.grad = None
+        return outs, grads
+
+    # (attention sub-layers, interleave period): the last leaves one
+    # attention sub-layer after the last neighborhood sub-layer
+    @pytest.mark.parametrize("sublayers,period", [(2, 1), (6, 2), (5, 2)])
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_equals_one_call_forward(self, sublayers, period, graph, packed):
+        config, vocab, params = small_setup(sublayers=sublayers, period=period,
+                                            generic=True)
+        if not graph:
+            params = constant_views(params)
+        inst, lengths = self.inputs(config, vocab, packed)
+        one, one_grads = self.run(inst, params, config, lengths, False)
+        two, two_grads = self.run(inst, params, config, lengths, True)
+        for a, b in zip(one, two):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert bool(one_grads) == graph
+        assert one_grads.keys() == two_grads.keys()
+        for k in one_grads:
+            assert one_grads[k].tobytes() == two_grads[k].tobytes(), k
+
+    def test_candidates_share_one_encoding(self):
+        """Forwards from one ``encoded`` leave it as it was."""
+        config, vocab, params = small_setup(sublayers=6, period=2,
+                                            generic=True)
+        params = constant_views(params)
+        seq, known, tag_idx, coords = random_instance(
+            9, config, vocab, np.random.default_rng(51))
+        encoded = encode(seq, known, tag_idx, params, config)
+        before = encoded.data.copy()
+        for shift in (0.0, 1.5):
+            outs = forward_stack(seq, known, tag_idx, coords + shift, params,
+                                 config, encoded=encoded)
+            alone = forward_stack(seq, known, tag_idx, coords + shift, params,
+                                  config)
+            for a, b in zip(outs, alone):
+                assert a.data.tobytes() == b.data.tobytes()
+        assert encoded.data.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 4), (9,)])
+    def test_shape_mismatch_raises(self, shape):
+        config, vocab, params = small_setup()
+        inst = random_instance(9, config, vocab, np.random.default_rng(52))
+        with pytest.raises(nm.DimensionError, match="encoded shape"):
+            forward_stack(*inst, params, config,
+                          encoded=Tensor(np.zeros(shape)))

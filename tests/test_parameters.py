@@ -218,6 +218,22 @@ class TestCheckpoint:
                            f"bytes, header's model needs {need}$"):
             load_checkpoint(path)
 
+    def test_first_non_finite_tensor_named(self, tmp_path):
+        """With a NaN in two tensors, the error names the one that comes
+        first in layout order, whichever was planted first."""
+        config = small_config()
+        vocab = TagVocabulary.from_tags(["1.1.1.1"])
+        params = init_parameters(config, vocab, np.random.default_rng(7))
+        names = list(parameter_layout(config, vocab))
+        earlier, later = names[5], names[-3]
+        params[later].data[0] = np.nan
+        params[earlier].data.flat[-1] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, vocab)
+        with pytest.raises(ValueError, match=f"m.ckpt: parameter {earlier} "
+                           "is not finite$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("where", ["mid-write", "rename"])
     def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch,
                                                where):
