@@ -49,8 +49,10 @@ def load_run_config(path):
 
 
 def check_out_dir(path, name="--out") -> None:
-    """Fail before any work, not after it, when output ``name``'s
-    directory does not exist."""
+    """Fail before any work, not after it, when output ``name`` is a
+    directory or its directory does not exist."""
+    if Path(path).is_dir():
+        raise UsageError(f"{name} is a directory: {path!r}")
     if not Path(path).parent.is_dir():
         raise UsageError(f"{name} directory not found: {path!r}")
 
@@ -93,11 +95,10 @@ def _load_corpus(data_cfg):
     sites = (read_site_manifest(data_cfg["sites_manifest"])
              if "sites_manifest" in data_cfg else {})
     pool, files = {}, {}
-    if "substrates_dir" in data_cfg:
-        for path in sorted(Path(data_cfg["substrates_dir"]).iterdir()):
-            sub = read_substrate(path)
-            claim(files, f"substrate {sub.id!r}", path.name)
-            pool[sub.id] = sub
+    for path in sorted(Path(data_cfg["substrates_dir"]).iterdir()):
+        sub = read_substrate(path)
+        claim(files, f"substrate {sub.id!r}", path.name)
+        pool[sub.id] = sub
     pairings = (read_pairing_manifest(data_cfg["pairings"])
                 if "pairings" in data_cfg else {})
     return records, sites, pool, pairings

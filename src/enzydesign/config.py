@@ -124,7 +124,8 @@ def read_run_config(raw):
     check_section("run", raw, dict.fromkeys(SECTIONS, dict))
     model, schedule, data, output = (raw.get(name, {}) for name in SECTIONS)
     checked = (ModelConfig.from_dict(model), TrainSchedule.from_dict(schedule),
-               check_section("data", data, DATA_SPEC, ("records_dir", "tags")),
+               check_section("data", data, DATA_SPEC,
+                             ("records_dir", "tags", "substrates_dir")),
                check_section("output", output, OUTPUT_SPEC))
     if data.get("split_seed", 0) < 0:
         raise ConfigError("data.split_seed must be >= 0")

@@ -136,8 +136,8 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors, params,
     blocks = neighborhood_messages(h, x, neighbors, params, prefix, head)
     x_new = x + nm.columns(blocks, d, d + 3)
     if config.freeze_motif_coords and motif_mask is not None:
-        keep = Tensor(np.asarray(motif_mask, dtype=np.float64)[:, None])
-        x_new = x * keep + x_new * (1.0 - keep)
+        keep = np.asarray(motif_mask, dtype=np.float64)[:, None]
+        x_new = x * Tensor(keep) + x_new * Tensor(1.0 - keep)
 
     h_new = gated_node_update(h, nm.columns(blocks, 0, d), params, prefix)
     return h_new, x_new

@@ -3,12 +3,12 @@
 The objective is the sum of a sequence negative log-likelihood over free
 (not teacher-forced) positions, a weighted squared coordinate residual
 over the same positions, and (in phase 2) a binding cross-entropy.
-Training, masked-modeling pretraining and evaluation all go through one
-forward-and-loss path, ``batch_loss``, which packs a batch of records
-into one forward (``record_loss`` is its one-record case), and the first
-two through one loop, ``train``: pretraining differs only in its masking
-policy (a fresh random fraction of residues per record each step, not
-the motif) and in leaving the binding term off.
+Training and masked-modeling pretraining go through one forward-and-loss
+path, ``batch_loss``, which packs a batch of records into one forward
+(``record_loss`` is its one-record case), and through one loop,
+``train``: pretraining differs only in its masking policy (a fresh
+random fraction of residues per record each step, not the motif) and in
+leaving the binding term off.
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ import numpy as np
 from . import geometry
 from . import numerics as nm
 from .config import ModelConfig, TrainSchedule
-from .enzyme_model import forward_stack, greedy_decode
+from .enzyme_model import forward_stack
 from .numerics import NumericsError, Tensor
-from .parameters import constant_views, save_checkpoint, zero_grads
+from .parameters import save_checkpoint, zero_grads
 from .residues import NUM_AMINO_ACIDS
 from .substrate_model import binding_scores, substrate_forward
 
@@ -281,20 +281,3 @@ def train(records, substrate_pool, params, config: ModelConfig,
             for i, agg in enumerate(result.history):
                 f.write(agg.line(start_step + i) + "\n")
     return result
-
-
-def evaluate_recovery(records, params, config: ModelConfig, vocab,
-                      seed: int = 0):
-    """(nats per free residue, free-residue recovery rate) on a record set.
-    Runs on constant views of ``params``, so it builds no graph."""
-    rng = np.random.default_rng(seed)
-    params = constant_views(params)
-    nll_sum, free_sum, correct = 0.0, 0, 0
-    for rec in sorted(records, key=lambda r: r.id):
-        (_, bd), logits = record_loss(rec, params, config, vocab, rng)
-        nll_sum += bd.seq_nll
-        free_sum += bd.free_residues
-        mask = rec.site_mask
-        decoded = greedy_decode(logits, rec.seq_indices, mask)
-        correct += int((decoded[~mask] == rec.seq_indices[~mask]).sum())
-    return nll_sum / max(free_sum, 1), correct / max(free_sum, 1)

@@ -4,16 +4,29 @@ import struct
 import tempfile
 import zlib
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 import enzydesign.numerics as nm
+from enzydesign.config import (DATA_SPEC, OUTPUT_SPEC, ModelConfig,
+                               TrainSchedule)
 from enzydesign.data import SplitManifest, read_table
+from enzydesign.enzyme_model import greedy_decode
 from enzydesign.numerics import Tensor, finite_difference_gradient
-from enzydesign.parameters import parameter_layout
+from enzydesign.parameters import constant_views, parameter_layout
 from enzydesign.site_miner import GAP_CHARS, _family_columns
+from enzydesign.training import record_loss
+
+# section -> {key: type} of every key ``config.read_run_config`` accepts
+RUN_CONFIG_SPEC = {
+    "model": {f.name: f.type for f in fields(ModelConfig)},
+    "schedule": {f.name: f.type for f in fields(TrainSchedule)},
+    "data": DATA_SPEC,
+    "output": OUTPUT_SPEC,
+}
 
 
 def check_gradient(op, x, h=1e-5, tol=1e-6):
@@ -183,6 +196,24 @@ def init_generic_parameters(config, vocab, rng) -> dict:
                 else np.full(shape, value))
         params[name] = Tensor(data, requires_grad=True)
     return params
+
+
+def evaluate_recovery(records, params, config, vocab, seed: int = 0):
+    """(nats per free residue, free-residue recovery rate) on a record set:
+    criterion 3's measure of the toy overfit. Each record goes through
+    ``training.record_loss`` on constant views of ``params``, so it
+    builds no graph."""
+    rng = np.random.default_rng(seed)
+    params = constant_views(params)
+    nll_sum, free_sum, correct = 0.0, 0, 0
+    for rec in sorted(records, key=lambda r: r.id):
+        (_, bd), logits = record_loss(rec, params, config, vocab, rng)
+        nll_sum += bd.seq_nll
+        free_sum += bd.free_residues
+        mask = rec.site_mask
+        decoded = greedy_decode(logits, rec.seq_indices, mask)
+        correct += int((decoded[~mask] == rec.seq_indices[~mask]).sum())
+    return nll_sum / max(free_sum, 1), correct / max(free_sum, 1)
 
 
 def interior_nodes(root):

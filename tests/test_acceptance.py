@@ -20,10 +20,11 @@ from enzydesign.numerics import Tensor
 from enzydesign.parameters import (TagVocabulary, constant_views,
                                    init_parameters)
 from enzydesign.site_miner import AlignedFamily
-from enzydesign.training import joint_loss, train, evaluate_recovery
+from enzydesign.training import joint_loss, train
 from enzydesign.verify import run_binding_invariance_suite, run_gradient_suite
 from fixtures import write_toy_tree
-from helpers import conserved_columns, init_generic_parameters
+from helpers import (conserved_columns, evaluate_recovery,
+                     init_generic_parameters)
 
 REPO = Path(__file__).resolve().parent.parent
 

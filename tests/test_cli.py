@@ -787,6 +787,10 @@ def _bad_input_files(root, tmp_path):
         edited = json.loads(json.dumps(cfg))
         edited["output"][key] = str(tmp_path / "nodir" / name)
         (tmp_path / f"nodir-{key}.json").write_text(json.dumps(edited))
+    (tmp_path / "outdir").mkdir()
+    edited = json.loads(json.dumps(cfg))
+    edited["output"]["checkpoint"] = str(tmp_path / "outdir")
+    (tmp_path / "outdir-checkpoint.json").write_text(json.dumps(edited))
     (tmp_path / "top-array.json").write_text("[]")
     (tmp_path / "data-number.json").write_text(json.dumps({**cfg, "data": 3}))
 
@@ -845,6 +849,7 @@ _CONFIG_EDITS = {
     "retired-key.json": ("model", "knn_mode", "dynamic"),
     "no-records-dir.json": ("data", "records_dir", None),
     "no-tags.json": ("data", "tags", None),
+    "no-substrates-dir.json": ("data", "substrates_dir", None),
 }
 _PDB_BAD_X = ("ATOM      1  CA  GLY A   1      xx.000   0.000   0.000"
               "  1.00  0.00           C\n")
@@ -1132,6 +1137,9 @@ BAD_INPUTS = {
             "train", "--config", "{d}/no-records-dir.json"]),
     "train-config-without-tags": (2, "error: data config needs tags\n", [
         "train", "--config", "{d}/no-tags.json"]),
+    "train-config-without-substrates-dir": (
+        2, "error: data config needs substrates_dir\n", [
+            "train", "--config", "{d}/no-substrates-dir.json"]),
     "train-checkpoint-directory-missing": (
         2, "error: output.checkpoint directory not found: '{d}/nodir/m.ckpt'\n",
         ["train", "--config", "{d}/nodir-checkpoint.json"]),
@@ -1147,6 +1155,21 @@ BAD_INPUTS = {
         2, "error: --out directory not found: '{d}/nodir/e.tsv'\n", [
             "export-embeddings", "--checkpoint", "{d}/none.ckpt", "--out",
             "{d}/nodir/e.tsv"]),
+    "train-checkpoint-is-a-directory": (
+        2, "error: output.checkpoint is a directory: '{d}/outdir'\n",
+        ["train", "--config", "{d}/outdir-checkpoint.json"]),
+    "generate-out-is-a-directory": (
+        2, "error: --out is a directory: '{d}/outdir'\n", [
+            "generate", "--checkpoint", "{d}/m.ckpt", "--motif",
+            "{d}/motif.tsv", "--out", "{d}/outdir"]),
+    "mine-sites-out-is-a-directory": (
+        2, "error: --out is a directory: '{d}/outdir'\n", [
+            "mine-sites", "--alignments", "{d}/aln-twice", "--out",
+            "{d}/outdir"]),
+    "export-out-is-a-directory": (
+        2, "error: --out is a directory: '{d}/outdir'\n", [
+            "export-embeddings", "--checkpoint", "{d}/m.ckpt", "--out",
+            "{d}/outdir"]),
     "train-split-manifest-directory-missing": (
         2, "error: output.split_manifest directory not found: "
            "'{d}/nodir/splits.tsv'\n",

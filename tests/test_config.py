@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from enzydesign.cli import UsageError, load_run_config
 from enzydesign.config import (DATA_SPEC, OUTPUT_SPEC, SECTIONS, ConfigError,
                                ModelConfig, TrainSchedule, read_run_config)
-from helpers import read_text_as
+from helpers import RUN_CONFIG_SPEC, read_text_as
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -101,7 +101,7 @@ def test_ints_stand_for_floats_and_bools_for_nothing_else():
 def test_negative_split_seed_is_rejected_by_the_reader():
     """The reader checks the range without looking at the file system."""
     raw = {"data": {"records_dir": "absent", "tags": "absent",
-                    "split_seed": -1}}
+                    "substrates_dir": "absent", "split_seed": -1}}
     with pytest.raises(ConfigError, match=r"^data\.split_seed must be >= 0$"):
         read_run_config(raw)
     raw["data"]["split_seed"] = 0
@@ -129,20 +129,20 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
-_KEYS = {"model": [f.name for f in fields(ModelConfig)],
-         "schedule": [f.name for f in fields(TrainSchedule)],
-         "data": list(DATA_SPEC), "output": list(OUTPUT_SPEC)}
 
 
 @st.composite
 def _run_config(draw):
-    """A run config naming the toy records and tags, with one section
-    replaced by any JSON value or by an object whose keys are mostly the
-    section's own; sometimes that value alone is the whole config."""
+    """A run config naming the toy records, tags and substrates, with one
+    section replaced by any JSON value or by an object whose keys are
+    mostly the section's own; sometimes that value alone is the whole
+    config."""
     raw = {"data": {"records_dir": str(ROOT / "data" / "toy" / "records"),
-                    "tags": str(ROOT / "data" / "toy" / "tags.tsv")}}
+                    "tags": str(ROOT / "data" / "toy" / "tags.tsv"),
+                    "substrates_dir": str(ROOT / "data" / "toy"
+                                          / "substrates")}}
     section = draw(st.sampled_from(SECTIONS + ("extras",)))
-    keys = st.sampled_from(_KEYS.get(section, ["bogus"]) + ["bogus"])
+    keys = st.sampled_from([*RUN_CONFIG_SPEC.get(section, ()), "bogus"])
     raw[section] = draw(_JSON | st.dictionaries(keys, _JSON, max_size=4))
     return draw(st.sampled_from([raw, raw[section]]))
 
@@ -161,7 +161,8 @@ def _load(path):
 
 
 @given(_run_config())
-@example({"data": {"records_dir": "a\nb", "tags": "t"}})
+@example({"data": {"records_dir": "a\nb", "tags": "t",
+                   "substrates_dir": "s"}})
 @settings(max_examples=300, deadline=None)
 def test_any_json_loads_or_raises_usage_error(raw):
     """A run config loads with values of the declared types, or raises a

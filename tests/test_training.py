@@ -18,10 +18,10 @@ from enzydesign.parameters import (TagVocabulary, VocabularyError,
 from enzydesign.residues import AMINO_ACIDS
 from enzydesign.substrate_model import binding_scores, substrate_forward
 from enzydesign.training import (Adam, TrainSchedule, _pack_batches,
-                                 batch_loss, draw_mlm_mask, evaluate_recovery,
-                                 joint_loss, record_loss, train)
+                                 batch_loss, draw_mlm_mask, joint_loss,
+                                 record_loss, train)
 from fixtures import make_toy_corpus
-from helpers import init_generic_parameters
+from helpers import evaluate_recovery, init_generic_parameters
 
 REPO = Path(__file__).resolve().parent.parent
 
