@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SUBSTRATE_FEATURES
-from .residues import AA_TO_INDEX, AMINO_ACIDS, THREE_TO_ONE, UnknownResidueError
+from .residues import AA_TO_INDEX, THREE_TO_ONE, UnknownResidueError
 
 SPLIT_IDENTITY = 0.5      # clusters never straddle a split
 HELD_OUT_FRACTION = 0.1   # of clusters, for test and for valid each

@@ -70,27 +70,24 @@ def global_attention_sublayer(h: Tensor, params, prefix: str,
 def neighborhood_messages(h: Tensor, x: Tensor, neighbors, params,
                           prefix: str, head=()) -> Tensor:
     """Each row's summed softmax-weighted edge messages Σ_k m_ik, (N, d),
-    and with the coordinate ``head`` weights its coordinate update
-    Σ_k (x_i − x_k)·φ_x(m_ik) in three more columns, (N, d + 3).
+    and with the coordinate ``head`` weights its moved coordinates
+    x_i + Σ_k (x_i − x_k)·φ_x(m_ik) in three more columns, (N, d + 3).
 
-    ``neighbors`` is a list of blocks of row indices, one (N_r, K_r)
-    block per packed record. Each of ``_edge_tiles``' tiles is one
-    ``numerics.edge_messages`` node, and the tiles join in row order; a
-    K = 0 tile (a one-residue or one-atom record) has no messages.
-    Coordinates enter the messages only through the pairwise distance,
-    which keeps them rigid-motion invariant. The first message layer
-    W·[h_i; h_k; d_ik] + b, stored as W's row blocks ``msg1/wi``,
-    ``msg1/wk`` and ``msg1/wd``, is (hW_i)_i + (hW_k)_k + d_ik·w_d + b
-    with hW_i and hW_k formed once over all N rows: no (R,K,2d+1) input
-    is built.
+    ``neighbors`` holds one (N_r, K_r) block of row indices per packed
+    record, and the sub-layer's edges are one ``numerics.edge_messages``
+    node; a K = 0 row (a one-residue or one-atom record) has no messages
+    and does not move. Coordinates enter the messages only through the
+    pairwise distance, which keeps them rigid-motion invariant. The first
+    message layer W·[h_i; h_k; d_ik] + b, stored as W's row blocks
+    ``msg1/wi``, ``msg1/wk`` and ``msg1/wd``, is (hW_i)_i + (hW_k)_k +
+    d_ik·w_d + b with hW_i and hW_k formed once over all N rows: no
+    (R,K,2d+1) input is built.
     """
     hw_i = h @ params[f"{prefix}/msg1/wi"]
     hw_k = h @ params[f"{prefix}/msg1/wk"]
     weights = [params[f"{prefix}/{name}"] for name in (
         "msg1/wd", "msg1/b", "msg2/w", "msg2/b", "attn/w", "attn/b")]
-    return nm.concat([nm.edge_messages(hw_i, hw_k, x, *weights, lo, lists,
-                                       head)
-                      for lo, lists in _edge_tiles(neighbors, h.shape[1])])
+    return nm.edge_messages(hw_i, hw_k, x, *weights, neighbors, head)
 
 
 def gated_node_update(h: Tensor, g: Tensor, params, prefix: str) -> Tensor:
@@ -98,26 +95,6 @@ def gated_node_update(h: Tensor, g: Tensor, params, prefix: str) -> Tensor:
     gate = nm.sigmoid(_linear(nm.relu(_linear(g, params, f"{prefix}/gate1")),
                               params, f"{prefix}/gate2"))
     return h + gate * g
-
-
-def _edge_tiles(neighbors, d):
-    """(first row, neighbor lists) of each edge tile: consecutive records
-    with the same K form a run, cut into ``numerics.tile_rows(K·d·8)``
-    centers, so each (R,K,d) temporary of the forward and of the
-    backward rule stays within ``numerics.TILE_BYTES``."""
-    runs = []
-    for block in neighbors:
-        if runs and runs[-1][-1].shape[1] == block.shape[1]:
-            runs[-1].append(block)
-        else:
-            runs.append([block])
-    lo = 0
-    for run in runs:
-        lists = np.concatenate(run)
-        tile = nm.tile_rows(lists.shape[1] * d * 8)
-        for i in range(0, len(lists), tile):
-            yield lo + i, lists[i:i + tile]
-        lo += len(lists)
 
 
 def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors, params,
@@ -134,7 +111,7 @@ def neighborhood_sublayer(h: Tensor, x: Tensor, neighbors, params,
     head = [params[f"{prefix}/{name}"] for name in (
         "coord1/w", "coord1/b", "coord2/w", "coord2/b")]
     blocks = neighborhood_messages(h, x, neighbors, params, prefix, head)
-    x_new = x + nm.columns(blocks, d, d + 3)
+    x_new = nm.columns(blocks, d, d + 3)
     if config.freeze_motif_coords and motif_mask is not None:
         keep = np.asarray(motif_mask, dtype=np.float64)[:, None]
         x_new = x * Tensor(keep) + x_new * Tensor(1.0 - keep)

@@ -2,10 +2,10 @@
 
 Define-by-run: each operation records its parents, a backward rule and
 a creation number. A rule maps the result's gradient to one gradient
-per parent, in order, and fires once (``edge_messages``' rule reuses the
-buffers its forward kept); ``Tensor.backward`` is the one place that
-sums each back to its input's shape and accumulates it, and it fires the
-rules newest first. Everything downstream of this
+per parent, in order, and fires once (``edge_messages``' rule runs each
+tile's rule once, on buffers its forward kept); ``Tensor.backward`` is
+the one place that sums each back to its input's shape and accumulates
+it, and it fires the rules newest first. Everything downstream of this
 module (attention layers, equivariant updates, losses) is built from the
 primitives here, so each backward rule is validated against central
 finite differences in the test suite.
@@ -14,15 +14,14 @@ The primitives are ``add``, ``sub``, ``mul`` and ``matmul``, which
 broadcast like numpy and sum their gradients back to each operand's
 shape; ``linear`` (``x @ w + b`` over the last axis); ``relu``,
 ``sigmoid``, ``tensor_sum``, ``take`` (embedding rows by an index
-array), ``concat`` along axis 0, a matrix's ``columns`` and its
-``transpose``; ``log_softmax``, multi-head ``attention`` (block-diagonal
-over packed records), the affine ``layer_norm(x, g, b)`` and
-``edge_messages`` (one edge tile of an EGNN layer: the sums over K of
-its softmax-weighted messages and, with the coordinate head, of its
-coordinate updates). Each is one graph node with a closed-form backward
-rule, and a run of the program builds every one. ``attention`` runs its
-softmax, and ``edge_messages`` its radial vectors, distances, SiLUs and
-softmax, as numpy ops.
+array), a matrix's ``columns`` and its ``transpose``; ``log_softmax``,
+multi-head ``attention`` (block-diagonal over packed records), the
+affine ``layer_norm(x, g, b)`` and ``edge_messages`` (one sub-layer's
+EGNN edges: each row's sums over K of its softmax-weighted messages and,
+with the coordinate head, its moved coordinates). Each is one graph
+node with a closed-form backward rule, and a run of the program builds
+every one. ``attention`` runs its softmax, and ``edge_messages`` its
+radial vectors, distances, SiLUs and softmax, as numpy ops.
 
 Forward work that grows with N² or N·K runs ``tile_rows`` rows at a
 time, each tile's temporaries at most ``TILE_BYTES``, with or without a
@@ -341,19 +340,6 @@ def columns(x: Tensor, start: int, stop: int) -> Tensor:
                   _backward_fn=bw)
 
 
-def concat(parts) -> Tensor:
-    """Join tensors along axis 0; a single part is returned as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    ends = np.cumsum([t.shape[0] for t in parts])[:-1]
-
-    def bw(g):
-        return np.split(g, ends)
-
-    return Tensor(np.concatenate([t.data for t in parts]), _parents=tuple(parts),
-                  _backward_fn=bw)
-
-
 # ---- softmax / attention / log-softmax / layer norm ----
 
 def segments(lengths) -> list[slice]:
@@ -423,121 +409,158 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return Tensor(out, _parents=(q, k, v), _backward_fn=bw)
 
 
+def _edge_tiles(neighbors, d):
+    """(first row, neighbor lists) of each edge tile: consecutive records
+    with the same K form a run, cut into ``tile_rows(K·d·8)`` centers, so
+    each (R,K,d) temporary of the forward and of the backward rule stays
+    within ``TILE_BYTES``."""
+    lo = 0
+    for _, run in itertools.groupby(neighbors, lambda b: b.shape[1]):
+        lists = np.concatenate(list(run))
+        tile = tile_rows(lists.shape[1] * d * 8)
+        for i in range(0, len(lists), tile):
+            yield lo + i, lists[i:i + tile]
+        lo += len(lists)
+
+
 def edge_messages(hw_i: Tensor, hw_k: Tensor, x: Tensor, wd: Tensor,
                   b1: Tensor, w2: Tensor, b2: Tensor, wa: Tensor, ba: Tensor,
-                  lo: int, lists, head=()) -> Tensor:
-    """One edge tile of an EGNN layer (Satorras et al. 2021, eqs. 3-6) as
-    one node: the (R, d) sums over K of its softmax-weighted messages and,
+                  neighbors, head=()) -> Tensor:
+    """One EGNN layer's edges (Satorras et al. 2021, eqs. 3-6) as one node:
+    each row's (N, d) sums over K of its softmax-weighted messages and,
     given the coordinate ``head`` (coord1/w, coord1/b, coord2/w,
-    coord2/b), the (R, 3) coordinate updates beside them.
+    coord2/b), its moved coordinates in three more columns.
 
-    Center r is row ``lo + r`` of ``hw_i`` (N, d) and of ``x`` (N, 3); its
-    neighbors are the rows ``lists[r]`` (R, K) of ``hw_k`` and ``x``. With
-    rel_rk = x[lo + r] − x[lists[r, k]] and d_rk = |rel_rk|:
+    ``neighbors`` holds one (N_r, K_r) block of rows of ``hw_k`` and ``x``
+    per packed record, whose rows are those of ``hw_i``. With
+    rel_ik = x_i − x_k and d_ik = |rel_ik|:
 
-        z = (hw_i[lo + r] + hw_k[lists[r, k]]) + d_rk·wd + b1
+        z = (hw_i[i] + hw_k[k]) + d_ik·wd + b1
         m = silu(silu(z) @ w2 + b2)
         u = softmax over K of (m @ wa + ba), times m
-        out = [Σ_k u | Σ_k rel · (silu(u @ c1w + c1b) @ c2w + c2b)]
+        out_i = [Σ_k u | x_i + Σ_k rel · (silu(u @ c1w + c1b) @ c2w + c2b)]
 
-    A K = 0 tile gives zeros. The forward runs the numpy ops of the chain
-    of nodes it replaces (two ``take``s and a ``sub`` for rel, the
+    It runs ``_edge_tiles``' tiles; a K = 0 row (a one-residue or one-atom
+    record) keeps zero sums and its coordinates. A tile runs the numpy ops
+    of the nodes it replaces (two ``take``s and a ``sub`` for rel, the
     messages, the head's ``linear``, SiLU, ``linear`` and ``mul``, two
-    ``tensor_sum``s) in their order, and ``x`` is a parent twice, once
-    per ``take``, so values and gradients keep their bits. Without a
-    backward, the head reuses the messages' spent buffers. The rule keeps
-    six (R, K, d) arrays, silu(z), m and the head's SiLU output with
-    their logistics, beside (R, K, 3) and (R, K, 1) ones; it recomputes u
-    and reuses buffers, so it fires once, as ``Tensor.backward`` fires
-    every rule. The distance gradient is 0 at d = 0.
+    ``tensor_sum``s, the tiles' ``concat``, the ``add`` to ``x``) in order,
+    so values and gradients keep their bits; without a backward, the head
+    reuses spent buffers. The rule fires the tiles' rules newest first,
+    adding into gradients allocated once (``x``'s from the node's own
+    gradient of its last three columns). A tile's rule keeps six (R, K, d)
+    arrays (silu(z), m and the head's SiLU output, with their logistics)
+    beside (R, K, 3) and (R, K, 1) ones. The distance gradient is 0 at 0.
     """
-    lists = np.asarray(lists, dtype=np.intp)
-    (r, k), d = lists.shape, hw_k.shape[1]
-    if k == 0:
-        return Tensor(np.zeros((r, d + 3 if head else d)))
-    parents = (hw_i, hw_k, x, x, wd, b1, w2, b2, wa, ba, *head)
+    n, d = hw_k.shape
+    parents = (hw_i, hw_k, x, wd, b1, w2, b2, wa, ba, *head)
     keep = any(t.requires_grad for t in parents)
-    rel = x.data[lo:lo + r, None] - x.data[lists]
-    dist = np.sqrt((rel ** 2).sum(axis=-1, keepdims=True))
-    y1 = hw_k.data[lists]
-    y1 += hw_i.data[lo:lo + r, None]
-    s1 = np.multiply(dist, wd.data)
-    y1 += s1
-    y1 += b1.data
-    _logistic(y1, out=s1)
-    y1 *= s1  # silu(z), in z's buffer
-    # without a backward, m and its logistic take the two spent buffers
-    m = np.matmul(y1.reshape(-1, d), w2.data,
-                  out=None if keep else s1.reshape(-1, d))
-    m += b2.data
-    s2 = _logistic(m, out=None if keep else y1.reshape(-1, d))
-    m *= s2
-    p = (m @ wa.data).reshape(r, k, 1)
-    p += ba.data
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    m, s2 = m.reshape(r, k, d), s2.reshape(r, k, d)
-    u = np.multiply(p, m, out=None if keep else m)
-    out = u.sum(axis=1)
+    out = np.zeros((n, d + 3 if head else d))
     if head:
         c1w, c1b, c2w, c2b = head
-        y3 = np.matmul(u.reshape(-1, d), c1w.data,
-                       out=None if keep else s2.reshape(-1, d))
-        y3 += c1b.data
-        s3 = _logistic(y3, out=None if keep else u.reshape(-1, d))
-        y3 *= s3  # the head's silu, in its input's buffer
-        scale = y3 @ c2w.data
-        scale += c2b.data
-        scale = scale.reshape(r, k, 1)
-        out = np.concatenate([out, (rel * scale).sum(axis=1)], axis=1)
+        out[:, d:] = x.data
+
+    def tile(lo, lists):
+        """Centers ``lo`` to ``lo + R`` (K > 0) into ``out``. With ``keep``,
+        returns their rule, which writes their rows of ``hw_i``'s gradient
+        into ``ghw_i`` and returns their terms of the others' (x's twice)."""
+        r, k = lists.shape
+        rel = x.data[lo:lo + r, None] - x.data[lists]
+        dist = np.sqrt((rel ** 2).sum(axis=-1, keepdims=True))
+        y1 = hw_k.data[lists]
+        y1 += hw_i.data[lo:lo + r, None]
+        s1 = np.multiply(dist, wd.data)
+        y1 += s1
+        y1 += b1.data
+        _logistic(y1, out=s1)
+        y1 *= s1  # silu(z), in z's buffer
+        # without a backward, m and its logistic take the two spent buffers
+        m = np.matmul(y1.reshape(-1, d), w2.data,
+                      out=None if keep else s1.reshape(-1, d))
+        m += b2.data
+        s2 = _logistic(m, out=None if keep else y1.reshape(-1, d))
+        m *= s2
+        p = (m @ wa.data).reshape(r, k, 1)
+        p += ba.data
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        m, s2 = m.reshape(r, k, d), s2.reshape(r, k, d)
+        u = np.multiply(p, m, out=None if keep else m)
+        u.sum(axis=1, out=out[lo:lo + r, :d])
+        if head:
+            y3 = np.matmul(u.reshape(-1, d), c1w.data,
+                           out=None if keep else s2.reshape(-1, d))
+            y3 += c1b.data
+            s3 = _logistic(y3, out=None if keep else u.reshape(-1, d))
+            y3 *= s3  # the head's silu, in its input's buffer
+            scale = y3 @ c2w.data
+            scale += c2b.data
+            scale = scale.reshape(r, k, 1)
+            out[lo:lo + r, d:] += (rel * scale).sum(axis=1)
+
+        def bw(g, ghw_i):
+            g = g[lo:lo + r]
+            if head:  # the chain's rules from its last node back to u
+                g_rel = g[:, None, d:] * scale
+                gs = (g[:, None, d:] * rel).sum(axis=2, keepdims=True)
+                gs = gs.reshape(r * k, 1)
+                gy3 = gs @ c2w.data.T
+                gc2w, gc2b = y3.T @ gs, gs.sum(axis=0)
+                gz3 = _silu_grad(gy3, s3, y3)
+                u = np.multiply(p, m, out=gy3.reshape(r, k, d)).reshape(-1, d)
+                gc1w, gc1b = u.T @ gz3, gz3.sum(axis=0)
+                gu = np.matmul(gz3, c1w.data.T, out=u).reshape(r, k, d)
+                gu += g[:, None, :d]
+                buf = np.multiply(gu, m, out=gz3.reshape(r, k, d))
+            else:
+                gu = np.empty((r, k, d))
+                gu[...] = g[:, None, :]
+                buf = gu * m
+            gp = buf.sum(axis=-1, keepdims=True)  # the product's rule
+            gp -= (gp * p).sum(axis=1, keepdims=True)
+            gp *= p  # softmax's rule
+            gp = gp.reshape(r * k, 1)
+            gwa = m.reshape(r * k, d).T @ gp
+            gm = np.multiply(gu, p, out=buf)
+            gm += (gp @ wa.data.T).reshape(gm.shape)
+            gz2 = _silu_grad(gm, s2, m, out=gu).reshape(r * k, d)
+            gy1 = np.matmul(gz2, w2.data.T, out=buf.reshape(r * k, d))
+            gz1 = _silu_grad(gy1.reshape(y1.shape), s1, y1, out=s2)
+            gw2 = y1.reshape(r * k, d).T @ gz2
+            # the bias-like gradients sum over R, then K, as _unbroadcast does
+            gwd = np.multiply(gz1, dist, out=buf).sum(axis=0).sum(axis=0)
+            gdist = np.multiply(gz1, wd.data, out=buf).sum(axis=-1, keepdims=True)
+            unit = np.where(dist == 0.0, 0.0,
+                            rel / np.where(dist == 0.0, 1.0, dist))
+            if head:
+                g_rel += gdist * unit
+            else:
+                g_rel = gdist * unit
+            gz1.sum(axis=1, out=ghw_i[lo:lo + r])
+            grads = (_scatter_rows(lists, gz1, hw_k.shape),
+                     _scatter_rows(lists, -g_rel, x.shape),
+                     _scatter_rows(np.arange(lo, lo + r),
+                                   _unbroadcast(g_rel, (r, 1, 3)), x.shape),
+                     gwd, gz1.sum(axis=0).sum(axis=0), gw2, gz2.sum(axis=0),
+                     gwa, gp.sum(axis=0))
+            return grads + ((gc1w, gc1b, gc2w, gc2b) if head else ())
+
+        return bw if keep else None
+
+    rules = [tile(lo, lists) for lo, lists in _edge_tiles(neighbors, d)
+             if lists.shape[1]]
+    slots = (1, 2, *range(2, len(parents)))  # where each tile term adds
 
     def bw(g):
-        if head:  # the chain's rules from its last node back to u
-            g_rel = g[:, None, d:] * scale
-            gs = (g[:, None, d:] * rel).sum(axis=2, keepdims=True)
-            gs = gs.reshape(r * k, 1)
-            gy3 = gs @ c2w.data.T
-            gc2w, gc2b = y3.T @ gs, gs.sum(axis=0)
-            gz3 = _silu_grad(gy3, s3, y3)
-            u = np.multiply(p, m, out=gy3.reshape(r, k, d)).reshape(-1, d)
-            gc1w, gc1b = u.T @ gz3, gz3.sum(axis=0)
-            gu = np.matmul(gz3, c1w.data.T, out=u).reshape(r, k, d)
-            gu += g[:, None, :d]
-            buf = np.multiply(gu, m, out=gz3.reshape(r, k, d))
-        else:
-            gu = np.empty((r, k, d))
-            gu[...] = g[:, None, :]
-            buf = gu * m
-        gp = buf.sum(axis=-1, keepdims=True)  # the product's rule
-        gp -= (gp * p).sum(axis=1, keepdims=True)
-        gp *= p  # softmax's rule
-        gp = gp.reshape(r * k, 1)
-        gwa = m.reshape(r * k, d).T @ gp
-        gm = np.multiply(gu, p, out=buf)
-        gm += (gp @ wa.data.T).reshape(gm.shape)
-        gz2 = _silu_grad(gm, s2, m, out=gu).reshape(r * k, d)
-        gy1 = np.matmul(gz2, w2.data.T, out=buf.reshape(r * k, d))
-        gz1 = _silu_grad(gy1.reshape(y1.shape), s1, y1, out=s2)
-        gw2 = y1.reshape(r * k, d).T @ gz2
-        # the bias-like gradients sum over R, then K, as _unbroadcast does
-        gwd = np.multiply(gz1, dist, out=buf).sum(axis=0).sum(axis=0)
-        gdist = np.multiply(gz1, wd.data, out=buf).sum(axis=-1, keepdims=True)
-        unit = np.where(dist == 0.0, 0.0,
-                        rel / np.where(dist == 0.0, 1.0, dist))
-        if head:
-            g_rel += gdist * unit
-        else:
-            g_rel = gdist * unit
-        ghw_i = np.zeros_like(hw_i.data)
-        ghw_i[lo:lo + r] = gz1.sum(axis=1)
-        grads = (ghw_i, _scatter_rows(lists, gz1, hw_k.shape),
-                 _scatter_rows(lists, -g_rel, x.shape),
-                 _scatter_rows(np.arange(lo, lo + r),
-                               _unbroadcast(g_rel, (r, 1, 3)), x.shape),
-                 gwd, gz1.sum(axis=0).sum(axis=0), gw2, gz2.sum(axis=0),
-                 gwa, gp.sum(axis=0))
-        return grads + ((gc1w, gc1b, gc2w, gc2b) if head else ())
+        grads = [np.zeros_like(hw_i.data), None,
+                 g[:, d:].copy() if head else None] + [None] * len(parents[3:])
+        for rule in reversed(rules):
+            for i, gi in zip(slots, rule(g, grads[0])):
+                grads[i] = gi if grads[i] is None else np.add(grads[i], gi,
+                                                              out=grads[i])
+        return [np.zeros_like(t.data) if gi is None else gi
+                for t, gi in zip(parents, grads)]
 
     return Tensor(out, _parents=parents, _backward_fn=bw)
 

@@ -126,6 +126,21 @@ def reshape(x: Tensor, shape) -> Tensor:
     return Tensor(x.data.reshape(shape), _parents=(x,), _backward_fn=bw)
 
 
+def concat(parts) -> Tensor:
+    """Join tensors along axis 0; a single part is returned as it is. The
+    model joined its edge tiles with it before ``edge_messages`` took in
+    a whole sub-layer's edges."""
+    if len(parts) == 1:
+        return parts[0]
+    ends = np.cumsum([t.shape[0] for t in parts])[:-1]
+
+    def bw(g):
+        return np.split(g, ends)
+
+    return Tensor(np.concatenate([t.data for t in parts]),
+                  _parents=tuple(parts), _backward_fn=bw)
+
+
 def composite_attention(q, k, v, heads):
     """Multi-head attention as the model built it from separate primitives
     before ``numerics.attention``, op for op on numpy arrays: split the
@@ -229,11 +244,11 @@ def interior_nodes(root):
     return found
 
 
-def rule_closure(t):
-    """What ``t``'s backward rule refers to, less the names it reads only
-    on a path this node did not take."""
+def rule_closure(rule):
+    """What the backward ``rule`` refers to, less the names it reads only
+    on a path it did not take."""
     kept = []
-    for cell in t._backward_fn.__closure__:
+    for cell in rule.__closure__:
         try:
             kept.append(cell.cell_contents)
         except ValueError:  # an empty cell
@@ -241,15 +256,23 @@ def rule_closure(t):
     return kept
 
 
-def kept_arrays(t):
-    """The arrays ``t``'s backward rule keeps alive: each view's owner,
+def kept_arrays(rule):
+    """The arrays the backward ``rule`` keeps alive: each view's owner,
     once."""
     owners = {}
-    for a in rule_closure(t):
+    for a in rule_closure(rule):
         if isinstance(a, np.ndarray):
             a = a if a.base is None else a.base
             owners[id(a)] = a
     return list(owners.values())
+
+
+def tile_rules(t):
+    """The per-tile rules an ``edge_messages`` node's rule runs, in row
+    order."""
+    rule = t._backward_fn
+    cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
+    return cells["rules"].cell_contents
 
 
 def mostly(field):

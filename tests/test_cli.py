@@ -22,7 +22,7 @@ from enzydesign.parameters import (TagVocabulary, init_parameters,
 from enzydesign.site_miner import read_site_manifest
 from enzydesign.verify import (run_binding_invariance_suite,
                                run_equivariance_suite)
-from fixtures import TOY_LENGTH, free_positions, write_toy_tree
+from fixtures import TOY_LENGTH, write_toy_tree
 from helpers import (COORD, edit_checkpoint_header, init_generic_parameters,
                      integer, mostly, read_text_as, table, with_crc)
 

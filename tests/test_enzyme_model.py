@@ -14,7 +14,7 @@ from enzydesign.parameters import (TagVocabulary, constant_views,
                                    init_parameters)
 
 from helpers import (check_input_gradient, init_generic_parameters,
-                     interior_nodes, kept_arrays, softmax)
+                     interior_nodes, kept_arrays, softmax, tile_rules)
 
 
 def small_setup(d=8, heads=2, sublayers=2, period=1, seed=0,
@@ -185,8 +185,8 @@ def _silu(v):
 
 
 def one_block(h, x, nbrs, params, prefix="neigh0"):
-    """(message sums, coordinate updates) of one record's edge block,
-    read from the coordinate head's form of ``neighborhood_messages``."""
+    """(message sums, moved coordinates) of one record's edge block, read
+    from the coordinate head's form of ``neighborhood_messages``."""
     head = [params[f"{prefix}/{name}"] for name in (
         "coord1/w", "coord1/b", "coord2/w", "coord2/b")]
     out = neighborhood_messages(Tensor(h), Tensor(x), [nbrs], params,
@@ -218,14 +218,14 @@ class TestNeighborhood:
 
     def test_split_weight_matches_concat_form(self):
         """Message sums equal those of silu(silu([h_i; h_k; d_ik]·W1 + b1)
-        ·W2 + b2), and coordinate updates Σ_k rel·(silu(m·C1 + c1)·C2 +
-        c2) on generic weights."""
+        ·W2 + b2), and moved coordinates x + Σ_k rel·(silu(m·C1 + c1)·C2
+        + c2) on generic weights."""
         config, vocab, params = small_setup(generic=True)
         rng = np.random.default_rng(3)
         h = rng.normal(size=(6, 8))
         x = rng.normal(size=(6, 3)) * 3.0
         nbrs = geometry.knn(x, 3)
-        m, delta = one_block(h, x, nbrs, params)
+        m, moved = one_block(h, x, nbrs, params)
         msg, w_ref, rel_ref = concat_form_messages(h, x, nbrs, params)
         weighted = w_ref * msg
         np.testing.assert_allclose(m, weighted.sum(axis=1), rtol=0,
@@ -236,7 +236,7 @@ class TestNeighborhood:
 
         scale = (_silu(weighted @ p("coord1/w") + p("coord1/b"))
                  @ p("coord2/w") + p("coord2/b"))
-        np.testing.assert_allclose(delta, (rel_ref * scale).sum(axis=1),
+        np.testing.assert_allclose(moved, x + (rel_ref * scale).sum(axis=1),
                                    rtol=0, atol=1e-12)
 
     def test_zero_coord_scale_leaves_coordinates_unchanged(self):
@@ -504,7 +504,7 @@ class TestRowTiles:
             return max(a.nbytes for t in interior_nodes(root)
                        if t._backward_fn.__qualname__.startswith(
                            "edge_messages.")
-                       for a in kept_arrays(t))
+                       for rule in tile_rules(t) for a in kept_arrays(rule))
 
         assert _with_budget(monkeypatch, WHOLE, largest_edge_block) == 60 * 384
         assert _with_budget(monkeypatch, 3840, largest_edge_block) == 3840

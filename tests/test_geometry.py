@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import enzydesign.numerics as nm
-from enzydesign import geometry
 from enzydesign.geometry import (GeometryError, apply_rigid, init_coordinates,
                                  knn, pairwise_distances, random_rigid)
 

@@ -10,8 +10,8 @@ from enzydesign.numerics import (DimensionError, Tensor,
                                  finite_difference_gradient)
 
 from helpers import (analytic_and_fd, check_gradient, composite_attention,
-                     edge_chain, interior_nodes, kept_arrays, l2_norm,
-                     reshape, rule_closure, silu, softmax)
+                     concat, edge_chain, interior_nodes, kept_arrays, l2_norm,
+                     reshape, rule_closure, silu, softmax, tile_rules)
 
 
 class TestMatmul:
@@ -318,7 +318,7 @@ class TestConcat:
         parts = [rng.normal(size=(r, 3)) for r in (2, 4, 1)]
 
         def op(t):
-            return nm.concat([t if i == part else Tensor(p)
+            return concat([t if i == part else Tensor(p)
                               for i, p in enumerate(parts)])
 
         check_gradient(op, parts[part], h=1e-5)
@@ -326,10 +326,10 @@ class TestConcat:
     def test_values_and_single_part(self):
         rng = np.random.default_rng(24)
         a, b = rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
-        out = nm.concat([Tensor(a), Tensor(b)])
+        out = concat([Tensor(a), Tensor(b)])
         np.testing.assert_array_equal(out.data, np.concatenate([a, b]))
         t = Tensor(a, requires_grad=True)
-        assert nm.concat([t]) is t
+        assert concat([t]) is t
 
 
 class TestAttentionRowTiles:
@@ -371,30 +371,62 @@ def edge_inputs(rng, n, d):
     return arrays + [weights[0][2 * d]] + weights[1:] + head
 
 
-def tiled_edge_messages(ts, lists, rows, head=True):
-    """One record's ``rows``-center tiles of ``edge_messages`` on the
-    inputs ``ts`` (as ``edge_inputs`` orders them), joined."""
-    return nm.concat([
-        nm.edge_messages(*ts[:9], lo, lists[lo:lo + rows],
-                         ts[9:] if head else ())
-        for lo in range(0, len(lists), rows)])
+def sublayer_chain(hw_i, hw_k, x, wd, b1, w2, b2, wa, ba, neighbors,
+                   head=()):
+    """A sub-layer's edges as the model built them before
+    ``edge_messages`` took in all of its tiles: one ``edge_chain`` per
+    tile (zero constants for a K = 0 tile), the tiles' message sums and
+    coordinate updates each joined by ``concat``, and with the ``head``
+    the updates added to ``x``. Returns [message sums] or [message sums,
+    moved coordinates]."""
+    sums, deltas = [], []
+    for lo, lists in nm._edge_tiles(neighbors, hw_k.shape[1]):
+        if lists.shape[1]:
+            parts = edge_chain(hw_i, hw_k, x, wd, b1, w2, b2, wa, ba, lo,
+                               lists, head)
+        else:
+            parts = [Tensor(np.zeros((len(lists), hw_k.shape[1]))),
+                     Tensor(np.zeros((len(lists), 3)))]
+        sums.append(parts[0])
+        deltas.append(parts[-1])
+    return [concat(sums), x + concat(deltas)] if head else [concat(sums)]
+
+
+def edge_pack(rng, d, lengths, ks):
+    """``edge_inputs`` for records of ``lengths`` rows packed end to end,
+    and their neighbor blocks: each row of record r has ``ks[r]`` distinct
+    neighbors drawn from the rest of its record. Point 1 is a copy of
+    point 0, and when both are in one record center 0 meets its twin."""
+    arrays = edge_inputs(rng, sum(lengths), d)
+    arrays[2][1] = arrays[2][0]
+    blocks = []
+    for rows, k in zip(nm.segments(lengths), ks):
+        others = [np.delete(np.arange(rows.start, rows.stop), i)
+                  for i in range(rows.stop - rows.start)]
+        blocks.append(np.array([rng.choice(o, k, replace=False)
+                                for o in others]).reshape(len(others), k))
+    if ks[0] and lengths[0] > 1 and 1 not in blocks[0][0]:
+        blocks[0][0, 0] = 1
+    return arrays, blocks
 
 
 def fd_case(case, rng):
-    """``edge_inputs`` and neighbor lists of a small edge block: two
-    coincident points (a zero-distance edge), K = 1, or five centers
-    that ``tiled_edge_messages`` cuts into tiles of two, so lo > 0."""
+    """``edge_inputs``, neighbor blocks and a budget of two centers for a
+    small edge block: two coincident points (a zero-distance edge), K = 1,
+    or five centers that make three tiles."""
     if case == "coincident":
         arrays = edge_inputs(rng, 4, 3)
         arrays[2][1] = arrays[2][0]
-        return arrays, np.array([[1, 2], [0, 3], [3, 0], [2, 1]]), 4
-    if case == "k1":
-        return edge_inputs(rng, 3, 3), np.array([[1], [0], [1]]), 3
-    lists = np.array([[1, 4], [3, 2], [0, 4], [2, 1], [3, 0]])
-    return edge_inputs(rng, 5, 3), lists, 2
+        lists = np.array([[1, 2], [0, 3], [3, 0], [2, 1]])
+    elif case == "k1":
+        arrays, lists = edge_inputs(rng, 3, 3), np.array([[1], [0], [1]])
+    else:
+        arrays = edge_inputs(rng, 5, 3)
+        lists = np.array([[1, 4], [3, 2], [0, 4], [2, 1], [3, 0]])
+    return arrays, [lists], 2 * lists.shape[1] * 3 * 8
 
 
-def check_edge_gradient(arrays, which, lists, rows, head=True, h=1e-5):
+def check_edge_gradient(arrays, which, blocks, head=True, h=1e-5):
     """FD at step ``h`` against the analytic gradient of input ``which``.
     ``attn/b`` (input 8) shifts every edge's score alike, and the softmax
     over K ignores that shift: its exact gradient is 0, so both gradients
@@ -402,7 +434,7 @@ def check_edge_gradient(arrays, which, lists, rows, head=True, h=1e-5):
     def op(t):
         ts = [Tensor(a) for a in arrays]
         ts[which] = t
-        return tiled_edge_messages(ts, lists, rows, head)
+        return nm.edge_messages(*ts[:9], blocks, ts[9:] if head else ())
 
     if which == 8:
         analytic, fd = analytic_and_fd(op, arrays[which])
@@ -412,25 +444,60 @@ def check_edge_gradient(arrays, which, lists, rows, head=True, h=1e-5):
         check_gradient(op, arrays[which], h=h)
 
 
+class TestEdgeTiles:
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 3)),
+                    min_size=1, max_size=8),
+           st.sampled_from([1, 4, 16]), st.integers(1, 1024))
+    @settings(max_examples=200, deadline=None)
+    def test_tiles_cut_runs_of_one_k_within_the_budget(self, shapes, d,
+                                                       budget):
+        """The tiles cover rows 0..N-1 once each, in order, and a tile's
+        rows are its records' neighbor lists, so it holds one K. Two
+        neighboring tiles of one K mean the first is full, so same-K
+        records share a run, and a tile of R > 1 rows keeps R·K·d·8 within
+        ``TILE_BYTES``."""
+        blocks = [np.arange(n * k).reshape(n, k) + 100 * r
+                  for r, (n, k) in enumerate(shapes)]
+        rows = [row for block in blocks for row in block]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nm, "TILE_BYTES", budget)
+            tiles = list(nm._edge_tiles(blocks, d))
+            full = [nm.tile_rows(lists.shape[1] * d * 8) for _, lists in tiles]
+        assert [lo for lo, _ in tiles] == list(np.cumsum(
+            [0] + [len(lists) for _, lists in tiles[:-1]]))
+        assert sum(len(lists) for _, lists in tiles) == len(rows)
+        for lo, lists in tiles:
+            for i, row in enumerate(lists):
+                assert np.array_equal(row, rows[lo + i])
+            r, k = lists.shape
+            assert r * k * d * 8 <= budget or r == 1
+        for (_, a), (_, b), most in zip(tiles, tiles[1:], full):
+            if a.shape[1] == b.shape[1]:
+                assert len(a) == most
+
+
 class TestEdgeMessages:
-    @pytest.mark.parametrize("n,d,lo,r,k", [(5, 4, 0, 5, 3), (6, 8, 3, 2, 1),
-                                            (40, 16, 10, 30, 8),
-                                            (300, 64, 128, 128, 30)])
-    def test_equals_composite_bit_for_bit(self, n, d, lo, r, k):
-        """Values and every input's gradient equal those of the chain of
-        nodes the node replaces, with the coordinate head and without,
-        with two coincident points."""
-        rng = np.random.default_rng(27 + n)
-        arrays = edge_inputs(rng, n, d)
-        arrays[2][1] = arrays[2][0]
-        lists = np.stack([rng.choice(np.delete(np.arange(n), lo + i), k,
-                                     replace=False) for i in range(r)])
-        if lo == 0:
-            lists[0, 0] = 1  # center 0 meets its twin, point 1
+    @pytest.mark.parametrize("d,lengths,ks,centers", [
+        (4, (5, 4, 1, 3), (3, 3, 0, 2), 2),
+        (8, (2, 2, 1, 6), (1, 1, 0, 3), 3),
+        (16, (30, 1, 12, 9), (8, 0, 8, 5), 7),
+        (64, (150, 1, 149), (30, 0, 30), 34),
+    ], ids=["d4", "d8-k1", "d16", "d64"])
+    def test_equals_composite_bit_for_bit(self, monkeypatch, d, lengths,
+                                           ks, centers):
+        """Values and every input's gradient equal those of the tiles'
+        chains of nodes joined as the model joined them, with the
+        coordinate head and without, on a pack with a one-residue record
+        and two coincident points. The budget holds ``centers`` centers of
+        the first record's K, so its run (with the next record's, where K
+        agrees) makes several tiles."""
+        monkeypatch.setattr(nm, "TILE_BYTES", centers * ks[0] * d * 8)
+        arrays, blocks = edge_pack(np.random.default_rng(27 + d), d,
+                                   lengths, ks)
 
         def run(op, head):
             ts = [Tensor(a, requires_grad=True) for a in arrays]
-            out = op(*ts[:9], lo, lists, ts[9:] if head else ())
+            out = op(*ts[:9], blocks, ts[9:] if head else ())
             outs = out if isinstance(out, list) else [out]
             sum((nm.tensor_sum(o * Tensor(np.cos(o.data))) for o in outs),
                 start=Tensor(0.0)).backward()
@@ -439,78 +506,108 @@ class TestEdgeMessages:
 
         for head in (True, False):
             for a, b in zip(run(nm.edge_messages, head),
-                            run(edge_chain, head), strict=True):
+                            run(sublayer_chain, head), strict=True):
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("case", ["coincident", "k1", "tiles"])
     @pytest.mark.parametrize("which", range(13))
-    def test_finite_difference_agreement(self, case, which):
-        """Every input at h = 1e-5, with the coordinate head. A
-        zero-distance edge's coordinate term rel·φ(m(|rel|)) has a kink in
-        its second factor, so central differences of ``x`` (input 2) are
-        only first-order there, off by about 5e-6 at h = 1e-5: the
-        coincident points' ``x`` is differenced at h = 1e-7."""
-        arrays, lists, rows = fd_case(case, np.random.default_rng(28))
-        check_edge_gradient(arrays, which, lists, rows,
+    def test_finite_difference_agreement(self, monkeypatch, case, which):
+        """Every input at h = 1e-5, with the coordinate head, in tiles of
+        two centers. A zero-distance edge's coordinate term rel·φ(m(|rel|))
+        has a kink in its second factor, so central differences of ``x``
+        (input 2) are only first-order there, off by about 5e-6 at h =
+        1e-5: the coincident points' ``x`` is differenced at h = 1e-7."""
+        arrays, blocks, budget = fd_case(case, np.random.default_rng(28))
+        monkeypatch.setattr(nm, "TILE_BYTES", budget)
+        check_edge_gradient(arrays, which, blocks,
                             h=1e-7 if (case, which) == ("coincident", 2)
                             else 1e-5)
 
     @pytest.mark.parametrize("case", ["coincident", "k1", "tiles"])
     @pytest.mark.parametrize("which", range(9))
-    def test_finite_difference_without_head(self, case, which):
+    def test_finite_difference_without_head(self, monkeypatch, case, which):
         """Every input of the substrate stack's form, which has no
         coordinate head and returns the message sums alone."""
-        arrays, lists, rows = fd_case(case, np.random.default_rng(28))
-        check_edge_gradient(arrays[:9], which, lists, rows, head=False)
+        arrays, blocks, budget = fd_case(case, np.random.default_rng(28))
+        monkeypatch.setattr(nm, "TILE_BYTES", budget)
+        check_edge_gradient(arrays[:9], which, blocks, head=False)
 
     @pytest.mark.parametrize("head", [True, False])
     def test_k0_tile_is_constant_zeros(self, head):
-        """A K = 0 tile (a one-residue record) has no messages: zeros, no
-        graph, and central differences give every input a zero
-        gradient."""
-        arrays = edge_inputs(np.random.default_rng(31), 3, 4)[:13 if head
-                                                               else 9]
-        lists = np.zeros((2, 0), dtype=np.intp)
+        """A one-residue record's row in a pack (a K = 0 tile) has zero
+        message sums and, with the head, its own coordinates, and the
+        gradient of its ``x`` row is exactly the node's gradient of its
+        last three columns there (zero without the head). A node whose
+        rows all have K = 0 gives every input a gradient of its shape,
+        zero but for ``x``'s pass-through, as central differences do."""
+        rng = np.random.default_rng(31)
+        arrays = edge_inputs(rng, 6, 4)[:13 if head else 9]
+        blocks = [np.array([[1, 2], [0, 2], [1, 0]]),
+                  np.zeros((1, 0), dtype=np.intp), np.array([[5], [4]])]
         ts = [Tensor(a, requires_grad=True) for a in arrays]
-        out = tiled_edge_messages(ts, lists, 2, head)
-        assert np.array_equal(out.data, np.zeros((2, 7 if head else 4)))
-        assert not out.requires_grad
-        for which, a in enumerate(arrays):
-            def f(arr, which=which):
-                args = [Tensor(b) for b in arrays]
-                args[which] = Tensor(arr)
-                return tiled_edge_messages(args, lists, 2, head).data.sum()
+        out = nm.edge_messages(*ts[:9], blocks, ts[9:])
+        probe = rng.normal(size=out.shape)
+        nm.tensor_sum(out * Tensor(probe)).backward()
+        assert not out.data[3, :4].any()
+        assert np.array_equal(out.data[3, 4:], arrays[2][3] if head else [])
+        assert np.array_equal(ts[2].grad[3], probe[3, 4:] if head
+                              else np.zeros(3))
+        assert not ts[0].grad[3].any() and not ts[1].grad[3].any()
 
-            assert not finite_difference_gradient(f, a.copy()).any()
+        lone = edge_inputs(rng, 2, 4)[:13 if head else 9]
+        alone = [np.zeros((1, 0), dtype=np.intp)] * 2
+        for which, a in enumerate(lone):
+            def op(t, which=which):
+                args = [Tensor(b) for b in lone]
+                args[which] = t
+                return nm.edge_messages(*args[:9], alone, args[9:])
+
+            analytic, fd = analytic_and_fd(op, a)
+            assert analytic.shape == a.shape
+            if which == 2 and head:
+                np.testing.assert_allclose(analytic, fd, rtol=0, atol=1e-9)
+                assert analytic.any()
+            else:
+                assert not analytic.any() and not fd.any()
 
     @pytest.mark.parametrize("head,wide", [(True, 6), (False, 4)])
-    def test_backward_keeps_six_edge_arrays(self, head, wide):
-        """The rule of a tile with the coordinate head keeps six (R, K, d)
-        arrays: silu(z), m and the head's silu output, each with its
-        logistic (four without the head). The rest of what it keeps is
-        (R, K, 3) or narrower, and no intermediate node."""
-        arrays = edge_inputs(np.random.default_rng(32), 9, 8)
-        lists = np.array([[1, 2, 3], [0, 4, 5], [6, 7, 8], [2, 1, 0],
-                          [3, 5, 7]])
+    def test_backward_keeps_six_edge_arrays(self, monkeypatch, head, wide):
+        """Each tile's rule, in tiles of two, two and one centers, keeps
+        six (R, K, d) arrays: silu(z), m and the head's silu output, each
+        with its logistic (four without the head). The rest of what it
+        keeps is (R, K, 3) or narrower, beside the run's neighbor lists,
+        and no intermediate node; the node's own rule keeps no array."""
+        monkeypatch.setattr(nm, "TILE_BYTES", 2 * 3 * 8 * 8)
+        arrays = edge_inputs(np.random.default_rng(32), 5, 8)
+        lists = np.array([[1, 2, 3], [0, 4, 3], [4, 1, 0], [2, 1, 0],
+                          [3, 2, 1]])
         ts = [Tensor(a, requires_grad=True) for a in arrays]
-        out = nm.edge_messages(*ts[:9], 2, lists, ts[9:] if head else ())
-        kept = rule_closure(out)
-        sizes = sorted(a.size for a in kept_arrays(out))
-        assert sizes[-wide:] == [5 * 3 * 8] * wide
-        assert max(sizes[:-wide]) <= 5 * 3 * 3
-        assert {id(t) for t in kept if isinstance(t, Tensor)} <= set(
-            map(id, ts))
+        out = nm.edge_messages(*ts[:9], [lists], ts[9:] if head else ())
+        assert kept_arrays(out._backward_fn) == []
+        rules = tile_rules(out)
+        for rows, rule in zip((2, 2, 1), rules, strict=True):
+            kept = kept_arrays(rule)
+            sizes = sorted(a.size for a in kept if a.dtype == np.float64)
+            assert sizes[-wide:] == [rows * 3 * 8] * wide
+            assert max(sizes[:-wide]) <= rows * 3 * 3
+            # the run's neighbor lists, which its tiles share
+            assert [a.shape for a in kept if a.dtype != np.float64] == [
+                (5, 3)]
+        kept = [t for rule in [out._backward_fn, *rules]
+                for t in rule_closure(rule) if isinstance(t, Tensor)]
+        assert {id(t) for t in kept} <= set(map(id, ts))
 
     def test_constant_inputs_record_nothing(self):
         rng = np.random.default_rng(29)
         arrays = edge_inputs(rng, 6, 4)
-        lists = np.array([[1, 2], [0, 5], [4, 0]])
+        blocks = [np.array([[1, 2], [0, 2], [1, 0]]),
+                  np.array([[4, 5], [3, 5], [4, 3]])]
         args = [Tensor(a) for a in arrays]
-        out = nm.edge_messages(*args[:9], 0, lists, args[9:])
+        out = nm.edge_messages(*args[:9], blocks, args[9:])
         assert not out.requires_grad
         assert out._parents == () and out._backward_fn is None
         taped = nm.edge_messages(*args[:3], *(
-            Tensor(w, requires_grad=True) for w in arrays[3:9]), 0, lists,
+            Tensor(w, requires_grad=True) for w in arrays[3:9]), blocks,
             [Tensor(w, requires_grad=True) for w in arrays[9:]])
         assert np.array_equal(out.data, taped.data)
 
@@ -540,8 +637,8 @@ class TestElementwiseSuite:
         (nm.layer_norm, [(4, 5), (5,), (5,)]),
         (nm.log_softmax, [(4, 5)]),
         (lambda q, k, v: nm.attention(q, k, v, 2), [(4, 6)] * 3),
-        (lambda *t: nm.edge_messages(*t[:9], 1, np.array([[0, 2], [3, 0]]),
-                                     t[9:]),
+        (lambda *t: nm.edge_messages(*t[:9], [np.array([[1], [0]]),
+                                              np.array([[3], [2]])], t[9:]),
          [(4, 3), (4, 3), (4, 3), (3,), (3,), (3, 3), (3,), (3, 1), (1,),
           (3, 3), (3,), (3, 1), (1,)]),
     ], ids=["layer_norm", "log_softmax", "attention", "edge_messages"])
@@ -635,7 +732,7 @@ def every_primitive(x):
     c = nm.linear(nm.matmul(nm.transpose(b), ln),
                   Tensor(np.eye(3)[::-1] + 0.5), Tensor([0.1, -0.2, 0.3]))
     d = nm.mul(softmax(c), nm.log_softmax(c))
-    e = nm.take(reshape(nm.concat([d, ln]), (21, 1)),
+    e = nm.take(reshape(concat([d, ln]), (21, 1)),
                 np.array([0, 2, 5, 2, 16]))
     # (1,) times (4, 3): the gradient is summed back over the broadcast
     f = nm.mul(nm.tensor_sum(e, axis=0), silu(b))

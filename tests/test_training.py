@@ -16,7 +16,6 @@ from enzydesign.parameters import (TagVocabulary, VocabularyError,
                                    init_parameters, load_checkpoint,
                                    zero_grads)
 from enzydesign.residues import AMINO_ACIDS
-from enzydesign.substrate_model import binding_scores, substrate_forward
 from enzydesign.training import (Adam, TrainSchedule, _pack_batches,
                                  batch_loss, draw_mlm_mask, joint_loss,
                                  record_loss, train)
@@ -437,16 +436,16 @@ class TestPackedBatch:
         assert_packed_matches_singles(*mixed_batch())
 
     def test_one_residue_record_matches_its_own_forward(self):
-        """A one-residue record has an empty kNN block, so its edge tile
-        has K = 0; packed between two others it still equals its own
+        """A one-residue record has an empty kNN block, so its row has
+        K = 0 and no edges; packed between two others it still equals its own
         forward, and theirs are unchanged."""
         batch, pairs, params, config, vocab = mixed_batch()
         batch = [batch[0], one_residue_record(batch[0].tag), batch[2]]
         assert_packed_matches_singles(batch, pairs[:3], params, config, vocab)
 
     def test_k0_tile_gradient_matches_finite_differences(self):
-        """The coordinate head's gradient through a batch whose first edge
-        tile is a one-residue record's K = 0 tile, against central FD."""
+        """The coordinate head's gradient through a batch whose first row
+        is a one-residue record's, with K = 0, against central FD."""
         batch, pairs, params, config, vocab = mixed_batch()
         batch = [one_residue_record(batch[0].tag), batch[0]]
 
@@ -492,17 +491,19 @@ class TestPackedBatch:
 
     def test_toy_config_step_tensor_count(self, monkeypatch):
         """One phase-2 step of the toy config's model over the toy corpus
-        (eight length-12 records, three substrates) builds 193 tensors,
-        interior nodes and constants alike. The 96 centers with K = 11
-        make two edge tiles under the 2^19-byte budget (93 + 3 centers of
-        K·d·8 = 5632 bytes), one ``edge_messages`` node each in each of the
-        three enzyme neighborhood sub-layers, joined by one ``concat`` and
-        read by two ``columns``; the substrate stack's one tile in each of
-        its three layers is one node too. Tiles whose radial vectors (two
-        ``take``s and a ``sub``), coordinate head (``linear``, ``silu``,
-        ``linear``, ``mul``) and sums over K (two ``tensor_sum``s) were
-        separate nodes built 256, one 96-center tile of those built 220,
-        one forward
+        (eight length-12 records, three substrates) builds 184 tensors,
+        interior nodes and constants alike. Each of the three enzyme
+        neighborhood sub-layers' edges is one ``edge_messages`` node,
+        whose last three columns are already the moved coordinates, read
+        by two ``columns``; the substrate stack's edges in each of its
+        three layers are one node too. One node per edge tile (the 96
+        centers with K = 11 make two tiles under the 2^19-byte budget,
+        93 + 3 centers of K·d·8 = 5632 bytes) joined by a ``concat``, with
+        the coordinates moved by an ``add``, built 193. Tiles whose radial
+        vectors (two ``take``s and a ``sub``), coordinate head
+        (``linear``, ``silu``, ``linear``, ``mul``) and sums over K (two
+        ``tensor_sum``s) were separate nodes built 256, one 96-center tile
+        of those built 220, one forward
         and one substrate stack per record 2497, a binding head that
         reshaped its scores to (2,) and back 558, one substrate stack per
         distinct substrate with one binding call per record 542, edge
@@ -525,7 +526,7 @@ class TestPackedBatch:
         monkeypatch.setattr(Tensor, "__init__", counting)
         sched = TrainSchedule(phase1_steps=0, phase2_steps=1, seed=0)
         train(records, pool, params, model_cfg, sched, vocab)
-        assert len(built) == 193
+        assert len(built) == 184
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("primitive", ["edge_messages", "log_softmax"])
